@@ -318,6 +318,9 @@ def cmd_perm_test(args, config: ToolConfig) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    if args.iterations < 1:
+        print(f"usage error: --n must be >= 1, got {args.iterations}", file=sys.stderr)
+        return 2
     gold, _ = load_corpus(args.gold, "ud", config, jobs=args.jobs)
     pred_a, _ = load_corpus(args.pred_a, "ud", config, jobs=args.jobs)
     pred_b, _ = load_corpus(args.pred_b, "ud", config, jobs=args.jobs)

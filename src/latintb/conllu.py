@@ -241,6 +241,9 @@ def parse_conllu(
     doc_id: str | None = None
     work_id: str | None = None
     last_doc_id: str | None = None
+    # One bundle per distinct FEATS string; a string that fails to
+    # parse is never stored, so it raises again on every line.
+    bundles: dict[str, FeatureBundle] = {}
 
     def flush(line_no: int) -> None:
         nonlocal comments, tokens, extras, sent_id, text, doc_id, work_id
@@ -305,7 +308,9 @@ def parse_conllu(
                 f"line {line_no} (sentence {sent_id!r}): unknown UPOS {cols[3]!r}"
             )
         try:
-            feats = FeatureBundle.from_string(cols[5])
+            feats = bundles.get(cols[5])
+            if feats is None:
+                feats = bundles[cols[5]] = FeatureBundle.from_string(cols[5])
             misc = _parse_misc(cols[9])
             tokens.append(
                 Token(

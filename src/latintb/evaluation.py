@@ -8,13 +8,12 @@ compared by randomized permutation testing with sentence-level swaps.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .conllu import Sentence
+from .conllu import FeatureBundle, Sentence, Token
 from .standardize import MORPH_FEATURES, StandardRecord, record_from_standard_feats
 
 REPORT_FEATURES = ("UPOS",) + MORPH_FEATURES
@@ -46,7 +45,18 @@ def check_alignment(gold: Sequence[Sentence], pred: Sequence[Sentence]) -> None:
 
 
 def records_of(sentences: Sequence[Sentence]) -> list[list[StandardRecord]]:
-    return [[record_from_standard_feats(t) for t in s.tokens] for s in sentences]
+    # Tokens with one UPOS and one FEATS bundle (parse_conllu shares a
+    # bundle per distinct FEATS string) share one record. The memo holds
+    # each bundle, so no key outlives the object whose id it holds.
+    memo: dict[tuple[str, int], tuple[FeatureBundle, StandardRecord]] = {}
+
+    def record(token: Token) -> StandardRecord:
+        key = (token.upos, id(token.feats))
+        if key not in memo:
+            memo[key] = (token.feats, record_from_standard_feats(token))
+        return memo[key][1]
+
+    return [[record(t) for t in s.tokens] for s in sentences]
 
 
 def _check_shape(gold: Records, pred: Records) -> None:
@@ -54,26 +64,80 @@ def _check_shape(gold: Records, pred: Records) -> None:
         raise AlignmentError("gold and prediction records are not aligned")
 
 
+def _tally(rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int) -> np.ndarray:
+    """Count of each (row, col) pair, as an n_rows x n_cols matrix."""
+    counts = np.bincount(rows * n_cols + cols, minlength=n_rows * n_cols)
+    return counts.reshape(n_rows, n_cols)
+
+
+class _Codes:
+    """Aligned corpora of records as integer codes, one per distinct
+    record, so labels and strings are built once per distinct record
+    instead of once per token."""
+
+    def __init__(self, *corpora: Records):
+        index: dict[StandardRecord, int] = {}
+        self.tokens = [
+            np.array([index.setdefault(r, len(index)) for s in c for r in s], dtype=np.intp)
+            for c in corpora
+        ]
+        self.records = list(index)
+        self.n_sentences = len(corpora[0])
+        self.sentence = np.repeat(np.arange(self.n_sentences), [len(s) for s in corpora[0]])
+
+    def _recode(self, keys: list[str]) -> tuple[list[str], list[np.ndarray]]:
+        """The sorted keys (one per record) plus "None", and each corpus's
+        tokens as indices into that list."""
+        values = sorted(set(keys) | {"None"})
+        position = {v: k for k, v in enumerate(values)}
+        lookup = np.array([position[k] for k in keys], dtype=np.intp)
+        return values, [lookup[t] for t in self.tokens]
+
+    def classes(self, feature: str) -> tuple[list[str], list[np.ndarray]]:
+        if feature not in REPORT_FEATURES:
+            raise ValueError(f"unknown feature {feature!r}")
+        return self._recode([r.label_for(feature) for r in self.records])
+
+    def strings(self, include_upos: bool) -> list[np.ndarray]:
+        return self._recode([r.morph_string(include_upos=include_upos) for r in self.records])[1]
+
+    def sentence_stats(self, gold: np.ndarray, pred: np.ndarray, n_cls: int) -> np.ndarray:
+        """Per sentence, per class: tp, fp, fn and predicted count."""
+        hit, miss, n_sent = gold == pred, gold != pred, self.n_sentences
+        return np.stack(
+            [
+                _tally(self.sentence[hit], gold[hit], n_sent, n_cls),
+                _tally(self.sentence[miss], pred[miss], n_sent, n_cls),
+                _tally(self.sentence[miss], gold[miss], n_sent, n_cls),
+                _tally(self.sentence, pred, n_sent, n_cls),
+            ],
+            axis=-1,
+        ).astype(np.float64)
+
+
+def _class_counts(codes: _Codes, feature: str) -> tuple[list[str], list[tuple[int, int, int]]]:
+    """A feature's classes and each one's (tp, fp, fn), from the confusion
+    matrix of the second corpus against the first."""
+    classes, (gold, pred) = codes.classes(feature)
+    confusion = _tally(gold, pred, len(classes), len(classes))
+    tp = confusion.diagonal()
+    fp = confusion.sum(axis=0) - tp
+    fn = confusion.sum(axis=1) - tp
+    return classes, list(zip(tp.tolist(), fp.tolist(), fn.tolist()))
+
+
+def _accuracy(gold: np.ndarray, pred: np.ndarray) -> float:
+    if len(gold) == 0:
+        raise AlignmentError("no tokens to score")
+    return int((gold == pred).sum()) / len(gold)
+
+
 def whole_string_accuracy(
     gold: Records, pred: Records, *, include_upos: bool = False
 ) -> float:
     """Fraction of tokens whose sorted feature string matches gold exactly."""
     _check_shape(gold, pred)
-    correct = total = 0
-    for gold_sent, pred_sent in zip(gold, pred):
-        for g, p in zip(gold_sent, pred_sent):
-            total += 1
-            if g.morph_string(include_upos=include_upos) == p.morph_string(
-                include_upos=include_upos
-            ):
-                correct += 1
-    if total == 0:
-        raise AlignmentError("no tokens to score")
-    return correct / total
-
-
-def _flat_labels(records: Records, feature: str) -> list[str]:
-    return [r.label_for(feature) for sent in records for r in sent]
+    return _accuracy(*_Codes(gold, pred).strings(include_upos))
 
 
 def _f1(tp: int, fp: int, fn: int) -> float:
@@ -81,22 +145,16 @@ def _f1(tp: int, fp: int, fn: int) -> float:
     return 2 * tp / denom if denom else 0.0
 
 
+def _macro(counts: list[tuple[int, int, int]]) -> float:
+    scores = [_f1(*c) for c in counts]
+    return sum(scores) / len(scores)
+
+
 def macro_f1(gold: Records, pred: Records, feature: str) -> float:
     """Unweighted mean of per-class F1 over the values observed in gold
     or predictions, plus None, which is a value like any other."""
-    if feature not in REPORT_FEATURES:
-        raise ValueError(f"unknown feature {feature!r}")
     _check_shape(gold, pred)
-    gold_labels = _flat_labels(gold, feature)
-    pred_labels = _flat_labels(pred, feature)
-    classes = sorted(set(gold_labels) | set(pred_labels) | {"None"})
-    scores = []
-    for cls in classes:
-        tp = sum(1 for g, p in zip(gold_labels, pred_labels) if g == cls and p == cls)
-        fp = sum(1 for g, p in zip(gold_labels, pred_labels) if g != cls and p == cls)
-        fn = sum(1 for g, p in zip(gold_labels, pred_labels) if g == cls and p != cls)
-        scores.append(_f1(tp, fp, fn))
-    return sum(scores) / len(scores)
+    return _macro(_class_counts(_Codes(gold, pred), feature)[1])
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,26 +166,22 @@ class ValueScore:
     observed: bool = True  # False when the value occurs in neither file
 
 
-def per_value_f1(gold: Records, pred: Records, feature: str, value: str) -> ValueScore:
-    """One-vs-rest precision/recall/F1 for one feature value."""
-    if feature not in REPORT_FEATURES:
-        raise ValueError(f"unknown feature {feature!r}")
-    _check_shape(gold, pred)
-    gold_labels = _flat_labels(gold, feature)
-    pred_labels = _flat_labels(pred, feature)
-    tp = sum(1 for g, p in zip(gold_labels, pred_labels) if g == value and p == value)
-    fp = sum(1 for g, p in zip(gold_labels, pred_labels) if g != value and p == value)
-    fn = sum(1 for g, p in zip(gold_labels, pred_labels) if g == value and p != value)
+def _value_score(tp: int, fp: int, fn: int) -> ValueScore:
     support = tp + fn
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / support if support else 0.0
     return ValueScore(
-        precision=precision,
-        recall=recall,
+        precision=tp / (tp + fp) if tp + fp else 0.0,
+        recall=tp / support if support else 0.0,
         f1=_f1(tp, fp, fn),
         support=support,
         observed=bool(support or tp + fp),
     )
+
+
+def per_value_f1(gold: Records, pred: Records, feature: str, value: str) -> ValueScore:
+    """One-vs-rest precision/recall/F1 for one feature value."""
+    _check_shape(gold, pred)
+    classes, counts = _class_counts(_Codes(gold, pred), feature)
+    return _value_score(*dict(zip(classes, counts)).get(value, (0, 0, 0)))
 
 
 @dataclass(slots=True)
@@ -179,19 +233,16 @@ class EvalReport:
 
 def evaluate(gold: Records, pred: Records, *, include_upos: bool = False) -> EvalReport:
     _check_shape(gold, pred)
-    token_count = sum(len(s) for s in gold)
-    macro = {f: macro_f1(gold, pred, f) for f in REPORT_FEATURES}
+    codes = _Codes(gold, pred)
+    macro: dict[str, float] = {}
     per_value: dict[str, dict[str, ValueScore]] = {}
     for feature in REPORT_FEATURES:
-        labels = sorted(
-            set(_flat_labels(gold, feature)) | set(_flat_labels(pred, feature)) | {"None"}
-        )
-        per_value[feature] = {
-            value: per_value_f1(gold, pred, feature, value) for value in labels
-        }
+        classes, counts = _class_counts(codes, feature)
+        macro[feature] = _macro(counts)
+        per_value[feature] = {cls: _value_score(*c) for cls, c in zip(classes, counts)}
     return EvalReport(
-        accuracy=whole_string_accuracy(gold, pred, include_upos=include_upos),
-        token_count=token_count,
+        accuracy=_accuracy(*codes.strings(include_upos)),
+        token_count=len(codes.sentence),
         macro_f1=macro,
         per_value=per_value,
     )
@@ -229,23 +280,12 @@ def parse_metric(name: str) -> tuple[str, str | None, str | None]:
 
 
 class _AccuracyMachine:
-    def __init__(self, gold: Records, a: Records, b: Records, include_upos: bool):
-        def strings(records):
-            return [
-                [r.morph_string(include_upos=include_upos) for r in sent]
-                for sent in records
-            ]
-
-        gold_s, a_s, b_s = strings(gold), strings(a), strings(b)
-        correct_a = np.array(
-            [sum(g == p for g, p in zip(gs, ps)) for gs, ps in zip(gold_s, a_s)],
-            dtype=np.float64,
-        )
-        correct_b = np.array(
-            [sum(g == p for g, p in zip(gs, ps)) for gs, ps in zip(gold_s, b_s)],
-            dtype=np.float64,
-        )
-        self.total = float(sum(len(s) for s in gold))
+    def __init__(self, codes: _Codes, include_upos: bool):
+        gold, a, b = codes.strings(include_upos)
+        n_sent = codes.n_sentences
+        correct_a = np.bincount(codes.sentence[gold == a], minlength=n_sent).astype(np.float64)
+        correct_b = np.bincount(codes.sentence[gold == b], minlength=n_sent).astype(np.float64)
+        self.total = float(len(gold))
         self.base = correct_a.sum() - correct_b.sum()
         self.delta = correct_b - correct_a
 
@@ -254,45 +294,18 @@ class _AccuracyMachine:
 
 
 class _MacroF1Machine:
-    def __init__(self, gold: Records, a: Records, b: Records, feature: str):
-        gold_l = [[r.label_for(feature) for r in sent] for sent in gold]
-        a_l = [[r.label_for(feature) for r in sent] for sent in a]
-        b_l = [[r.label_for(feature) for r in sent] for sent in b]
-        classes = sorted(
-            {l for sent in gold_l for l in sent}
-            | {l for sent in a_l for l in sent}
-            | {l for sent in b_l for l in sent}
-            | {"None"}
+    def __init__(self, codes: _Codes, feature: str):
+        classes, (gold, a, b) = codes.classes(feature)
+        n_cls = len(classes)
+        stats_a, stats_b = (
+            codes.sentence_stats(gold, pred, n_cls).reshape(codes.n_sentences, n_cls * 4)
+            for pred in (a, b)
         )
-        self.classes = classes
-        index = {c: k for k, c in enumerate(classes)}
-        n_sent, n_cls = len(gold_l), len(classes)
-
-        def stats(pred_l):
-            # per sentence, per class: tp, fp, fn, predicted-count
-            out = np.zeros((n_sent, n_cls, 4), dtype=np.float64)
-            for s, (gs, ps) in enumerate(zip(gold_l, pred_l)):
-                for g, p in zip(gs, ps):
-                    gi, pi = index[g], index[p]
-                    if gi == pi:
-                        out[s, gi, 0] += 1
-                    else:
-                        out[s, pi, 1] += 1
-                        out[s, gi, 2] += 1
-                    out[s, pi, 3] += 1
-            return out.reshape(n_sent, n_cls * 4)
-
-        stats_a = stats(a_l)
-        stats_b = stats(b_l)
         self.n_cls = n_cls
         self.base_a = stats_a.sum(axis=0)
         self.base_b = stats_b.sum(axis=0)
         self.delta = stats_b - stats_a
-        gold_counts = np.zeros(n_cls)
-        for sent in gold_l:
-            for label in sent:
-                gold_counts[index[label]] += 1
-        self.always_active = (gold_counts > 0) | np.array(
+        self.always_active = (np.bincount(gold, minlength=n_cls) > 0) | np.array(
             [c == "None" for c in classes]
         )
 
@@ -312,22 +325,12 @@ class _MacroF1Machine:
 
 
 class _ValueF1Machine:
-    def __init__(self, gold: Records, a: Records, b: Records, feature: str, value: str):
-        def stats(pred):
-            out = np.zeros((len(gold), 3), dtype=np.float64)
-            for s, (gs, ps) in enumerate(zip(gold, pred)):
-                for g, p in zip(gs, ps):
-                    g_hit = g.label_for(feature) == value
-                    p_hit = p.label_for(feature) == value
-                    if g_hit and p_hit:
-                        out[s, 0] += 1
-                    elif p_hit:
-                        out[s, 1] += 1
-                    elif g_hit:
-                        out[s, 2] += 1
-            return out
-
-        stats_a, stats_b = stats(a), stats(b)
+    def __init__(self, codes: _Codes, feature: str, value: str):
+        classes, labels = codes.classes(feature)
+        target = classes.index(value) if value in classes else -1
+        # one-vs-rest: class 1 is the value, class 0 everything else
+        gold, a, b = ((c == target).astype(np.intp) for c in labels)
+        stats_a, stats_b = (codes.sentence_stats(gold, pred, 2)[:, 1, :3] for pred in (a, b))
         self.base_a = stats_a.sum(axis=0)
         self.base_b = stats_b.sum(axis=0)
         self.delta = stats_b - stats_a
@@ -347,15 +350,13 @@ class _ValueF1Machine:
         )
 
 
-def _build_machine(
-    gold: Records, a: Records, b: Records, metric: str, include_upos: bool
-):
+def _build_machine(codes: _Codes, metric: str, include_upos: bool):
     kind, feature, value = parse_metric(metric)
     if kind == "acc":
-        return _AccuracyMachine(gold, a, b, include_upos)
+        return _AccuracyMachine(codes, include_upos)
     if kind == "macro":
-        return _MacroF1Machine(gold, a, b, feature)
-    return _ValueF1Machine(gold, a, b, feature, value)
+        return _MacroF1Machine(codes, feature)
+    return _ValueF1Machine(codes, feature, value)
 
 
 @dataclass(frozen=True, slots=True)
@@ -393,30 +394,28 @@ def permutation_test(
     sentence with probability 1/2 and records the absolute metric
     difference over the whole shuffled set; p is the fraction of
     simulated differences at least as large as the observed one.
-    Iteration i draws from a seed derived from (seed, i), so results do
-    not depend on the number of worker threads.
+    Iteration i draws from a seed derived from (seed, i). ``jobs`` is
+    accepted for interface symmetry with the other stages and ignored:
+    the work runs in this thread, because worker threads did not make
+    it faster.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     _check_shape(gold, preds_a)
     _check_shape(gold, preds_b)
-    machine = _build_machine(gold, preds_a, preds_b, metric, include_upos)
+    codes = _Codes(gold, preds_a, preds_b)
+    if len(codes.sentence) == 0:
+        raise AlignmentError("no tokens to score")
+    machine = _build_machine(codes, metric, include_upos)
     n_sentences = len(gold)
 
     observed = float(machine.diffs(np.zeros((1, n_sentences)))[0])
 
     chunk = 2048
-    ranges = [(start, min(start + chunk, iterations)) for start in range(0, iterations, chunk)]
-
-    def run(span: tuple[int, int]) -> np.ndarray:
-        return machine.diffs(_swap_masks(seed, span[0], span[1], n_sentences))
-
-    if jobs > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(run, ranges))
-    else:
-        parts = [run(span) for span in ranges]
-    sims = np.concatenate(parts)
+    sims = np.concatenate([
+        machine.diffs(_swap_masks(seed, start, min(start + chunk, iterations), n_sentences))
+        for start in range(0, iterations, chunk)
+    ])
 
     hits = int((sims >= observed).sum())
     p_value = hits / iterations

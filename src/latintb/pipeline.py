@@ -26,6 +26,10 @@ from .standardize import StandardRecord, standardize_lasla, standardize_ud
 _CONSUMED_MISC_KEYS = ("TraditionalTense", "TraditionalMood")
 
 
+class ManifestError(ValueError):
+    """A duplicate manifest names a sentence the corpora do not hold."""
+
+
 def corpus_files(path: str | Path) -> list[Path]:
     path = Path(path)
     if path.is_dir():
@@ -148,7 +152,7 @@ def aligned_pairs(
     pairs: list[AlignedTokenPair] = []
     for sent_a, sent_b, _basis, _length in manifest_rows:
         if sent_a not in by_id_a or sent_b not in by_id_b:
-            raise KeyError(f"manifest pair ({sent_a!r}, {sent_b!r}) not found in corpora")
+            raise ManifestError(f"manifest pair ({sent_a!r}, {sent_b!r}) not found in corpora")
         pos_a, pos_b = by_id_a[sent_a], by_id_b[sent_b]
         norm_a = matching_key(corpus_a[pos_a])
         norm_b = matching_key(corpus_b[pos_b])

@@ -369,14 +369,6 @@ def standardize_lasla(
     )
 
 
-def standardize_token(token: Token, flavor: str, **kwargs) -> StandardRecord:
-    if flavor == "ud":
-        return standardize_ud(token, **kwargs)
-    if flavor == "lasla":
-        return standardize_lasla(token, **kwargs)
-    raise ValueError(f"unknown flavor {flavor!r}")
-
-
 def record_from_standard_feats(token: Token) -> StandardRecord:
     """Read a record from a token already encoded in the standard scheme.
 

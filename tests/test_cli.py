@@ -1,7 +1,13 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import latintb
 from latintb.baseline import predict_corpus
 from latintb.cli import main
 from latintb.conllu import parse_conllu_file, write_conllu_file
@@ -171,6 +177,70 @@ def test_unknown_metric_is_usage_error(workdir, tmp_path):
                  "--b", str(gold), "--metric", "nonsense"]) == 2
 
 
+def test_perm_test_needs_positive_iterations(tmp_path, capsys):
+    # rejected before any file is read: the inputs do not exist
+    missing = str(tmp_path / "missing.conllu")
+    assert main(["perm-test", "--gold", missing, "--a", missing, "--b", missing,
+                 "--n", "0"]) == 2
+    assert capsys.readouterr().err.startswith("usage error: --n must be >= 1")
+
+
+def test_perm_test_without_tokens_is_validation_failure(tmp_path, capsys):
+    empty = tmp_path / "empty.conllu"
+    empty.write_text("")
+    assert main(["perm-test", "--gold", str(empty), "--a", str(empty),
+                 "--b", str(empty), "--n", "10"]) == 1
+    assert capsys.readouterr().err == "error: no tokens to score\n"
+
+
+def test_agree_with_unknown_manifest_sentence_fails_in_one_line(fixtures_dir, tmp_path):
+    manifest = tmp_path / "dups.tsv"
+    manifest.write_text("sent_a\tsent_b\tbasis\tlength\nnope\tnada\tprefix\t3\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(latintb.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "latintb.cli", "agree", "--a", str(fixtures_dir / "ud"),
+         "--b", str(fixtures_dir / "lasla"), "--dups", str(manifest),
+         "--out", str(tmp_path / "agreement.tsv")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert done.stderr == "error: manifest pair ('nope', 'nada') not found in corpora\n"
+
+
 def test_reports_carry_provenance_footer(workdir):
     text = (workdir / "dups.tsv").read_text()
     assert text.rstrip().splitlines()[-1].startswith("# latintb=")
+
+
+# Outputs of eval and perm-test on the fixture split, pinned byte for
+# byte: a change to the scoring core must not move a single digit.
+EVAL_REPORT_SHA256 = "56de8d2c9ef2b636d3bfacdaba3cd6e1d829ec6b7e0378c501e491599453a904"
+PERM_TEST_ROWS = {
+    "morph-acc": "morph-acc\t0.064815\t0.0026\t5000\t7",
+    "upos-macro-f1": "upos-macro-f1\t0.091987\t0.0004\t5000\t7",
+    "macro-f1:Case": "macro-f1:Case\t0.102774\t0.0002\t5000\t7",
+    "value-f1:Mood=Sub": "value-f1:Mood=Sub\t0.000000\t1.0000\t5000\t7",
+}
+
+
+def test_eval_and_perm_test_outputs_are_pinned(workdir, tmp_path):
+    gold = workdir / "splits" / "Classical-UD" / "test.conllu"
+    pred_a = tmp_path / "a.conllu"
+    pred_b = tmp_path / "b.conllu"
+    _write_predictions(gold, pred_a, pred_b)
+    report = tmp_path / "eval.json"
+    assert main(["eval", "--gold", str(gold), "--pred", str(pred_a),
+                 "--out", str(report)]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == EVAL_REPORT_SHA256
+    for metric, row in PERM_TEST_ROWS.items():
+        out = tmp_path / "perm.tsv"
+        assert main(["perm-test", "--gold", str(gold), "--a", str(pred_a),
+                     "--b", str(pred_b), "--metric", metric, "--n", "5000",
+                     "--seed", "7", "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == (
+            "metric\tobserved_diff\tp_value\titerations\tseed\n"
+            f"{row}\n"
+            "# latintb=0.1.0 seed=7 config=default\n"
+        )

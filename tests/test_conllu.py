@@ -138,3 +138,19 @@ def test_bundle_parse_serialize_identity_on_canonical_form(mapping):
     canonical = bundle.to_string()
     assert FeatureBundle.from_string(canonical).to_string() == canonical
     assert FeatureBundle.from_string(canonical) == bundle
+
+
+def test_repeated_malformed_feats_raise_at_each_line():
+    good, bad = "Case=Acc", "Case=Acc|Case=Nom"
+    feats = [good, bad, good, bad, bad]
+    for first_bad in [i for i, f in enumerate(feats, start=1) if f == bad]:
+        # earlier copies of the malformed string are repaired, later ones kept
+        lines = [
+            f"{i}\tx\tx\tNOUN\t_\t{good if f == bad and i < first_bad else f}\t_\t_\t_\t_"
+            for i, f in enumerate(feats, start=1)
+        ]
+        text = "# sent_id = s\n" + "\n".join(lines) + "\n"
+        # token i sits on line i + 1, after the comment
+        for _ in range(2):
+            with pytest.raises(ParseError, match=f"line {first_bad + 1} .*duplicate feature"):
+                parse_conllu(text)

@@ -3,9 +3,11 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latintb.conllu import FeatureBundle, Sentence, Token, parse_conllu
 from latintb.evaluation import (
+    REPORT_FEATURES,
     AlignmentError,
     check_alignment,
     evaluate,
@@ -81,6 +83,46 @@ def oracle_value_f1(gold, pred, feature, value):
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = (2 * precision * recall / (precision + recall)) if precision + recall else 0.0
     return precision, recall, f1, tp + fn
+
+
+records = st.builds(
+    StandardRecord,
+    upos=st.sampled_from(["NOUN", "VERB", "ADJ", "_"]),
+    case=st.sampled_from(CASES),
+    mood=st.sampled_from(MOODS),
+    number=st.sampled_from(["Sing", "Plur", None]),
+    gender=st.sampled_from([(), ("Fem",), ("Masc",), ("Fem", "Masc"), ("Masc", "Fem")]),
+)
+# aligned (gold, prediction) pairs, one list per sentence
+aligned_pairs = st.lists(
+    st.lists(st.tuples(records, records), min_size=1, max_size=5), min_size=1, max_size=6
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(aligned_pairs, st.booleans())
+def test_evaluate_matches_oracles(pairs, include_upos):
+    gold = [[g for g, _ in sent] for sent in pairs]
+    pred = [[p for _, p in sent] for sent in pairs]
+    report = evaluate(gold, pred, include_upos=include_upos)
+    flat = [pair for sent in pairs for pair in sent]
+    assert report.token_count == len(flat)
+    assert report.accuracy == sum(
+        g.morph_string(include_upos=include_upos) == p.morph_string(include_upos=include_upos)
+        for g, p in flat
+    ) / len(flat)
+    for feature in REPORT_FEATURES:
+        assert report.macro_f1[feature] == pytest.approx(
+            oracle_macro_f1(gold, pred, feature), abs=1e-12
+        )
+        labels = {r.label_for(feature) for pair in flat for r in pair} | {"None"}
+        assert list(report.per_value[feature]) == sorted(labels)
+        for value, score in report.per_value[feature].items():
+            precision, recall, f1, support = oracle_value_f1(gold, pred, feature, value)
+            assert score.precision == pytest.approx(precision, abs=1e-12)
+            assert score.recall == pytest.approx(recall, abs=1e-12)
+            assert score.f1 == pytest.approx(f1, abs=1e-12)
+            assert score.support == support
 
 
 def test_identity_scores_one():
@@ -282,6 +324,24 @@ def test_null_p_values_roughly_uniform():
                                   iterations=400, seed=trial)
         low += result.p_value < 0.05
     assert 0.01 <= low / trials <= 0.10
+
+
+@pytest.mark.parametrize(
+    "metric", ["morph-acc", "upos-macro-f1", "macro-f1:Gender", "value-f1:Gender=Fem,Masc"]
+)
+def test_observed_diff_matches_naive_metrics(metric):
+    rng = random.Random(9)
+    gold = random_corpus(rng, 20)
+    preds_a = corrupt(gold, rng, 0.3)
+    preds_b = corrupt(gold, rng, 0.5)
+    result = permutation_test(gold, preds_a, preds_b, metric, iterations=10, seed=3)
+    expected = abs(naive_metric(gold, preds_a, metric) - naive_metric(gold, preds_b, metric))
+    assert result.observed_diff == pytest.approx(expected, abs=1e-12)
+
+
+def test_no_tokens_to_test():
+    with pytest.raises(AlignmentError, match="no tokens"):
+        permutation_test([[]], [[]], [[]], "morph-acc", iterations=10)
 
 
 def test_iterations_must_be_positive():
