@@ -8,6 +8,7 @@ codes: 0 success, 1 validation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -18,7 +19,7 @@ from .config import ConfigError, ToolConfig
 from .conllu import ConlluError, write_conllu_file
 from .harmonize import ALL_RULES
 from .metadata import MetadataError, load_metadata, parse_metadata, validate_metadata
-from .pipeline import aligned_pairs, convert_corpus, load_corpus
+from .pipeline import aligned_pairs, convert_corpus, corpus_files, load_corpus
 from .standardize import lint_token
 
 
@@ -32,7 +33,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="master random seed")
     common.add_argument("--config", type=Path, default=None, help="JSON config file")
-    common.add_argument("--jobs", type=int, default=1, help="worker threads")
+    common.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
     common.add_argument("--output-dir", type=Path, default=Path("."), help="directory for artifacts")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -98,20 +99,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_converted(path: Path, flavor: str, config: ToolConfig, jobs: int):
-    sentences, _ = load_corpus(path, flavor, config, jobs=jobs)
-    return convert_corpus(sentences, flavor, config)
-
-
 def cmd_convert(args, config: ToolConfig) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     audit_rows = []
     anomaly_rows = []
-    for file in sorted(
-        p for p in ([args.input] if args.input.is_file() else args.input.iterdir())
-        if p.suffix == ".conllu"
-    ):
-        sentences, _ = load_corpus(file, args.flavor, config, jobs=args.jobs)
+    for file in corpus_files(args.input):
+        sentences, _ = load_corpus(file, args.flavor, config)
         result = convert_corpus(sentences, args.flavor, config)
         write_conllu_file(args.out / file.name, result.sentences)
         for rule in ALL_RULES:
@@ -136,17 +129,15 @@ def cmd_convert(args, config: ToolConfig) -> int:
 
 
 def cmd_dedup(args, config: ToolConfig) -> int:
-    corpus_a, _ = load_corpus(args.corpus_a, args.a_flavor, config, jobs=args.jobs)
-    corpus_b, _ = load_corpus(args.corpus_b, args.b_flavor, config, jobs=args.jobs)
+    corpus_a, _ = load_corpus(args.corpus_a, args.a_flavor, config)
+    corpus_b, _ = load_corpus(args.corpus_b, args.b_flavor, config)
     pairs = dedup.find_duplicates(
         corpus_a,
         corpus_b,
         min_chars=config.dedup_min_chars,
         min_tokens=config.dedup_min_tokens,
     )
-    dedup.write_manifest(
-        args.out, pairs, footer=reports.footer(args.seed, config.config_hash)
-    )
+    dedup.write_manifest(args.out, pairs, seed=args.seed, config_hash=config.config_hash)
     if args.report is not None:
         metadata = load_metadata(args.metadata) if args.metadata else None
         rows = dedup.duplicate_report(pairs, metadata)
@@ -161,8 +152,8 @@ def cmd_dedup(args, config: ToolConfig) -> int:
 
 
 def cmd_agree(args, config: ToolConfig) -> int:
-    corpus_a, _ = load_corpus(args.corpus_a, args.a_flavor, config, jobs=args.jobs)
-    corpus_b, _ = load_corpus(args.corpus_b, args.b_flavor, config, jobs=args.jobs)
+    corpus_a, _ = load_corpus(args.corpus_a, args.a_flavor, config)
+    corpus_b, _ = load_corpus(args.corpus_b, args.b_flavor, config)
     converted_a = convert_corpus(corpus_a, args.a_flavor, config)
     converted_b = convert_corpus(corpus_b, args.b_flavor, config)
     manifest = dedup.read_manifest(args.dups)
@@ -204,7 +195,7 @@ def cmd_metadata_validate(args, config: ToolConfig) -> int:
     rows = parse_metadata(args.file.read_text(encoding="utf-8"))
     corpus_counts = None
     if args.corpus is not None:
-        sentences, _ = load_corpus(args.corpus, args.flavor, config, jobs=args.jobs)
+        sentences, _ = load_corpus(args.corpus, args.flavor, config)
         corpus_counts = {}
         for sentence in sentences:
             work = sentence.work_id or "?"
@@ -220,10 +211,10 @@ def cmd_metadata_validate(args, config: ToolConfig) -> int:
 
 
 def cmd_split(args, config: ToolConfig) -> int:
-    ud_corpus, _ = load_corpus(args.ud, "ud", config, jobs=args.jobs)
+    ud_corpus, _ = load_corpus(args.ud, "ud", config)
     lasla_corpus = None
     if args.lasla is not None:
-        lasla_corpus, _ = load_corpus(args.lasla, "lasla", config, jobs=args.jobs)
+        lasla_corpus, _ = load_corpus(args.lasla, "lasla", config)
     metadata = load_metadata(args.metadata)
     manifest_rows = dedup.read_manifest(args.dups)
     published = None
@@ -257,14 +248,7 @@ def cmd_split(args, config: ToolConfig) -> int:
             min_test=config.min_test_sentences,
             atomicity_exceptions=config.atomicity_exceptions,
         )
-        manifest = splits.SplitManifest(
-            period=manifest.period,
-            seed=manifest.seed,
-            train_works=manifest.train_works,
-            test_works=manifest.test_works,
-            dev_sentences=manifest.dev_sentences,
-            audit=tuple(results),
-        )
+        manifest = dataclasses.replace(manifest, audit=tuple(results))
         splits.write_manifest(args.out / f"{manifest.period}.manifest.json", manifest)
         parts = splits.materialize(manifest, ud_corpus, lasla_corpus)
         period_dir = args.out / manifest.period
@@ -292,15 +276,15 @@ def cmd_split(args, config: ToolConfig) -> int:
     return 0 if all_passed else 1
 
 
-def _aligned_records(gold_path: Path, pred_path: Path, config: ToolConfig, jobs: int):
-    gold, _ = load_corpus(gold_path, "ud", config, jobs=jobs)
-    pred, _ = load_corpus(pred_path, "ud", config, jobs=jobs)
+def _aligned_records(gold_path: Path, pred_path: Path, config: ToolConfig):
+    gold, _ = load_corpus(gold_path, "ud", config)
+    pred, _ = load_corpus(pred_path, "ud", config)
     evaluation.check_alignment(gold, pred)
     return evaluation.records_of(gold), evaluation.records_of(pred)
 
 
 def cmd_eval(args, config: ToolConfig) -> int:
-    gold_records, pred_records = _aligned_records(args.gold, args.pred, config, args.jobs)
+    gold_records, pred_records = _aligned_records(args.gold, args.pred, config)
     report = evaluation.evaluate(
         gold_records, pred_records, include_upos=config.include_upos_in_string
     )
@@ -321,9 +305,9 @@ def cmd_perm_test(args, config: ToolConfig) -> int:
     if args.iterations < 1:
         print(f"usage error: --n must be >= 1, got {args.iterations}", file=sys.stderr)
         return 2
-    gold, _ = load_corpus(args.gold, "ud", config, jobs=args.jobs)
-    pred_a, _ = load_corpus(args.pred_a, "ud", config, jobs=args.jobs)
-    pred_b, _ = load_corpus(args.pred_b, "ud", config, jobs=args.jobs)
+    gold, _ = load_corpus(args.gold, "ud", config)
+    pred_a, _ = load_corpus(args.pred_a, "ud", config)
+    pred_b, _ = load_corpus(args.pred_b, "ud", config)
     evaluation.check_alignment(gold, pred_a)
     evaluation.check_alignment(gold, pred_b)
     result = evaluation.permutation_test(
@@ -333,7 +317,6 @@ def cmd_perm_test(args, config: ToolConfig) -> int:
         args.metric,
         iterations=args.iterations,
         seed=args.seed,
-        jobs=args.jobs,
         include_upos=config.include_upos_in_string,
     )
     line = (
@@ -356,7 +339,7 @@ def cmd_perm_test(args, config: ToolConfig) -> int:
 
 
 def cmd_lint(args, config: ToolConfig) -> int:
-    sentences, _ = load_corpus(args.input, args.flavor, config, jobs=args.jobs)
+    sentences, _ = load_corpus(args.input, args.flavor, config)
     converted = convert_corpus(sentences, args.flavor, config)
     rows = []
     for sentence, records in zip(converted.sentences, converted.records):

@@ -11,7 +11,7 @@ import io
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator, TextIO
 
 UPOS_TAGS = frozenset(
     {
@@ -218,6 +218,59 @@ def _opt(col: str) -> str | None:
     return None if col == "_" else col
 
 
+def read_blocks(
+    source: str | TextIO,
+    *,
+    separator: str = "\t",
+    n_columns: int = 10,
+) -> Iterator[tuple[tuple[str, ...], dict[str, str], list[tuple[int, list[str]]], int]]:
+    """Split CoNLL-U-like text into blank-line-delimited sentence blocks.
+
+    Yields ``(comments, meta, rows, end)`` per block: the verbatim
+    comment lines, their ``# key = value`` pairs (the last one of a key
+    wins), the ``(line_no, columns)`` rows, and the number of the line
+    that closed the block. Raises ParseError for a row without exactly
+    ``n_columns`` columns and for a block of comments without rows.
+    """
+    if isinstance(source, str):
+        source = io.StringIO(source)
+
+    comments: list[str] = []
+    meta: dict[str, str] = {}
+    rows: list[tuple[int, list[str]]] = []
+
+    def block(end: int):
+        if not rows:
+            raise ParseError(f"line {end}: sentence block without token lines")
+        return tuple(comments), meta, rows, end
+
+    line_no = 0
+    for line_no, raw in enumerate(source, start=1):
+        line = raw.rstrip("\n")
+        if line == "":
+            if comments or rows:
+                yield block(line_no)
+                comments, meta, rows = [], {}, []
+            continue
+        if line.startswith("#"):
+            comments.append(line)
+            body = line[1:].strip()
+            if "=" in body:
+                key, value = body.split("=", 1)
+                meta[key.strip()] = value.strip()
+            continue
+        cols = line.split(separator)
+        if len(cols) != n_columns:
+            raise ParseError(
+                f"line {line_no} (sentence {meta.get('sent_id')!r}): expected "
+                f"{n_columns} columns, got {len(cols)}"
+            )
+        rows.append((line_no, cols))
+
+    if comments or rows:
+        yield block(line_no)
+
+
 def parse_conllu(
     source: str | TextIO,
     *,
@@ -229,111 +282,69 @@ def parse_conllu(
     Raises ParseError for malformed lines (with line number and current
     sentence id) and StructureError for non-monotonic token ids.
     """
-    if isinstance(source, str):
-        source = io.StringIO(source)
-
     sentences: list[Sentence] = []
-    comments: list[str] = []
-    tokens: list[Token] = []
-    extras: list[tuple[int, str]] = []
-    sent_id: str | None = None
-    text: str | None = None
     doc_id: str | None = None
-    work_id: str | None = None
-    last_doc_id: str | None = None
     # One bundle per distinct FEATS string; a string that fails to
     # parse is never stored, so it raises again on every line.
     bundles: dict[str, FeatureBundle] = {}
 
-    def flush(line_no: int) -> None:
-        nonlocal comments, tokens, extras, sent_id, text, doc_id, work_id
-        if not comments and not tokens and not extras:
-            return
+    for comments, meta, rows, end in read_blocks(source):
+        sent_id = meta.get("sent_id")
+        # a "# newdoc id" carries over to the blocks that follow it
+        doc_id = meta.get("newdoc id", doc_id)
+        tokens: list[Token] = []
+        extras: list[tuple[int, str]] = []
+        for line_no, cols in rows:
+            tok_id = cols[0]
+            if _RANGE_ID.match(tok_id) or _EMPTY_NODE_ID.match(tok_id):
+                extras.append((len(tokens), "\t".join(cols)))
+                continue
+            if not _WORD_ID.match(tok_id):
+                raise ParseError(
+                    f"line {line_no} (sentence {sent_id!r}): bad token id {tok_id!r}"
+                )
+            if cols[3] != "_" and cols[3] not in upos_inventory:
+                raise ParseError(
+                    f"line {line_no} (sentence {sent_id!r}): unknown UPOS {cols[3]!r}"
+                )
+            try:
+                feats = bundles.get(cols[5])
+                if feats is None:
+                    feats = bundles[cols[5]] = FeatureBundle.from_string(cols[5])
+                misc = _parse_misc(cols[9])
+                tokens.append(
+                    Token(
+                        id=int(tok_id),
+                        form=cols[1],
+                        lemma=cols[2],
+                        upos=cols[3],
+                        xpos=_opt(cols[4]),
+                        feats=feats,
+                        head=_opt(cols[6]),
+                        deprel=_opt(cols[7]),
+                        deps=_opt(cols[8]),
+                        misc=misc,
+                    )
+                )
+            except StructureError:
+                raise
+            except ValueError as exc:
+                raise ParseError(
+                    f"line {line_no} (sentence {sent_id!r}): {exc}"
+                ) from exc
         if not tokens:
-            raise ParseError(f"line {line_no}: sentence block without token lines")
-        sid = sent_id if sent_id is not None else f"sent{len(sentences) + 1}"
+            raise ParseError(f"line {end}: sentence block without token lines")
         sentences.append(
             Sentence(
-                sent_id=sid,
+                sent_id=sent_id if sent_id is not None else f"sent{len(sentences) + 1}",
                 tokens=tuple(tokens),
-                text=text,
+                text=meta.get("text"),
                 doc_id=doc_id,
-                work_id=work_id or doc_id or default_work_id,
-                comments=tuple(comments),
+                work_id=meta.get("work_id") or doc_id or default_work_id,
+                comments=comments,
                 extras=tuple(extras),
             )
         )
-        comments, tokens, extras = [], [], []
-        sent_id = text = doc_id = work_id = None
-
-    line_no = 0
-    for line_no, raw in enumerate(source, start=1):
-        line = raw.rstrip("\n")
-        if line == "":
-            flush(line_no)
-            doc_id = last_doc_id
-            continue
-        if line.startswith("#"):
-            comments.append(line)
-            body = line[1:].strip()
-            if "=" in body:
-                key, value = body.split("=", 1)
-                key, value = key.strip(), value.strip()
-                if key == "sent_id":
-                    sent_id = value
-                elif key == "text":
-                    text = value
-                elif key == "newdoc id":
-                    doc_id = value
-                    last_doc_id = value
-                elif key == "work_id":
-                    work_id = value
-            continue
-
-        cols = line.split("\t")
-        if len(cols) != 10:
-            raise ParseError(
-                f"line {line_no} (sentence {sent_id!r}): expected 10 columns, got {len(cols)}"
-            )
-        tok_id = cols[0]
-        if _RANGE_ID.match(tok_id) or _EMPTY_NODE_ID.match(tok_id):
-            extras.append((len(tokens), line))
-            continue
-        if not _WORD_ID.match(tok_id):
-            raise ParseError(
-                f"line {line_no} (sentence {sent_id!r}): bad token id {tok_id!r}"
-            )
-        if cols[3] != "_" and cols[3] not in upos_inventory:
-            raise ParseError(
-                f"line {line_no} (sentence {sent_id!r}): unknown UPOS {cols[3]!r}"
-            )
-        try:
-            feats = bundles.get(cols[5])
-            if feats is None:
-                feats = bundles[cols[5]] = FeatureBundle.from_string(cols[5])
-            misc = _parse_misc(cols[9])
-            tokens.append(
-                Token(
-                    id=int(tok_id),
-                    form=cols[1],
-                    lemma=cols[2],
-                    upos=cols[3],
-                    xpos=_opt(cols[4]),
-                    feats=feats,
-                    head=_opt(cols[6]),
-                    deprel=_opt(cols[7]),
-                    deps=_opt(cols[8]),
-                    misc=misc,
-                )
-            )
-        except StructureError:
-            raise
-        except ValueError as exc:
-            raise ParseError(
-                f"line {line_no} (sentence {sent_id!r}): {exc}"
-            ) from exc
-
-    flush(line_no)
     return sentences
 
 

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from difflib import SequenceMatcher
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from . import reports
 from .conllu import Sentence
 from .metadata import TextMetadata
 from .normalize import NormalizedSentence, matching_key
@@ -47,29 +49,13 @@ def align_tokens(
 ) -> list[tuple[int, int]]:
     """Longest common contiguous run of exactly equal forms.
 
-    Ties go to the earliest start in ``forms_a``, then in ``forms_b``.
-    O(len_a * len_b) dynamic program over run lengths.
+    Ties go to the earliest start in ``forms_a``, then in ``forms_b``,
+    which is ``find_longest_match``'s own tie rule.
     """
-    if not forms_a or not forms_b:
-        return []
-    best_len = 0
-    best_end_a = best_end_b = -1
-    previous = [0] * (len(forms_b) + 1)
-    for i, form_a in enumerate(forms_a):
-        current = [0] * (len(forms_b) + 1)
-        for j, form_b in enumerate(forms_b):
-            if form_a == form_b:
-                run = previous[j] + 1
-                current[j + 1] = run
-                if run > best_len:
-                    best_len = run
-                    best_end_a, best_end_b = i, j
-        previous = current
-    if best_len == 0:
-        return []
-    start_a = best_end_a - best_len + 1
-    start_b = best_end_b - best_len + 1
-    return [(start_a + k, start_b + k) for k in range(best_len)]
+    match = SequenceMatcher(None, forms_a, forms_b, autojunk=False).find_longest_match(
+        0, len(forms_a), 0, len(forms_b)
+    )
+    return [(match.a + k, match.b + k) for k in range(match.size)]
 
 
 def _candidate_keys(
@@ -175,13 +161,20 @@ def duplicate_report(
     return rows
 
 
-def write_manifest(path: str | Path, pairs: Sequence[DuplicatePair], *, footer: str | None = None) -> None:
-    lines = ["sent_a\tsent_b\tbasis\talign_length"]
-    for pair in pairs:
-        lines.append(f"{pair.sent_a}\t{pair.sent_b}\t{pair.basis}\t{len(pair.alignment)}")
-    if footer:
-        lines.append(footer)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def write_manifest(
+    path: str | Path,
+    pairs: Sequence[DuplicatePair],
+    *,
+    seed: int | None = None,
+    config_hash: str = "default",
+) -> None:
+    reports.write_tsv(
+        path,
+        ("sent_a", "sent_b", "basis", "align_length"),
+        ((p.sent_a, p.sent_b, p.basis, len(p.alignment)) for p in pairs),
+        seed=seed,
+        config_hash=config_hash,
+    )
 
 
 def read_manifest(path: str | Path) -> list[tuple[str, str, str, int]]:

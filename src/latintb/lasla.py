@@ -7,7 +7,6 @@ tables, so columnar variants only need a different mapping document.
 
 from __future__ import annotations
 
-import io
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,6 +18,7 @@ from .conllu import (
     ParseError,
     Sentence,
     Token,
+    read_blocks,
 )
 
 
@@ -139,85 +139,49 @@ def ingest_lasla(
     Never invents values: every output value is a source value or its
     configured rename. Unknown values are counted, not dropped.
     """
-    if isinstance(source, str):
-        source = io.StringIO(source)
-
     result = IngestResult(sentences=[])
-    comments: list[str] = []
-    tokens: list[Token] = []
-    sent_id: str | None = None
-    sent_work: str | None = None
 
-    def flush(line_no: int) -> None:
-        nonlocal comments, tokens, sent_id, sent_work
-        if not tokens and not comments:
-            return
-        if not tokens:
-            raise ParseError(f"line {line_no}: sentence block without token lines")
-        sid = sent_id or f"{work_id or 'lasla'}-{len(result.sentences) + 1}"
+    def col(cols: list[str], name: str) -> str | None:
+        index = mapping.columns.get(name)
+        return cols[index] if index is not None else None
+
+    for comments, meta, rows, _end in read_blocks(
+        source, separator=mapping.separator, n_columns=mapping.n_columns
+    ):
+        sent_id = meta.get("sent_id")
+        tokens: list[Token] = []
+        for line_no, cols in rows:
+            upos = col(cols, "upos") or "_"
+            if upos != "_" and upos not in upos_inventory:
+                raise ParseError(
+                    f"line {line_no} (sentence {sent_id!r}): unknown UPOS {upos!r}"
+                )
+            try:
+                feats = _mapped_feats(
+                    col(cols, "feats") or "_", mapping, result.unknown_values
+                )
+                raw_id = col(cols, "id")
+                xpos = col(cols, "xpos")
+                tokens.append(
+                    Token(
+                        id=int(raw_id) if raw_id not in (None, "_") else len(tokens) + 1,
+                        form=col(cols, "form") or "_",
+                        lemma=col(cols, "lemma") or "_",
+                        upos=upos,
+                        xpos=None if xpos in (None, "_") else xpos,
+                        feats=feats,
+                    )
+                )
+            except ValueError as exc:
+                raise ParseError(f"line {line_no} (sentence {sent_id!r}): {exc}") from exc
         result.sentences.append(
             Sentence(
-                sent_id=sid,
+                sent_id=sent_id or f"{work_id or 'lasla'}-{len(result.sentences) + 1}",
                 tokens=tuple(tokens),
-                work_id=sent_work or work_id,
-                comments=tuple(comments),
+                work_id=meta.get("work_id") or meta.get("newdoc id") or work_id,
+                comments=comments,
             )
         )
-        comments, tokens = [], []
-        sent_id = sent_work = None
-
-    line_no = 0
-    for line_no, raw in enumerate(source, start=1):
-        line = raw.rstrip("\n")
-        if line == "":
-            flush(line_no)
-            continue
-        if line.startswith("#"):
-            comments.append(line)
-            body = line[1:].strip()
-            if "=" in body:
-                key, value = body.split("=", 1)
-                key, value = key.strip(), value.strip()
-                if key == "sent_id":
-                    sent_id = value
-                elif key in ("work_id", "newdoc id"):
-                    sent_work = value
-            continue
-
-        cols = line.split(mapping.separator)
-        if len(cols) != mapping.n_columns:
-            raise ParseError(
-                f"line {line_no} (sentence {sent_id!r}): expected "
-                f"{mapping.n_columns} columns, got {len(cols)}"
-            )
-
-        def col(name: str) -> str | None:
-            index = mapping.columns.get(name)
-            return cols[index] if index is not None else None
-
-        upos = col("upos") or "_"
-        if upos != "_" and upos not in upos_inventory:
-            raise ParseError(
-                f"line {line_no} (sentence {sent_id!r}): unknown UPOS {upos!r}"
-            )
-        try:
-            feats = _mapped_feats(col("feats") or "_", mapping, result.unknown_values)
-            raw_id = col("id")
-            xpos = col("xpos")
-            tokens.append(
-                Token(
-                    id=int(raw_id) if raw_id not in (None, "_") else len(tokens) + 1,
-                    form=col("form") or "_",
-                    lemma=col("lemma") or "_",
-                    upos=upos,
-                    xpos=None if xpos in (None, "_") else xpos,
-                    feats=feats,
-                )
-            )
-        except ValueError as exc:
-            raise ParseError(f"line {line_no} (sentence {sent_id!r}): {exc}") from exc
-
-    flush(line_no)
     return result
 
 

@@ -9,7 +9,6 @@ passes through untouched.
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
@@ -37,6 +36,30 @@ def corpus_files(path: str | Path) -> list[Path]:
     return [path]
 
 
+def _read_ud(file: Path, config: ToolConfig) -> tuple[list[Sentence], Counter]:
+    return parse_conllu_file(file), Counter()
+
+
+def _read_lasla(file: Path, config: ToolConfig) -> tuple[list[Sentence], Counter]:
+    result = ingest_lasla_file(file, config.lasla_mapping)
+    return result.sentences, result.unknown_values
+
+
+# The one place a corpus flavor is dispatched: its file reader and its
+# token standardizer.
+_FLAVORS = {
+    "ud": (_read_ud, standardize_ud),
+    "lasla": (_read_lasla, standardize_lasla),
+}
+
+
+def _flavor(flavor: str):
+    try:
+        return _FLAVORS[flavor]
+    except KeyError:
+        raise ValueError(f"unknown flavor {flavor!r}") from None
+
+
 def load_corpus(
     path: str | Path,
     flavor: str,
@@ -44,26 +67,19 @@ def load_corpus(
     *,
     jobs: int = 1,
 ) -> tuple[list[Sentence], Counter]:
-    """Read a file or a directory of .conllu files, in sorted file order."""
+    """Read a file or a directory of .conllu files, in sorted file order.
+
+    Returns the sentences and the LASLA unknown-value counts. ``jobs`` is
+    accepted and ignored: the files are read in one thread.
+    """
+    read, _ = _flavor(flavor)
     config = config or ToolConfig()
-    files = corpus_files(path)
-    unknown: Counter = Counter()
-
-    def read(file: Path) -> list[Sentence]:
-        if flavor == "lasla":
-            result = ingest_lasla_file(file, config.lasla_mapping)
-            unknown.update(result.unknown_values)
-            return result.sentences
-        return parse_conllu_file(file)
-
-    if jobs > 1 and len(files) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            batches = list(pool.map(read, files))
-    else:
-        batches = [read(file) for file in files]
     sentences: list[Sentence] = []
-    for batch in batches:
+    unknown: Counter = Counter()
+    for file in corpus_files(path):
+        batch, counts = read(file, config)
         sentences.extend(batch)
+        unknown.update(counts)
     return sentences, unknown
 
 
@@ -78,16 +94,8 @@ class ConversionResult:
 def standardize_sentence(
     sentence: Sentence, flavor: str, config: ToolConfig
 ) -> list[StandardRecord]:
-    if flavor == "ud":
-        return [
-            standardize_ud(t, tense_table=config.tense_table) for t in sentence.tokens
-        ]
-    if flavor == "lasla":
-        return [
-            standardize_lasla(t, tense_table=config.tense_table)
-            for t in sentence.tokens
-        ]
-    raise ValueError(f"unknown flavor {flavor!r}")
+    _, standardize = _flavor(flavor)
+    return [standardize(t, tense_table=config.tense_table) for t in sentence.tokens]
 
 
 def _standard_token(token: Token, record: StandardRecord) -> Token:

@@ -23,6 +23,7 @@ from .metadata import (
     PERIOD_BIBLE,
     PERIOD_CLASSICAL,
     PERIOD_POST_CLASSICAL,
+    MetadataError,
     TextMetadata,
     assign_time_period,
 )
@@ -261,7 +262,7 @@ def build_splits(
     for work in pool.works():
         meta = metadata.get(work)
         if meta is None:
-            raise KeyError(f"work {work!r} has no metadata row")
+            raise MetadataError(f"work {work!r} has no metadata row")
         period_works[assign_time_period(meta)].append(work)
 
     manifests: list[SplitManifest] = []

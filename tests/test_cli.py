@@ -193,20 +193,47 @@ def test_perm_test_without_tokens_is_validation_failure(tmp_path, capsys):
     assert capsys.readouterr().err == "error: no tokens to score\n"
 
 
+def _run_cli(*argv):
+    """Run the CLI in a fresh interpreter, so a traceback would reach stderr."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(latintb.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "latintb.cli", *map(str, argv)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 def test_agree_with_unknown_manifest_sentence_fails_in_one_line(fixtures_dir, tmp_path):
     manifest = tmp_path / "dups.tsv"
     manifest.write_text("sent_a\tsent_b\tbasis\tlength\nnope\tnada\tprefix\t3\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(Path(latintb.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-m", "latintb.cli", "agree", "--a", str(fixtures_dir / "ud"),
-         "--b", str(fixtures_dir / "lasla"), "--dups", str(manifest),
-         "--out", str(tmp_path / "agreement.tsv")],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    done = _run_cli("agree", "--a", fixtures_dir / "ud", "--b", fixtures_dir / "lasla",
+                    "--dups", manifest, "--out", tmp_path / "agreement.tsv")
     assert done.returncode == 1
     assert "Traceback" not in done.stderr
     assert done.stderr == "error: manifest pair ('nope', 'nada') not found in corpora\n"
+
+
+def test_split_with_work_missing_from_metadata_fails_in_one_line(workdir, fixtures_dir, tmp_path):
+    metadata = tmp_path / "metadata.tsv"
+    lines = (fixtures_dir / "metadata.tsv").read_text().splitlines(keepends=True)
+    metadata.write_text("".join(l for l in lines if "\tcl_alpha\t" not in l))
+    done = _run_cli("split", "--ud", workdir / "std" / "ud", "--metadata", metadata,
+                    "--dups", workdir / "dups.tsv", "--out", tmp_path / "splits",
+                    "--no-published")
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert done.stderr == "error: work 'cl_alpha' has no metadata row\n"
+
+
+def test_convert_reads_a_single_file_whatever_its_suffix(workdir, fixtures_dir, tmp_path):
+    source = tmp_path / "x.txt"
+    source.write_bytes((fixtures_dir / "ud" / "cl_alpha.conllu").read_bytes())
+    assert main(["convert", "--in", str(source), "--flavor", "ud",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "x.txt").read_bytes() == (
+        workdir / "std" / "ud" / "cl_alpha.conllu"
+    ).read_bytes()
+    assert read_tsv(tmp_path / "out" / "harmonization_audit.tsv")
 
 
 def test_reports_carry_provenance_footer(workdir):

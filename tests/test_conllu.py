@@ -10,8 +10,10 @@ from latintb.conllu import (
     StructureError,
     Token,
     parse_conllu,
+    read_blocks,
     serialize_conllu,
 )
+from latintb.lasla import ingest_lasla
 
 ARMA = "1\tarma\tarma\tNOUN\t_\tCase=Acc|Number=Plur\t_\t_\t_\t_"
 
@@ -154,3 +156,66 @@ def test_repeated_malformed_feats_raise_at_each_line():
         for _ in range(2):
             with pytest.raises(ParseError, match=f"line {first_bad + 1} .*duplicate feature"):
                 parse_conllu(text)
+
+
+# The block reader is shared by both flavors, so each behaviour it owns
+# is checked through both of them.
+FLAVORS = pytest.mark.parametrize("flavor", ["ud", "lasla"])
+
+
+def _read(flavor, text):
+    if flavor == "ud":
+        return parse_conllu(text)
+    return ingest_lasla(text, work_id="w").sentences
+
+
+@FLAVORS
+def test_comment_only_block_fails_at_its_closing_line(flavor):
+    head = f"# sent_id = s1\n{ARMA}\n\n# sent_id = s2\n"
+    with pytest.raises(ParseError, match="^line 5: sentence block without token lines$"):
+        _read(flavor, head + "\n")
+    # at the end of the input, the last line closes the block
+    with pytest.raises(ParseError, match="^line 4: sentence block without token lines$"):
+        _read(flavor, head)
+
+
+@FLAVORS
+def test_wrong_column_count_names_line_and_sentence(flavor):
+    text = f"# sent_id = s1\n{ARMA}\n\n# sent_id = s2\n{ARMA}\n2\tbroken\tline\n"
+    with pytest.raises(
+        ParseError, match=r"^line 6 \(sentence 's2'\): expected 10 columns, got 3$"
+    ):
+        _read(flavor, text)
+
+
+@FLAVORS
+@pytest.mark.parametrize("ending", ["", "\n", "\n\n\n"])
+def test_last_block_is_read_whatever_the_file_ending(flavor, ending):
+    text = f"# sent_id = s1\n{ARMA}\n\n\n# sent_id = s2\n{ARMA}{ending}"
+    assert [s.sent_id for s in _read(flavor, text)] == ["s1", "s2"]
+
+
+@FLAVORS
+def test_token_error_line_counts_comment_and_blank_lines(flavor):
+    bad = ARMA.replace("NOUN", "NOPE")
+    text = f"# sent_id = s1\n{ARMA}\n\n\n# sent_id = s2\n# text = arma\n{bad}\n"
+    with pytest.raises(
+        ParseError, match=r"^line 7 \(sentence 's2'\): unknown UPOS 'NOPE'$"
+    ):
+        _read(flavor, text)
+
+
+@FLAVORS
+def test_work_id_comment_wins_over_newdoc_id(flavor):
+    for head in ("# work_id = w1\n# newdoc id = d1\n", "# newdoc id = d1\n# work_id = w1\n"):
+        [sentence] = _read(flavor, head + ARMA + "\n")
+        assert sentence.work_id == "w1"
+
+
+def test_read_blocks_metadata_last_wins_and_custom_columns():
+    text = "# sent_id = a\n# sent_id = b\n# note\nx;y\n\n\nz;w\n"
+    blocks = list(read_blocks(text, separator=";", n_columns=2))
+    assert blocks == [
+        (("# sent_id = a", "# sent_id = b", "# note"), {"sent_id": "b"}, [(4, ["x", "y"])], 5),
+        ((), {}, [(7, ["z", "w"])], 7),
+    ]

@@ -1,5 +1,7 @@
 import random
 
+from hypothesis import given, strategies as st
+
 from latintb.conllu import FeatureBundle, Sentence, Token
 from latintb.dedup import (
     DEFAULT_MIN_CHARS,
@@ -85,6 +87,21 @@ def test_align_matches_oracle_on_random_pairs():
         forms_a = [rng.choice(vocab) for _ in range(rng.randint(0, 20))]
         forms_b = [rng.choice(vocab) for _ in range(rng.randint(0, 20))]
         assert align_tokens(forms_a, forms_b) == oracle_align(forms_a, forms_b)
+
+
+# Two or three symbols make equal-length runs, and so ties, common.
+_tied_forms = st.sampled_from(["ab", "abc"]).flatmap(
+    lambda alphabet: st.tuples(
+        st.lists(st.sampled_from(alphabet), max_size=12),
+        st.lists(st.sampled_from(alphabet), max_size=12),
+    )
+)
+
+
+@given(_tied_forms)
+def test_align_matches_oracle_on_small_alphabets(pair):
+    forms_a, forms_b = pair
+    assert align_tokens(forms_a, forms_b) == oracle_align(forms_a, forms_b)
 
 
 def sent(sid, forms, work=None):
@@ -175,7 +192,7 @@ def test_duplicate_report_counts_by_work(duplicate_pairs, metadata_table, plante
 
 def test_manifest_roundtrip(tmp_path, duplicate_pairs):
     path = tmp_path / "dups.tsv"
-    write_manifest(path, duplicate_pairs, footer="# test")
+    write_manifest(path, duplicate_pairs)
     rows = read_manifest(path)
     assert [(r[0], r[1]) for r in rows] == [
         (p.sent_a, p.sent_b) for p in duplicate_pairs
