@@ -13,7 +13,8 @@ import json
 import sys
 from pathlib import Path
 
-from . import __version__, dedup, evaluation, reports, splits
+# evaluation, and with it numpy, is imported by eval and perm-test only
+from . import __version__, dedup, reports, splits
 from .agreement import STAGE_CONVERTED, STAGE_RAW, agreement_table
 from .config import ConfigError, ToolConfig
 from .conllu import ConlluError, write_conllu_file
@@ -277,6 +278,8 @@ def cmd_split(args, config: ToolConfig) -> int:
 
 
 def _aligned_records(gold_path: Path, pred_path: Path, config: ToolConfig):
+    from . import evaluation
+
     gold, _ = load_corpus(gold_path, "ud", config)
     pred, _ = load_corpus(pred_path, "ud", config)
     evaluation.check_alignment(gold, pred)
@@ -284,6 +287,8 @@ def _aligned_records(gold_path: Path, pred_path: Path, config: ToolConfig):
 
 
 def cmd_eval(args, config: ToolConfig) -> int:
+    from . import evaluation
+
     gold_records, pred_records = _aligned_records(args.gold, args.pred, config)
     report = evaluation.evaluate(
         gold_records, pred_records, include_upos=config.include_upos_in_string
@@ -297,6 +302,8 @@ def cmd_eval(args, config: ToolConfig) -> int:
 
 
 def cmd_perm_test(args, config: ToolConfig) -> int:
+    from . import evaluation
+
     try:
         evaluation.parse_metric(args.metric)
     except ValueError as exc:
@@ -387,7 +394,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return _COMMANDS[args.command](args, config)
-    except (ConlluError, MetadataError, evaluation.AlignmentError, ValueError) as exc:
+    except (ConlluError, MetadataError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except FileNotFoundError as exc:

@@ -62,6 +62,12 @@ class ColumnMapping:
         targets = list(self.feature_renames.values())
         if len(targets) != len(set(targets)):
             raise MappingError("feature renames are not injective")
+        for name, index in self.columns.items():
+            if not 0 <= index < self.n_columns:
+                raise MappingError(
+                    f"column {index} of field {name!r} is outside "
+                    f"0..{self.n_columns - 1}"
+                )
 
     @classmethod
     def from_dict(cls, data: dict) -> "ColumnMapping":
@@ -104,13 +110,14 @@ class IngestResult:
 
 
 def _mapped_feats(
-    raw: str,
-    mapping: ColumnMapping,
-    unknown: Counter,
-) -> FeatureBundle:
+    raw: str, mapping: ColumnMapping
+) -> tuple[FeatureBundle, tuple[tuple[str, str], ...]]:
+    """The bundle of one raw FEATS string and its (feature, value) pairs
+    outside the declared inventory, once per occurrence."""
     if raw in ("", "_"):
-        return FeatureBundle()
+        return FeatureBundle(), ()
     entries = []
+    unknown = []
     for item in raw.split("|"):
         if "=" not in item:
             raise ValueError(f"feature item without '=': {item!r}")
@@ -120,11 +127,9 @@ def _mapped_feats(
         mapped = tuple(renames.get(v, v) for v in values.split(","))
         if mapping.known_values is not None and name in mapping.known_values:
             inventory = mapping.known_values[name]
-            for value in mapped:
-                if value not in inventory:
-                    unknown[(name, value)] += 1
+            unknown.extend((name, value) for value in mapped if value not in inventory)
         entries.append((name, mapped))
-    return FeatureBundle(entries)
+    return FeatureBundle(entries), tuple(unknown)
 
 
 def ingest_lasla(
@@ -140,6 +145,10 @@ def ingest_lasla(
     configured rename. Unknown values are counted, not dropped.
     """
     result = IngestResult(sentences=[])
+    # One bundle per distinct raw FEATS string; a string that fails to
+    # map is never stored, so it raises again on every line. A hit counts
+    # its unknown values again, so every occurrence is counted.
+    bundles: dict[str, tuple[FeatureBundle, tuple[tuple[str, str], ...]]] = {}
 
     def col(cols: list[str], name: str) -> str | None:
         index = mapping.columns.get(name)
@@ -157,9 +166,12 @@ def ingest_lasla(
                     f"line {line_no} (sentence {sent_id!r}): unknown UPOS {upos!r}"
                 )
             try:
-                feats = _mapped_feats(
-                    col(cols, "feats") or "_", mapping, result.unknown_values
-                )
+                raw = col(cols, "feats") or "_"
+                mapped = bundles.get(raw)
+                if mapped is None:
+                    mapped = bundles[raw] = _mapped_feats(raw, mapping)
+                feats, unknown = mapped
+                result.unknown_values.update(unknown)
                 raw_id = col(cols, "id")
                 xpos = col(cols, "xpos")
                 tokens.append(

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .config import ToolConfig
-from .conllu import Sentence, Token, parse_conllu_file
+from .conllu import FeatureBundle, Sentence, Token, parse_conllu_file
 from .dedup import align_tokens
 from .agreement import AlignedTokenPair
 from .harmonize import harmonize_sentence
@@ -91,33 +91,45 @@ class ConversionResult:
     anomalies: list[tuple[str, int, str]] = field(default_factory=list)
 
 
-def standardize_sentence(
-    sentence: Sentence, flavor: str, config: ToolConfig
-) -> list[StandardRecord]:
-    _, standardize = _flavor(flavor)
-    return [standardize(t, tense_table=config.tense_table) for t in sentence.tokens]
-
-
-def _standard_token(token: Token, record: StandardRecord) -> Token:
+def _standard_token(
+    token: Token, record: StandardRecord, bundles: dict[StandardRecord, FeatureBundle]
+) -> Token:
+    feats = bundles.get(record)
+    if feats is None:
+        feats = bundles[record] = record.to_feature_bundle()
     misc = tuple(
         (key, value) for key, value in token.misc if key not in _CONSUMED_MISC_KEYS
     )
-    return replace(
-        token,
+    return Token(
+        id=token.id,
+        form=token.form,
+        lemma=token.lemma,
         upos=record.upos,
-        feats=record.to_feature_bundle(),
+        feats=feats,
+        xpos=token.xpos,
+        head=token.head,
+        deprel=token.deprel,
+        deps=token.deps,
         misc=misc,
     )
+
+
+def _with_records(
+    sentence: Sentence,
+    records: Sequence[StandardRecord],
+    bundles: dict[StandardRecord, FeatureBundle],
+) -> Sentence:
+    tokens = tuple(
+        _standard_token(token, record, bundles)
+        for token, record in zip(sentence.tokens, records)
+    )
+    return replace(sentence, tokens=tokens)
 
 
 def sentence_with_records(
     sentence: Sentence, records: Sequence[StandardRecord]
 ) -> Sentence:
-    tokens = tuple(
-        _standard_token(token, record)
-        for token, record in zip(sentence.tokens, records)
-    )
-    return replace(sentence, tokens=tokens)
+    return _with_records(sentence, records, {})
 
 
 def convert_corpus(
@@ -127,13 +139,34 @@ def convert_corpus(
 ) -> ConversionResult:
     """Standardize then harmonize every sentence; collect rule audit
     counts and per-token anomaly codes along the way."""
+    _, standardize = _flavor(flavor)
     config = config or ToolConfig()
     result = ConversionResult(sentences=[], records=[])
+    # A token's standard record depends only on its UPOS, its FEATS and
+    # its Traditional* MISC values, and the readers share one bundle per
+    # distinct FEATS string, so tokens that share all four share one
+    # record. The memo holds each bundle, so no id key outlives its
+    # object. Harmonization reads the sentence and stays per token.
+    standard: dict[tuple, tuple[FeatureBundle, StandardRecord]] = {}
+    bundles: dict[StandardRecord, FeatureBundle] = {}
+
+    def standardized(token: Token) -> StandardRecord:
+        key = (
+            token.upos,
+            id(token.feats),
+            token.misc_get("TraditionalTense"),
+            token.misc_get("TraditionalMood"),
+        )
+        hit = standard.get(key)
+        if hit is None:
+            record = standardize(token, tense_table=config.tense_table)
+            hit = standard[key] = (token.feats, record)
+        return hit[1]
+
     for sentence in sentences:
-        records = standardize_sentence(sentence, flavor, config)
         records = harmonize_sentence(
             sentence,
-            records,
+            [standardized(token) for token in sentence.tokens],
             audit=result.audit,
             iri_window=config.iri_window,
             pronoun_person_repair=config.pronoun_person_repair,
@@ -142,7 +175,7 @@ def convert_corpus(
             for code in record.anomalies:
                 result.anomalies.append((sentence.sent_id, token.id, code))
         result.records.append(records)
-        result.sentences.append(sentence_with_records(sentence, records))
+        result.sentences.append(_with_records(sentence, records, bundles))
     return result
 
 

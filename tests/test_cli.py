@@ -193,10 +193,14 @@ def test_perm_test_without_tokens_is_validation_failure(tmp_path, capsys):
     assert capsys.readouterr().err == "error: no tokens to score\n"
 
 
+def _src_path() -> str:
+    return str(Path(latintb.__file__).parents[1])
+
+
 def _run_cli(*argv):
     """Run the CLI in a fresh interpreter, so a traceback would reach stderr."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(Path(latintb.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+        filter(None, [_src_path(), os.environ.get("PYTHONPATH")])))
     return subprocess.run(
         [sys.executable, "-m", "latintb.cli", *map(str, argv)],
         capture_output=True, text=True, env=env, timeout=120,
@@ -271,3 +275,33 @@ def test_eval_and_perm_test_outputs_are_pinned(workdir, tmp_path):
             f"{row}\n"
             "# latintb=0.1.0 seed=7 config=default\n"
         )
+
+
+def test_lasla_mapping_column_outside_the_row_is_a_config_error(fixtures_dir, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"lasla_mapping": {"columns": {
+        "id": 0, "form": 1, "lemma": 2, "upos": 3, "feats": 12}}}))
+    done = _run_cli("lint", "--in", fixtures_dir / "lasla", "--flavor", "lasla",
+                    "--config", config, "--out", tmp_path / "lint.tsv")
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert done.stderr == "config error: column 12 of field 'feats' is outside 0..9\n"
+
+
+def test_importing_the_cli_does_not_import_numpy():
+    done = subprocess.run(
+        [sys.executable, "-c", 'import latintb.cli, sys; print("numpy" in sys.modules)'],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=_src_path()),
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+
+
+def test_version_runs_without_numpy(tmp_path):
+    (tmp_path / "numpy.py").write_text('raise ImportError("numpy is not available")\n')
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), _src_path()]))
+    done = subprocess.run([sys.executable, "-m", "latintb.cli", "--version"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"latintb {latintb.__version__}\n"

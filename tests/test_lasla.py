@@ -45,6 +45,13 @@ def test_mapping_requires_mandatory_fields():
         ColumnMapping(columns={"form": 0, "lemma": 1, "upos": 2})
 
 
+@pytest.mark.parametrize("index", [-1, 10, 12])
+def test_mapping_rejects_a_column_outside_the_row(index):
+    columns = dict(DEFAULT_LASLA_MAPPING.columns, feats=index)
+    with pytest.raises(MappingError, match=f"column {index} of field 'feats'"):
+        ColumnMapping(columns=columns)
+
+
 def test_value_renames_must_be_injective():
     with pytest.raises(MappingError, match="not injective"):
         ColumnMapping(value_renames={"Number": {"Plural": "Plur", "Dual": "Plur"}})
@@ -59,6 +66,17 @@ def test_unknown_values_counted_not_dropped():
     result = ingest_lasla(text, mapping, work_id="w")
     assert result.unknown_values[("Number", "Dualis")] == 1
     assert result.sentences[0].tokens[0].feats.get("Number") == ("Dualis",)
+
+
+def test_repeated_feats_share_a_bundle_and_count_every_unknown_value():
+    text = "".join(
+        f"{i}\tx\tx\tNOUN\t_\tCase=Erg|Number=Plural\t_\t_\t_\t_\n" for i in (1, 2, 3)
+    )
+    result = ingest_lasla(text, work_id="w")
+    tokens = result.sentences[0].tokens
+    assert tokens[0].feats is tokens[1].feats is tokens[2].feats
+    assert tokens[0].feats.get("Number") == ("Plur",)
+    assert result.unknown_values == {("Case", "Erg"): 3}
 
 
 def test_default_mapping_warns_on_out_of_inventory_values():

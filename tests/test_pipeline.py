@@ -1,6 +1,15 @@
 import pytest
 
-from latintb.pipeline import convert_corpus, load_corpus
+from latintb.config import ToolConfig
+from latintb.conllu import parse_conllu, serialize_conllu
+from latintb.harmonize import harmonize_sentence
+from latintb.pipeline import (
+    ConversionResult,
+    convert_corpus,
+    load_corpus,
+    sentence_with_records,
+)
+from latintb.standardize import standardize_lasla, standardize_ud
 
 
 def test_unknown_flavor_is_rejected(fixtures_dir, ud_corpus):
@@ -17,3 +26,78 @@ def test_lasla_unknown_values_are_summed_over_files(fixtures_dir, tmp_path):
     sentences, unknown = load_corpus(tmp_path, "lasla")
     assert [s.work_id for s in sentences] == ["a", "b"]
     assert unknown == {("Case", "Erg"): 2}
+
+
+def reference_conversion(sentences, flavor, config):
+    """convert_corpus without its memos: standardize every token,
+    harmonize every sentence, rewrite every token."""
+    standardize = {"ud": standardize_ud, "lasla": standardize_lasla}[flavor]
+    result = ConversionResult(sentences=[], records=[])
+    for sentence in sentences:
+        records = harmonize_sentence(
+            sentence,
+            [standardize(t, tense_table=config.tense_table) for t in sentence.tokens],
+            audit=result.audit,
+            iri_window=config.iri_window,
+            pronoun_person_repair=config.pronoun_person_repair,
+        )
+        for token, record in zip(sentence.tokens, records):
+            result.anomalies.extend((sentence.sent_id, token.id, a) for a in record.anomalies)
+        result.records.append(records)
+        result.sentences.append(sentence_with_records(sentence, records))
+    return result
+
+
+def assert_same_conversion(sentences, flavor, config=None):
+    config = config or ToolConfig()
+    got = convert_corpus(sentences, flavor, config)
+    want = reference_conversion(sentences, flavor, config)
+    assert got.records == want.records
+    assert got.anomalies == want.anomalies
+    assert got.audit == want.audit
+    assert got.sentences == want.sentences
+    assert serialize_conllu(got.sentences) == serialize_conllu(want.sentences)
+    return got
+
+
+@pytest.mark.parametrize("config", [
+    ToolConfig(),
+    ToolConfig(iri_window=1, pronoun_person_repair=True),
+], ids=["default", "window-1-pronoun-repair"])
+@pytest.mark.parametrize("flavor", ["ud", "lasla"])
+def test_convert_corpus_matches_the_unmemoized_reference(fixtures_dir, flavor, config):
+    sentences, _ = load_corpus(fixtures_dir / flavor, flavor, config)
+    assert assert_same_conversion(sentences, flavor, config).audit
+
+
+def _token_line(i, form, upos, feats, misc="_"):
+    return f"{i}\t{form}\t{form}\t{upos}\t_\t{feats}\t_\t_\t_\t{misc}\n"
+
+
+def test_shared_feats_with_different_traditional_misc_get_different_records():
+    feats = "Aspect=Imp|Mood=Ind|Number=Sing|Person=3|Tense=Past|VerbForm=Fin|Voice=Act"
+    miscs = ["_", "TraditionalTense=Perf", "TraditionalTense=Pqp", "TraditionalMood=Sub",
+             "TraditionalTense=Xyz", "TraditionalTense=Perf"]
+    sentences = parse_conllu("# sent_id = s\n" + "".join(
+        _token_line(i, "amabat", "VERB", feats, misc) for i, misc in enumerate(miscs, start=1)
+    ))
+    tokens = sentences[0].tokens
+    assert all(t.feats is tokens[0].feats for t in tokens)
+    result = assert_same_conversion(sentences, "ud")
+    records = result.records[0]
+    assert len(set(records[:5])) == 5
+    assert records[5] == records[1]
+    assert [r.tense for r in records] == ["Imp", "Perf", "Pqp", "Imp", None, "Perf"]
+    assert records[3].mood == "Sub"
+    assert result.anomalies == [("s", 5, "UNKNOWN_FEATURE_VALUE")]
+
+
+def test_same_supine_input_gets_voice_from_its_own_sentence():
+    supine = _token_line(1, "amatum", "VERB", "VerbForm=Sup")
+    sentences = parse_conllu(
+        "# sent_id = with-iri\n" + supine + _token_line(2, "iri", "AUX", "VerbForm=Inf")
+        + "\n# sent_id = without\n" + supine + _token_line(2, "eo", "VERB", "Mood=Ind")
+    )
+    assert sentences[0].tokens[0].feats is sentences[1].tokens[0].feats
+    result = assert_same_conversion(sentences, "ud")
+    assert [records[0].voice for records in result.records] == ["Pass", "Act"]
