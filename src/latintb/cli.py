@@ -162,25 +162,16 @@ def cmd_agree(args, config: ToolConfig) -> int:
         manifest, corpus_a, corpus_b, converted_a.records, converted_b.records
     )
     include = not args.exclude_anomalous
-    before = agreement_table(pairs, None, STAGE_RAW, include_anomalous=include)
-    after = agreement_table(pairs, None, STAGE_CONVERTED, include_anomalous=include)
-    after_by_feature = {row.feature: row for row in after}
+    before, after = (
+        {row.feature: row for row in agreement_table(pairs, None, stage, include_anomalous=include)}
+        for stage in (STAGE_RAW, STAGE_CONVERTED)
+    )
     rows = []
-    features = list(dict.fromkeys([r.feature for r in before] + [r.feature for r in after]))
-    for feature in features:
-        b = next((r for r in before if r.feature == feature), None)
-        a = after_by_feature.get(feature)
-        rows.append(
-            (
-                feature,
-                b.percent_str() if b else "--",
-                b.same if b else "--",
-                b.total if b else "--",
-                a.percent_str() if a else "--",
-                a.same if a else "--",
-                a.total if a else "--",
-            )
-        )
+    for feature in dict.fromkeys([*before, *after]):
+        cells = [feature]
+        for row in (before.get(feature), after.get(feature)):
+            cells += [row.percent_str(), row.same, row.total] if row else ["--"] * 3
+        rows.append(cells)
     reports.write_tsv(
         args.out,
         ("feature", "before_pct", "before_same", "before_total",

@@ -15,7 +15,7 @@ from pathlib import Path
 from .dedup import DEFAULT_MIN_CHARS, DEFAULT_MIN_TOKENS
 from .lasla import DEFAULT_LASLA_MAPPING, ColumnMapping
 from .splits import DEFAULT_DEV_FRACTION, DEFAULT_MIN_TEST
-from .standardize import DEFAULT_LEGALITY_RULES, TenseAspectTable
+from .standardize import DEFAULT_LEGALITY_RULES, LEGALITY_RULES, TenseAspectTable
 
 
 class ConfigError(ValueError):
@@ -50,42 +50,54 @@ class ToolConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ToolConfig":
-        known = {
-            "dedup_min_chars", "dedup_min_tokens", "dev_fraction",
-            "min_test_sentences", "atomicity_exceptions", "iri_window",
-            "pronoun_person_repair", "include_upos_in_string",
-            "legality_rules", "lasla_mapping", "tense_table",
-        }
-        unknown = set(data) - known
+        if not isinstance(data, dict):
+            raise ConfigError(f"config must be a JSON object, got {json.dumps(data)}")
+        unknown = set(data) - set(_FIELDS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         config = cls()
-        try:
-            if "dedup_min_chars" in data:
-                config.dedup_min_chars = int(data["dedup_min_chars"])
-            if "dedup_min_tokens" in data:
-                config.dedup_min_tokens = int(data["dedup_min_tokens"])
-            if "dev_fraction" in data:
-                config.dev_fraction = float(data["dev_fraction"])
-            if "min_test_sentences" in data:
-                config.min_test_sentences = int(data["min_test_sentences"])
-            if "atomicity_exceptions" in data:
-                config.atomicity_exceptions = tuple(data["atomicity_exceptions"])
-            if "iri_window" in data:
-                window = data["iri_window"]
-                config.iri_window = window if window == "sentence" else int(window)
-            if "pronoun_person_repair" in data:
-                config.pronoun_person_repair = bool(data["pronoun_person_repair"])
-            if "include_upos_in_string" in data:
-                config.include_upos_in_string = bool(data["include_upos_in_string"])
-            if "legality_rules" in data:
-                config.legality_rules = tuple(data["legality_rules"])
-            if "lasla_mapping" in data:
-                config.lasla_mapping = ColumnMapping.from_dict(data["lasla_mapping"])
-            if "tense_table" in data:
-                config.tense_table = TenseAspectTable.from_overrides(data["tense_table"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+        for name, coerce in _FIELDS.items():
+            if name in data:
+                try:
+                    setattr(config, name, coerce(name, data[name]))
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(str(exc)) from exc
         canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
         config.config_hash = hashlib.sha256(canonical.encode()).hexdigest()[:12]
         return config
+
+
+def _strings(name: str, value) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ConfigError(f"{name} must be a JSON array of strings, got {json.dumps(value)}")
+    return tuple(value)
+
+
+def _boolean(name: str, value) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {json.dumps(value)}")
+    return value
+
+
+def _legality_rules(name: str, value) -> tuple[str, ...]:
+    rules = _strings(name, value)
+    unknown = [rule for rule in rules if rule not in LEGALITY_RULES]
+    if unknown:
+        raise ConfigError(f"{name} names unknown rules {unknown}")
+    return rules
+
+
+# Config key -> the function that turns its JSON value into the field's value.
+_FIELDS = {
+    "dedup_min_chars": lambda _, value: int(value),
+    "dedup_min_tokens": lambda _, value: int(value),
+    "dev_fraction": lambda _, value: float(value),
+    "min_test_sentences": lambda _, value: int(value),
+    "atomicity_exceptions": _strings,
+    "iri_window": lambda _, value: value if value == "sentence" else int(value),
+    "pronoun_person_repair": _boolean,
+    "include_upos_in_string": _boolean,
+    "legality_rules": _legality_rules,
+    "lasla_mapping": lambda _, value: ColumnMapping.from_dict(value),
+    "tense_table": lambda _, value: TenseAspectTable.from_overrides(value),
+}

@@ -197,9 +197,6 @@ class Sentence:
                 )
             prev = token.id
 
-    def forms(self) -> list[str]:
-        return [t.form for t in self.tokens]
-
 
 def _parse_misc(text: str) -> tuple[tuple[str, str | None], ...]:
     if text == "_" or text == "":
@@ -274,7 +271,6 @@ def read_blocks(
 def parse_conllu(
     source: str | TextIO,
     *,
-    upos_inventory: frozenset[str] = UPOS_TAGS,
     default_work_id: str | None = None,
 ) -> list[Sentence]:
     """Parse CoNLL-U text into sentences.
@@ -303,7 +299,7 @@ def parse_conllu(
                 raise ParseError(
                     f"line {line_no} (sentence {sent_id!r}): bad token id {tok_id!r}"
                 )
-            if cols[3] != "_" and cols[3] not in upos_inventory:
+            if cols[3] != "_" and cols[3] not in UPOS_TAGS:
                 raise ParseError(
                     f"line {line_no} (sentence {sent_id!r}): unknown UPOS {cols[3]!r}"
                 )
@@ -348,11 +344,12 @@ def parse_conllu(
     return sentences
 
 
-def parse_conllu_file(path: str | Path, **kwargs) -> list[Sentence]:
+def parse_conllu_file(path: str | Path) -> list[Sentence]:
+    """Parse one file; sentences without a work id take the file stem.
+    A leading UTF-8 byte-order mark is skipped."""
     path = Path(path)
-    with open(path, encoding="utf-8") as handle:
-        kwargs.setdefault("default_work_id", path.stem)
-        return parse_conllu(handle, **kwargs)
+    with open(path, encoding="utf-8-sig") as handle:
+        return parse_conllu(handle, default_work_id=path.stem)
 
 
 def serialize_sentence(sentence: Sentence) -> str:

@@ -93,17 +93,12 @@ def find_duplicates(
         for key in _candidate_keys(norm, min_chars, min_tokens):
             index[key].append(b_pos)
 
-    bases = (BASIS_CHAR_PREFIX, BASIS_CHAR_SUFFIX, BASIS_TOKEN_PREFIX, BASIS_TOKEN_SUFFIX)
+    # a pair's basis is the first of its keys, in _candidate_keys order
     candidates: dict[tuple[int, int], str] = {}
     for a_pos, norm in enumerate(norms_a):
-        keyed = dict()
-        for basis, key in _candidate_keys(norm, min_chars, min_tokens):
-            keyed[basis] = key
-        for basis in bases:
-            if basis not in keyed:
-                continue
-            for b_pos in index.get((basis, keyed[basis]), ()):
-                candidates.setdefault((a_pos, b_pos), basis)
+        for key in _candidate_keys(norm, min_chars, min_tokens):
+            for b_pos in index.get(key, ()):
+                candidates.setdefault((a_pos, b_pos), key[0])
 
     scored = []
     for (a_pos, b_pos), basis in candidates.items():
@@ -179,9 +174,16 @@ def write_manifest(
 
 def read_manifest(path: str | Path) -> list[tuple[str, str, str, int]]:
     rows = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    for line_no, line in enumerate(lines, start=1):
         if not line or line.startswith("#") or line.startswith("sent_a\t"):
             continue
-        sent_a, sent_b, basis, length = line.split("\t")
-        rows.append((sent_a, sent_b, basis, int(length)))
+        try:
+            sent_a, sent_b, basis, length = line.split("\t")
+            rows.append((sent_a, sent_b, basis, int(length)))
+        except ValueError:
+            raise ValueError(
+                f"{path} line {line_no}: expected sent_a, sent_b, basis and an "
+                f"integer length, tab-separated, got {line!r}"
+            ) from None
     return rows

@@ -8,7 +8,7 @@ compared by randomized permutation testing with sentence-level swaps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -197,16 +197,7 @@ class EvalReport:
             "token_count": self.token_count,
             "macro_f1": dict(self.macro_f1),
             "per_value_f1": {
-                feature: {
-                    value: {
-                        "precision": s.precision,
-                        "recall": s.recall,
-                        "f1": s.f1,
-                        "support": s.support,
-                        "observed": s.observed,
-                    }
-                    for value, s in values.items()
-                }
+                feature: {value: asdict(s) for value, s in values.items()}
                 for feature, values in self.per_value.items()
             },
         }
@@ -279,84 +270,67 @@ def parse_metric(name: str) -> tuple[str, str | None, str | None]:
     raise ValueError(f"unknown metric {name!r}")
 
 
-class _AccuracyMachine:
-    def __init__(self, codes: _Codes, include_upos: bool):
-        gold, a, b = codes.strings(include_upos)
-        n_sent = codes.n_sentences
-        correct_a = np.bincount(codes.sentence[gold == a], minlength=n_sent).astype(np.float64)
-        correct_b = np.bincount(codes.sentence[gold == b], minlength=n_sent).astype(np.float64)
-        self.total = float(len(gold))
-        self.base = correct_a.sum() - correct_b.sum()
-        self.delta = correct_b - correct_a
+class _Machine:
+    """Swap-pattern reduction of per-sentence statistics.
 
-    def diffs(self, masks: np.ndarray) -> np.ndarray:
-        return np.abs(self.base + 2.0 * masks @ self.delta) / self.total
+    A mask row moves each swapped sentence's statistics from one system
+    to the other, so both systems' totals under every mask come from one
+    matrix product with ``delta``; ``score`` turns totals into metric
+    values, one per row.
+    """
 
-
-class _MacroF1Machine:
-    def __init__(self, codes: _Codes, feature: str):
-        classes, (gold, a, b) = codes.classes(feature)
-        n_cls = len(classes)
-        stats_a, stats_b = (
-            codes.sentence_stats(gold, pred, n_cls).reshape(codes.n_sentences, n_cls * 4)
-            for pred in (a, b)
-        )
-        self.n_cls = n_cls
+    def __init__(self, stats_a: np.ndarray, stats_b: np.ndarray, score, scale: float = 1.0):
         self.base_a = stats_a.sum(axis=0)
         self.base_b = stats_b.sum(axis=0)
         self.delta = stats_b - stats_a
-        self.always_active = (np.bincount(gold, minlength=n_cls) > 0) | np.array(
-            [c == "None" for c in classes]
-        )
-
-    def _macro(self, totals: np.ndarray) -> np.ndarray:
-        totals = totals.reshape(totals.shape[0], self.n_cls, 4)
-        tp, fp, fn, predicted = (totals[..., k] for k in range(4))
-        denom = 2 * tp + fp + fn
-        f1 = np.divide(2 * tp, denom, out=np.zeros_like(denom), where=denom > 0)
-        active = self.always_active[None, :] | (predicted > 0)
-        return (f1 * active).sum(axis=1) / active.sum(axis=1)
+        self.score = score
+        self.scale = scale
 
     def diffs(self, masks: np.ndarray) -> np.ndarray:
         moved = masks @ self.delta
-        macro_a = self._macro(self.base_a[None, :] + moved)
-        macro_b = self._macro(self.base_b[None, :] - moved)
-        return np.abs(macro_a - macro_b)
+        diff = self.score(self.base_a + moved) - self.score(self.base_b - moved)
+        return np.abs(diff) / self.scale
 
 
-class _ValueF1Machine:
-    def __init__(self, codes: _Codes, feature: str, value: str):
-        classes, labels = codes.classes(feature)
+def _f1_rows(tp: np.ndarray, fp: np.ndarray, fn: np.ndarray) -> np.ndarray:
+    denom = 2 * tp + fp + fn
+    return np.divide(2 * tp, denom, out=np.zeros_like(denom), where=denom > 0)
+
+
+def _build_machine(codes: _Codes, metric: str, include_upos: bool) -> _Machine:
+    kind, feature, value = parse_metric(metric)
+    n_sent = codes.n_sentences
+    if kind == "acc":
+        # Correct counts stay integral until the one division by the
+        # token count, so tied differences compare equal.
+        gold, a, b = codes.strings(include_upos)
+        stats_a, stats_b = (
+            np.bincount(codes.sentence[gold == pred], minlength=n_sent).astype(np.float64)[:, None]
+            for pred in (a, b)
+        )
+        return _Machine(stats_a, stats_b, lambda t: t[:, 0], scale=float(len(gold)))
+    classes, labels = codes.classes(feature)
+    if kind == "value":
         target = classes.index(value) if value in classes else -1
         # one-vs-rest: class 1 is the value, class 0 everything else
         gold, a, b = ((c == target).astype(np.intp) for c in labels)
         stats_a, stats_b = (codes.sentence_stats(gold, pred, 2)[:, 1, :3] for pred in (a, b))
-        self.base_a = stats_a.sum(axis=0)
-        self.base_b = stats_b.sum(axis=0)
-        self.delta = stats_b - stats_a
+        return _Machine(stats_a, stats_b, lambda t: _f1_rows(*t.T))
+    gold, a, b = labels
+    n_cls = len(classes)
+    stats_a, stats_b = (
+        codes.sentence_stats(gold, pred, n_cls).reshape(n_sent, n_cls * 4) for pred in (a, b)
+    )
+    always_active = (np.bincount(gold, minlength=n_cls) > 0) | np.array(
+        [c == "None" for c in classes]
+    )
 
-    @staticmethod
-    def _f1(totals: np.ndarray) -> np.ndarray:
-        denom = 2 * totals[:, 0] + totals[:, 1] + totals[:, 2]
-        return np.divide(
-            2 * totals[:, 0], denom, out=np.zeros_like(denom), where=denom > 0
-        )
+    def macro(totals: np.ndarray) -> np.ndarray:
+        tp, fp, fn, predicted = np.moveaxis(totals.reshape(len(totals), n_cls, 4), -1, 0)
+        active = always_active | (predicted > 0)
+        return (_f1_rows(tp, fp, fn) * active).sum(axis=1) / active.sum(axis=1)
 
-    def diffs(self, masks: np.ndarray) -> np.ndarray:
-        moved = masks @ self.delta
-        return np.abs(
-            self._f1(self.base_a[None, :] + moved)
-            - self._f1(self.base_b[None, :] - moved)
-        )
-
-
-def _build_machine(codes: _Codes, metric: str, include_upos: bool):
-    kind, feature, value = parse_metric(metric)
-    if kind == "acc":
-        return _AccuracyMachine(codes, include_upos)
-    if kind == "macro":
-        return _MacroF1Machine(codes, feature)
-    return _ValueF1Machine(codes, feature, value)
+    return _Machine(stats_a, stats_b, macro)
 
 
 @dataclass(frozen=True, slots=True)

@@ -34,6 +34,7 @@ ALL_RULES = (
     RULE_GER_VOICE,
     RULE_GDV_VOICE,
     RULE_SUP_VOICE,
+    RULE_PRON_PERSON,
 )
 
 _NO_NUMBER_GENDER_MOODS = frozenset({"Ger", "Inf", "Sup"})
@@ -153,14 +154,13 @@ def arbitrary_value_violations(record: StandardRecord, *, iri: bool = False) -> 
 def repair_pronoun_person(
     token_lemma: str,
     record: StandardRecord,
-    lemma_persons: Mapping[str, str] = DEFAULT_PRONOUN_PERSONS,
     audit: Counter | None = None,
 ) -> StandardRecord:
     """Optional LASLA repair: fill Person on personal pronouns from the
     lemma. Off by default in the pipeline."""
     if record.upos != "PRON" or record.person is not None:
         return record
-    person = lemma_persons.get(normalize_form(token_lemma))
+    person = DEFAULT_PRONOUN_PERSONS.get(normalize_form(token_lemma))
     if person is None:
         return record
     if audit is not None:

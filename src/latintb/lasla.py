@@ -137,7 +137,6 @@ def ingest_lasla(
     mapping: ColumnMapping = DEFAULT_LASLA_MAPPING,
     *,
     work_id: str | None = None,
-    upos_inventory: frozenset[str] = UPOS_TAGS,
 ) -> IngestResult:
     """Parse one LASLA file into sentences carrying ``work_id`` provenance.
 
@@ -161,7 +160,7 @@ def ingest_lasla(
         tokens: list[Token] = []
         for line_no, cols in rows:
             upos = col(cols, "upos") or "_"
-            if upos != "_" and upos not in upos_inventory:
+            if upos != "_" and upos not in UPOS_TAGS:
                 raise ParseError(
                     f"line {line_no} (sentence {sent_id!r}): unknown UPOS {upos!r}"
                 )
@@ -198,11 +197,10 @@ def ingest_lasla(
 
 
 def ingest_lasla_file(
-    path: str | Path,
-    mapping: ColumnMapping = DEFAULT_LASLA_MAPPING,
-    **kwargs,
+    path: str | Path, mapping: ColumnMapping = DEFAULT_LASLA_MAPPING
 ) -> IngestResult:
+    """Ingest one file; sentences without a work id take the file stem.
+    A leading UTF-8 byte-order mark is skipped."""
     path = Path(path)
-    with open(path, encoding="utf-8") as handle:
-        kwargs.setdefault("work_id", path.stem)
-        return ingest_lasla(handle, mapping, **kwargs)
+    with open(path, encoding="utf-8-sig") as handle:
+        return ingest_lasla(handle, mapping, work_id=path.stem)

@@ -39,7 +39,7 @@ _HEADER = (
 
 
 class MetadataError(ValueError):
-    """Raised by strict loading when the table violates its invariants."""
+    """Raised by loading when the table violates its invariants."""
 
 
 class PeriodError(ValueError):
@@ -189,11 +189,10 @@ def validate_metadata(
     return violations
 
 
-def load_metadata(path: str | Path, *, strict: bool = True) -> dict[str, TextMetadata]:
+def load_metadata(path: str | Path) -> dict[str, TextMetadata]:
     rows = parse_metadata(Path(path).read_text(encoding="utf-8"))
-    if strict:
-        violations = validate_metadata(rows)
-        if violations:
-            summary = "; ".join(f"{v.work_id}: {v.code}" for v in violations[:5])
-            raise MetadataError(f"{len(violations)} metadata violations ({summary} ...)")
+    violations = validate_metadata(rows)
+    if violations:
+        summary = "; ".join(f"{v.work_id}: {v.code}" for v in violations[:5])
+        raise MetadataError(f"{len(violations)} metadata violations ({summary} ...)")
     return {meta.work_id: meta for meta in rows}

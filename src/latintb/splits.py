@@ -30,7 +30,6 @@ from .metadata import (
 
 PERIOD_CLASSICAL_UD = "Classical-UD"
 PERIOD_CLASSICAL_BOTH = "Classical-UD+LASLA"
-SPLIT_PERIODS = (PERIOD_CLASSICAL_UD, PERIOD_CLASSICAL_BOTH, PERIOD_BIBLE, PERIOD_POST_CLASSICAL)
 
 CONSTRAINT_ATOMICITY = "work-atomicity"
 CONSTRAINT_TEST_SIZE = "test-min-size"
@@ -62,11 +61,6 @@ class SplitManifest:
     test_works: tuple[str, ...]
     dev_sentences: tuple[str, ...]
     audit: tuple[AuditResult, ...] = ()
-
-    def assignments(self) -> dict[str, str]:
-        out = {work: "train" for work in self.train_works}
-        out.update({work: "test" for work in self.test_works})
-        return out
 
     def to_dict(self) -> dict:
         return {

@@ -8,7 +8,7 @@ gerund, gerundive, supine).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .conllu import FeatureBundle, Token
@@ -22,7 +22,6 @@ DEGREES = ("Cmp", "Abs")
 PERSONS = ("1", "2", "3")
 NUMBERS = ("Sing", "Plur")
 
-FINITE_MOODS = frozenset({"Ind", "Sub", "Imp"})
 VERBAL_UPOS = frozenset({"VERB", "AUX"})
 
 UD_TENSES = ("Pres", "Past", "Fut", "Pqp")
@@ -106,9 +105,6 @@ class TenseAspectTable:
     def lookup(self, tense: str | None, aspect: str | None) -> str | None:
         return self._table[(tense, aspect)]
 
-    def items(self):
-        return self._table.items()
-
 
 _DEFAULT_TABLE = TenseAspectTable.default()
 
@@ -191,11 +187,6 @@ class StandardRecord:
                 entries.append((feature, values))
         return FeatureBundle(entries)
 
-    def with_anomaly(self, code: str) -> "StandardRecord":
-        if code in self.anomalies:
-            return self
-        return replace(self, anomalies=self.anomalies + (code,))
-
 
 @dataclass(slots=True)
 class _Conversion:
@@ -248,10 +239,7 @@ def _traditional_field(token: Token, name: str) -> str | None:
 
 
 def _resolve_mood(
-    conv: _Conversion,
-    feats: FeatureBundle,
-    trad_mood: str | None,
-    verbform_moods: Mapping[str, str | None],
+    conv: _Conversion, feats: FeatureBundle, trad_mood: str | None
 ) -> str | None:
     if trad_mood is not None:
         if trad_mood in MOODS:
@@ -262,14 +250,14 @@ def _resolve_mood(
     verbform = feats.first("VerbForm")
     if mood is not None:
         if mood in MOODS:
-            if verbform is not None and verbform_moods.get(verbform) not in (None, mood):
+            if verbform is not None and DEFAULT_VERBFORM_MOODS.get(verbform) not in (None, mood):
                 conv.flag(ANOMALY_MOOD_CONFLICT)
             return mood
         conv.flag(ANOMALY_UNKNOWN_VALUE)
         return None
     if verbform is not None:
-        if verbform in verbform_moods:
-            return verbform_moods[verbform]
+        if verbform in DEFAULT_VERBFORM_MOODS:
+            return DEFAULT_VERBFORM_MOODS[verbform]
         conv.flag(ANOMALY_UNKNOWN_VALUE)
     return None
 
@@ -290,11 +278,7 @@ def _tense_from_table(
 
 
 def standardize_ud(
-    token: Token,
-    treebank: str | None = None,
-    *,
-    tense_table: TenseAspectTable = _DEFAULT_TABLE,
-    verbform_moods: Mapping[str, str | None] = DEFAULT_VERBFORM_MOODS,
+    token: Token, *, tense_table: TenseAspectTable = _DEFAULT_TABLE
 ) -> StandardRecord:
     """Standardize a token from a harmonized-UD-style source.
 
@@ -312,7 +296,7 @@ def standardize_ud(
         conv.flag(ANOMALY_TRAD_ON_NONVERB)
         tense = mood = voice = None
     else:
-        mood = _resolve_mood(conv, feats, trad_mood, verbform_moods)
+        mood = _resolve_mood(conv, feats, trad_mood)
         if trad_tense is not None:
             if trad_tense == "Fut" and feats.first("Aspect") == "Perf":
                 tense = "FutP"
@@ -342,10 +326,7 @@ def standardize_ud(
 
 
 def standardize_lasla(
-    token: Token,
-    *,
-    tense_table: TenseAspectTable = _DEFAULT_TABLE,
-    verbform_moods: Mapping[str, str | None] = DEFAULT_VERBFORM_MOODS,
+    token: Token, *, tense_table: TenseAspectTable = _DEFAULT_TABLE
 ) -> StandardRecord:
     """Standardize a token ingested from LASLA.
 
@@ -360,7 +341,7 @@ def standardize_lasla(
         person=conv.single(feats, "Person", PERSONS),
         number=conv.single(feats, "Number", NUMBERS),
         tense=_tense_from_table(conv, feats, tense_table),
-        mood=_resolve_mood(conv, feats, None, verbform_moods),
+        mood=_resolve_mood(conv, feats, None),
         voice=conv.single(feats, "Voice", VOICES),
         gender=conv.gender(feats),
         case=conv.single(feats, "Case", CASES),

@@ -1,3 +1,4 @@
+import codecs
 import hashlib
 import json
 import os
@@ -10,8 +11,10 @@ import pytest
 import latintb
 from latintb.baseline import predict_corpus
 from latintb.cli import main
+from latintb.config import ToolConfig
 from latintb.conllu import parse_conllu_file, write_conllu_file
-from latintb.pipeline import sentence_with_records
+from latintb.harmonize import RULE_PRON_PERSON
+from latintb.pipeline import convert_corpus, load_corpus, sentence_with_records
 from latintb.reports import read_tsv
 from latintb.standardize import StandardRecord
 
@@ -305,3 +308,93 @@ def test_version_runs_without_numpy(tmp_path):
                           capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == f"latintb {latintb.__version__}\n"
+
+
+def test_config_value_of_the_wrong_type_fails_in_one_line(fixtures_dir, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text('{"pronoun_person_repair": "false"}')
+    done = _run_cli("convert", "--in", fixtures_dir / "lasla", "--flavor", "lasla",
+                    "--config", config, "--out", tmp_path / "out")
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert done.stderr == 'config error: pronoun_person_repair must be true or false, got "false"\n'
+
+
+def test_harmonization_audit_lists_the_pronoun_person_repair(fixtures_dir, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text('{"pronoun_person_repair": true}')
+    assert main(["convert", "--in", str(fixtures_dir / "lasla"), "--flavor", "lasla",
+                 "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    rows = read_tsv(tmp_path / "out" / "harmonization_audit.tsv")
+    listed = sum(int(count) for _, rule, count in rows if rule == RULE_PRON_PERSON)
+    sentences, _ = load_corpus(fixtures_dir / "lasla", "lasla")
+    converted = convert_corpus(sentences, "lasla", ToolConfig(pronoun_person_repair=True))
+    assert listed == converted.audit[RULE_PRON_PERSON] > 0
+
+
+# Malformed and unusual inputs, each run in a fresh interpreter: every
+# case has its exit code, and none may end in a traceback.
+
+
+def _convert_ud(source, out):
+    done = _run_cli("convert", "--in", source, "--flavor", "ud", "--out", out)
+    assert "Traceback" not in done.stderr
+    return done
+
+
+@pytest.mark.parametrize("kind", ["file", "directory"])
+def test_convert_of_empty_input_writes_reports_without_rows(tmp_path, kind):
+    source = tmp_path / "empty.conllu"
+    if kind == "file":
+        source.write_text("")
+    else:
+        source.mkdir()
+    done = _convert_ud(source, tmp_path / "out")
+    assert done.returncode == 0
+    footer = f"# latintb={latintb.__version__} seed=0 config=default\n"
+    assert (tmp_path / "out" / "harmonization_audit.tsv").read_text() == (
+        "corpus\trule_id\ttokens_affected\n" + footer
+    )
+    assert (tmp_path / "out" / "anomalies.tsv").read_text() == "sent_id\ttoken_id\tcode\n" + footer
+
+
+@pytest.mark.parametrize("variant", ["crlf", "no-final-newline", "bom"])
+def test_convert_output_ignores_line_endings_and_byte_order_mark(fixtures_dir, tmp_path, variant):
+    clean = (fixtures_dir / "ud" / "cl_alpha.conllu").read_bytes()
+    altered = {
+        "crlf": clean.replace(b"\n", b"\r\n"),
+        "no-final-newline": clean.rstrip(b"\n"),
+        "bom": codecs.BOM_UTF8 + clean,
+    }[variant]
+    for name, data in (("clean", clean), (variant, altered)):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "cl_alpha.conllu").write_bytes(data)
+        assert _convert_ud(tmp_path / name, tmp_path / f"{name}-out").returncode == 0
+    for output in ("cl_alpha.conllu", "harmonization_audit.tsv", "anomalies.tsv"):
+        assert (tmp_path / f"{variant}-out" / output).read_bytes() == (
+            tmp_path / "clean-out" / output
+        ).read_bytes()
+
+
+def test_truncated_token_line_fails_in_one_line_naming_it(fixtures_dir, tmp_path):
+    lines = (fixtures_dir / "ud" / "cl_alpha.conllu").read_text().splitlines(keepends=True)
+    # line 4 is the second token line of the first sentence
+    lines[3] = "\t".join(lines[3].split("\t")[:3]) + "\n"
+    source = tmp_path / "cl_alpha.conllu"
+    source.write_text("".join(lines))
+    done = _convert_ud(source, tmp_path / "out")
+    assert done.returncode == 1
+    assert done.stderr == "error: line 4 (sentence 'cl_alpha-s1'): expected 10 columns, got 3\n"
+
+
+def test_bad_manifest_row_fails_in_one_line_naming_file_and_line(fixtures_dir, tmp_path):
+    manifest = tmp_path / "dups.tsv"
+    manifest.write_text("sent_a\tsent_b\tbasis\talign_length\ncl_alpha-s1\tlasla_alpha-s1\tchar-prefix\n")
+    done = _run_cli("agree", "--a", fixtures_dir / "ud", "--b", fixtures_dir / "lasla",
+                    "--dups", manifest, "--out", tmp_path / "agreement.tsv")
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert done.stderr == (
+        f"error: {manifest} line 2: expected sent_a, sent_b, basis and an integer length, "
+        "tab-separated, got 'cl_alpha-s1\\tlasla_alpha-s1\\tchar-prefix'\n"
+    )

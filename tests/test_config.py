@@ -74,3 +74,37 @@ def test_tense_table_override_on_standardize():
 def test_bad_tense_override_rejected():
     with pytest.raises(ConfigError, match="unknown pair"):
         ToolConfig.from_dict({"tense_table": {"Never,Ever": "Fut"}})
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"atomicity_exceptions": "cl_"}, 'atomicity_exceptions must be a JSON array of strings, got "cl_"'),
+        ({"atomicity_exceptions": ["cl_", 3]}, "atomicity_exceptions must be a JSON array of strings"),
+        ({"pronoun_person_repair": "false"}, 'pronoun_person_repair must be true or false, got "false"'),
+        ({"include_upos_in_string": 1}, "include_upos_in_string must be true or false, got 1"),
+        ({"legality_rules": "PRON_MISSING_NOMINAL_FEATS"}, "legality_rules must be a JSON array of strings"),
+        ({"legality_rules": ["PRON_MISSING_NOMINAL_FEATS", "NO_SUCH_RULE"]},
+         r"legality_rules names unknown rules \['NO_SUCH_RULE'\]"),
+        (5, "config must be a JSON object, got 5"),
+        (["dedup_min_chars"], "config must be a JSON object"),
+    ],
+    ids=["string-for-array", "number-in-array", "string-for-bool", "number-for-bool",
+         "rule-string-for-array", "unknown-rule", "number-for-object", "array-for-object"],
+)
+def test_values_of_the_wrong_json_type_are_rejected(data, message):
+    with pytest.raises(ConfigError, match=message):
+        ToolConfig.from_dict(data)
+
+
+def test_well_typed_values_are_kept():
+    config = ToolConfig.from_dict({
+        "atomicity_exceptions": ["cl_"],
+        "pronoun_person_repair": False,
+        "include_upos_in_string": True,
+        "legality_rules": ["PRON_MISSING_NOMINAL_FEATS"],
+    })
+    assert config.atomicity_exceptions == ("cl_",)
+    assert config.pronoun_person_repair is False
+    assert config.include_upos_in_string is True
+    assert config.legality_rules == ("PRON_MISSING_NOMINAL_FEATS",)

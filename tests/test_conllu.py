@@ -1,3 +1,4 @@
+import codecs
 import io
 
 import pytest
@@ -10,10 +11,11 @@ from latintb.conllu import (
     StructureError,
     Token,
     parse_conllu,
+    parse_conllu_file,
     read_blocks,
     serialize_conllu,
 )
-from latintb.lasla import ingest_lasla
+from latintb.lasla import ingest_lasla, ingest_lasla_file
 
 ARMA = "1\tarma\tarma\tNOUN\t_\tCase=Acc|Number=Plur\t_\t_\t_\t_"
 
@@ -219,3 +221,14 @@ def test_read_blocks_metadata_last_wins_and_custom_columns():
         (("# sent_id = a", "# sent_id = b", "# note"), {"sent_id": "b"}, [(4, ["x", "y"])], 5),
         ((), {}, [(7, ["z", "w"])], 7),
     ]
+
+
+@pytest.mark.parametrize("flavor, name", [("ud", "cl_alpha.conllu"), ("lasla", "lasla_alpha.conllu")])
+def test_file_readers_skip_a_byte_order_mark(fixtures_dir, tmp_path, flavor, name):
+    source = fixtures_dir / flavor / name
+    copy = tmp_path / name
+    copy.write_bytes(codecs.BOM_UTF8 + source.read_bytes())
+    if flavor == "ud":
+        assert parse_conllu_file(copy) == parse_conllu_file(source)
+    else:
+        assert ingest_lasla_file(copy) == ingest_lasla_file(source)

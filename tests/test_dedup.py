@@ -1,5 +1,7 @@
 import random
+import re
 
+import pytest
 from hypothesis import given, strategies as st
 
 from latintb.conllu import FeatureBundle, Sentence, Token
@@ -198,3 +200,14 @@ def test_manifest_roundtrip(tmp_path, duplicate_pairs):
         (p.sent_a, p.sent_b) for p in duplicate_pairs
     ]
     assert [r[3] for r in rows] == [len(p.alignment) for p in duplicate_pairs]
+
+
+@pytest.mark.parametrize(
+    "row", ["cl_alpha-s1\tlasla_alpha-s1\tchar-prefix", "cl_alpha-s1\tlasla_alpha-s1\tchar-prefix\tmany"],
+    ids=["three-columns", "non-integer-length"],
+)
+def test_bad_manifest_row_names_file_and_line(tmp_path, row):
+    path = tmp_path / "dups.tsv"
+    path.write_text(f"sent_a\tsent_b\tbasis\talign_length\nx\ty\tchar-prefix\t7\n{row}\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line 3: expected sent_a, sent_b, basis"):
+        read_manifest(path)

@@ -2,6 +2,7 @@ import itertools
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +10,8 @@ from latintb.conllu import FeatureBundle, Sentence, Token, parse_conllu
 from latintb.evaluation import (
     REPORT_FEATURES,
     AlignmentError,
+    _build_machine,
+    _Codes,
     check_alignment,
     evaluate,
     macro_f1,
@@ -337,6 +340,24 @@ def test_observed_diff_matches_naive_metrics(metric):
     result = permutation_test(gold, preds_a, preds_b, metric, iterations=10, seed=3)
     expected = abs(naive_metric(gold, preds_a, metric) - naive_metric(gold, preds_b, metric))
     assert result.observed_diff == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "metric",
+    ["morph-acc", "upos-macro-f1", "macro-f1:Case", "value-f1:Gender=Fem,Masc", "value-f1:Case=Loc"],
+)
+def test_machine_diffs_match_point_metrics_on_swapped_sets(metric):
+    rng = random.Random(10)
+    gold = random_corpus(rng, 15)
+    preds_a = corrupt(gold, rng, 0.3)
+    preds_b = corrupt(gold, rng, 0.5)
+    masks = np.random.default_rng(11).integers(0, 2, (25, len(gold))).astype(np.float64)
+    diffs = _build_machine(_Codes(gold, preds_a, preds_b), metric, False).diffs(masks)
+    for mask, diff in zip(masks, diffs):
+        swapped_a = [b if bit else a for a, b, bit in zip(preds_a, preds_b, mask)]
+        swapped_b = [a if bit else b for a, b, bit in zip(preds_a, preds_b, mask)]
+        expected = abs(naive_metric(gold, swapped_a, metric) - naive_metric(gold, swapped_b, metric))
+        assert diff == pytest.approx(expected, abs=1e-12)
 
 
 def test_no_tokens_to_test():
