@@ -73,6 +73,26 @@ def _strings(name: str, value) -> tuple[str, ...]:
     return tuple(value)
 
 
+def _integer(minimum: int):
+    def coerce(name: str, value) -> int:
+        if type(value) is not int or value < minimum:
+            raise ConfigError(f"{name} must be a JSON integer >= {minimum}, got {json.dumps(value)}")
+        return value
+    return coerce
+
+
+def _fraction(name: str, value) -> float:
+    if type(value) not in (int, float) or not 0 <= value <= 1:
+        raise ConfigError(f"{name} must be a JSON number in [0, 1], got {json.dumps(value)}")
+    return float(value)
+
+
+def _window(name: str, value) -> int | str:
+    if value != "sentence" and (type(value) is not int or value < 0):
+        raise ConfigError(f'{name} must be "sentence" or a JSON integer >= 0, got {json.dumps(value)}')
+    return value
+
+
 def _boolean(name: str, value) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"{name} must be true or false, got {json.dumps(value)}")
@@ -89,12 +109,12 @@ def _legality_rules(name: str, value) -> tuple[str, ...]:
 
 # Config key -> the function that turns its JSON value into the field's value.
 _FIELDS = {
-    "dedup_min_chars": lambda _, value: int(value),
-    "dedup_min_tokens": lambda _, value: int(value),
-    "dev_fraction": lambda _, value: float(value),
-    "min_test_sentences": lambda _, value: int(value),
+    "dedup_min_chars": _integer(1),
+    "dedup_min_tokens": _integer(1),
+    "dev_fraction": _fraction,
+    "min_test_sentences": _integer(0),
     "atomicity_exceptions": _strings,
-    "iri_window": lambda _, value: value if value == "sentence" else int(value),
+    "iri_window": _window,
     "pronoun_person_repair": _boolean,
     "include_upos_in_string": _boolean,
     "legality_rules": _legality_rules,

@@ -8,7 +8,7 @@ most one partner per sentence.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from difflib import SequenceMatcher
 from pathlib import Path
@@ -26,6 +26,8 @@ BASIS_TOKEN_SUFFIX = "token-suffix"
 
 DEFAULT_MIN_CHARS = 20
 DEFAULT_MIN_TOKENS = 5
+
+MANIFEST_HEADER = ("sent_a", "sent_b", "basis", "align_length")
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,18 +144,12 @@ def duplicate_report(
     metadata: Mapping[str, TextMetadata] | None = None,
 ) -> list[tuple[str, str, int]]:
     """Per-work duplicate counts as (author, work, count) rows."""
-    counts: dict[str, int] = defaultdict(int)
-    for pair in pairs:
-        work = pair.work_a or pair.work_b or "?"
-        counts[work] += 1
-    rows = []
-    for work in sorted(counts):
-        author = ""
-        if metadata is not None and work in metadata:
-            author = metadata[work].author
-        rows.append((author, work, counts[work]))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    return rows
+    counts = Counter(pair.work_a or pair.work_b or "?" for pair in pairs)
+    metadata = metadata or {}
+    return sorted(
+        (metadata[work].author if work in metadata else "", work, count)
+        for work, count in counts.items()
+    )
 
 
 def write_manifest(
@@ -165,7 +161,7 @@ def write_manifest(
 ) -> None:
     reports.write_tsv(
         path,
-        ("sent_a", "sent_b", "basis", "align_length"),
+        MANIFEST_HEADER,
         ((p.sent_a, p.sent_b, p.basis, len(p.alignment)) for p in pairs),
         seed=seed,
         config_hash=config_hash,
@@ -173,17 +169,15 @@ def write_manifest(
 
 
 def read_manifest(path: str | Path) -> list[tuple[str, str, str, int]]:
-    rows = []
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    for line_no, line in enumerate(lines, start=1):
-        if not line or line.startswith("#") or line.startswith("sent_a\t"):
-            continue
-        try:
-            sent_a, sent_b, basis, length = line.split("\t")
-            rows.append((sent_a, sent_b, basis, int(length)))
-        except ValueError:
-            raise ValueError(
-                f"{path} line {line_no}: expected sent_a, sent_b, basis and an "
-                f"integer length, tab-separated, got {line!r}"
-            ) from None
-    return rows
+    return reports.read_table(path, MANIFEST_HEADER, _manifest_row)
+
+
+def _manifest_row(cells: list[str]) -> tuple[str, str, str, int]:
+    try:
+        sent_a, sent_b, basis, length = cells
+        return sent_a, sent_b, basis, int(length)
+    except ValueError:
+        line = "\t".join(cells)
+        raise ValueError(
+            f"expected sent_a, sent_b, basis and an integer length, tab-separated, got {line!r}"
+        ) from None

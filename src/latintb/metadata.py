@@ -1,9 +1,9 @@
 """Per-text provenance metadata: treebank, author, century, genres, counts.
 
-The table is a flat TSV, one row per (treebank, work), reloadable
-byte-stably. Time periods follow the three broad eras used everywhere
-downstream: Classical (through the 2nd century CE), Bible (the Vulgata),
-and PostClassical (4th century CE onward).
+The table is a flat TSV, one row per (treebank, work). Time periods
+follow the three broad eras used everywhere downstream: Classical
+(through the 2nd century CE), Bible (the Vulgata), and PostClassical
+(4th century CE onward).
 """
 
 from __future__ import annotations
@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
+
+from .reports import read_table
 
 TREEBANKS = ("Perseus", "PROIEL", "LLCT", "ITTB", "UDante", "LASLA")
 
@@ -109,54 +111,20 @@ def _check(meta: TextMetadata) -> list[Violation]:
     return out
 
 
-def parse_metadata(text: str) -> list[TextMetadata]:
-    lines = [l for l in text.splitlines() if l and not l.startswith("#")]
-    header_line = "\t".join(_HEADER)
-    if not lines or lines[0].split("\t") != list(_HEADER):
-        raise MetadataError(f"metadata table must start with header {header_line!r}")
-    rows = []
-    for number, line in enumerate(lines[1:], start=2):
-        cols = line.split("\t")
-        if len(cols) != len(_HEADER):
-            raise MetadataError(f"row {number}: expected {len(_HEADER)} columns, got {len(cols)}")
-        try:
-            rows.append(
-                TextMetadata(
-                    treebank=cols[0],
-                    work_id=cols[1],
-                    author=cols[2],
-                    century=int(cols[3]),
-                    is_bible=cols[4] == "true",
-                    genres=frozenset(g for g in cols[5].split(",") if g),
-                    train_sents=int(cols[6]),
-                    dev_sents=int(cols[7]),
-                    test_sents=int(cols[8]),
-                )
-            )
-        except ValueError as exc:
-            raise MetadataError(f"row {number}: {exc}") from exc
-    return rows
+def _metadata_row(cells: list[str]) -> TextMetadata:
+    if len(cells) != len(_HEADER):
+        raise ValueError(f"expected {len(_HEADER)} columns, got {len(cells)}")
+    treebank, work_id, author, century, is_bible, genres, train, dev, test = cells
+    if is_bible not in ("true", "false"):
+        raise ValueError(f"is_bible must be true or false, got {is_bible!r}")
+    return TextMetadata(
+        treebank, work_id, author, int(century), is_bible == "true",
+        frozenset(g for g in genres.split(",") if g), int(train), int(dev), int(test),
+    )
 
 
-def serialize_metadata(rows: Iterable[TextMetadata]) -> str:
-    lines = ["\t".join(_HEADER)]
-    for meta in sorted(rows, key=lambda m: (m.treebank, m.work_id)):
-        lines.append(
-            "\t".join(
-                (
-                    meta.treebank,
-                    meta.work_id,
-                    meta.author,
-                    str(meta.century),
-                    "true" if meta.is_bible else "false",
-                    ",".join(sorted(meta.genres)),
-                    str(meta.train_sents),
-                    str(meta.dev_sents),
-                    str(meta.test_sents),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+def read_metadata(path: str | Path) -> list[TextMetadata]:
+    return read_table(path, _HEADER, _metadata_row)
 
 
 def validate_metadata(
@@ -190,7 +158,7 @@ def validate_metadata(
 
 
 def load_metadata(path: str | Path) -> dict[str, TextMetadata]:
-    rows = parse_metadata(Path(path).read_text(encoding="utf-8"))
+    rows = read_metadata(path)
     violations = validate_metadata(rows)
     if violations:
         summary = "; ".join(f"{v.work_id}: {v.code}" for v in violations[:5])

@@ -1,11 +1,15 @@
-"""Deterministic TSV report writing with a provenance footer."""
+"""TSV tables: deterministic writing with a provenance footer, and the
+one strict reader for every TSV input."""
 
 from __future__ import annotations
 
+from importlib.resources.abc import Traversable
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from . import __version__
+
+T = TypeVar("T")
 
 
 def footer(seed: int | None = None, config_hash: str = "default") -> str:
@@ -31,12 +35,33 @@ def write_tsv(
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_tsv(path: str | Path) -> list[list[str]]:
-    """Rows of a report, skipping the header and comment lines."""
-    rows = []
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    for line in lines[1:]:
+def read_table(
+    path: str | Path | Traversable,
+    header: Sequence[str],
+    convert: Callable[[list[str]], T],
+) -> list[T]:
+    """``convert(cells)`` for each data row of a TSV table.
+
+    A byte-order mark, CRLF endings, blank lines and ``#`` lines are
+    skipped. The first line left must equal ``header``. Any
+    ``ValueError`` is re-raised as one that names the file and its line.
+    """
+    path = Path(path) if isinstance(path, str) else path
+    expected = "\t".join(header)
+    lines = path.read_text(encoding="utf-8-sig").splitlines()
+    rows: list[T] | None = None
+    for number, line in enumerate(lines, start=1):
         if not line or line.startswith("#"):
             continue
-        rows.append(line.split("\t"))
+        try:
+            if rows is not None:
+                rows.append(convert(line.split("\t")))
+            elif line == expected:
+                rows = []
+            else:
+                raise ValueError(f"expected header {expected!r}, got {line!r}")
+        except ValueError as exc:
+            raise ValueError(f"{path} line {number}: {exc}") from None
+    if rows is None:
+        raise ValueError(f"{path}: expected header {expected!r}, got no line")
     return rows

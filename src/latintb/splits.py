@@ -27,6 +27,7 @@ from .metadata import (
     TextMetadata,
     assign_time_period,
 )
+from .reports import read_table
 
 PERIOD_CLASSICAL_UD = "Classical-UD"
 PERIOD_CLASSICAL_BOTH = "Classical-UD+LASLA"
@@ -103,20 +104,18 @@ def read_manifest(path: str | Path) -> SplitManifest:
 def load_published_assignment(path: str | Path | None = None) -> dict[str, tuple[str, str]]:
     """work_id -> (period, split) from the published work-level table."""
     if path is None:
-        text = (
-            resources.files("latintb.data")
-            .joinpath("published_split_assignment.tsv")
-            .read_text(encoding="utf-8")
-        )
-    else:
-        text = Path(path).read_text(encoding="utf-8")
-    out: dict[str, tuple[str, str]] = {}
-    for line in text.splitlines()[1:]:
-        if not line or line.startswith("#"):
-            continue
-        period, work_id, split, _sentences = line.split("\t")
-        out[work_id] = (period, split)
-    return out
+        path = resources.files("latintb.data").joinpath("published_split_assignment.tsv")
+    return dict(read_table(path, ("period", "work_id", "split", "sentences"), _published_row))
+
+
+def _published_row(cells: list[str]) -> tuple[str, tuple[str, str]]:
+    if len(cells) != 4:
+        raise ValueError(f"expected 4 columns, got {len(cells)}")
+    period, work_id, split, sentences = cells
+    if split not in ("train", "test"):
+        raise ValueError(f"split must be train or test, got {split!r}")
+    int(sentences)  # checked, though splits are built from the corpus counts
+    return work_id, (period, split)
 
 
 @dataclass(slots=True)
@@ -149,13 +148,7 @@ def shared_works(
     Accepts DuplicatePairs or raw manifest rows (sent_a is the UD side).
     """
     ud_sent_work = {s.sent_id: s.work_id for s in ud_corpus}
-    works = set()
-    for item in duplicates:
-        sent_a = item.sent_a if isinstance(item, DuplicatePair) else item[0]
-        work = ud_sent_work.get(sent_a)
-        if work:
-            works.add(work)
-    return works
+    return {work for sent in duplicate_ud_sentences(duplicates) if (work := ud_sent_work.get(sent))}
 
 
 def duplicate_ud_sentences(

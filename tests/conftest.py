@@ -5,6 +5,7 @@ import pytest
 from latintb.dedup import find_duplicates
 from latintb.metadata import load_metadata
 from latintb.pipeline import convert_corpus, load_corpus
+from latintb.reports import read_table
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -48,8 +49,4 @@ def duplicate_pairs(ud_corpus, lasla_corpus):
 
 @pytest.fixture(scope="session")
 def planted_duplicates():
-    rows = []
-    for line in (FIXTURES / "planted_duplicates.tsv").read_text().splitlines()[1:]:
-        sent_a, sent_b, kind = line.split("\t")
-        rows.append((sent_a, sent_b, kind))
-    return rows
+    return read_table(FIXTURES / "planted_duplicates.tsv", ("sent_a", "sent_b", "kind"), tuple)

@@ -15,8 +15,11 @@ from latintb.config import ToolConfig
 from latintb.conllu import parse_conllu_file, write_conllu_file
 from latintb.harmonize import RULE_PRON_PERSON
 from latintb.pipeline import convert_corpus, load_corpus, sentence_with_records
-from latintb.reports import read_tsv
+from latintb.reports import read_table
 from latintb.standardize import StandardRecord
+
+
+AUDIT_HEADER = ("corpus", "rule_id", "tokens_affected")
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +58,7 @@ def test_convert_outputs_standard_feats(workdir, fixtures_dir):
             assert set(token.feats.names()) <= allowed
             assert token.misc_get("TraditionalTense") is None
             assert token.misc_get("TraditionalMood") is None
-    audit = read_tsv(workdir / "std" / "ud" / "harmonization_audit.tsv")
+    audit = read_table(workdir / "std" / "ud" / "harmonization_audit.tsv", AUDIT_HEADER, list)
     assert any(row[1] == "intj-to-part" for row in audit)
 
 
@@ -68,14 +71,16 @@ def test_convert_is_byte_deterministic(workdir, fixtures_dir, tmp_path):
 
 
 def test_dedup_manifest_and_report(workdir, planted_duplicates):
-    rows = read_tsv(workdir / "dups.tsv")
+    rows = read_table(workdir / "dups.tsv", ("sent_a", "sent_b", "basis", "align_length"), list)
     assert {(r[0], r[1]) for r in rows} == {(a, b) for a, b, _ in planted_duplicates}
-    report = {r[1]: r for r in read_tsv(workdir / "dup_report.tsv")}
+    report = {r[1]: r for r in read_table(workdir / "dup_report.tsv",
+                                          ("author", "work", "duplicates"), list)}
     assert report["cl_alpha"][0] == "Cicero"
 
 
 def test_agreement_report_shape(workdir):
-    rows = read_tsv(workdir / "agreement.tsv")
+    rows = read_table(workdir / "agreement.tsv", ("feature", "before_pct", "before_same",
+                      "before_total", "after_pct", "after_same", "after_total"), list)
     features = {r[0] for r in rows}
     assert {"UPOS", "Case", "Gender", "Gender (loose)", "Mood", "Tense"} <= features
     for row in rows:
@@ -83,7 +88,8 @@ def test_agreement_report_shape(workdir):
 
 
 def test_split_outputs(workdir):
-    audit = read_tsv(workdir / "splits" / "split_audit.tsv")
+    audit = read_table(workdir / "splits" / "split_audit.tsv",
+                       ("period", "check", "result", "details"), list)
     checks = [r for r in audit if r[2] in ("pass", "FAIL")]
     assert checks and all(r[2] == "pass" for r in checks)
     manifest = json.loads((workdir / "splits" / "Classical-UD.manifest.json").read_text())
@@ -164,7 +170,7 @@ def test_lint_flags_esse_as_noun(fixtures_dir, tmp_path):
     out = tmp_path / "lint.tsv"
     assert main(["lint", "--in", str(fixtures_dir / "ud"), "--flavor", "ud",
                  "--out", str(out)]) == 0
-    codes = {row[2] for row in read_tsv(out)}
+    codes = {row[2] for row in read_table(out, ("sent_id", "token_id", "code"), list)}
     assert "ESSE_AS_NOUN" in codes
 
 
@@ -212,7 +218,7 @@ def _run_cli(*argv):
 
 def test_agree_with_unknown_manifest_sentence_fails_in_one_line(fixtures_dir, tmp_path):
     manifest = tmp_path / "dups.tsv"
-    manifest.write_text("sent_a\tsent_b\tbasis\tlength\nnope\tnada\tprefix\t3\n")
+    manifest.write_text("sent_a\tsent_b\tbasis\talign_length\nnope\tnada\tprefix\t3\n")
     done = _run_cli("agree", "--a", fixtures_dir / "ud", "--b", fixtures_dir / "lasla",
                     "--dups", manifest, "--out", tmp_path / "agreement.tsv")
     assert done.returncode == 1
@@ -240,7 +246,7 @@ def test_convert_reads_a_single_file_whatever_its_suffix(workdir, fixtures_dir, 
     assert (tmp_path / "out" / "x.txt").read_bytes() == (
         workdir / "std" / "ud" / "cl_alpha.conllu"
     ).read_bytes()
-    assert read_tsv(tmp_path / "out" / "harmonization_audit.tsv")
+    assert read_table(tmp_path / "out" / "harmonization_audit.tsv", AUDIT_HEADER, list)
 
 
 def test_reports_carry_provenance_footer(workdir):
@@ -312,12 +318,16 @@ def test_version_runs_without_numpy(tmp_path):
 
 def test_config_value_of_the_wrong_type_fails_in_one_line(fixtures_dir, tmp_path):
     config = tmp_path / "config.json"
-    config.write_text('{"pronoun_person_repair": "false"}')
-    done = _run_cli("convert", "--in", fixtures_dir / "lasla", "--flavor", "lasla",
-                    "--config", config, "--out", tmp_path / "out")
-    assert done.returncode == 2
-    assert "Traceback" not in done.stderr
-    assert done.stderr == 'config error: pronoun_person_repair must be true or false, got "false"\n'
+    for document, message in (
+        ('{"pronoun_person_repair": "false"}', 'pronoun_person_repair must be true or false, got "false"'),
+        ('{"dev_fraction": 2}', "dev_fraction must be a JSON number in [0, 1], got 2"),
+    ):
+        config.write_text(document)
+        done = _run_cli("convert", "--in", fixtures_dir / "lasla", "--flavor", "lasla",
+                        "--config", config, "--out", tmp_path / "out")
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert done.stderr == f"config error: {message}\n"
 
 
 def test_harmonization_audit_lists_the_pronoun_person_repair(fixtures_dir, tmp_path):
@@ -325,7 +335,7 @@ def test_harmonization_audit_lists_the_pronoun_person_repair(fixtures_dir, tmp_p
     config.write_text('{"pronoun_person_repair": true}')
     assert main(["convert", "--in", str(fixtures_dir / "lasla"), "--flavor", "lasla",
                  "--config", str(config), "--out", str(tmp_path / "out")]) == 0
-    rows = read_tsv(tmp_path / "out" / "harmonization_audit.tsv")
+    rows = read_table(tmp_path / "out" / "harmonization_audit.tsv", AUDIT_HEADER, list)
     listed = sum(int(count) for _, rule, count in rows if rule == RULE_PRON_PERSON)
     sentences, _ = load_corpus(fixtures_dir / "lasla", "lasla")
     converted = convert_corpus(sentences, "lasla", ToolConfig(pronoun_person_repair=True))
@@ -398,3 +408,74 @@ def test_bad_manifest_row_fails_in_one_line_naming_file_and_line(fixtures_dir, t
         f"error: {manifest} line 2: expected sent_a, sent_b, basis and an integer length, "
         "tab-separated, got 'cl_alpha-s1\\tlasla_alpha-s1\\tchar-prefix'\n"
     )
+
+
+# The three hand-kept tables, each through the subcommand that reads it.
+TABLES = ("metadata", "manifest", "published")
+
+
+def _clean_table(table, fixtures_dir, workdir) -> bytes:
+    if table == "metadata":
+        return (fixtures_dir / "metadata.tsv").read_bytes()
+    if table == "manifest":
+        return (workdir / "dups.tsv").read_bytes()
+    return (Path(latintb.__file__).parent / "data" / "published_split_assignment.tsv").read_bytes()
+
+
+def _read_table_through_cli(table, path, out, fixtures_dir, workdir):
+    if table == "metadata":
+        done = _run_cli("metadata-validate", "--file", path)
+    elif table == "manifest":
+        done = _run_cli("agree", "--a", fixtures_dir / "ud", "--b", fixtures_dir / "lasla",
+                        "--dups", path, "--out", out / "agreement.tsv")
+    else:
+        done = _run_cli("split", "--ud", workdir / "std" / "ud", "--lasla", workdir / "std" / "lasla",
+                        "--metadata", fixtures_dir / "metadata.tsv", "--dups", workdir / "dups.tsv",
+                        "--config", fixtures_dir / "config.json", "--published-assignment", path,
+                        "--out", out)
+    assert "Traceback" not in done.stderr
+    return done
+
+
+@pytest.mark.parametrize("table", TABLES)
+def test_table_input_ignores_line_endings_and_byte_order_mark(workdir, fixtures_dir, tmp_path, table):
+    clean = _clean_table(table, fixtures_dir, workdir)
+    results = {}
+    for variant, data in (("clean", clean), ("crlf", clean.replace(b"\n", b"\r\n")),
+                          ("bom", codecs.BOM_UTF8 + clean)):
+        (tmp_path / variant).mkdir()
+        (tmp_path / variant / "table.tsv").write_bytes(data)
+        out = tmp_path / variant / "out"
+        out.mkdir()
+        done = _read_table_through_cli(table, tmp_path / variant / "table.tsv", out,
+                                       fixtures_dir, workdir)
+        artifacts = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+        results[variant] = (done.returncode, done.stdout, done.stderr, artifacts)
+    assert results["clean"][0] == 0
+    assert results["crlf"] == results["clean"]
+    assert results["bom"] == results["clean"]
+
+
+def _malformed(lines: list[str], fault: str) -> tuple[list[str], int]:
+    """The table with one fault, and the file line that holds it."""
+    cells = lines[1].split("\t")
+    if fault == "wrong-header":
+        return [lines[0].upper(), *lines[1:]], 1
+    if fault == "short-row":
+        return [lines[0], "\t".join(cells[:-1]), *lines[2:]], 2
+    return [lines[0], "\t".join([*cells[:-1], "many"]), *lines[2:]], 2
+
+
+@pytest.mark.parametrize("fault", ["short-row", "bad-integer", "wrong-header"])
+@pytest.mark.parametrize("table", TABLES)
+def test_malformed_table_fails_in_one_line_naming_file_and_line(
+    workdir, fixtures_dir, tmp_path, table, fault
+):
+    lines = _clean_table(table, fixtures_dir, workdir).decode("utf-8").splitlines()
+    lines, number = _malformed(lines, fault)
+    path = tmp_path / "table.tsv"
+    path.write_text("\n".join(lines) + "\n")
+    done = _read_table_through_cli(table, path, tmp_path, fixtures_dir, workdir)
+    assert done.returncode == 1
+    assert done.stderr.startswith(f"error: {path} line {number}: ")
+    assert done.stderr.count("\n") == 1 and done.stderr.endswith("\n")

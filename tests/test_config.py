@@ -88,9 +88,24 @@ def test_bad_tense_override_rejected():
          r"legality_rules names unknown rules \['NO_SUCH_RULE'\]"),
         (5, "config must be a JSON object, got 5"),
         (["dedup_min_chars"], "config must be a JSON object"),
+        ({"dedup_min_chars": True}, "dedup_min_chars must be a JSON integer >= 1, got true"),
+        ({"dedup_min_chars": 20.9}, "dedup_min_chars must be a JSON integer >= 1, got 20.9"),
+        ({"dedup_min_chars": 0}, "dedup_min_chars must be a JSON integer >= 1, got 0"),
+        ({"dedup_min_tokens": "5"}, 'dedup_min_tokens must be a JSON integer >= 1, got "5"'),
+        ({"min_test_sentences": -1}, "min_test_sentences must be a JSON integer >= 0, got -1"),
+        ({"dev_fraction": "0.1"}, r'dev_fraction must be a JSON number in \[0, 1\], got "0.1"'),
+        ({"dev_fraction": 2}, r"dev_fraction must be a JSON number in \[0, 1\], got 2"),
+        ({"dev_fraction": -0.5}, r"dev_fraction must be a JSON number in \[0, 1\], got -0.5"),
+        ({"dev_fraction": False}, r"dev_fraction must be a JSON number in \[0, 1\], got false"),
+        ({"iri_window": 3.7}, 'iri_window must be "sentence" or a JSON integer >= 0, got 3.7'),
+        ({"iri_window": True}, 'iri_window must be "sentence" or a JSON integer >= 0, got true'),
+        ({"iri_window": "3"}, 'iri_window must be "sentence" or a JSON integer >= 0, got "3"'),
     ],
     ids=["string-for-array", "number-in-array", "string-for-bool", "number-for-bool",
-         "rule-string-for-array", "unknown-rule", "number-for-object", "array-for-object"],
+         "rule-string-for-array", "unknown-rule", "number-for-object", "array-for-object",
+         "bool-for-int", "float-for-int", "zero-min-chars", "string-for-int", "negative-min-test",
+         "string-for-fraction", "fraction-above-one", "negative-fraction", "bool-for-fraction",
+         "float-for-window", "bool-for-window", "string-number-for-window"],
 )
 def test_values_of_the_wrong_json_type_are_rejected(data, message):
     with pytest.raises(ConfigError, match=message):
@@ -103,7 +118,16 @@ def test_well_typed_values_are_kept():
         "pronoun_person_repair": False,
         "include_upos_in_string": True,
         "legality_rules": ["PRON_MISSING_NOMINAL_FEATS"],
+        "dedup_min_chars": 1,
+        "dedup_min_tokens": 3,
+        "min_test_sentences": 0,
+        "dev_fraction": 1,
+        "iri_window": 0,
     })
+    assert (config.dedup_min_chars, config.dedup_min_tokens, config.min_test_sentences) == (1, 3, 0)
+    assert config.dev_fraction == 1.0 and isinstance(config.dev_fraction, float)
+    assert config.iri_window == 0
+    assert ToolConfig.from_dict({"dev_fraction": 0.1, "iri_window": "sentence"}).dev_fraction == 0.1
     assert config.atomicity_exceptions == ("cl_",)
     assert config.pronoun_person_repair is False
     assert config.include_upos_in_string is True

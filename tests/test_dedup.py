@@ -211,3 +211,17 @@ def test_bad_manifest_row_names_file_and_line(tmp_path, row):
     path.write_text(f"sent_a\tsent_b\tbasis\talign_length\nx\ty\tchar-prefix\t7\n{row}\n")
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line 3: expected sent_a, sent_b, basis"):
         read_manifest(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["sent_a\tsent_b\tbasis\tlength\nx\ty\tchar-prefix\t7\n", "x\ty\tchar-prefix\t7\n"],
+    ids=["renamed-column", "no-header"],
+)
+def test_manifest_without_its_header_is_rejected(tmp_path, text):
+    path = tmp_path / "dups.tsv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=(
+        f"^{re.escape(str(path))} line 1: expected header 'sent_a\\\\tsent_b\\\\tbasis\\\\talign_length'"
+    )):
+        read_manifest(path)

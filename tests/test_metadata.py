@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from latintb.metadata import (
@@ -9,8 +11,7 @@ from latintb.metadata import (
     TextMetadata,
     assign_time_period,
     load_metadata,
-    parse_metadata,
-    serialize_metadata,
+    read_metadata,
     validate_metadata,
 )
 
@@ -47,7 +48,7 @@ def test_third_century_is_an_error():
 
 
 def test_valid_fixture_table_has_no_violations(fixtures_dir):
-    rows = parse_metadata((fixtures_dir / "metadata.tsv").read_text(encoding="utf-8"))
+    rows = read_metadata(fixtures_dir / "metadata.tsv")
     assert validate_metadata(rows) == []
 
 
@@ -81,12 +82,6 @@ def test_unknown_genre_flagged():
     assert "unknown-genre" in codes
 
 
-def test_serialize_then_reload_is_byte_stable(fixtures_dir):
-    rows = parse_metadata((fixtures_dir / "metadata.tsv").read_text(encoding="utf-8"))
-    once = serialize_metadata(rows)
-    assert serialize_metadata(parse_metadata(once)) == once
-
-
 def test_count_crosscheck(ud_corpus):
     counts = {}
     for sentence in ud_corpus:
@@ -98,10 +93,12 @@ def test_count_crosscheck(ud_corpus):
     assert "count-mismatch" in codes
 
 
+HEADER = "treebank\twork_id\tauthor\tcentury\tis_bible\tgenres\ttrain_sents\tdev_sents\ttest_sents"
+
+
 def test_strict_load_raises(tmp_path):
     table = tmp_path / "meta.tsv"
-    header = "treebank\twork_id\tauthor\tcentury\tis_bible\tgenres\ttrain_sents\tdev_sents\ttest_sents"
-    table.write_text(header + "\nPerseus\tw\tA\t0\tfalse\tspeech\t1\t0\t0\n")
+    table.write_text(HEADER + "\nPerseus\tw\tA\t0\tfalse\tspeech\t1\t0\t0\n")
     with pytest.raises(MetadataError, match="violations"):
         load_metadata(table)
 
@@ -109,5 +106,23 @@ def test_strict_load_raises(tmp_path):
 def test_bad_header_rejected(tmp_path):
     table = tmp_path / "meta.tsv"
     table.write_text("wrong\theader\n")
-    with pytest.raises(MetadataError, match="header"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(table))} line 1: expected header"):
         load_metadata(table)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("Perseus\tw\tA\t-1\tfalse\tspeech\t1\t0", "expected 9 columns, got 8"),
+        ("Perseus\tw\tA\tI BCE\tfalse\tspeech\t1\t0\t0", "invalid literal for int"),
+        ("Perseus\tw\tA\t-1\tyes\tspeech\t1\t0\t0", "is_bible must be true or false, got 'yes'"),
+        ("Perseus\tw\tA\t-1\tTrue\tspeech\t1\t0\t0", "is_bible must be true or false, got 'True'"),
+    ],
+    ids=["short-row", "bad-integer", "is-bible-yes", "is-bible-capitalized"],
+)
+def test_bad_row_error_names_file_and_line(tmp_path, row, message):
+    table = tmp_path / "meta.tsv"
+    # the comment and the blank line count: the bad row is file line 5
+    table.write_text(f"# works\n{HEADER}\n\nPerseus\tv\tA\t-1\tfalse\tspeech\t1\t0\t0\n{row}\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(table))} line 5: {message}"):
+        read_metadata(table)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -260,3 +261,29 @@ def test_manifest_json_roundtrip(tmp_path, manifests):
     path = tmp_path / "m.json"
     write_manifest(path, manifest)
     assert read_manifest(path) == manifest
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("Classical\tw\ttrain\t3\n", "line 1: expected header 'period\\\\twork_id\\\\tsplit\\\\tsentences'"),
+        ("period\twork_id\tsplit\tsentences\nClassical\tw\ttrain\n", "line 2: expected 4 columns, got 3"),
+        ("period\twork_id\tsplit\tsentences\nClassical\tw\ttrain\tmany\n", "line 2: invalid literal for int"),
+        ("period\twork_id\tsplit\tsentences\nClassical\tw\tTrain\t3\n",
+         "line 2: split must be train or test, got 'Train'"),
+        ("period\twork_id\tsplit\tsentences\nClassical\tw\ttset\t3\n",
+         "line 2: split must be train or test, got 'tset'"),
+    ],
+    ids=["no-header", "short-row", "bad-integer", "capitalized-split", "misspelt-split"],
+)
+def test_bad_published_table_names_file_and_line(tmp_path, text, error):
+    path = tmp_path / "published.tsv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))} {error}"):
+        load_published_assignment(path)
+
+
+def test_published_table_keeps_its_first_row(tmp_path):
+    path = tmp_path / "published.tsv"
+    path.write_text("period\twork_id\tsplit\tsentences\nClassical\tw\ttest\t3\n")
+    assert load_published_assignment(path) == {"w": ("Classical", "test")}
