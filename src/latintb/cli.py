@@ -11,7 +11,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from collections import Counter
 from pathlib import Path
 
 # evaluation, and with it numpy, is imported by eval and perm-test only
@@ -189,7 +188,10 @@ def cmd_metadata_validate(args, config: ToolConfig) -> int:
     corpus_counts = None
     if args.corpus is not None:
         sentences, _ = load_corpus(args.corpus, args.flavor, config)
-        corpus_counts = Counter(sentence.work_id or "?" for sentence in sentences)
+        corpus_counts = {}
+        for sentence in sentences:
+            work = sentence.work_id or "?"
+            corpus_counts[work] = corpus_counts.get(work, 0) + 1
     violations = validate_metadata(rows, corpus_counts=corpus_counts)
     for violation in violations:
         print(f"{violation.work_id}\t{violation.code}\t{violation.message}")

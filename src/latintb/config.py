@@ -67,36 +67,23 @@ class ToolConfig:
         return config
 
 
-def _strings(name: str, value) -> tuple[str, ...]:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise ConfigError(f"{name} must be a JSON array of strings, got {json.dumps(value)}")
-    return tuple(value)
-
-
-def _integer(minimum: int):
-    def coerce(name: str, value) -> int:
-        if type(value) is not int or value < minimum:
-            raise ConfigError(f"{name} must be a JSON integer >= {minimum}, got {json.dumps(value)}")
-        return value
+def _checked(expected: str, valid, convert=None):
+    """A coercer that keeps a JSON value ``valid`` accepts, or names ``expected``."""
+    def coerce(name: str, value):
+        if not valid(value):
+            raise ConfigError(f"{name} must be {expected}, got {json.dumps(value)}")
+        return value if convert is None else convert(value)
     return coerce
 
 
-def _fraction(name: str, value) -> float:
-    if type(value) not in (int, float) or not 0 <= value <= 1:
-        raise ConfigError(f"{name} must be a JSON number in [0, 1], got {json.dumps(value)}")
-    return float(value)
+def _integer(minimum: int):
+    return _checked(f"a JSON integer >= {minimum}", lambda v: type(v) is int and v >= minimum)
 
 
-def _window(name: str, value) -> int | str:
-    if value != "sentence" and (type(value) is not int or value < 0):
-        raise ConfigError(f'{name} must be "sentence" or a JSON integer >= 0, got {json.dumps(value)}')
-    return value
-
-
-def _boolean(name: str, value) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{name} must be true or false, got {json.dumps(value)}")
-    return value
+_boolean = _checked("true or false", lambda v: isinstance(v, bool))
+_strings = _checked(
+    "a JSON array of strings", lambda v: type(v) is list and all(type(s) is str for s in v), tuple
+)
 
 
 def _legality_rules(name: str, value) -> tuple[str, ...]:
@@ -111,10 +98,14 @@ def _legality_rules(name: str, value) -> tuple[str, ...]:
 _FIELDS = {
     "dedup_min_chars": _integer(1),
     "dedup_min_tokens": _integer(1),
-    "dev_fraction": _fraction,
+    "dev_fraction": _checked(
+        "a JSON number in [0, 1]", lambda v: type(v) in (int, float) and 0 <= v <= 1, float
+    ),
     "min_test_sentences": _integer(0),
     "atomicity_exceptions": _strings,
-    "iri_window": _window,
+    "iri_window": _checked(
+        '"sentence" or a JSON integer >= 0', lambda v: v == "sentence" or type(v) is int and v >= 0
+    ),
     "pronoun_person_repair": _boolean,
     "include_upos_in_string": _boolean,
     "legality_rules": _legality_rules,

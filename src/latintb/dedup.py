@@ -8,7 +8,7 @@ most one partner per sentence.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from difflib import SequenceMatcher
 from pathlib import Path
@@ -144,12 +144,18 @@ def duplicate_report(
     metadata: Mapping[str, TextMetadata] | None = None,
 ) -> list[tuple[str, str, int]]:
     """Per-work duplicate counts as (author, work, count) rows."""
-    counts = Counter(pair.work_a or pair.work_b or "?" for pair in pairs)
-    metadata = metadata or {}
-    return sorted(
-        (metadata[work].author if work in metadata else "", work, count)
-        for work, count in counts.items()
-    )
+    counts: dict[str, int] = defaultdict(int)
+    for pair in pairs:
+        work = pair.work_a or pair.work_b or "?"
+        counts[work] += 1
+    rows = []
+    for work in sorted(counts):
+        author = ""
+        if metadata is not None and work in metadata:
+            author = metadata[work].author
+        rows.append((author, work, counts[work]))
+    rows.sort(key=lambda r: (r[0], r[1]))
+    return rows
 
 
 def write_manifest(

@@ -3,11 +3,13 @@ one strict reader for every TSV input."""
 
 from __future__ import annotations
 
-from importlib.resources.abc import Traversable
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
 
 from . import __version__
+
+if TYPE_CHECKING:  # importlib.resources.abc is new in Python 3.11
+    from importlib.resources.abc import Traversable
 
 T = TypeVar("T")
 
@@ -36,9 +38,7 @@ def write_tsv(
 
 
 def read_table(
-    path: str | Path | Traversable,
-    header: Sequence[str],
-    convert: Callable[[list[str]], T],
+    path: str | Path | Traversable, header: Sequence[str], convert: Callable[[list[str]], T]
 ) -> list[T]:
     """``convert(cells)`` for each data row of a TSV table.
 
@@ -48,9 +48,8 @@ def read_table(
     """
     path = Path(path) if isinstance(path, str) else path
     expected = "\t".join(header)
-    lines = path.read_text(encoding="utf-8-sig").splitlines()
     rows: list[T] | None = None
-    for number, line in enumerate(lines, start=1):
+    for number, line in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), start=1):
         if not line or line.startswith("#"):
             continue
         try:

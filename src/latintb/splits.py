@@ -148,7 +148,13 @@ def shared_works(
     Accepts DuplicatePairs or raw manifest rows (sent_a is the UD side).
     """
     ud_sent_work = {s.sent_id: s.work_id for s in ud_corpus}
-    return {work for sent in duplicate_ud_sentences(duplicates) if (work := ud_sent_work.get(sent))}
+    works = set()
+    for item in duplicates:
+        sent_a = item.sent_a if isinstance(item, DuplicatePair) else item[0]
+        work = ud_sent_work.get(sent_a)
+        if work:
+            works.add(work)
+    return works
 
 
 def duplicate_ud_sentences(

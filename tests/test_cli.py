@@ -316,6 +316,25 @@ def test_version_runs_without_numpy(tmp_path):
     assert done.stdout == f"latintb {latintb.__version__}\n"
 
 
+def test_cli_runs_without_importlib_resources_abc():
+    # Python 3.10, which pyproject.toml allows, has no importlib.resources.abc.
+    code = (
+        "import importlib.abc, sys\n"
+        "class Block(importlib.abc.MetaPathFinder):\n"
+        "    def find_spec(self, name, path, target=None):\n"
+        "        if name == 'importlib.resources.abc':\n"
+        "            raise ModuleNotFoundError(name)\n"
+        "sys.modules.pop('importlib.resources.abc', None)\n"
+        "sys.meta_path.insert(0, Block())\n"
+        "import latintb.cli, latintb.splits\n"
+        "print(len(latintb.splits.load_published_assignment()) > 0)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=_src_path()))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "True\n"
+
+
 def test_config_value_of_the_wrong_type_fails_in_one_line(fixtures_dir, tmp_path):
     config = tmp_path / "config.json"
     for document, message in (
