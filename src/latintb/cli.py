@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 # evaluation, and with it numpy, is imported by eval and perm-test only
@@ -188,10 +189,7 @@ def cmd_metadata_validate(args, config: ToolConfig) -> int:
     corpus_counts = None
     if args.corpus is not None:
         sentences, _ = load_corpus(args.corpus, args.flavor, config)
-        corpus_counts = {}
-        for sentence in sentences:
-            work = sentence.work_id or "?"
-            corpus_counts[work] = corpus_counts.get(work, 0) + 1
+        corpus_counts = Counter(sentence.work_id or "?" for sentence in sentences)
     violations = validate_metadata(rows, corpus_counts=corpus_counts)
     for violation in violations:
         print(f"{violation.work_id}\t{violation.code}\t{violation.message}")
@@ -268,19 +266,19 @@ def cmd_split(args, config: ToolConfig) -> int:
     return 0 if all_passed else 1
 
 
-def _aligned_records(gold_path: Path, pred_path: Path, config: ToolConfig):
+def _aligned_records(config: ToolConfig, gold_path: Path, *pred_paths: Path):
     from . import evaluation
 
-    gold, _ = load_corpus(gold_path, "ud", config)
-    pred, _ = load_corpus(pred_path, "ud", config)
-    evaluation.check_alignment(gold, pred)
-    return evaluation.records_of(gold), evaluation.records_of(pred)
+    gold, *preds = [load_corpus(path, "ud", config)[0] for path in (gold_path, *pred_paths)]
+    for pred in preds:
+        evaluation.check_alignment(gold, pred)
+    return [evaluation.records_of(corpus) for corpus in (gold, *preds)]
 
 
 def cmd_eval(args, config: ToolConfig) -> int:
     from . import evaluation
 
-    gold_records, pred_records = _aligned_records(args.gold, args.pred, config)
+    gold_records, pred_records = _aligned_records(config, args.gold, args.pred)
     report = evaluation.evaluate(
         gold_records, pred_records, include_upos=config.include_upos_in_string
     )
@@ -303,15 +301,8 @@ def cmd_perm_test(args, config: ToolConfig) -> int:
     if args.iterations < 1:
         print(f"usage error: --n must be >= 1, got {args.iterations}", file=sys.stderr)
         return 2
-    gold, _ = load_corpus(args.gold, "ud", config)
-    pred_a, _ = load_corpus(args.pred_a, "ud", config)
-    pred_b, _ = load_corpus(args.pred_b, "ud", config)
-    evaluation.check_alignment(gold, pred_a)
-    evaluation.check_alignment(gold, pred_b)
     result = evaluation.permutation_test(
-        evaluation.records_of(gold),
-        evaluation.records_of(pred_a),
-        evaluation.records_of(pred_b),
+        *_aligned_records(config, args.gold, args.pred_a, args.pred_b),
         args.metric,
         iterations=args.iterations,
         seed=args.seed,

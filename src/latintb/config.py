@@ -12,8 +12,9 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .conllu import ColumnMapping
 from .dedup import DEFAULT_MIN_CHARS, DEFAULT_MIN_TOKENS
-from .lasla import DEFAULT_LASLA_MAPPING, ColumnMapping
+from .lasla import DEFAULT_LASLA_MAPPING
 from .splits import DEFAULT_DEV_FRACTION, DEFAULT_MIN_TEST
 from .standardize import DEFAULT_LEGALITY_RULES, LEGALITY_RULES, TenseAspectTable
 

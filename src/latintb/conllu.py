@@ -1,15 +1,20 @@
 """Read, model, and write CoNLL-U treebank files.
 
-Word tokens become immutable records; multiword-token ranges ("4-5") and
-empty nodes ("5.1") are kept as verbatim lines and woven back on output,
-so a canonical file survives a parse/serialize cycle byte for byte.
+One reader serves every corpus flavor: a ColumnMapping says where each
+CoNLL-U field sits in a row, so plain CoNLL-U and LASLA's export differ
+only in their mapping. Word tokens become immutable records;
+multiword-token ranges ("4-5") and empty nodes ("5.1") are kept as
+verbatim lines and woven back on output, so a canonical file survives a
+parse/serialize cycle byte for byte.
 """
 
 from __future__ import annotations
 
 import io
 import re
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
@@ -20,8 +25,8 @@ UPOS_TAGS = frozenset(
     }
 )
 
-_RANGE_ID = re.compile(r"^\d+-\d+$")
-_EMPTY_NODE_ID = re.compile(r"^\d+\.\d+$")
+# a multiword-token range ("4-5") or an empty node ("5.1")
+_EXTRA_ID = re.compile(r"^\d+[-.]\d+$")
 _WORD_ID = re.compile(r"^\d+$")
 
 
@@ -66,18 +71,6 @@ class FeatureBundle:
             index[name] = values
         self._entries = tuple(normalized)
         self._index = index
-
-    @classmethod
-    def from_string(cls, feats: str) -> "FeatureBundle":
-        if feats == "_" or feats == "":
-            return cls()
-        entries = []
-        for item in feats.split("|"):
-            if "=" not in item:
-                raise ValueError(f"feature item without '=': {item!r}")
-            name, values = item.split("=", 1)
-            entries.append((name, values.split(",")))
-        return cls(entries)
 
     @classmethod
     def from_dict(cls, mapping: dict[str, str | Iterable[str]]) -> "FeatureBundle":
@@ -211,10 +204,6 @@ def _parse_misc(text: str) -> tuple[tuple[str, str | None], ...]:
     return tuple(entries)
 
 
-def _opt(col: str) -> str | None:
-    return None if col == "_" else col
-
-
 def read_blocks(
     source: str | TextIO,
     *,
@@ -226,8 +215,8 @@ def read_blocks(
     Yields ``(comments, meta, rows, end)`` per block: the verbatim
     comment lines, their ``# key = value`` pairs (the last one of a key
     wins), the ``(line_no, columns)`` rows, and the number of the line
-    that closed the block. Raises ParseError for a row without exactly
-    ``n_columns`` columns and for a block of comments without rows.
+    that closed the block; a block of comments has no rows. Raises
+    ParseError for a row without exactly ``n_columns`` columns.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
@@ -236,17 +225,12 @@ def read_blocks(
     meta: dict[str, str] = {}
     rows: list[tuple[int, list[str]]] = []
 
-    def block(end: int):
-        if not rows:
-            raise ParseError(f"line {end}: sentence block without token lines")
-        return tuple(comments), meta, rows, end
-
     line_no = 0
     for line_no, raw in enumerate(source, start=1):
         line = raw.rstrip("\n")
         if line == "":
             if comments or rows:
-                yield block(line_no)
+                yield tuple(comments), meta, rows, line_no
                 comments, meta, rows = [], {}, []
             continue
         if line.startswith("#"):
@@ -265,91 +249,218 @@ def read_blocks(
         rows.append((line_no, cols))
 
     if comments or rows:
-        yield block(line_no)
+        yield tuple(comments), meta, rows, line_no
 
 
-def parse_conllu(
-    source: str | TextIO,
-    *,
-    default_work_id: str | None = None,
-) -> list[Sentence]:
-    """Parse CoNLL-U text into sentences.
+FIELDS = ("id", "form", "lemma", "upos", "xpos", "feats", "head", "deprel", "deps", "misc")
+MANDATORY_FIELDS = ("form", "lemma", "upos", "feats")
 
-    Raises ParseError for malformed lines (with line number and current
-    sentence id) and StructureError for non-monotonic token ids.
+
+class MappingError(ValueError):
+    """Invalid or incomplete column mapping."""
+
+
+@dataclass(frozen=True, slots=True)
+class ColumnMapping:
+    """Where each CoNLL-U field lives in the source rows.
+
+    ``columns`` maps field names from FIELDS to 0-based columns. A field
+    without a column reads as ``_``; without an ``id`` column, tokens are
+    numbered by position. ``feature_renames`` maps source feature names
+    to internal ones; ``value_renames`` maps, per internal feature name,
+    source values to internal values. ``known_values`` (optional) lists
+    the expected value inventory per feature; values outside it are
+    passed through but counted as warnings.
     """
-    sentences: list[Sentence] = []
-    doc_id: str | None = None
-    # One bundle per distinct FEATS string; a string that fails to
-    # parse is never stored, so it raises again on every line.
-    bundles: dict[str, FeatureBundle] = {}
 
-    for comments, meta, rows, end in read_blocks(source):
-        sent_id = meta.get("sent_id")
-        # a "# newdoc id" carries over to the blocks that follow it
-        doc_id = meta.get("newdoc id", doc_id)
-        tokens: list[Token] = []
-        extras: list[tuple[int, str]] = []
-        for line_no, cols in rows:
-            tok_id = cols[0]
-            if _RANGE_ID.match(tok_id) or _EMPTY_NODE_ID.match(tok_id):
-                extras.append((len(tokens), "\t".join(cols)))
-                continue
-            if not _WORD_ID.match(tok_id):
-                raise ParseError(
-                    f"line {line_no} (sentence {sent_id!r}): bad token id {tok_id!r}"
+    columns: dict[str, int] = field(
+        default_factory=lambda: {
+            "id": 0, "form": 1, "lemma": 2, "upos": 3, "xpos": 4, "feats": 5,
+        }
+    )
+    n_columns: int = 10
+    separator: str = "\t"
+    feature_renames: dict[str, str] = field(default_factory=dict)
+    value_renames: dict[str, dict[str, str]] = field(default_factory=dict)
+    known_values: dict[str, frozenset[str]] | None = None
+
+    def __post_init__(self) -> None:
+        for name in self.columns:
+            if name not in FIELDS:
+                raise MappingError(
+                    f"{name!r} is not a CoNLL-U field; fields are {', '.join(FIELDS)}"
                 )
-            if cols[3] != "_" and cols[3] not in UPOS_TAGS:
-                raise ParseError(
-                    f"line {line_no} (sentence {sent_id!r}): unknown UPOS {cols[3]!r}"
+        for name in MANDATORY_FIELDS:
+            if name not in self.columns:
+                raise MappingError(f"mandatory field {name!r} has no column assignment")
+        tables = {f"value renames for {f!r}": table for f, table in self.value_renames.items()}
+        for what, table in {**tables, "feature renames": self.feature_renames}.items():
+            if len(set(table.values())) != len(table):
+                raise MappingError(f"{what} are not injective")
+        for name, index in self.columns.items():
+            if not 0 <= index < self.n_columns:
+                raise MappingError(
+                    f"column {index} of field {name!r} is outside "
+                    f"0..{self.n_columns - 1}"
                 )
-            try:
-                feats = bundles.get(cols[5])
-                if feats is None:
-                    feats = bundles[cols[5]] = FeatureBundle.from_string(cols[5])
-                misc = _parse_misc(cols[9])
-                tokens.append(
-                    Token(
-                        id=int(tok_id),
-                        form=cols[1],
-                        lemma=cols[2],
-                        upos=cols[3],
-                        xpos=_opt(cols[4]),
-                        feats=feats,
-                        head=_opt(cols[6]),
-                        deprel=_opt(cols[7]),
-                        deps=_opt(cols[8]),
-                        misc=misc,
-                    )
-                )
-            except StructureError:
-                raise
-            except ValueError as exc:
-                raise ParseError(
-                    f"line {line_no} (sentence {sent_id!r}): {exc}"
-                ) from exc
-        if not tokens:
-            raise ParseError(f"line {end}: sentence block without token lines")
-        sentences.append(
-            Sentence(
-                sent_id=sent_id if sent_id is not None else f"sent{len(sentences) + 1}",
-                tokens=tuple(tokens),
-                text=meta.get("text"),
-                doc_id=doc_id,
-                work_id=meta.get("work_id") or doc_id or default_work_id,
-                comments=comments,
-                extras=tuple(extras),
-            )
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "ColumnMapping":
+        kwargs = dict(data)
+        if "known_values" in kwargs and kwargs["known_values"] is not None:
+            kwargs["known_values"] = {
+                feature: frozenset(values)
+                for feature, values in kwargs["known_values"].items()
+            }
+        if "columns" in kwargs:
+            kwargs["columns"] = {k: int(v) for k, v in kwargs["columns"].items()}
+        return cls(**kwargs)
+
+
+# Plain CoNLL-U: all ten columns, no renames, no inventory.
+CONLLU_MAPPING = ColumnMapping(columns={name: i for i, name in enumerate(FIELDS)})
+
+
+def _mapped_feats(
+    raw: str, mapping: ColumnMapping
+) -> tuple[FeatureBundle, tuple[tuple[str, str], ...]]:
+    """The bundle of one raw FEATS string under the mapping's renames,
+    and its (feature, value) pairs outside the declared inventory."""
+    if raw in ("", "_"):
+        return FeatureBundle(), ()
+    entries = []
+    unknown = []
+    for item in raw.split("|"):
+        if "=" not in item:
+            raise ValueError(f"feature item without '=': {item!r}")
+        name, values = item.split("=", 1)
+        name = mapping.feature_renames.get(name, name)
+        renames = mapping.value_renames.get(name, {})
+        mapped = tuple(renames.get(v, v) for v in values.split(","))
+        if mapping.known_values is not None and name in mapping.known_values:
+            inventory = mapping.known_values[name]
+            unknown.extend((name, value) for value in mapped if value not in inventory)
+        entries.append((name, mapped))
+    return FeatureBundle(entries), tuple(unknown)
+
+
+class CorpusReader:
+    """Reads the files of one corpus through one ColumnMapping.
+
+    Each distinct raw FEATS string gets one bundle for the life of the
+    reader, so the files of a corpus share their bundles. The key is the
+    raw string, never bundle equality: ``Mood=Sub,Ind`` and
+    ``Mood=Ind,Sub`` are equal bundles that standardize to different
+    moods. A string that fails to parse is never stored, so it raises
+    again on every line. ``unknown_values`` counts every occurrence of a
+    value outside the mapping's inventory.
+    """
+
+    def __init__(self, mapping: ColumnMapping = CONLLU_MAPPING):
+        self.mapping = mapping
+        self.unknown_values: Counter = Counter()
+        self._bundles: dict[str, tuple[FeatureBundle, tuple[tuple[str, str], ...]]] = {}
+        # the fields after the id, as one tuple per row; a field without a
+        # column reads the "_" appended to every row
+        self._fields = itemgetter(
+            *(mapping.columns.get(name, mapping.n_columns) for name in FIELDS[1:])
         )
-    return sentences
+
+    def read(self, source: str | TextIO, *, stem: str | None = None) -> list[Sentence]:
+        """Parse CoNLL-U-like text into sentences.
+
+        Sentences without a work id take ``stem``, and those without a
+        ``# sent_id`` are numbered ``<stem>-<n>`` (``sent-<n>`` without a
+        stem). Raises ParseError for malformed lines (with line number
+        and current sentence id) and StructureError for token ids that do
+        not increase.
+        """
+        mapping = self.mapping
+        id_column = mapping.columns.get("id")
+        fields, bundles = self._fields, self._bundles
+        sentences: list[Sentence] = []
+        doc_id: str | None = None
+
+        for comments, meta, rows, end in read_blocks(
+            source, separator=mapping.separator, n_columns=mapping.n_columns
+        ):
+            sent_id = meta.get("sent_id")
+            # a "# newdoc id" carries over to the blocks that follow it
+            doc_id = meta.get("newdoc id", doc_id)
+            tokens: list[Token] = []
+            extras: list[tuple[int, str]] = []
+            for line_no, cols in rows:
+                try:
+                    if id_column is None:
+                        tok_id = len(tokens) + 1
+                    else:
+                        raw_id = cols[id_column]
+                        if _EXTRA_ID.match(raw_id):
+                            extras.append((len(tokens), "\t".join(cols)))
+                            continue
+                        if not _WORD_ID.match(raw_id):
+                            raise ValueError(f"bad token id {raw_id!r}")
+                        tok_id = int(raw_id)
+                    cols.append("_")
+                    form, lemma, upos, xpos, feats, head, deprel, deps, misc = fields(cols)
+                    if upos != "_" and upos not in UPOS_TAGS:
+                        raise ValueError(f"unknown UPOS {upos!r}")
+                    hit = bundles.get(feats)
+                    if hit is None:
+                        hit = bundles[feats] = _mapped_feats(feats, mapping)
+                    if hit[1]:
+                        self.unknown_values.update(hit[1])
+                    tokens.append(
+                        Token(
+                            id=tok_id,
+                            form=form,
+                            lemma=lemma,
+                            upos=upos,
+                            xpos=None if xpos == "_" else xpos,
+                            feats=hit[0],
+                            head=None if head == "_" else head,
+                            deprel=None if deprel == "_" else deprel,
+                            deps=None if deps == "_" else deps,
+                            misc=_parse_misc(misc),
+                        )
+                    )
+                except ValueError as exc:
+                    raise ParseError(
+                        f"line {line_no} (sentence {sent_id!r}): {exc}"
+                    ) from exc
+            if not tokens:
+                raise ParseError(f"line {end}: sentence block without token lines")
+            if sent_id is None:
+                sent_id = f"{stem or 'sent'}-{len(sentences) + 1}"
+            sentences.append(
+                Sentence(
+                    sent_id=sent_id,
+                    tokens=tuple(tokens),
+                    text=meta.get("text"),
+                    doc_id=doc_id,
+                    work_id=meta.get("work_id") or doc_id or stem,
+                    comments=comments,
+                    extras=tuple(extras),
+                )
+            )
+        return sentences
+
+    def read_file(self, path: str | Path) -> list[Sentence]:
+        """Read one file with its stem as the ``stem`` of ``read``. A
+        leading UTF-8 byte-order mark is skipped."""
+        path = Path(path)
+        with open(path, encoding="utf-8-sig") as handle:
+            return self.read(handle, stem=path.stem)
+
+
+def parse_conllu(source: str | TextIO) -> list[Sentence]:
+    """Plain CoNLL-U text as sentences; see ``CorpusReader.read``."""
+    return CorpusReader().read(source)
 
 
 def parse_conllu_file(path: str | Path) -> list[Sentence]:
-    """Parse one file; sentences without a work id take the file stem.
-    A leading UTF-8 byte-order mark is skipped."""
-    path = Path(path)
-    with open(path, encoding="utf-8-sig") as handle:
-        return parse_conllu(handle, default_work_id=path.stem)
+    """One plain CoNLL-U file as sentences; see ``CorpusReader.read_file``."""
+    return CorpusReader().read_file(path)
 
 
 def serialize_sentence(sentence: Sentence) -> str:

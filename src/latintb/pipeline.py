@@ -14,11 +14,10 @@ from pathlib import Path
 from typing import Sequence
 
 from .config import ToolConfig
-from .conllu import FeatureBundle, Sentence, Token, parse_conllu_file
+from .conllu import CONLLU_MAPPING, ConlluError, CorpusReader, FeatureBundle, Sentence, Token
 from .dedup import align_tokens
 from .agreement import AlignedTokenPair
 from .harmonize import harmonize_sentence
-from .lasla import ingest_lasla_file
 from .normalize import matching_key
 from .standardize import StandardRecord, standardize_lasla, standardize_ud
 
@@ -36,20 +35,11 @@ def corpus_files(path: str | Path) -> list[Path]:
     return [path]
 
 
-def _read_ud(file: Path, config: ToolConfig) -> tuple[list[Sentence], Counter]:
-    return parse_conllu_file(file), Counter()
-
-
-def _read_lasla(file: Path, config: ToolConfig) -> tuple[list[Sentence], Counter]:
-    result = ingest_lasla_file(file, config.lasla_mapping)
-    return result.sentences, result.unknown_values
-
-
-# The one place a corpus flavor is dispatched: its file reader and its
-# token standardizer.
+# The one place a corpus flavor is dispatched: its column mapping (given
+# the config) and its token standardizer.
 _FLAVORS = {
-    "ud": (_read_ud, standardize_ud),
-    "lasla": (_read_lasla, standardize_lasla),
+    "ud": (lambda config: CONLLU_MAPPING, standardize_ud),
+    "lasla": (lambda config: config.lasla_mapping, standardize_lasla),
 }
 
 
@@ -67,20 +57,28 @@ def load_corpus(
     *,
     jobs: int = 1,
 ) -> tuple[list[Sentence], Counter]:
-    """Read a file or a directory of .conllu files, in sorted file order.
+    """Read a file or a directory of .conllu files, in sorted file order,
+    through one reader, so every file shares its FEATS bundles.
 
-    Returns the sentences and the LASLA unknown-value counts. ``jobs`` is
-    accepted and ignored: the files are read in one thread.
+    Returns the sentences and the counts of values outside the mapping's
+    inventory (LASLA's). A sent_id that two sentences share is a
+    ConlluError. ``jobs`` is accepted and ignored: the files are read in
+    one thread.
     """
-    read, _ = _flavor(flavor)
-    config = config or ToolConfig()
+    mapping, _ = _flavor(flavor)
+    reader = CorpusReader(mapping(config or ToolConfig()))
     sentences: list[Sentence] = []
-    unknown: Counter = Counter()
+    files: dict[str, Path] = {}  # sent_id -> the file that holds it
     for file in corpus_files(path):
-        batch, counts = read(file, config)
-        sentences.extend(batch)
-        unknown.update(counts)
-    return sentences, unknown
+        for sentence in reader.read_file(file):
+            if sentence.sent_id in files:
+                raise ConlluError(
+                    f"sentence id {sentence.sent_id!r} appears in {files[sentence.sent_id]} "
+                    f"and in {file}"
+                )
+            files[sentence.sent_id] = file
+            sentences.append(sentence)
+    return sentences, reader.unknown_values
 
 
 @dataclass(slots=True)
@@ -143,7 +141,7 @@ def convert_corpus(
     config = config or ToolConfig()
     result = ConversionResult(sentences=[], records=[])
     # A token's standard record depends only on its UPOS, its FEATS and
-    # its Traditional* MISC values, and the readers share one bundle per
+    # its Traditional* MISC values, and the reader shares one bundle per
     # distinct FEATS string, so tokens that share all four share one
     # record. The memo holds each bundle, so no id key outlives its
     # object. Harmonization reads the sentence and stays per token.

@@ -105,17 +105,21 @@ def load_published_assignment(path: str | Path | None = None) -> dict[str, tuple
     """work_id -> (period, split) from the published work-level table."""
     if path is None:
         path = resources.files("latintb.data").joinpath("published_split_assignment.tsv")
-    return dict(read_table(path, ("period", "work_id", "split", "sentences"), _published_row))
+    assignment: dict[str, tuple[str, str]] = {}
 
+    def row(cells: list[str]) -> None:
+        if len(cells) != 4:
+            raise ValueError(f"expected 4 columns, got {len(cells)}")
+        period, work_id, split, sentences = cells
+        if split not in ("train", "test"):
+            raise ValueError(f"split must be train or test, got {split!r}")
+        int(sentences)  # checked, though splits are built from the corpus counts
+        if work_id in assignment:
+            raise ValueError(f"work {work_id!r} is listed twice")
+        assignment[work_id] = (period, split)
 
-def _published_row(cells: list[str]) -> tuple[str, tuple[str, str]]:
-    if len(cells) != 4:
-        raise ValueError(f"expected 4 columns, got {len(cells)}")
-    period, work_id, split, sentences = cells
-    if split not in ("train", "test"):
-        raise ValueError(f"split must be train or test, got {split!r}")
-    int(sentences)  # checked, though splits are built from the corpus counts
-    return work_id, (period, split)
+    read_table(path, ("period", "work_id", "split", "sentences"), row)
+    return assignment
 
 
 @dataclass(slots=True)

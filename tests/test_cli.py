@@ -286,15 +286,48 @@ def test_eval_and_perm_test_outputs_are_pinned(workdir, tmp_path):
         )
 
 
+# The convert outputs of both fixture corpora, pinned byte for byte:
+# the sha256 of `sha256sum *` run in each output directory.
+CONVERT_TREE_SHA256 = {
+    "ud": "25f33661e43e67016c822a91bec60ab5add4ef22cce6fdbfb82b0d42339839fb",
+    "lasla": "e65c882dc007f1393fe761077779f3ee29a766bd7237d73a72367da02ca44a2e",
+}
+
+
+@pytest.mark.parametrize("flavor", sorted(CONVERT_TREE_SHA256))
+def test_convert_outputs_are_pinned(workdir, flavor):
+    files = sorted((workdir / "std" / flavor).iterdir())
+    listing = "".join(f"{hashlib.sha256(f.read_bytes()).hexdigest()}  {f.name}\n" for f in files)
+    assert hashlib.sha256(listing.encode()).hexdigest() == CONVERT_TREE_SHA256[flavor]
+
+
+def test_a_sentence_id_shared_by_two_files_fails_in_one_line(fixtures_dir, tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name in ("a", "b"):
+        (corpus / f"{name}.conllu").write_text(f"# sent_id = s1\n1\t{name}\t{name}\tNOUN\t_\t_\t_\t_\t_\t_\n")
+    done = _run_cli("lint", "--in", corpus, "--flavor", "ud", "--out", tmp_path / "lint.tsv")
+    assert done.returncode == 1
+    assert done.stderr == (
+        f"error: sentence id 's1' appears in {corpus / 'a.conllu'} and in {corpus / 'b.conllu'}\n"
+    )
+
+
 def test_lasla_mapping_column_outside_the_row_is_a_config_error(fixtures_dir, tmp_path):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"lasla_mapping": {"columns": {
-        "id": 0, "form": 1, "lemma": 2, "upos": 3, "feats": 12}}}))
-    done = _run_cli("lint", "--in", fixtures_dir / "lasla", "--flavor", "lasla",
-                    "--config", config, "--out", tmp_path / "lint.tsv")
-    assert done.returncode == 2
-    assert "Traceback" not in done.stderr
-    assert done.stderr == "config error: column 12 of field 'feats' is outside 0..9\n"
+    columns = {"id": 0, "form": 1, "lemma": 2, "upos": 3, "feats": 5}
+    for extra, message in (
+        ({"feats": 12}, "column 12 of field 'feats' is outside 0..9"),
+        # a misspelled field would otherwise be read by nothing
+        ({"lemmas": 7}, "'lemmas' is not a CoNLL-U field; fields are id, form, lemma, upos, "
+                        "xpos, feats, head, deprel, deps, misc"),
+    ):
+        config.write_text(json.dumps({"lasla_mapping": {"columns": {**columns, **extra}}}))
+        done = _run_cli("lint", "--in", fixtures_dir / "lasla", "--flavor", "lasla",
+                        "--config", config, "--out", tmp_path / "lint.tsv")
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert done.stderr == f"config error: {message}\n"
 
 
 def test_importing_the_cli_does_not_import_numpy():
@@ -482,11 +515,20 @@ def _malformed(lines: list[str], fault: str) -> tuple[list[str], int]:
         return [lines[0].upper(), *lines[1:]], 1
     if fault == "short-row":
         return [lines[0], "\t".join(cells[:-1]), *lines[2:]], 2
+    if fault == "repeated-work":
+        # the first work again, on the other side of the split
+        cells[2] = {"train": "test", "test": "train"}[cells[2]]
+        return [*lines[:3], "\t".join(cells), *lines[3:]], 4
     return [lines[0], "\t".join([*cells[:-1], "many"]), *lines[2:]], 2
 
 
-@pytest.mark.parametrize("fault", ["short-row", "bad-integer", "wrong-header"])
-@pytest.mark.parametrize("table", TABLES)
+MALFORMED_TABLES = [
+    *((table, fault) for table in TABLES for fault in ("short-row", "bad-integer", "wrong-header")),
+    ("published", "repeated-work"),
+]
+
+
+@pytest.mark.parametrize("table, fault", MALFORMED_TABLES, ids=[f"{t}-{f}" for t, f in MALFORMED_TABLES])
 def test_malformed_table_fails_in_one_line_naming_file_and_line(
     workdir, fixtures_dir, tmp_path, table, fault
 ):

@@ -3,8 +3,7 @@ import json
 import pytest
 
 from latintb.config import ConfigError, ToolConfig
-from latintb.conllu import FeatureBundle, Token
-from latintb.lasla import ingest_lasla
+from latintb.conllu import CorpusReader, FeatureBundle, Token
 from latintb.standardize import standardize_lasla
 
 
@@ -36,9 +35,9 @@ def test_load_overrides(tmp_path):
     assert config.iri_window == 2
     assert config.config_hash != "default"
 
-    result = ingest_lasla("amabat\tamo\tVERB\tNumber=Plural|Tense=Past|Aspect=Prosp\n",
-                          config.lasla_mapping, work_id="w")
-    token = result.sentences[0].tokens[0]
+    [sentence] = CorpusReader(config.lasla_mapping).read(
+        "amabat\tamo\tVERB\tNumber=Plural|Tense=Past|Aspect=Prosp\n", stem="w")
+    token = sentence.tokens[0]
     assert token.feats.get("Number") == ("Plur",)
     assert standardize_lasla(token, tense_table=config.tense_table).tense == "Fut"
 

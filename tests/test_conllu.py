@@ -4,7 +4,10 @@ import io
 import pytest
 from hypothesis import given, strategies as st
 
+from latintb.cli import main
 from latintb.conllu import (
+    CONLLU_MAPPING,
+    CorpusReader,
     FeatureBundle,
     ParseError,
     Sentence,
@@ -15,9 +18,15 @@ from latintb.conllu import (
     read_blocks,
     serialize_conllu,
 )
-from latintb.lasla import ingest_lasla, ingest_lasla_file
+from latintb.lasla import DEFAULT_LASLA_MAPPING, ingest_lasla_file
+from latintb.pipeline import load_corpus
 
 ARMA = "1\tarma\tarma\tNOUN\t_\tCase=Acc|Number=Plur\t_\t_\t_\t_"
+
+
+def _feats(raw: str) -> FeatureBundle:
+    """The bundle the reader makes of one raw FEATS cell."""
+    return parse_conllu(f"1\tx\tx\tNOUN\t_\t{raw}\t_\t_\t_\t_\n")[0].tokens[0].feats
 
 
 def test_parse_single_token_line():
@@ -31,7 +40,7 @@ def test_parse_single_token_line():
 
 
 def test_multi_value_gender_parses():
-    bundle = FeatureBundle.from_string("Gender=Fem,Masc")
+    bundle = _feats("Gender=Fem,Masc")
     assert bundle.get("Gender") == ("Fem", "Masc")
 
 
@@ -140,8 +149,8 @@ def test_bundle_serialization_is_insertion_order_free(mapping, rnd):
 def test_bundle_parse_serialize_identity_on_canonical_form(mapping):
     bundle = FeatureBundle(mapping.items())
     canonical = bundle.to_string()
-    assert FeatureBundle.from_string(canonical).to_string() == canonical
-    assert FeatureBundle.from_string(canonical) == bundle
+    assert _feats(canonical).to_string() == canonical
+    assert _feats(canonical) == bundle
 
 
 def test_repeated_malformed_feats_raise_at_each_line():
@@ -165,10 +174,11 @@ def test_repeated_malformed_feats_raise_at_each_line():
 FLAVORS = pytest.mark.parametrize("flavor", ["ud", "lasla"])
 
 
+MAPPINGS = {"ud": CONLLU_MAPPING, "lasla": DEFAULT_LASLA_MAPPING}
+
+
 def _read(flavor, text):
-    if flavor == "ud":
-        return parse_conllu(text)
-    return ingest_lasla(text, work_id="w").sentences
+    return CorpusReader(MAPPINGS[flavor]).read(text, stem="w")
 
 
 @FLAVORS
@@ -214,6 +224,66 @@ def test_work_id_comment_wins_over_newdoc_id(flavor):
         assert sentence.work_id == "w1"
 
 
+@FLAVORS
+def test_newdoc_id_text_and_empty_cells_are_kept(flavor):
+    text = (f"# newdoc id = d1\n# sent_id = s1\n# text = arma\n{ARMA}\n\n"
+            f"# sent_id = s2\n{ARMA.replace('arma', '')}\n")
+    first, second = _read(flavor, text)
+    # the doc id carries over to the blocks that follow it
+    assert [s.work_id for s in (first, second)] == ["d1", "d1"]
+    assert [s.doc_id for s in (first, second)] == ["d1", "d1"]
+    assert (first.text, second.text) == ("arma", None)
+    assert (second.tokens[0].form, second.tokens[0].lemma) == ("", "")
+
+
+@FLAVORS
+def test_range_and_empty_node_lines_are_written_back_by_convert(flavor, tmp_path):
+    text = (
+        "# sent_id = s1\n"
+        "1-2\tdello\t_\t_\t_\t_\t_\t_\t_\t_\n"
+        "1\tde\tde\tADP\t_\t_\t_\t_\t_\t_\n"
+        "2\tlo\tlo\tDET\t_\t_\t_\t_\t_\t_\n"
+        "2.1\tnull\t_\t_\t_\t_\t_\t_\t_\t_\n"
+    )
+    (tmp_path / "in").mkdir()
+    (tmp_path / "in" / "f.conllu").write_text(text)
+    assert [t.form for t in _read(flavor, text)[0].tokens] == ["de", "lo"]
+    assert main(["convert", "--in", str(tmp_path / "in"), "--flavor", flavor,
+                 "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "f.conllu").read_text() == text
+
+
+@FLAVORS
+def test_sentences_without_ids_are_numbered_per_file_stem(flavor, tmp_path):
+    (tmp_path / "a.conllu").write_text(f"{ARMA}\n\n{ARMA}\n")
+    (tmp_path / "b.conllu").write_text(f"{ARMA}\n")
+    sentences, _ = load_corpus(tmp_path, flavor)
+    assert [s.sent_id for s in sentences] == ["a-1", "a-2", "b-1"]
+    assert [s.work_id for s in sentences] == ["a", "a", "b"]
+
+
+@FLAVORS
+@pytest.mark.parametrize("token_id", ["_", "x", "1a", "-1", "0"])
+def test_a_bad_token_id_names_its_line(flavor, token_id):
+    text = f"{ARMA}\n\n# sent_id = s1\n{token_id}{ARMA[1:]}\n"
+    error = "token id must be >= 1, got 0" if token_id == "0" else f"bad token id '{token_id}'"
+    with pytest.raises(ParseError, match=rf"^line 4 \(sentence 's1'\): {error}$"):
+        _read(flavor, text)
+
+
+@FLAVORS
+def test_one_bundle_per_raw_feats_string_across_the_files_of_a_corpus(flavor, tmp_path):
+    line = "1\tx\tx\tVERB\t_\t{}\t_\t_\t_\t_\n"
+    (tmp_path / "a.conllu").write_text(line.format("Mood=Sub,Ind|Tense=Pres"))
+    (tmp_path / "b.conllu").write_text(
+        line.format("Mood=Sub,Ind|Tense=Pres") + "\n" + line.format("Mood=Ind,Sub|Tense=Pres"))
+    a, b, c = (s.tokens[0].feats for s in load_corpus(tmp_path, flavor)[0])
+    assert a is b
+    # equal bundles from different strings stay apart: the value order
+    # decides the standard mood
+    assert b == c and b is not c
+
+
 def test_read_blocks_metadata_last_wins_and_custom_columns():
     text = "# sent_id = a\n# sent_id = b\n# note\nx;y\n\n\nz;w\n"
     blocks = list(read_blocks(text, separator=";", n_columns=2))
@@ -228,7 +298,5 @@ def test_file_readers_skip_a_byte_order_mark(fixtures_dir, tmp_path, flavor, nam
     source = fixtures_dir / flavor / name
     copy = tmp_path / name
     copy.write_bytes(codecs.BOM_UTF8 + source.read_bytes())
-    if flavor == "ud":
-        assert parse_conllu_file(copy) == parse_conllu_file(source)
-    else:
-        assert ingest_lasla_file(copy) == ingest_lasla_file(source)
+    read = parse_conllu_file if flavor == "ud" else ingest_lasla_file
+    assert read(copy) == read(source)

@@ -1,12 +1,7 @@
 import pytest
 
-from latintb.conllu import ParseError
-from latintb.lasla import (
-    DEFAULT_LASLA_MAPPING,
-    ColumnMapping,
-    MappingError,
-    ingest_lasla,
-)
+from latintb.conllu import ColumnMapping, CorpusReader, MappingError, ParseError
+from latintb.lasla import DEFAULT_LASLA_MAPPING, ingest_lasla_file
 
 SAMPLE = """\
 # sent_id = w-s1
@@ -16,26 +11,31 @@ SAMPLE = """\
 """
 
 
+def ingest(text, mapping=DEFAULT_LASLA_MAPPING, stem="w"):
+    """The sentences and the unknown-value counts of one LASLA text."""
+    reader = CorpusReader(mapping)
+    return reader.read(text, stem=stem), reader.unknown_values
+
+
 def test_multi_value_gender_survives():
-    result = ingest_lasla(SAMPLE, work_id="w")
-    token = result.sentences[0].tokens[0]
+    sentences, _ = ingest(SAMPLE)
+    token = sentences[0].tokens[0]
     assert token.feats.get("Gender") == ("Fem", "Masc", "Neut")
 
 
 def test_plural_renamed_to_plur():
-    result = ingest_lasla(SAMPLE, work_id="w")
-    token = result.sentences[0].tokens[1]
+    sentences, _ = ingest(SAMPLE)
+    token = sentences[0].tokens[1]
     assert token.feats.get("Number") == ("Plur",)
 
 
 def test_empty_feats_cell_is_empty_bundle():
-    result = ingest_lasla(SAMPLE, work_id="w")
-    assert len(result.sentences[0].tokens[2].feats) == 0
+    sentences, _ = ingest(SAMPLE)
+    assert len(sentences[0].tokens[2].feats) == 0
 
 
 def test_work_id_from_provenance():
-    result = ingest_lasla(SAMPLE.replace("# sent_id = w-s1\n", ""), work_id="opus")
-    sentence = result.sentences[0]
+    [sentence], _ = ingest(SAMPLE.replace("# sent_id = w-s1\n", ""), stem="opus")
     assert sentence.work_id == "opus"
     assert sentence.sent_id == "opus-1"
 
@@ -63,20 +63,20 @@ def test_unknown_values_counted_not_dropped():
         known_values={"Number": frozenset({"Sing", "Plur"})},
     )
     text = "1\tx\tx\tNOUN\t_\tNumber=Dualis\t_\t_\t_\t_\n"
-    result = ingest_lasla(text, mapping, work_id="w")
-    assert result.unknown_values[("Number", "Dualis")] == 1
-    assert result.sentences[0].tokens[0].feats.get("Number") == ("Dualis",)
+    sentences, unknown = ingest(text, mapping)
+    assert unknown[("Number", "Dualis")] == 1
+    assert sentences[0].tokens[0].feats.get("Number") == ("Dualis",)
 
 
 def test_repeated_feats_share_a_bundle_and_count_every_unknown_value():
     text = "".join(
         f"{i}\tx\tx\tNOUN\t_\tCase=Erg|Number=Plural\t_\t_\t_\t_\n" for i in (1, 2, 3)
     )
-    result = ingest_lasla(text, work_id="w")
-    tokens = result.sentences[0].tokens
+    sentences, unknown = ingest(text)
+    tokens = sentences[0].tokens
     assert tokens[0].feats is tokens[1].feats is tokens[2].feats
     assert tokens[0].feats.get("Number") == ("Plur",)
-    assert result.unknown_values == {("Case", "Erg"): 3}
+    assert unknown == {("Case", "Erg"): 3}
 
 
 def test_default_mapping_warns_on_out_of_inventory_values():
@@ -84,18 +84,17 @@ def test_default_mapping_warns_on_out_of_inventory_values():
         "1\tx\tx\tNOUN\t_\tCase=Erg\t_\t_\t_\t_\n"
         "2\ty\ty\tNOUN\t_\tPronType=Emp\t_\t_\t_\t_\n"
     )
-    result = ingest_lasla(text, work_id="w")
-    assert result.unknown_values[("Case", "Erg")] == 1
+    _, unknown = ingest(text)
+    assert unknown[("Case", "Erg")] == 1
     # features without a declared inventory pass silently
-    assert ("PronType", "Emp") not in result.unknown_values
+    assert ("PronType", "Emp") not in unknown
 
 
 def test_fixture_corpus_ingests_without_warnings(fixtures_dir):
-    from latintb.lasla import ingest_lasla_file
-
     for path in sorted((fixtures_dir / "lasla").glob("*.conllu")):
-        result = ingest_lasla_file(path)
-        assert not result.unknown_values, (path, result.unknown_values)
+        reader = CorpusReader(DEFAULT_LASLA_MAPPING)
+        assert reader.read_file(path) == ingest_lasla_file(path)
+        assert not reader.unknown_values, (path, reader.unknown_values)
 
 
 def test_never_fabricates_values(fixtures_dir, lasla_corpus):
@@ -129,8 +128,8 @@ def test_columnar_variant_mapping():
         separator="\t",
     )
     text = "amat\tamo\tVERB\tMood=Ind|Tense=Pres\n"
-    result = ingest_lasla(text, mapping, work_id="col")
-    token = result.sentences[0].tokens[0]
+    sentences, _ = ingest(text, mapping, stem="col")
+    token = sentences[0].tokens[0]
     assert token.form == "amat"
     assert token.id == 1
     assert token.feats.get("Mood") == ("Ind",)
@@ -150,11 +149,11 @@ def test_order_and_segmentation_preserved(fixtures_dir, lasla_corpus):
 
 def test_wrong_column_count_is_parse_error():
     with pytest.raises(ParseError, match="expected 10 columns"):
-        ingest_lasla("1\tonly\tthree\n", work_id="w")
+        ingest("1\tonly\tthree\n")
 
 
 def test_feature_rename_applied():
     mapping = ColumnMapping(feature_renames={"Genus": "Gender"})
     text = "1\tx\tx\tNOUN\t_\tGenus=Fem\t_\t_\t_\t_\n"
-    result = ingest_lasla(text, mapping, work_id="w")
-    assert result.sentences[0].tokens[0].feats.get("Gender") == ("Fem",)
+    sentences, _ = ingest(text, mapping)
+    assert sentences[0].tokens[0].feats.get("Gender") == ("Fem",)

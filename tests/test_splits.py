@@ -273,8 +273,11 @@ def test_manifest_json_roundtrip(tmp_path, manifests):
          "line 2: split must be train or test, got 'Train'"),
         ("period\twork_id\tsplit\tsentences\nClassical\tw\ttset\t3\n",
          "line 2: split must be train or test, got 'tset'"),
+        ("period\twork_id\tsplit\tsentences\nClassical\tw\ttrain\t3\nClassical\tv\ttest\t2\n"
+         "Classical\tw\ttest\t3\n", "line 4: work 'w' is listed twice$"),
     ],
-    ids=["no-header", "short-row", "bad-integer", "capitalized-split", "misspelt-split"],
+    ids=["no-header", "short-row", "bad-integer", "capitalized-split", "misspelt-split",
+         "repeated-work"],
 )
 def test_bad_published_table_names_file_and_line(tmp_path, text, error):
     path = tmp_path / "published.tsv"
