@@ -21,7 +21,7 @@ from .config import ConfigError, ToolConfig
 from .conllu import write_conllu_file
 from .harmonize import ALL_RULES
 from .metadata import load_metadata, read_metadata, validate_metadata
-from .pipeline import aligned_pairs, convert_corpus, corpus_files, load_corpus
+from .pipeline import aligned_pairs, convert_corpus, load_corpus, read_corpus_files
 from .standardize import lint_token
 
 
@@ -102,11 +102,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_convert(args, config: ToolConfig) -> int:
+    # every file is read, and sentence ids checked, before any output
+    files, _ = read_corpus_files(args.input, args.flavor, config)
     args.out.mkdir(parents=True, exist_ok=True)
     audit_rows = []
     anomaly_rows = []
-    for file in corpus_files(args.input):
-        sentences, _ = load_corpus(file, args.flavor, config)
+    for file, sentences in files:
         result = convert_corpus(sentences, args.flavor, config)
         write_conllu_file(args.out / file.name, result.sentences)
         for rule in ALL_RULES:
@@ -298,9 +299,15 @@ def cmd_perm_test(args, config: ToolConfig) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    if args.iterations < 1:
-        print(f"usage error: --n must be >= 1, got {args.iterations}", file=sys.stderr)
-        return 2
+    for bad, message in (
+        (args.iterations < 1, f"--n must be >= 1, got {args.iterations}"),
+        (args.iterations > evaluation.MAX_ITERATIONS,
+         f"--n must be <= {evaluation.MAX_ITERATIONS}, got {args.iterations}"),
+        (args.seed < 0, f"--seed must be >= 0, got {args.seed}"),
+    ):
+        if bad:
+            print(f"usage error: {message}", file=sys.stderr)
+            return 2
     result = evaluation.permutation_test(
         *_aligned_records(config, args.gold, args.pred_a, args.pred_b),
         args.metric,

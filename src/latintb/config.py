@@ -110,6 +110,6 @@ _FIELDS = {
     "pronoun_person_repair": _boolean,
     "include_upos_in_string": _boolean,
     "legality_rules": _legality_rules,
-    "lasla_mapping": lambda _, value: ColumnMapping.from_dict(value),
+    "lasla_mapping": lambda name, value: ColumnMapping.from_dict(value, name),
     "tense_table": lambda _, value: TenseAspectTable.from_overrides(value),
 }

@@ -11,6 +11,7 @@ parse/serialize cycle byte for byte.
 from __future__ import annotations
 
 import io
+import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -305,16 +306,47 @@ class ColumnMapping:
                 )
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ColumnMapping":
+    def from_dict(cls, data, name: str) -> "ColumnMapping":
+        """A mapping from its JSON document; a key of the wrong JSON type
+        is a MappingError naming ``name`` and the key."""
+        if type(data) is not dict:
+            raise MappingError(f"{name} must be a JSON object, got {json.dumps(data)}")
+        unknown = set(data) - set(_MAPPING_KEYS)
+        if unknown:
+            raise MappingError(f"unknown {name} keys: {sorted(unknown)}")
+        for key, value in data.items():
+            expected, valid = _MAPPING_KEYS[key]
+            if not valid(value):
+                raise MappingError(f"{name}.{key} must be {expected}, got {json.dumps(value)}")
         kwargs = dict(data)
-        if "known_values" in kwargs and kwargs["known_values"] is not None:
+        if kwargs.get("known_values") is not None:
             kwargs["known_values"] = {
-                feature: frozenset(values)
-                for feature, values in kwargs["known_values"].items()
+                feature: frozenset(values) for feature, values in kwargs["known_values"].items()
             }
-        if "columns" in kwargs:
-            kwargs["columns"] = {k: int(v) for k, v in kwargs["columns"].items()}
         return cls(**kwargs)
+
+
+def _object_of(valid):
+    return lambda value: type(value) is dict and all(map(valid, value.values()))
+
+
+def _is_str(value) -> bool:
+    return type(value) is str
+
+
+# ColumnMapping's JSON keys: what each must be, and the check. JSON
+# booleans are not integers here, though Python's bool is an int.
+_MAPPING_KEYS = {
+    "columns": ("a JSON object of integers", _object_of(lambda v: type(v) is int)),
+    "n_columns": ("a JSON integer", lambda v: type(v) is int),
+    "separator": ("a non-empty string", lambda v: _is_str(v) and v != ""),
+    "feature_renames": ("a JSON object of strings", _object_of(_is_str)),
+    "value_renames": ("a JSON object of objects of strings", _object_of(_object_of(_is_str))),
+    "known_values": (
+        "null or a JSON object of string arrays",
+        lambda v: v is None or _object_of(lambda a: type(a) is list and all(map(_is_str, a)))(v),
+    ),
+}
 
 
 # Plain CoNLL-U: all ten columns, no renames, no inventory.

@@ -343,11 +343,87 @@ class PermutationResult:
     note: str | None = None
 
 
+# Iteration i's swap mask is, bit for bit,
+#   default_rng(SeedSequence(entropy=seed, spawn_key=(i,))).integers(0, 2, n)
+# but computed for a block of iterations at once: numpy's SeedSequence
+# hash and PCG64 seeding are replayed below, vectorized over i, and one
+# PCG64 is re-seeded per row. The constants are numpy's.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # SeedSequence entropy mixing
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # SeedSequence.generate_state
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+# Iteration i is one uint32 spawn word.
+MAX_ITERATIONS = 1 << 32
+
+
+def _hashmix(words: np.ndarray, hash_const: int, mult: int) -> tuple[np.ndarray, int]:
+    """SeedSequence's hash of uint32 ``words`` under one hash constant,
+    and the constant for the next word."""
+    value = words ^ np.uint32(hash_const)
+    hash_const = hash_const * mult & _MASK32
+    value *= np.uint32(hash_const)
+    value ^= value >> np.uint32(16)
+    return value, hash_const
+
+
+def _pcg64_seeds(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
+    """The PCG64 (state, inc) of ``default_rng(SeedSequence(entropy=seed,
+    spawn_key=(i,)))`` for each i in [start, stop)."""
+    # The pool of SeedSequence(entropy=seed) is the spawned sequence's
+    # pool before its one spawn word is mixed in (both hash a seed of
+    # under four words as if zero-padded to four); by then the hash
+    # constant has been stepped 16 times, plus 4 per entropy word past 4.
+    pool = np.random.SeedSequence(entropy=seed).pool.tolist()
+    extra_words = max(0, (int(seed).bit_length() + 31) // 32 - 4)
+    hash_const = _INIT_A * pow(_MULT_A, 16 + 4 * extra_words, 1 << 32) & _MASK32
+    spawn = np.arange(start, stop, dtype=np.uint32)
+    mixed = []
+    for word in pool:
+        value, hash_const = _hashmix(spawn, hash_const, _MULT_A)
+        value = np.uint32(_MIX_MULT_L * word & _MASK32) - value * np.uint32(_MIX_MULT_R)
+        value ^= value >> np.uint32(16)
+        mixed.append(value)
+    # generate_state(4, np.uint64): eight uint32 words cycling over the
+    # pool, paired little-endian into four uint64 words.
+    hash_const = _INIT_B
+    state = []
+    for k in range(8):
+        value, hash_const = _hashmix(mixed[k % 4], hash_const, _MULT_B)
+        state.append(value.astype(np.uint64))
+    s0, s1, s2, s3 = (
+        (state[2 * k] | state[2 * k + 1] << np.uint64(32)).tolist() for k in range(4)
+    )
+    seeds = []
+    for high_state, low_state, high_seq, low_seq in zip(s0, s1, s2, s3):
+        # PCG64's srandom: inc from the sequence, two steps around adding
+        # the initial state.
+        inc = ((high_seq << 64 | low_seq) << 1 | 1) & _MASK128
+        initstate = high_state << 64 | low_state
+        seeds.append((((inc + initstate) * _PCG64_MULT + inc) & _MASK128, inc))
+    return seeds
+
+
 def _swap_masks(seed: int, start: int, stop: int, n_sentences: int) -> np.ndarray:
+    """Swap masks of iterations [start, stop) as float64 0/1 rows."""
+    n_words = (n_sentences + 1) // 2
+    raw = np.empty((stop - start, n_words), dtype=np.uint64)
+    bitgen = np.random.PCG64(0)  # every row sets its own state
+    for row, (state, inc) in enumerate(_pcg64_seeds(seed, start, stop)):
+        bitgen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        raw[row] = bitgen.random_raw(n_words)
+    # integers(0, 2) draws 32 bits at a time, the low half of each 64-bit
+    # output first, and keeps the top bit: Lemire's method never rejects
+    # with a range of 2.
+    halves = raw.astype("<u8", copy=False).view("<u4")[:, :n_sentences]
     masks = np.empty((stop - start, n_sentences), dtype=np.float64)
-    for i in range(start, stop):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        masks[i - start] = rng.integers(0, 2, n_sentences)
+    np.greater_equal(halves, np.uint32(1 << 31), out=masks, casting="unsafe")
     return masks
 
 
@@ -368,13 +444,18 @@ def permutation_test(
     sentence with probability 1/2 and records the absolute metric
     difference over the whole shuffled set; p is the fraction of
     simulated differences at least as large as the observed one.
-    Iteration i draws from a seed derived from (seed, i). ``jobs`` is
-    accepted for interface symmetry with the other stages and ignored:
-    the work runs in this thread, because worker threads did not make
-    it faster.
+    Iteration i swaps sentence j when element j of
+    ``default_rng(SeedSequence(entropy=seed, spawn_key=(i,))).integers(0, 2, n_sentences)``
+    is 1, so a p-value can be recomputed with plain numpy. ``seed`` must
+    be >= 0 and ``iterations`` in 1..2**32 (i is one 32-bit spawn word).
+    ``jobs`` is accepted for interface symmetry with the other stages
+    and ignored: the work runs in this thread, because worker threads
+    did not make it faster.
     """
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
+    if not 1 <= iterations <= MAX_ITERATIONS:
+        raise ValueError(f"iterations must be in 1..{MAX_ITERATIONS}, got {iterations}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     _check_shape(gold, preds_a)
     _check_shape(gold, preds_b)
     codes = _Codes(gold, preds_a, preds_b)
@@ -385,7 +466,7 @@ def permutation_test(
 
     observed = float(machine.diffs(np.zeros((1, n_sentences)))[0])
 
-    chunk = 2048
+    chunk = 1024
     sims = np.concatenate([
         machine.diffs(_swap_masks(seed, start, min(start + chunk, iterations), n_sentences))
         for start in range(0, iterations, chunk)

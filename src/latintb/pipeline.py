@@ -50,6 +50,33 @@ def _flavor(flavor: str):
         raise ValueError(f"unknown flavor {flavor!r}") from None
 
 
+def read_corpus_files(
+    path: str | Path, flavor: str, config: ToolConfig | None = None
+) -> tuple[list[tuple[Path, list[Sentence]]], Counter]:
+    """Read a file or a directory of .conllu files, in sorted file order,
+    through one reader, so every file shares its FEATS bundles.
+
+    Returns each file with its sentences, and the counts of values
+    outside the mapping's inventory (LASLA's). A sent_id that two
+    sentences share is a ConlluError, raised before anything is returned.
+    """
+    mapping, _ = _flavor(flavor)
+    reader = CorpusReader(mapping(config or ToolConfig()))
+    files: list[tuple[Path, list[Sentence]]] = []
+    holder: dict[str, Path] = {}  # sent_id -> the file that holds it
+    for file in corpus_files(path):
+        sentences = reader.read_file(file)
+        for sentence in sentences:
+            if sentence.sent_id in holder:
+                raise ConlluError(
+                    f"sentence id {sentence.sent_id!r} appears in {holder[sentence.sent_id]} "
+                    f"and in {file}"
+                )
+            holder[sentence.sent_id] = file
+        files.append((file, sentences))
+    return files, reader.unknown_values
+
+
 def load_corpus(
     path: str | Path,
     flavor: str,
@@ -57,28 +84,12 @@ def load_corpus(
     *,
     jobs: int = 1,
 ) -> tuple[list[Sentence], Counter]:
-    """Read a file or a directory of .conllu files, in sorted file order,
-    through one reader, so every file shares its FEATS bundles.
-
-    Returns the sentences and the counts of values outside the mapping's
-    inventory (LASLA's). A sent_id that two sentences share is a
-    ConlluError. ``jobs`` is accepted and ignored: the files are read in
-    one thread.
+    """The sentences of every file of ``read_corpus_files``, in file
+    order, and the unknown-value counts. ``jobs`` is accepted and
+    ignored: the files are read in one thread.
     """
-    mapping, _ = _flavor(flavor)
-    reader = CorpusReader(mapping(config or ToolConfig()))
-    sentences: list[Sentence] = []
-    files: dict[str, Path] = {}  # sent_id -> the file that holds it
-    for file in corpus_files(path):
-        for sentence in reader.read_file(file):
-            if sentence.sent_id in files:
-                raise ConlluError(
-                    f"sentence id {sentence.sent_id!r} appears in {files[sentence.sent_id]} "
-                    f"and in {file}"
-                )
-            files[sentence.sent_id] = file
-            sentences.append(sentence)
-    return sentences, reader.unknown_values
+    files, unknown_values = read_corpus_files(path, flavor, config)
+    return [sentence for _, sentences in files for sentence in sentences], unknown_values
 
 
 @dataclass(slots=True)

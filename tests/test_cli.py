@@ -189,9 +189,15 @@ def test_unknown_metric_is_usage_error(workdir, tmp_path):
 def test_perm_test_needs_positive_iterations(tmp_path, capsys):
     # rejected before any file is read: the inputs do not exist
     missing = str(tmp_path / "missing.conllu")
-    assert main(["perm-test", "--gold", missing, "--a", missing, "--b", missing,
-                 "--n", "0"]) == 2
-    assert capsys.readouterr().err.startswith("usage error: --n must be >= 1")
+    for flags, message in (
+        (["--n", "0"], "--n must be >= 1, got 0"),
+        # iteration i is one 32-bit spawn word of the seed sequence
+        (["--n", str(2**32 + 1)], f"--n must be <= {2**32}, got {2**32 + 1}"),
+        (["--seed", "-1"], "--seed must be >= 0, got -1"),
+    ):
+        assert main(["perm-test", "--gold", missing, "--a", missing, "--b", missing,
+                     *flags]) == 2
+        assert capsys.readouterr().err == f"usage error: {message}\n"
 
 
 def test_perm_test_without_tokens_is_validation_failure(tmp_path, capsys):
@@ -306,23 +312,31 @@ def test_a_sentence_id_shared_by_two_files_fails_in_one_line(fixtures_dir, tmp_p
     corpus.mkdir()
     for name in ("a", "b"):
         (corpus / f"{name}.conllu").write_text(f"# sent_id = s1\n1\t{name}\t{name}\tNOUN\t_\t_\t_\t_\t_\t_\n")
-    done = _run_cli("lint", "--in", corpus, "--flavor", "ud", "--out", tmp_path / "lint.tsv")
-    assert done.returncode == 1
-    assert done.stderr == (
-        f"error: sentence id 's1' appears in {corpus / 'a.conllu'} and in {corpus / 'b.conllu'}\n"
-    )
+    for command, out in (("lint", tmp_path / "lint.tsv"), ("convert", tmp_path / "std")):
+        done = _run_cli(command, "--in", corpus, "--flavor", "ud", "--out", out)
+        assert done.returncode == 1
+        assert done.stderr == (
+            f"error: sentence id 's1' appears in {corpus / 'a.conllu'} and in {corpus / 'b.conllu'}\n"
+        )
+        assert not out.exists()
 
 
 def test_lasla_mapping_column_outside_the_row_is_a_config_error(fixtures_dir, tmp_path):
     config = tmp_path / "config.json"
     columns = {"id": 0, "form": 1, "lemma": 2, "upos": 3, "feats": 5}
-    for extra, message in (
-        ({"feats": 12}, "column 12 of field 'feats' is outside 0..9"),
+    for mapping, message in (
+        ({"columns": {**columns, "feats": 12}}, "column 12 of field 'feats' is outside 0..9"),
         # a misspelled field would otherwise be read by nothing
-        ({"lemmas": 7}, "'lemmas' is not a CoNLL-U field; fields are id, form, lemma, upos, "
-                        "xpos, feats, head, deprel, deps, misc"),
+        ({"columns": {**columns, "lemmas": 7}},
+         "'lemmas' is not a CoNLL-U field; fields are id, form, lemma, upos, "
+         "xpos, feats, head, deprel, deps, misc"),
+        ({"columns": [1, 2]}, "lasla_mapping.columns must be a JSON object of integers, got [1, 2]"),
+        # true would otherwise be read as column 1
+        ({"columns": {**columns, "feats": True}},
+         "lasla_mapping.columns must be a JSON object of integers, got "
+         + json.dumps({**columns, "feats": True})),
     ):
-        config.write_text(json.dumps({"lasla_mapping": {"columns": {**columns, **extra}}}))
+        config.write_text(json.dumps({"lasla_mapping": mapping}))
         done = _run_cli("lint", "--in", fixtures_dir / "lasla", "--flavor", "lasla",
                         "--config", config, "--out", tmp_path / "lint.tsv")
         assert done.returncode == 2

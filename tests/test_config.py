@@ -99,12 +99,37 @@ def test_bad_tense_override_rejected():
         ({"iri_window": 3.7}, 'iri_window must be "sentence" or a JSON integer >= 0, got 3.7'),
         ({"iri_window": True}, 'iri_window must be "sentence" or a JSON integer >= 0, got true'),
         ({"iri_window": "3"}, 'iri_window must be "sentence" or a JSON integer >= 0, got "3"'),
+        ({"lasla_mapping": [1, 2]}, r"lasla_mapping must be a JSON object, got \[1, 2\]"),
+        ({"lasla_mapping": {"column": {}}}, r"unknown lasla_mapping keys: \['column'\]"),
+        ({"lasla_mapping": {"columns": [1, 2]}},
+         r"lasla_mapping.columns must be a JSON object of integers, got \[1, 2\]"),
+        ({"lasla_mapping": {"columns": {"form": 1, "lemma": 2, "upos": 3, "feats": True}}},
+         "lasla_mapping.columns must be a JSON object of integers, got {.*\"feats\": true}"),
+        ({"lasla_mapping": {"columns": {"form": 1, "lemma": 2, "upos": 3, "feats": 5.0}}},
+         "lasla_mapping.columns must be a JSON object of integers"),
+        ({"lasla_mapping": {"n_columns": "10"}}, 'lasla_mapping.n_columns must be a JSON integer, got "10"'),
+        ({"lasla_mapping": {"n_columns": True}}, "lasla_mapping.n_columns must be a JSON integer, got true"),
+        ({"lasla_mapping": {"separator": ""}}, 'lasla_mapping.separator must be a non-empty string, got ""'),
+        ({"lasla_mapping": {"separator": 9}}, "lasla_mapping.separator must be a non-empty string, got 9"),
+        ({"lasla_mapping": {"feature_renames": {"Num": 1}}},
+         'lasla_mapping.feature_renames must be a JSON object of strings, got {"Num": 1}'),
+        ({"lasla_mapping": {"value_renames": {"Number": "Plur"}}},
+         'lasla_mapping.value_renames must be a JSON object of objects of strings, got {"Number": "Plur"}'),
+        ({"lasla_mapping": {"known_values": {"Case": "Nom"}}},
+         'lasla_mapping.known_values must be null or a JSON object of string arrays, got {"Case": "Nom"}'),
+        ({"lasla_mapping": {"known_values": {"Case": ["Nom", 1]}}},
+         "lasla_mapping.known_values must be null or a JSON object of string arrays"),
     ],
     ids=["string-for-array", "number-in-array", "string-for-bool", "number-for-bool",
          "rule-string-for-array", "unknown-rule", "number-for-object", "array-for-object",
          "bool-for-int", "float-for-int", "zero-min-chars", "string-for-int", "negative-min-test",
          "string-for-fraction", "fraction-above-one", "negative-fraction", "bool-for-fraction",
-         "float-for-window", "bool-for-window", "string-number-for-window"],
+         "float-for-window", "bool-for-window", "string-number-for-window",
+         "mapping-array-for-object", "mapping-unknown-key", "mapping-columns-array",
+         "mapping-bool-column", "mapping-float-column", "mapping-string-n-columns",
+         "mapping-bool-n-columns", "mapping-empty-separator", "mapping-number-separator",
+         "mapping-number-feature-rename", "mapping-string-value-renames",
+         "mapping-string-known-values", "mapping-number-in-known-values"],
 )
 def test_values_of_the_wrong_json_type_are_rejected(data, message):
     with pytest.raises(ConfigError, match=message):

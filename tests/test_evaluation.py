@@ -4,14 +4,16 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from latintb.conllu import FeatureBundle, Sentence, Token, parse_conllu
 from latintb.evaluation import (
     REPORT_FEATURES,
     AlignmentError,
+    MAX_ITERATIONS,
     _build_machine,
     _Codes,
+    _swap_masks,
     check_alignment,
     evaluate,
     macro_f1,
@@ -369,3 +371,59 @@ def test_iterations_must_be_positive():
     gold = [[StandardRecord(upos="NOUN")]]
     with pytest.raises(ValueError, match="iterations"):
         permutation_test(gold, gold, gold, "morph-acc", iterations=0)
+
+
+def test_seed_and_iterations_outside_the_spawn_word_are_rejected():
+    gold = [[StandardRecord(upos="NOUN")]]
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        permutation_test(gold, gold, gold, "morph-acc", iterations=10, seed=-1)
+    with pytest.raises(ValueError, match=f"iterations must be in 1..{2**32}, got {2**32 + 1}"):
+        permutation_test(gold, gold, gold, "morph-acc", iterations=MAX_ITERATIONS + 1)
+
+
+# --- the swap-mask draw ----------------------------------------------------
+
+
+def reference_swap_masks(seed, start, stop, n_sentences):
+    """One generator per iteration: the definition the fast draw reproduces."""
+    masks = np.empty((stop - start, n_sentences), dtype=np.float64)
+    for i in range(start, stop):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+        masks[i - start] = rng.integers(0, 2, n_sentences)
+    return masks
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**160),
+    start=st.integers(0, 2**32 - 3),
+    rows=st.integers(1, 3),
+    n_sentences=st.integers(1, 40),
+)
+@example(seed=0, start=0, rows=3, n_sentences=1)
+@example(seed=2**32 - 1, start=7, rows=3, n_sentences=2)
+@example(seed=2**32, start=2**32 - 3, rows=3, n_sentences=9)
+@example(seed=2**64 + 1, start=2**32 - 3, rows=3, n_sentences=10)
+@example(seed=2**128 + 12345, start=2**32 - 3, rows=3, n_sentences=813)
+@example(seed=2**128 + 12345, start=0, rows=3, n_sentences=2)
+def test_swap_masks_match_one_generator_per_iteration(seed, start, rows, n_sentences):
+    stop = start + rows
+    assert np.array_equal(
+        _swap_masks(seed, start, stop, n_sentences),
+        reference_swap_masks(seed, start, stop, n_sentences),
+    )
+
+
+@pytest.mark.parametrize("iterations", [1, 1023, 1024, 1025, 2049])
+@pytest.mark.parametrize("metric", ["morph-acc", "macro-f1:Case"])
+def test_p_value_matches_a_row_by_row_loop_over_reference_masks(metric, iterations):
+    rng = random.Random(12)
+    gold = random_corpus(rng, 9, max_tokens=5)
+    preds_a = corrupt(gold, rng, 0.3)
+    preds_b = corrupt(gold, rng, 0.4)
+    machine = _build_machine(_Codes(gold, preds_a, preds_b), metric, False)
+    observed = machine.diffs(np.zeros((1, len(gold))))[0]
+    masks = reference_swap_masks(13, 0, iterations, len(gold))
+    hits = sum(machine.diffs(mask[None, :])[0] >= observed for mask in masks)
+    result = permutation_test(gold, preds_a, preds_b, metric, iterations=iterations, seed=13)
+    assert result.p_value == hits / iterations
