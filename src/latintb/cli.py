@@ -21,7 +21,7 @@ from .config import ConfigError, ToolConfig
 from .conllu import write_conllu_file
 from .harmonize import ALL_RULES
 from .metadata import load_metadata, read_metadata, validate_metadata
-from .pipeline import aligned_pairs, convert_corpus, load_corpus, read_corpus_files
+from .pipeline import Converter, aligned_pairs, convert_corpus, load_corpus, read_corpus_files
 from .standardize import lint_token
 
 
@@ -107,8 +107,9 @@ def cmd_convert(args, config: ToolConfig) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     audit_rows = []
     anomaly_rows = []
+    converter = Converter(args.flavor, config)  # its memos serve every file
     for file, sentences in files:
-        result = convert_corpus(sentences, args.flavor, config)
+        result = converter.convert(sentences)
         write_conllu_file(args.out / file.name, result.sentences)
         for rule in ALL_RULES:
             if result.audit.get(rule):

@@ -50,22 +50,25 @@ class ToolConfig:
         return cls.from_dict(data)
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ToolConfig":
-        if not isinstance(data, dict):
-            raise ConfigError(f"config must be a JSON object, got {json.dumps(data)}")
-        unknown = set(data) - set(_FIELDS)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        config = cls()
-        for name, coerce in _FIELDS.items():
-            if name in data:
-                try:
-                    setattr(config, name, coerce(name, data[name]))
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(str(exc)) from exc
+    def from_dict(cls, data) -> "ToolConfig":
+        try:
+            config = cls(**_object("config", _FIELDS, data))
+        except ValueError as exc:  # also a MappingError or a bad tense/aspect table
+            raise ConfigError(str(exc)) from exc
         canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
         config.config_hash = hashlib.sha256(canonical.encode()).hexdigest()[:12]
         return config
+
+
+def _object(what: str, fields: dict, data, prefix: str = "") -> dict:
+    """The values of the JSON object ``data``, each turned by its key's
+    coercer in ``fields``; ``prefix`` starts each key's name in errors."""
+    if type(data) is not dict:
+        raise ConfigError(f"{what} must be a JSON object, got {json.dumps(data)}")
+    unknown = set(data) - set(fields)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    return {key: coerce(prefix + key, data[key]) for key, coerce in fields.items() if key in data}
 
 
 def _checked(expected: str, valid, convert=None):
@@ -81,10 +84,21 @@ def _integer(minimum: int):
     return _checked(f"a JSON integer >= {minimum}", lambda v: type(v) is int and v >= minimum)
 
 
+def _is(kind: type):
+    """A check that a JSON value has exactly this type: a JSON boolean is no integer."""
+    return lambda value: type(value) is kind
+
+
+def _array_of(valid):
+    return lambda value: type(value) is list and all(map(valid, value))
+
+
+def _object_of(valid):
+    return lambda value: type(value) is dict and all(map(valid, value.values()))
+
+
 _boolean = _checked("true or false", lambda v: isinstance(v, bool))
-_strings = _checked(
-    "a JSON array of strings", lambda v: type(v) is list and all(type(s) is str for s in v), tuple
-)
+_strings = _checked("a JSON array of strings", _array_of(_is(str)), tuple)
 
 
 def _legality_rules(name: str, value) -> tuple[str, ...]:
@@ -94,6 +108,23 @@ def _legality_rules(name: str, value) -> tuple[str, ...]:
         raise ConfigError(f"{name} names unknown rules {unknown}")
     return rules
 
+
+# lasla_mapping key -> the function that turns its JSON value into the
+# ColumnMapping argument.
+_MAPPING_FIELDS = {
+    "columns": _checked("a JSON object of integers", _object_of(_is(int))),
+    "n_columns": _checked("a JSON integer", _is(int)),
+    "separator": _checked("a non-empty string", lambda v: type(v) is str and v != ""),
+    "feature_renames": _checked("a JSON object of strings", _object_of(_is(str))),
+    "value_renames": _checked(
+        "a JSON object of objects of strings", _object_of(_object_of(_is(str)))
+    ),
+    "known_values": _checked(
+        "null or a JSON object of string arrays",
+        lambda v: v is None or _object_of(_array_of(_is(str)))(v),
+        lambda v: None if v is None else {name: frozenset(values) for name, values in v.items()},
+    ),
+}
 
 # Config key -> the function that turns its JSON value into the field's value.
 _FIELDS = {
@@ -110,6 +141,12 @@ _FIELDS = {
     "pronoun_person_repair": _boolean,
     "include_upos_in_string": _boolean,
     "legality_rules": _legality_rules,
-    "lasla_mapping": lambda name, value: ColumnMapping.from_dict(value, name),
-    "tense_table": lambda _, value: TenseAspectTable.from_overrides(value),
+    "lasla_mapping": lambda name, value: ColumnMapping(
+        **_object(name, _MAPPING_FIELDS, value, f"{name}.")
+    ),
+    "tense_table": _checked(
+        "a JSON object of strings or nulls",
+        _object_of(lambda v: v is None or type(v) is str),
+        TenseAspectTable.from_overrides,
+    ),
 }

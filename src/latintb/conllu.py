@@ -11,7 +11,6 @@ parse/serialize cycle byte for byte.
 from __future__ import annotations
 
 import io
-import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -47,14 +46,15 @@ class FeatureBundle:
     """Multi-valued morphological feature map.
 
     Insertion order is kept for inspection, but equality, hashing, and
-    serialization all use the canonical order: feature names ascending
-    case-insensitively, values ascending within a feature.
+    serialization all use the canonical string, rendered once: feature
+    names ascending case-insensitively, values ascending within a
+    feature. Names and values cannot hold "=|,", so two bundles render
+    alike exactly when they hold the same features and values.
     """
 
-    __slots__ = ("_entries", "_index")
+    __slots__ = ("_index", "_string")
 
     def __init__(self, entries: Iterable[tuple[str, Iterable[str]]] = ()):
-        normalized = []
         index: dict[str, tuple[str, ...]] = {}
         for name, values in entries:
             values = tuple(values)
@@ -68,10 +68,12 @@ class FeatureBundle:
                 raise ValueError(f"feature {name!r} has a value with structural characters")
             if name in index:
                 raise ValueError(f"duplicate feature {name!r}")
-            normalized.append((name, values))
             index[name] = values
-        self._entries = tuple(normalized)
         self._index = index
+        self._string = "|".join(
+            f"{name}={','.join(sorted(index[name]))}"
+            for name in sorted(index, key=lambda name: (name.lower(), name))
+        ) or "_"
 
     @classmethod
     def from_dict(cls, mapping: dict[str, str | Iterable[str]]) -> "FeatureBundle":
@@ -90,29 +92,19 @@ class FeatureBundle:
         return values[0] if values else None
 
     def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self._entries)
+        return tuple(self._index)
 
     def items(self) -> tuple[tuple[str, tuple[str, ...]], ...]:
-        return self._entries
-
-    def canonical_items(self) -> tuple[tuple[str, tuple[str, ...]], ...]:
-        return tuple(
-            (name, tuple(sorted(values)))
-            for name, values in sorted(self._entries, key=lambda e: (e[0].lower(), e[0]))
-        )
+        return tuple(self._index.items())
 
     def to_string(self) -> str:
-        if not self._entries:
-            return "_"
-        return "|".join(
-            f"{name}={','.join(values)}" for name, values in self.canonical_items()
-        )
+        return self._string
 
     def __bool__(self) -> bool:
-        return bool(self._entries)
+        return bool(self._index)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._index)
 
     def __contains__(self, name: str) -> bool:
         return name in self._index
@@ -120,13 +112,13 @@ class FeatureBundle:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FeatureBundle):
             return NotImplemented
-        return self.canonical_items() == other.canonical_items()
+        return self._string == other._string
 
     def __hash__(self) -> int:
-        return hash(self.canonical_items())
+        return hash(self._string)
 
     def __repr__(self) -> str:
-        return f"FeatureBundle({self.to_string()!r})"
+        return f"FeatureBundle({self._string!r})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -304,49 +296,6 @@ class ColumnMapping:
                     f"column {index} of field {name!r} is outside "
                     f"0..{self.n_columns - 1}"
                 )
-
-    @classmethod
-    def from_dict(cls, data, name: str) -> "ColumnMapping":
-        """A mapping from its JSON document; a key of the wrong JSON type
-        is a MappingError naming ``name`` and the key."""
-        if type(data) is not dict:
-            raise MappingError(f"{name} must be a JSON object, got {json.dumps(data)}")
-        unknown = set(data) - set(_MAPPING_KEYS)
-        if unknown:
-            raise MappingError(f"unknown {name} keys: {sorted(unknown)}")
-        for key, value in data.items():
-            expected, valid = _MAPPING_KEYS[key]
-            if not valid(value):
-                raise MappingError(f"{name}.{key} must be {expected}, got {json.dumps(value)}")
-        kwargs = dict(data)
-        if kwargs.get("known_values") is not None:
-            kwargs["known_values"] = {
-                feature: frozenset(values) for feature, values in kwargs["known_values"].items()
-            }
-        return cls(**kwargs)
-
-
-def _object_of(valid):
-    return lambda value: type(value) is dict and all(map(valid, value.values()))
-
-
-def _is_str(value) -> bool:
-    return type(value) is str
-
-
-# ColumnMapping's JSON keys: what each must be, and the check. JSON
-# booleans are not integers here, though Python's bool is an int.
-_MAPPING_KEYS = {
-    "columns": ("a JSON object of integers", _object_of(lambda v: type(v) is int)),
-    "n_columns": ("a JSON integer", lambda v: type(v) is int),
-    "separator": ("a non-empty string", lambda v: _is_str(v) and v != ""),
-    "feature_renames": ("a JSON object of strings", _object_of(_is_str)),
-    "value_renames": ("a JSON object of objects of strings", _object_of(_object_of(_is_str))),
-    "known_values": (
-        "null or a JSON object of string arrays",
-        lambda v: v is None or _object_of(lambda a: type(a) is list and all(map(_is_str, a)))(v),
-    ),
-}
 
 
 # Plain CoNLL-U: all ten columns, no renames, no inventory.

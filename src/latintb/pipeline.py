@@ -141,51 +141,66 @@ def sentence_with_records(
     return _with_records(sentence, records, {})
 
 
+class Converter:
+    """Standardizes then harmonizes the sentences of one flavor under one
+    config, collecting rule audit counts and per-token anomaly codes.
+
+    A token's standard record depends only on its UPOS, its FEATS and
+    its Traditional* MISC values, and the reader shares one bundle per
+    distinct FEATS string, so tokens that share all four share one
+    record. The memos live as long as the converter, so the files of one
+    corpus share them; each memo holds its bundle, so no id key outlives
+    its object. Harmonization reads the sentence and stays per token.
+    """
+
+    def __init__(self, flavor: str, config: ToolConfig | None = None):
+        _, self._standardize = _flavor(flavor)
+        self.config = config or ToolConfig()
+        self._standard: dict[tuple, tuple[FeatureBundle, StandardRecord]] = {}
+        self._bundles: dict[StandardRecord, FeatureBundle] = {}
+
+    def convert(self, sentences: Sequence[Sentence]) -> ConversionResult:
+        """The sentences converted, with the audit counts and anomalies
+        of these sentences only."""
+        config, standardize, standard = self.config, self._standardize, self._standard
+        result = ConversionResult(sentences=[], records=[])
+
+        def standardized(token: Token) -> StandardRecord:
+            key = (
+                token.upos,
+                id(token.feats),
+                token.misc_get("TraditionalTense"),
+                token.misc_get("TraditionalMood"),
+            )
+            hit = standard.get(key)
+            if hit is None:
+                record = standardize(token, tense_table=config.tense_table)
+                hit = standard[key] = (token.feats, record)
+            return hit[1]
+
+        for sentence in sentences:
+            records = harmonize_sentence(
+                sentence,
+                [standardized(token) for token in sentence.tokens],
+                audit=result.audit,
+                iri_window=config.iri_window,
+                pronoun_person_repair=config.pronoun_person_repair,
+            )
+            for token, record in zip(sentence.tokens, records):
+                for code in record.anomalies:
+                    result.anomalies.append((sentence.sent_id, token.id, code))
+            result.records.append(records)
+            result.sentences.append(_with_records(sentence, records, self._bundles))
+        return result
+
+
 def convert_corpus(
     sentences: Sequence[Sentence],
     flavor: str,
     config: ToolConfig | None = None,
 ) -> ConversionResult:
-    """Standardize then harmonize every sentence; collect rule audit
-    counts and per-token anomaly codes along the way."""
-    _, standardize = _flavor(flavor)
-    config = config or ToolConfig()
-    result = ConversionResult(sentences=[], records=[])
-    # A token's standard record depends only on its UPOS, its FEATS and
-    # its Traditional* MISC values, and the reader shares one bundle per
-    # distinct FEATS string, so tokens that share all four share one
-    # record. The memo holds each bundle, so no id key outlives its
-    # object. Harmonization reads the sentence and stays per token.
-    standard: dict[tuple, tuple[FeatureBundle, StandardRecord]] = {}
-    bundles: dict[StandardRecord, FeatureBundle] = {}
-
-    def standardized(token: Token) -> StandardRecord:
-        key = (
-            token.upos,
-            id(token.feats),
-            token.misc_get("TraditionalTense"),
-            token.misc_get("TraditionalMood"),
-        )
-        hit = standard.get(key)
-        if hit is None:
-            record = standardize(token, tense_table=config.tense_table)
-            hit = standard[key] = (token.feats, record)
-        return hit[1]
-
-    for sentence in sentences:
-        records = harmonize_sentence(
-            sentence,
-            [standardized(token) for token in sentence.tokens],
-            audit=result.audit,
-            iri_window=config.iri_window,
-            pronoun_person_repair=config.pronoun_person_repair,
-        )
-        for token, record in zip(sentence.tokens, records):
-            for code in record.anomalies:
-                result.anomalies.append((sentence.sent_id, token.id, code))
-        result.records.append(records)
-        result.sentences.append(_with_records(sentence, records, bundles))
-    return result
+    """The sentences converted by a new ``Converter``."""
+    return Converter(flavor, config).convert(sentences)
 
 
 def aligned_pairs(

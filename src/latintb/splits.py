@@ -76,29 +76,11 @@ class SplitManifest:
             ],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SplitManifest":
-        return cls(
-            period=data["period"],
-            seed=int(data["seed"]),
-            train_works=tuple(data["train_works"]),
-            test_works=tuple(data["test_works"]),
-            dev_sentences=tuple(data["dev_sentences"]),
-            audit=tuple(
-                AuditResult(a["constraint"], a["passed"], tuple(a.get("details", ())))
-                for a in data.get("audit", ())
-            ),
-        )
-
 
 def write_manifest(path: str | Path, manifest: SplitManifest) -> None:
     Path(path).write_text(
         json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-
-
-def read_manifest(path: str | Path) -> SplitManifest:
-    return SplitManifest.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def load_published_assignment(path: str | Path | None = None) -> dict[str, tuple[str, str]]:
@@ -249,8 +231,17 @@ def build_splits(
 
     Dev sets are a per-work random sample from train, never drawn from
     LASLA nor from UD sentences that also appear in LASLA; everything
-    except dev membership is deterministic in the inputs alone.
+    except dev membership is deterministic in the inputs alone. Dev is
+    joined on the bare sentence id, so a LASLA sentence whose id a UD
+    sentence holds is a ValueError.
     """
+    if lasla_corpus is not None:
+        ud_ids = {sentence.sent_id for sentence in ud_corpus}
+        for sentence in lasla_corpus:
+            if sentence.sent_id in ud_ids:
+                raise ValueError(
+                    f"sentence id {sentence.sent_id!r} is in both the UD and the LASLA corpus"
+                )
     pool = _WorkPool.of(ud_corpus)
     shared = shared_works(duplicates, ud_corpus)
     dup_sents = duplicate_ud_sentences(duplicates)

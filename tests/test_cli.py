@@ -300,11 +300,36 @@ CONVERT_TREE_SHA256 = {
 }
 
 
+def _tree_sha256(root: Path) -> str:
+    """The sha256 of `sha256sum` over every file under root, by relative path."""
+    files = sorted(p for p in root.rglob("*") if p.is_file())
+    listing = "".join(
+        f"{hashlib.sha256(f.read_bytes()).hexdigest()}  {f.relative_to(root).as_posix()}\n"
+        for f in files
+    )
+    return hashlib.sha256(listing.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("flavor", sorted(CONVERT_TREE_SHA256))
 def test_convert_outputs_are_pinned(workdir, flavor):
-    files = sorted((workdir / "std" / flavor).iterdir())
-    listing = "".join(f"{hashlib.sha256(f.read_bytes()).hexdigest()}  {f.name}\n" for f in files)
-    assert hashlib.sha256(listing.encode()).hexdigest() == CONVERT_TREE_SHA256[flavor]
+    assert _tree_sha256(workdir / "std" / flavor) == CONVERT_TREE_SHA256[flavor]
+
+
+# The dedup, agree and split outputs of the fixture pipeline, pinned byte
+# for byte; "splits" is the whole tree: manifests, split files and audit.
+PIPELINE_SHA256 = {
+    "agreement.tsv": "2c03054e24a886d8d34e4f8355546e1bfccad13e66f9008e50a250556e8c34ff",
+    "dup_report.tsv": "fd0b2c5eff99adfe3ef9f91b388a6f73ba981cac2e9e923ee95c32f935f7e77f",
+    "dups.tsv": "0f2e19d791b595b84d883776f4d321c665b15ed4bee171eca181d59fffda844e",
+    "splits": "c7eca0384a925f5f3cbe1904d2d37ef33a02f65b7f2d72f8ac10c05daafc8a4e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PIPELINE_SHA256))
+def test_pipeline_outputs_are_pinned(workdir, name):
+    path = workdir / name
+    digest = _tree_sha256(path) if path.is_dir() else hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == PIPELINE_SHA256[name]
 
 
 def test_a_sentence_id_shared_by_two_files_fails_in_one_line(fixtures_dir, tmp_path):
@@ -342,6 +367,38 @@ def test_lasla_mapping_column_outside_the_row_is_a_config_error(fixtures_dir, tm
         assert done.returncode == 2
         assert "Traceback" not in done.stderr
         assert done.stderr == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("table, shown", [(["Fut,Imp"], '["Fut,Imp"]'), ("x", '"x"')],
+                         ids=["array", "string"])
+def test_tense_table_of_the_wrong_shape_is_a_config_error(fixtures_dir, tmp_path, table, shown):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"tense_table": table}))
+    done = _run_cli("lint", "--in", fixtures_dir / "ud", "--config", config,
+                    "--out", tmp_path / "lint.tsv")
+    assert done.returncode == 2
+    assert done.stderr == (
+        f"config error: tense_table must be a JSON object of strings or nulls, got {shown}\n"
+    )
+    assert not (tmp_path / "lint.tsv").exists()
+
+
+def test_split_rejects_a_sentence_id_in_both_corpora(fixtures_dir, tmp_path):
+    ud, lasla = tmp_path / "ud", tmp_path / "lasla"
+    for corpus, stem, ids in ((ud, "cl_alpha", ("s1", "s2")), (lasla, "lasla_alpha", ("s2",))):
+        corpus.mkdir()
+        (corpus / f"{stem}.conllu").write_text("\n".join(
+            f"# sent_id = {sent_id}\n1\tverba\tuerbum\tNOUN\t_\tCase=Nom\t_\t_\t_\t_\n"
+            for sent_id in ids
+        ))
+    dups = tmp_path / "dups.tsv"
+    dups.write_text("sent_a\tsent_b\tbasis\talign_length\n")
+    done = _run_cli("split", "--ud", ud, "--lasla", lasla, "--metadata",
+                    fixtures_dir / "metadata.tsv", "--dups", dups,
+                    "--out", tmp_path / "splits", "--no-published")
+    assert done.returncode == 1
+    assert done.stderr == "error: sentence id 's2' is in both the UD and the LASLA corpus\n"
+    assert not (tmp_path / "splits").exists()
 
 
 def test_importing_the_cli_does_not_import_numpy():

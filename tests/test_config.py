@@ -75,6 +75,17 @@ def test_bad_tense_override_rejected():
         ToolConfig.from_dict({"tense_table": {"Never,Ever": "Fut"}})
 
 
+@pytest.mark.parametrize("table", [["Fut,Imp"], "x", {"Fut,Imp": 3}, {"Fut,Imp": ["Fut"]}])
+def test_tense_table_must_be_an_object_of_strings_or_nulls(table):
+    with pytest.raises(ConfigError, match="^tense_table must be a JSON object of strings or nulls, got "):
+        ToolConfig.from_dict({"tense_table": table})
+
+
+def test_tense_table_override_to_null_is_kept():
+    table = ToolConfig.from_dict({"tense_table": {"Pres,Imp": None}}).tense_table
+    assert table.lookup("Pres", "Imp") is None
+
+
 @pytest.mark.parametrize(
     "data, message",
     [

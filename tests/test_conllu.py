@@ -153,6 +153,33 @@ def test_bundle_parse_serialize_identity_on_canonical_form(mapping):
     assert _feats(canonical) == bundle
 
 
+def _canonical_items(bundle):
+    """The bundle's identity before it kept one canonical string: features
+    sorted case-insensitively, each with its values sorted."""
+    return tuple(
+        (name, tuple(sorted(values)))
+        for name, values in sorted(bundle.items(), key=lambda e: (e[0].lower(), e[0]))
+    )
+
+
+def _reordered(mapping, rnd):
+    entries = [(name, rnd.sample(values, len(values))) for name, values in mapping.items()]
+    rnd.shuffle(entries)
+    return entries
+
+
+@given(_bundles, _bundles, st.randoms())
+def test_bundle_equality_and_hash_follow_the_canonical_items(a, b, rnd):
+    bundles = [FeatureBundle(a.items()), FeatureBundle(_reordered(a, rnd)), FeatureBundle(b.items())]
+    for x in bundles:
+        assert x.names() == tuple(name for name, _ in x.items())
+        for y in bundles:
+            assert (x == y) == (_canonical_items(x) == _canonical_items(y))
+            if x == y:
+                assert hash(x) == hash(y)
+    assert bundles[0] == bundles[1]
+
+
 def test_repeated_malformed_feats_raise_at_each_line():
     good, bad = "Case=Acc", "Case=Acc|Case=Nom"
     feats = [good, bad, good, bad, bad]

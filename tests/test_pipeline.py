@@ -1,5 +1,7 @@
 import pytest
 
+from latintb import pipeline
+from latintb.cli import main
 from latintb.config import ToolConfig
 from latintb.conllu import parse_conllu, serialize_conllu
 from latintb.harmonize import harmonize_sentence
@@ -101,3 +103,29 @@ def test_same_supine_input_gets_voice_from_its_own_sentence():
     assert sentences[0].tokens[0].feats is sentences[1].tokens[0].feats
     result = assert_same_conversion(sentences, "ud")
     assert [records[0].voice for records in result.records] == ["Pass", "Act"]
+
+
+def test_convert_standardizes_each_distinct_input_once_across_files(tmp_path, monkeypatch):
+    noun, verb = "Case=Nom|Gender=Fem|Number=Sing", "Mood=Ind|Number=Sing|Person=3|Tense=Pres"
+    files = {
+        "a": [("puella", "NOUN", noun), ("amat", "VERB", verb)],
+        "b": [("rosa", "NOUN", noun), ("amat", "VERB", verb), ("via", "NOUN", "Case=Abl")],
+    }
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name, tokens in files.items():
+        (corpus / f"{name}.conllu").write_text(f"# sent_id = {name}-1\n" + "".join(
+            _token_line(i, *token) for i, token in enumerate(tokens, start=1)
+        ))
+    mapping, standardize = pipeline._FLAVORS["ud"]
+    calls = []
+
+    def counted(token, **kwargs):
+        calls.append((token.upos, token.feats.to_string()))
+        return standardize(token, **kwargs)
+
+    monkeypatch.setitem(pipeline._FLAVORS, "ud", (mapping, counted))
+    assert main(["convert", "--in", str(corpus), "--flavor", "ud",
+                 "--out", str(tmp_path / "std")]) == 0
+    distinct = {(upos, feats) for tokens in files.values() for _, upos, feats in tokens}
+    assert sorted(calls) == sorted(distinct)
