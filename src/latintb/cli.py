@@ -2,7 +2,9 @@
 split, eval, perm-test, lint.
 
 Identical inputs, flags, and seed produce byte-identical outputs. Exit
-codes: 0 success, 1 validation failure, 2 usage error.
+codes: 0 success, 1 validation failure, 2 usage error. ``main`` alone
+turns a failure into its exit code and one line on stderr; a command
+only reads, computes and writes.
 """
 
 from __future__ import annotations
@@ -17,12 +19,16 @@ from pathlib import Path
 # evaluation, and with it numpy, is imported by eval and perm-test only
 from . import __version__, dedup, reports, splits
 from .agreement import STAGE_CONVERTED, STAGE_RAW, agreement_table
-from .config import ConfigError, ToolConfig
+from .config import ToolConfig
 from .conllu import write_conllu_file
 from .harmonize import ALL_RULES
 from .metadata import load_metadata, read_metadata, validate_metadata
-from .pipeline import Converter, aligned_pairs, convert_corpus, load_corpus, read_corpus_files
+from .pipeline import FLAVORS, Converter, aligned_pairs, convert_corpus, load_corpus, read_corpus_files
 from .standardize import lint_token
+
+
+class UsageError(ValueError):
+    """A flag value out of range (exit 2)."""
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -36,29 +42,26 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0, help="master random seed")
     common.add_argument("--config", type=Path, default=None, help="JSON config file")
     common.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
-    common.add_argument("--output-dir", type=Path, default=Path("."), help="directory for artifacts")
+
+    pair = argparse.ArgumentParser(add_help=False)  # the two corpora of dedup and agree
+    pair.add_argument("--a", dest="corpus_a", type=Path, required=True)
+    pair.add_argument("--b", dest="corpus_b", type=Path, required=True)
+    pair.add_argument("--a-flavor", choices=FLAVORS, default="ud")
+    pair.add_argument("--b-flavor", choices=FLAVORS, default="lasla")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("convert", parents=[common], help="standardize and harmonize a corpus")
     p.add_argument("--in", dest="input", type=Path, required=True)
-    p.add_argument("--flavor", choices=("ud", "lasla"), required=True)
+    p.add_argument("--flavor", choices=FLAVORS, required=True)
     p.add_argument("--out", type=Path, required=True, help="output directory")
 
-    p = sub.add_parser("dedup", parents=[common], help="find duplicate sentences across two corpora")
-    p.add_argument("--a", dest="corpus_a", type=Path, required=True)
-    p.add_argument("--b", dest="corpus_b", type=Path, required=True)
-    p.add_argument("--a-flavor", choices=("ud", "lasla"), default="ud")
-    p.add_argument("--b-flavor", choices=("ud", "lasla"), default="lasla")
+    p = sub.add_parser("dedup", parents=[common, pair], help="find duplicate sentences across two corpora")
     p.add_argument("--out", type=Path, required=True, help="duplicate manifest TSV")
     p.add_argument("--report", type=Path, default=None, help="per-work duplicate counts TSV")
     p.add_argument("--metadata", type=Path, default=None)
 
-    p = sub.add_parser("agree", parents=[common], help="annotation agreement over duplicate tokens")
-    p.add_argument("--a", dest="corpus_a", type=Path, required=True)
-    p.add_argument("--b", dest="corpus_b", type=Path, required=True)
-    p.add_argument("--a-flavor", choices=("ud", "lasla"), default="ud")
-    p.add_argument("--b-flavor", choices=("ud", "lasla"), default="lasla")
+    p = sub.add_parser("agree", parents=[common, pair], help="annotation agreement over duplicate tokens")
     p.add_argument("--dups", type=Path, required=True, help="duplicate manifest TSV")
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--exclude-anomalous", action="store_true")
@@ -66,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("metadata-validate", parents=[common], help="check a metadata table")
     p.add_argument("--file", type=Path, required=True)
     p.add_argument("--corpus", type=Path, default=None, help="cross-check sentence counts")
-    p.add_argument("--flavor", choices=("ud", "lasla"), default="ud")
+    p.add_argument("--flavor", choices=FLAVORS, default="ud")
 
     p = sub.add_parser("split", parents=[common], help="build constrained time-period splits")
     p.add_argument("--ud", type=Path, required=True, help="standardized UD corpus")
@@ -95,10 +98,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lint", parents=[common], help="legality and divergence flags for a corpus")
     p.add_argument("--in", dest="input", type=Path, required=True)
-    p.add_argument("--flavor", choices=("ud", "lasla"), default="ud")
+    p.add_argument("--flavor", choices=FLAVORS, default="ud")
     p.add_argument("--out", type=Path, required=True)
 
     return parser
+
+
+def _report(args, config: ToolConfig, path: Path, header, rows) -> None:
+    """A TSV report, with the run's seed and config in its footer."""
+    reports.write_tsv(path, header, rows, seed=args.seed, config_hash=config.config_hash)
 
 
 def cmd_convert(args, config: ToolConfig) -> int:
@@ -115,20 +123,9 @@ def cmd_convert(args, config: ToolConfig) -> int:
             if result.audit.get(rule):
                 audit_rows.append((file.stem, rule, result.audit[rule]))
         anomaly_rows.extend(result.anomalies)
-    reports.write_tsv(
-        args.out / "harmonization_audit.tsv",
-        ("corpus", "rule_id", "tokens_affected"),
-        audit_rows,
-        seed=args.seed,
-        config_hash=config.config_hash,
-    )
-    reports.write_tsv(
-        args.out / "anomalies.tsv",
-        ("sent_id", "token_id", "code"),
-        anomaly_rows,
-        seed=args.seed,
-        config_hash=config.config_hash,
-    )
+    _report(args, config, args.out / "harmonization_audit.tsv",
+            ("corpus", "rule_id", "tokens_affected"), audit_rows)
+    _report(args, config, args.out / "anomalies.tsv", ("sent_id", "token_id", "code"), anomaly_rows)
     return 0
 
 
@@ -144,14 +141,8 @@ def cmd_dedup(args, config: ToolConfig) -> int:
     dedup.write_manifest(args.out, pairs, seed=args.seed, config_hash=config.config_hash)
     if args.report is not None:
         metadata = load_metadata(args.metadata) if args.metadata else None
-        rows = dedup.duplicate_report(pairs, metadata)
-        reports.write_tsv(
-            args.report,
-            ("author", "work", "duplicates"),
-            rows,
-            seed=args.seed,
-            config_hash=config.config_hash,
-        )
+        _report(args, config, args.report, ("author", "work", "duplicates"),
+                dedup.duplicate_report(pairs, metadata))
     return 0
 
 
@@ -175,14 +166,9 @@ def cmd_agree(args, config: ToolConfig) -> int:
         for row in (before.get(feature), after.get(feature)):
             cells += [row.percent_str(), row.same, row.total] if row else ["--"] * 3
         rows.append(cells)
-    reports.write_tsv(
-        args.out,
-        ("feature", "before_pct", "before_same", "before_total",
-         "after_pct", "after_same", "after_total"),
-        rows,
-        seed=args.seed,
-        config_hash=config.config_hash,
-    )
+    _report(args, config, args.out,
+            ("feature", "before_pct", "before_same", "before_total",
+             "after_pct", "after_same", "after_total"), rows)
     return 0
 
 
@@ -212,21 +198,16 @@ def cmd_split(args, config: ToolConfig) -> int:
     published = None
     if not args.no_published:
         published = splits.load_published_assignment(args.published_assignment)
-    try:
-        manifests = splits.build_splits(
-            ud_corpus,
-            lasla_corpus,
-            metadata,
-            manifest_rows,
-            args.seed,
-            dev_fraction=config.dev_fraction,
-            min_test=config.min_test_sentences,
-            published=published,
-        )
-    except splits.InfeasibleSplitError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return 1
-
+    manifests = splits.build_splits(
+        ud_corpus,
+        lasla_corpus,
+        metadata,
+        manifest_rows,
+        args.seed,
+        dev_fraction=config.dev_fraction,
+        min_test=config.min_test_sentences,
+        published=published,
+    )
     args.out.mkdir(parents=True, exist_ok=True)
     audit_rows = []
     all_passed = True
@@ -258,13 +239,8 @@ def cmd_split(args, config: ToolConfig) -> int:
                     "; ".join(result.details),
                 )
             )
-    reports.write_tsv(
-        args.out / "split_audit.tsv",
-        ("period", "check", "result", "details"),
-        audit_rows,
-        seed=args.seed,
-        config_hash=config.config_hash,
-    )
+    _report(args, config, args.out / "split_audit.tsv", ("period", "check", "result", "details"),
+            audit_rows)
     return 0 if all_passed else 1
 
 
@@ -298,8 +274,7 @@ def cmd_perm_test(args, config: ToolConfig) -> int:
     try:
         evaluation.parse_metric(args.metric)
     except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(exc) from None
     for bad, message in (
         (args.iterations < 1, f"--n must be >= 1, got {args.iterations}"),
         (args.iterations > evaluation.MAX_ITERATIONS,
@@ -307,8 +282,7 @@ def cmd_perm_test(args, config: ToolConfig) -> int:
         (args.seed < 0, f"--seed must be >= 0, got {args.seed}"),
     ):
         if bad:
-            print(f"usage error: {message}", file=sys.stderr)
-            return 2
+            raise UsageError(message)
     result = evaluation.permutation_test(
         *_aligned_records(config, args.gold, args.pred_a, args.pred_b),
         args.metric,
@@ -324,14 +298,9 @@ def cmd_perm_test(args, config: ToolConfig) -> int:
     if result.note:
         print(f"note: {result.note}")
     if args.out is not None:
-        reports.write_tsv(
-            args.out,
-            ("metric", "observed_diff", "p_value", "iterations", "seed"),
-            [(result.metric, f"{result.observed_diff:.6f}", f"{result.p_value:.4f}",
-              result.iterations, result.seed)],
-            seed=args.seed,
-            config_hash=config.config_hash,
-        )
+        _report(args, config, args.out, ("metric", "observed_diff", "p_value", "iterations", "seed"),
+                [(result.metric, f"{result.observed_diff:.6f}", f"{result.p_value:.4f}",
+                  result.iterations, result.seed)])
     return 0
 
 
@@ -343,13 +312,7 @@ def cmd_lint(args, config: ToolConfig) -> int:
         for token, record in zip(sentence.tokens, records):
             for code in lint_token(token, record, config.legality_rules):
                 rows.append((sentence.sent_id, token.id, code))
-    reports.write_tsv(
-        args.out,
-        ("sent_id", "token_id", "code"),
-        rows,
-        seed=args.seed,
-        config_hash=config.config_hash,
-    )
+    _report(args, config, args.out, ("sent_id", "token_id", "code"), rows)
     return 0
 
 
@@ -365,28 +328,25 @@ _COMMANDS = {
 }
 
 
-def _resolve_outputs(args) -> None:
-    # relative output paths land under --output-dir
-    for attr in ("out", "report"):
-        value = getattr(args, attr, None)
-        if isinstance(value, Path) and not value.is_absolute():
-            setattr(args, attr, args.output_dir / value)
+def _fail(prefix: str, exc: Exception, code: int) -> int:
+    print(f"{prefix}: {exc}", file=sys.stderr)
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    _resolve_outputs(args)
+    args = _build_parser().parse_args(argv)
     try:
         config = ToolConfig.load(args.config)
-    except (ConfigError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    except (ValueError, OSError) as exc:
+        return _fail("config error", exc, 2)
     try:
         return _COMMANDS[args.command](args, config)
-    except (ValueError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except UsageError as exc:
+        return _fail("usage error", exc, 2)
+    except splits.InfeasibleSplitError as exc:
+        return _fail("infeasible", exc, 1)
+    except (ValueError, OSError) as exc:  # a bad input, or a path that cannot be read or written
+        return _fail("error", exc, 1)
 
 
 if __name__ == "__main__":

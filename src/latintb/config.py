@@ -42,9 +42,10 @@ class ToolConfig:
     def load(cls, path: str | Path | None) -> "ToolConfig":
         if path is None:
             return cls()
-        raw = Path(path).read_text(encoding="utf-8")
         try:
-            data = json.loads(raw)
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config {path}: not UTF-8 text ({exc.reason})") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path}: {exc}") from exc
         return cls.from_dict(data)

@@ -431,7 +431,10 @@ class CorpusReader:
         leading UTF-8 byte-order mark is skipped."""
         path = Path(path)
         with open(path, encoding="utf-8-sig") as handle:
-            return self.read(handle, stem=path.stem)
+            try:
+                return self.read(handle, stem=path.stem)
+            except UnicodeDecodeError as exc:
+                raise ConlluError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def parse_conllu(source: str | TextIO) -> list[Sentence]:

@@ -41,6 +41,7 @@ _FLAVORS = {
     "ud": (lambda config: CONLLU_MAPPING, standardize_ud),
     "lasla": (lambda config: config.lasla_mapping, standardize_lasla),
 }
+FLAVORS = tuple(_FLAVORS)
 
 
 def _flavor(flavor: str):

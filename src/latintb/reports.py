@@ -44,12 +44,17 @@ def read_table(
 
     A byte-order mark, CRLF endings, blank lines and ``#`` lines are
     skipped. The first line left must equal ``header``. Any
-    ``ValueError`` is re-raised as one that names the file and its line.
+    ``ValueError`` is re-raised as one that names the file, and its line
+    if the file is UTF-8 text.
     """
     path = Path(path) if isinstance(path, str) else path
     expected = "\t".join(header)
+    try:
+        text = path.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
     rows: list[T] | None = None
-    for number, line in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), start=1):
+    for number, line in enumerate(text.splitlines(), start=1):
         if not line or line.startswith("#"):
             continue
         try:

@@ -401,6 +401,18 @@ def test_split_rejects_a_sentence_id_in_both_corpora(fixtures_dir, tmp_path):
     assert not (tmp_path / "splits").exists()
 
 
+def test_split_that_cannot_reach_the_test_floor_is_infeasible(workdir, fixtures_dir, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text('{"min_test_sentences": 100000}')
+    done = _run_cli("split", "--ud", workdir / "std" / "ud", "--lasla", workdir / "std" / "lasla",
+                    "--metadata", fixtures_dir / "metadata.tsv", "--dups", workdir / "dups.tsv",
+                    "--out", tmp_path / "splits", "--config", config, "--no-published")
+    assert done.returncode == 1
+    assert done.stderr.startswith("infeasible: [test-min-size] period ")
+    assert done.stderr.count("\n") == 1 and done.stderr.endswith("\n")
+    assert not (tmp_path / "splits").exists()
+
+
 def test_importing_the_cli_does_not_import_numpy():
     done = subprocess.run(
         [sys.executable, "-c", 'import latintb.cli, sys; print("numpy" in sys.modules)'],
@@ -611,3 +623,81 @@ def test_malformed_table_fails_in_one_line_naming_file_and_line(
     assert done.returncode == 1
     assert done.stderr.startswith(f"error: {path} line {number}: ")
     assert done.stderr.count("\n") == 1 and done.stderr.endswith("\n")
+
+
+# Paths that cannot be read or written as asked: each fails in one
+# stderr line naming the path, exit 1 for a command's path and exit 2
+# for the config's.
+
+
+@pytest.mark.parametrize("command", ["dedup-out", "metadata-validate-file", "split-dups", "convert-out"])
+def test_a_path_that_cannot_be_used_fails_in_one_line_naming_it(workdir, fixtures_dir, tmp_path, command):
+    ud, lasla, meta = fixtures_dir / "ud", fixtures_dir / "lasla", fixtures_dir / "metadata.tsv"
+    a_directory = tmp_path / "a-directory"
+    a_directory.mkdir()
+    a_file = tmp_path / "a-file"
+    a_file.write_text("x\n")
+    argv, path = {
+        "dedup-out": (["dedup", "--a", ud, "--b", lasla, "--out", a_directory], a_directory),
+        "metadata-validate-file": (["metadata-validate", "--file", a_directory], a_directory),
+        "split-dups": (["split", "--ud", workdir / "std" / "ud", "--metadata", meta,
+                        "--dups", a_directory, "--out", tmp_path / "splits", "--no-published"],
+                       a_directory),
+        "convert-out": (["convert", "--in", ud, "--flavor", "ud", "--out", a_file], a_file),
+    }[command]
+    done = _run_cli(*argv)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: ") and f"'{path}'" in done.stderr
+    assert done.stderr.count("\n") == 1 and done.stderr.endswith("\n")
+
+
+@pytest.mark.parametrize("kind", ["not-utf8", "directory"])
+def test_a_config_that_cannot_be_read_is_a_config_error(fixtures_dir, tmp_path, kind):
+    config = tmp_path / "config.json"
+    if kind == "directory":
+        config.mkdir()
+    else:
+        config.write_bytes(b'{"min_test_sentences": 30}\xff\n')
+    done = _run_cli("lint", "--in", fixtures_dir / "ud", "--config", config,
+                    "--out", tmp_path / "lint.tsv")
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("config error: ") and str(config) in done.stderr
+    assert done.stderr.count("\n") == 1 and done.stderr.endswith("\n")
+    assert not (tmp_path / "lint.tsv").exists()
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(fixtures_dir, tmp_path):
+    ud, lasla, meta = fixtures_dir / "ud", fixtures_dir / "lasla", fixtures_dir / "metadata.tsv"
+    # relative output paths, each interpreter run in its own directory
+    runs = [
+        ["convert", "--in", ud, "--flavor", "ud", "--out", "std/ud"],
+        ["convert", "--in", lasla, "--flavor", "lasla", "--out", "std/lasla"],
+        ["dedup", "--a", ud, "--b", lasla, "--out", "dups.tsv", "--report", "dup_report.tsv",
+         "--metadata", meta],
+        ["agree", "--a", ud, "--b", lasla, "--dups", "dups.tsv", "--out", "agreement.tsv"],
+        ["split", "--ud", "std/ud", "--lasla", "std/lasla", "--metadata", meta, "--dups", "dups.tsv",
+         "--out", "splits", "--config", fixtures_dir / "config.json", "--no-published", "--seed", "7"],
+    ]
+    code = (
+        "import json, sys\n"
+        "from latintb.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert main(argv) == 0, argv\n"
+    )
+    trees = {}
+    for hash_seed in ("0", "12345"):
+        out = tmp_path / hash_seed
+        out.mkdir()
+        done = subprocess.run(
+            [sys.executable, "-c", code, json.dumps([[str(a) for a in argv] for argv in runs])],
+            cwd=out, capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=_src_path()),
+        )
+        assert done.returncode == 0, done.stderr
+        trees[hash_seed] = {
+            p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()
+        }
+    assert len(trees["0"]) > 30
+    assert trees["0"] == trees["12345"]

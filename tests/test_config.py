@@ -56,6 +56,14 @@ def test_malformed_json_rejected(tmp_path):
         ToolConfig.load(path)
 
 
+def test_config_that_is_not_utf8_is_a_config_error_naming_the_file(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"dedup_min_chars": "\xff"}')
+    with pytest.raises(ConfigError) as err:
+        ToolConfig.load(path)
+    assert str(err.value) == f"config {path}: not UTF-8 text (invalid start byte)"
+
+
 def test_hash_stable_for_same_document(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     a.write_text('{"dedup_min_chars": 9, "dedup_min_tokens": 3}')

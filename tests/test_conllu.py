@@ -1,5 +1,6 @@
 import codecs
 import io
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 from latintb.cli import main
 from latintb.conllu import (
     CONLLU_MAPPING,
+    ConlluError,
     CorpusReader,
     FeatureBundle,
     ParseError,
@@ -327,3 +329,14 @@ def test_file_readers_skip_a_byte_order_mark(fixtures_dir, tmp_path, flavor, nam
     copy.write_bytes(codecs.BOM_UTF8 + source.read_bytes())
     read = parse_conllu_file if flavor == "ud" else ingest_lasla_file
     assert read(copy) == read(source)
+
+
+@pytest.mark.parametrize("flavor, name", [("ud", "cl_alpha.conllu"), ("lasla", "lasla_alpha.conllu")])
+def test_a_file_that_is_not_utf8_is_named(fixtures_dir, tmp_path, flavor, name):
+    data = (fixtures_dir / flavor / name).read_bytes()
+    copy = tmp_path / name
+    # past the first chunk the reader decodes
+    copy.write_bytes(data[:9000] + b"\xff" + data[9000:])
+    read = parse_conllu_file if flavor == "ud" else ingest_lasla_file
+    with pytest.raises(ConlluError, match=rf"^{re.escape(str(copy))}: not UTF-8 text \(invalid start byte\)$"):
+        read(copy)

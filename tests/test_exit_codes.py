@@ -1,0 +1,200 @@
+"""The exit-code contract of ``latintb.cli.main``, fuzzed in-process.
+
+Every run, whatever its inputs, ends in exit 0, 1 or 2, and no exception
+escapes ``main``. A non-zero exit writes exactly one line to stderr.
+``metadata-validate`` also lists its violations, one line each, on
+stdout; its one stderr line counts them.
+
+The faults are byte mutations of a copy of each kind of input, and bad
+paths in place of each path option. A path that cannot be read or
+written for lack of permission is not among them: the suite may run as
+root, which no file mode stops, and a faked ``PermissionError`` would
+test nothing that ``OSError`` does not.
+"""
+
+from __future__ import annotations
+
+import codecs
+import contextlib
+import io
+import shutil
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import latintb
+from latintb.cli import main
+
+FIXTURES = Path(__file__).parent / "fixtures"
+PUBLISHED = Path(latintb.__file__).parent / "data" / "published_split_assignment.tsv"
+
+
+def run(argv) -> tuple[int, str]:
+    """Exit code and stderr of one in-process run, checked against the contract."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(arg) for arg in argv])
+    stderr = err.getvalue()
+    assert code in (0, 1, 2), (argv, code)
+    if code:
+        assert stderr.endswith("\n") and stderr.count("\n") == 1, (argv, stderr)
+    return code, stderr
+
+
+@pytest.fixture(scope="module")
+def base(tmp_path_factory) -> Path:
+    """Clean inputs: one UD and one LASLA file, their manifest, and the
+    converted fixture corpora with their manifest, which split reads."""
+    base = tmp_path_factory.mktemp("inputs")
+    shutil.copy(FIXTURES / "ud" / "cl_alpha.conllu", base)
+    shutil.copy(FIXTURES / "lasla" / "lasla_alpha.conllu", base)
+    ud, lasla = FIXTURES / "ud", FIXTURES / "lasla"
+    for argv in (
+        ["dedup", "--a", base / "cl_alpha.conllu", "--b", base / "lasla_alpha.conllu",
+         "--out", base / "dups.tsv"],
+        ["dedup", "--a", ud, "--b", lasla, "--out", base / "all_dups.tsv"],
+        ["convert", "--in", ud, "--flavor", "ud", "--out", base / "std" / "ud"],
+        ["convert", "--in", lasla, "--flavor", "lasla", "--out", base / "std" / "lasla"],
+    ):
+        assert run(argv)[0] == 0
+    return base
+
+
+def reader_of(kind: str, base: Path, path: Path, out: Path) -> list:
+    """A command that reads ``path``, an input of this kind, and writes under ``out``."""
+    ud, lasla = base / "cl_alpha.conllu", base / "lasla_alpha.conllu"
+    return {
+        "ud": ["convert", "--in", path, "--flavor", "ud", "--out", out / "std"],
+        "lasla": ["lint", "--in", path, "--flavor", "lasla", "--out", out / "lint.tsv"],
+        "metadata": ["metadata-validate", "--file", path],
+        "manifest": ["agree", "--a", ud, "--b", lasla, "--dups", path,
+                     "--out", out / "agreement.tsv"],
+        "published": ["split", "--ud", base / "std" / "ud", "--lasla", base / "std" / "lasla",
+                      "--metadata", FIXTURES / "metadata.tsv", "--dups", base / "all_dups.tsv",
+                      "--config", FIXTURES / "config.json", "--published-assignment", path,
+                      "--out", out / "splits"],
+        "config": ["lint", "--in", ud, "--config", path, "--out", out / "lint.tsv"],
+    }[kind]
+
+
+def clean_input(kind: str, base: Path) -> bytes:
+    return {
+        "ud": base / "cl_alpha.conllu",
+        "lasla": base / "lasla_alpha.conllu",
+        "metadata": FIXTURES / "metadata.tsv",
+        "manifest": base / "dups.tsv",
+        "published": PUBLISHED,
+        "config": FIXTURES / "config.json",
+    }[kind].read_bytes()
+
+
+KINDS = ("ud", "lasla", "metadata", "manifest", "published", "config")
+
+
+def _line(data: bytes, at: int) -> tuple[int, int]:
+    """Start and end (past its newline) of the line that holds byte ``at``."""
+    start = data.rfind(b"\n", 0, at) + 1
+    end = data.find(b"\n", at)
+    return start, len(data) if end < 0 else end + 1
+
+
+def _bom_mid_file(data: bytes, at: int) -> bytes:
+    start, _ = _line(data, at)
+    return data[:start] + codecs.BOM_UTF8 + data[start:]
+
+
+def _repeat_line(data: bytes, at: int) -> bytes:
+    start, end = _line(data, at)
+    return data[:end] + data[start:end] + data[end:]
+
+
+def _retab(data: bytes, at: int, tab: bytes) -> bytes:
+    """The first tab at or after ``at`` (else the last tab) replaced by ``tab``."""
+    index = data.find(b"\t", at)
+    if index < 0:
+        index = data.rfind(b"\t")
+    return data if index < 0 else data[:index] + tab + data[index + 1:]
+
+
+MUTATIONS = {
+    "truncate": lambda data, at: data[:at],
+    "drop-tab": lambda data, at: _retab(data, at, b""),
+    "double-tab": lambda data, at: _retab(data, at, b"\t\t"),
+    "nul": lambda data, at: data[:at] + b"\0" + data[at:],
+    "invalid-utf8": lambda data, at: data[:at] + b"\xff" + data[at:],
+    "crlf-from-here": lambda data, at: data[:at] + data[at:].replace(b"\n", b"\r\n"),
+    "bom-mid-file": _bom_mid_file,
+    "repeat-line": _repeat_line,
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_each_clean_input_is_read_without_failure(base, tmp_path, kind):
+    path = tmp_path / "input"
+    path.write_bytes(clean_input(kind, base))
+    assert run(reader_of(kind, base, path, tmp_path)) == (0, "")
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(KINDS), mutation=st.sampled_from(sorted(MUTATIONS)),
+       at=st.integers(min_value=0, max_value=1 << 20))
+def test_a_mutated_input_keeps_the_exit_code_contract(base, kind, mutation, at):
+    data = clean_input(kind, base)
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "input"
+        path.write_bytes(MUTATIONS[mutation](data, at % (len(data) + 1)))
+        run(reader_of(kind, base, path, Path(work)))
+
+
+def commands(base: Path, out: Path) -> list[list]:
+    """One run of every subcommand that succeeds on clean inputs; each
+    option value that is a Path names a file or directory."""
+    ud, lasla = base / "cl_alpha.conllu", base / "lasla_alpha.conllu"
+    gold = base / "std" / "ud" / "cl_alpha.conllu"
+    config = FIXTURES / "config.json"
+    return [
+        ["convert", "--in", ud, "--flavor", "ud", "--out", out / "std", "--config", config],
+        ["dedup", "--a", ud, "--b", lasla, "--out", out / "dups.tsv", "--report", out / "r.tsv",
+         "--metadata", FIXTURES / "metadata.tsv", "--config", config],
+        ["agree", "--a", ud, "--b", lasla, "--dups", base / "dups.tsv",
+         "--out", out / "agreement.tsv", "--config", config],
+        ["metadata-validate", "--file", FIXTURES / "metadata.tsv", "--corpus", FIXTURES / "ud",
+         "--config", config],
+        ["split", "--ud", base / "std" / "ud", "--lasla", base / "std" / "lasla",
+         "--metadata", FIXTURES / "metadata.tsv", "--dups", base / "all_dups.tsv",
+         "--published-assignment", PUBLISHED, "--out", out / "splits", "--config", config],
+        ["eval", "--gold", gold, "--pred", gold, "--out", out / "eval.json", "--config", config],
+        ["perm-test", "--gold", gold, "--a", gold, "--b", gold, "--n", "20",
+         "--out", out / "perm.tsv", "--config", config],
+        ["lint", "--in", ud, "--out", out / "lint.tsv", "--config", config],
+    ]
+
+
+def bad_path(kind: str, work: Path) -> Path:
+    """A path of this kind under ``work``."""
+    (work / "a-directory").mkdir(exist_ok=True)
+    (work / "a-file").write_text("x\n")
+    return {
+        "missing": work / "missing" / "name",
+        "directory": work / "a-directory",
+        "file": work / "a-file",
+        "under-a-file": work / "a-file" / "name",
+    }[kind]
+
+
+def test_every_command_succeeds_on_clean_paths(base, tmp_path):
+    for argv in commands(base, tmp_path):
+        assert run(argv) == (0, ""), argv
+
+
+@settings(max_examples=40, deadline=None)
+@given(command=st.integers(min_value=0, max_value=7), option=st.integers(min_value=0),
+       kind=st.sampled_from(("missing", "directory", "file", "under-a-file")))
+def test_a_bad_path_keeps_the_exit_code_contract(base, command, option, kind):
+    with tempfile.TemporaryDirectory() as work:
+        argv = commands(base, Path(work))[command]
+        slots = [i for i, arg in enumerate(argv) if isinstance(arg, Path)]
+        argv[slots[option % len(slots)]] = bad_path(kind, Path(work))
+        run(argv)

@@ -54,6 +54,13 @@ def test_a_table_must_start_with_its_header(tmp_path, text, line):
         read_table(path, HEADER, list)
 
 
+def test_a_table_that_is_not_utf8_is_named(tmp_path):
+    path = tmp_path / "table.tsv"
+    path.write_bytes(b"name\tcount\n\xffa\t1\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not UTF-8 text \\(invalid start byte\\)$"):
+        read_table(path, HEADER, list)
+
+
 def test_reads_a_packaged_table():
     table = resources.files("latintb.data").joinpath("published_split_assignment.tsv")
     rows = read_table(table, ("period", "work_id", "split", "sentences"), tuple)
