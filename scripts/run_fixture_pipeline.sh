@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
 # End-to-end demo of every subcommand on the shipped fixture corpus.
 # Usage: scripts/run_fixture_pipeline.sh [output-dir]
+# Runs the package from this checkout's src/; no install is needed.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
+export PYTHONPATH="$ROOT/src${PYTHONPATH:+:$PYTHONPATH}"
+latintb() { python3 -m latintb.cli "$@"; }
 OUT="${1:-/tmp/latintb-demo}"
 FIX="$ROOT/tests/fixtures"
 CFG="$FIX/config.json"

@@ -11,15 +11,13 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .conllu import Token
-from .standardize import MORPH_FEATURES, StandardRecord
+from .standardize import STANDARD_FEATURES, StandardRecord
 
 MODE_STRICT = "strict"
 MODE_LOOSE_GENDER = "loose-gender"
 
 STAGE_RAW = "raw"
 STAGE_CONVERTED = "converted"
-
-STANDARD_FEATURES = ("UPOS",) + MORPH_FEATURES
 
 # feature name -> sorted value tuple; absent feature = absent key
 FeatureView = Mapping[str, tuple[str, ...]]
@@ -64,12 +62,7 @@ def raw_view(token: Token) -> dict[str, tuple[str, ...]]:
 
 
 def converted_view(record: StandardRecord) -> dict[str, tuple[str, ...]]:
-    view = {}
-    for feature in STANDARD_FEATURES:
-        values = record.values_for(feature)
-        if values:
-            view[feature] = values
-    return view
+    return dict(record.set_values(STANDARD_FEATURES))
 
 
 def _same(values_a: tuple[str, ...], values_b: tuple[str, ...], mode: str) -> bool:

@@ -192,7 +192,8 @@ def cmd_split(args, config: ToolConfig) -> int:
     ud_corpus, _ = load_corpus(args.ud, "ud", config)
     lasla_corpus = None
     if args.lasla is not None:
-        lasla_corpus, _ = load_corpus(args.lasla, "lasla", config)
+        # convert writes plain CoNLL-U, so lasla_mapping (raw LASLA) does not apply
+        lasla_corpus, _ = load_corpus(args.lasla, "ud", config)
     metadata = load_metadata(args.metadata)
     manifest_rows = dedup.read_manifest(args.dups)
     published = None

@@ -14,9 +14,8 @@ from typing import Sequence
 import numpy as np
 
 from .conllu import FeatureBundle, Sentence, Token
-from .standardize import MORPH_FEATURES, StandardRecord, record_from_standard_feats
-
-REPORT_FEATURES = ("UPOS",) + MORPH_FEATURES
+from .standardize import STANDARD_FEATURES as REPORT_FEATURES
+from .standardize import StandardRecord, record_from_standard_feats
 
 Records = Sequence[Sequence[StandardRecord]]
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import random
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -104,25 +104,12 @@ def load_published_assignment(path: str | Path | None = None) -> dict[str, tuple
     return assignment
 
 
-@dataclass(slots=True)
-class _WorkPool:
-    """Sentence ids grouped by work for one corpus."""
-
-    sentences: dict[str, list[str]] = field(default_factory=dict)
-
-    @classmethod
-    def of(cls, corpus: Iterable[Sentence]) -> "_WorkPool":
-        pool = cls()
-        for sentence in corpus:
-            work = sentence.work_id or "?"
-            pool.sentences.setdefault(work, []).append(sentence.sent_id)
-        return pool
-
-    def works(self) -> list[str]:
-        return sorted(self.sentences)
-
-    def count(self, work: str) -> int:
-        return len(self.sentences.get(work, ()))
+def _works(corpus: Iterable[Sentence]) -> dict[str, list[str]]:
+    """Sentence ids grouped by work."""
+    works: dict[str, list[str]] = {}
+    for sentence in corpus:
+        works.setdefault(sentence.work_id or "?", []).append(sentence.sent_id)
+    return works
 
 
 def shared_works(
@@ -166,7 +153,7 @@ def _dev_sample(
 def _assign_period_works(
     period: str,
     works: list[str],
-    pool: _WorkPool,
+    pool: Mapping[str, list[str]],
     mandatory_train: set[str],
     published: Mapping[str, tuple[str, str]] | None,
     min_test: int,
@@ -188,12 +175,12 @@ def _assign_period_works(
         else:
             unassigned.append(work)
 
-    test_size = sum(pool.count(w) for w in test)
+    test_size = sum(len(pool[w]) for w in test)
     # Smallest works first keeps the test set lean while reaching the floor.
-    for work in sorted(unassigned, key=lambda w: (pool.count(w), w)):
+    for work in sorted(unassigned, key=lambda w: (len(pool[w]), w)):
         if test_size < min_test:
             test.append(work)
-            test_size += pool.count(work)
+            test_size += len(pool[work])
         else:
             train.append(work)
 
@@ -242,12 +229,12 @@ def build_splits(
                 raise ValueError(
                     f"sentence id {sentence.sent_id!r} is in both the UD and the LASLA corpus"
                 )
-    pool = _WorkPool.of(ud_corpus)
+    pool = _works(ud_corpus)
     shared = shared_works(duplicates, ud_corpus)
     dup_sents = duplicate_ud_sentences(duplicates)
 
     period_works: dict[str, list[str]] = defaultdict(list)
-    for work in pool.works():
+    for work in sorted(pool):
         meta = metadata.get(work)
         if meta is None:
             raise MetadataError(f"work {work!r} has no metadata row")
@@ -264,7 +251,7 @@ def build_splits(
         )
         dev: list[str] = []
         for work in train:
-            eligible = [s for s in pool.sentences[work] if s not in dup_sents]
+            eligible = [s for s in pool[work] if s not in dup_sents]
             dev.extend(_dev_sample(eligible, seed, work, dev_fraction))
         name = PERIOD_CLASSICAL_UD if period == PERIOD_CLASSICAL else period
         manifests.append(
@@ -277,7 +264,7 @@ def build_splits(
             )
         )
         if period == PERIOD_CLASSICAL and lasla_corpus is not None:
-            lasla_works = sorted(_WorkPool.of(lasla_corpus).sentences)
+            lasla_works = sorted(_works(lasla_corpus))
             manifests.append(
                 SplitManifest(
                     period=PERIOD_CLASSICAL_BOTH,
@@ -302,8 +289,8 @@ def audit_splits(
 ) -> list[AuditResult]:
     """Re-check every constraint independently of the builder."""
     results = []
-    pool = _WorkPool.of(ud_corpus)
-    lasla_work_set = set(_WorkPool.of(lasla_corpus).sentences) if lasla_corpus else set()
+    pool = _works(ud_corpus)
+    lasla_work_set = set(_works(lasla_corpus)) if lasla_corpus else set()
 
     overlap = sorted(
         work
@@ -318,7 +305,7 @@ def audit_splits(
         )
     )
 
-    test_size = sum(pool.count(w) for w in manifest.test_works)
+    test_size = sum(len(pool.get(w, ())) for w in manifest.test_works)
     results.append(
         AuditResult(
             CONSTRAINT_TEST_SIZE,
@@ -332,7 +319,7 @@ def audit_splits(
         for work in manifest.test_works
         if work in lasla_work_set
         or (work in metadata and metadata[work].treebank == "LASLA")
-        or pool.count(work) == 0
+        or work not in pool
     )
     results.append(
         AuditResult(

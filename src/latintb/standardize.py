@@ -9,6 +9,7 @@ gerund, gerundive, supine).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Mapping
 
 from .conllu import FeatureBundle, Token
@@ -47,7 +48,22 @@ DEFAULT_VERBFORM_MOODS: Mapping[str, str | None] = {
     "Conv": "Part",
 }
 
-MORPH_FEATURES = ("Case", "Degree", "Gender", "Mood", "Number", "Person", "Tense", "Voice")
+# The standard scheme: each morph feature and its inventory, in the order a record
+# checks them. A record holds a feature under its lower-case name (Gender as a tuple).
+_INVENTORIES = {
+    "Person": PERSONS,
+    "Number": NUMBERS,
+    "Tense": TENSES,
+    "Mood": MOODS,
+    "Voice": VOICES,
+    "Case": CASES,
+    "Degree": DEGREES,
+    "Gender": GENDERS,
+}
+_FIELDS = {feature: feature.lower() for feature in _INVENTORIES}
+_field_values = attrgetter(*_FIELDS.values())  # a record's values, in table order
+MORPH_FEATURES = tuple(sorted(_INVENTORIES))
+STANDARD_FEATURES = ("UPOS",) + MORPH_FEATURES
 
 ANOMALY_TRAD_ON_NONVERB = "TRAD_FIELD_ON_NONVERB"
 ANOMALY_UNKNOWN_VALUE = "UNKNOWN_FEATURE_VALUE"
@@ -130,38 +146,25 @@ class StandardRecord:
     anomalies: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        checks = (
-            (self.person, PERSONS, "person"),
-            (self.number, NUMBERS, "number"),
-            (self.tense, TENSES, "tense"),
-            (self.mood, MOODS, "mood"),
-            (self.voice, VOICES, "voice"),
-            (self.case, CASES, "case"),
-            (self.degree, DEGREES, "degree"),
-        )
-        for value, inventory, name in checks:
-            if value is not None and value not in inventory:
-                raise ValueError(f"{name} value {value!r} outside inventory")
-        for g in self.gender:
-            if g not in GENDERS:
-                raise ValueError(f"gender value {g!r} outside inventory")
+        for (feature, inventory), value in zip(_INVENTORIES.items(), _field_values(self)):
+            for v in value if feature == "Gender" else (value,):
+                if v is not None and v not in inventory:
+                    raise ValueError(f"{_FIELDS[feature]} value {v!r} outside inventory")
 
     def values_for(self, feature: str) -> tuple[str, ...]:
         """Values of one of the 9 features; empty tuple means None."""
         if feature == "UPOS":
             return (self.upos,) if self.upos != "_" else ()
+        value = getattr(self, _FIELDS[feature])
         if feature == "Gender":
-            return tuple(sorted(self.gender))
-        value = {
-            "Person": self.person,
-            "Number": self.number,
-            "Tense": self.tense,
-            "Mood": self.mood,
-            "Voice": self.voice,
-            "Case": self.case,
-            "Degree": self.degree,
-        }[feature]
+            return tuple(sorted(value))
         return (value,) if value is not None else ()
+
+    def set_values(
+        self, features: Iterable[str] = MORPH_FEATURES
+    ) -> list[tuple[str, tuple[str, ...]]]:
+        """The (feature, values) pairs among ``features`` that this record sets."""
+        return [(feature, values) for feature in features if (values := self.values_for(feature))]
 
     def label_for(self, feature: str) -> str:
         """Single class label used by the metrics; absence is "None"."""
@@ -170,22 +173,13 @@ class StandardRecord:
 
     def morph_string(self, *, include_upos: bool = False) -> str:
         """Alphabetically sorted Feature=Value string over the morph features."""
-        parts = []
+        parts = [f"{feature}={','.join(values)}" for feature, values in self.set_values()]
         if include_upos:
-            parts.append(f"UPOS={self.upos}")
-        for feature in MORPH_FEATURES:
-            values = self.values_for(feature)
-            if values:
-                parts.append(f"{feature}={','.join(values)}")
+            parts.insert(0, f"UPOS={self.upos}")
         return "|".join(parts)
 
     def to_feature_bundle(self) -> FeatureBundle:
-        entries = []
-        for feature in MORPH_FEATURES:
-            values = self.values_for(feature)
-            if values:
-                entries.append((feature, values))
-        return FeatureBundle(entries)
+        return FeatureBundle(self.set_values())
 
 
 @dataclass(slots=True)
@@ -357,30 +351,18 @@ def record_from_standard_feats(token: Token) -> StandardRecord:
     standardize_* converters.
     """
     feats = token.feats
-    known = set(MORPH_FEATURES)
     for name in feats.names():
-        if name not in known:
+        if name not in _FIELDS:
             raise ValueError(f"non-standard feature {name!r} in {token.form!r}")
-
-    def one(name: str) -> str | None:
-        values = feats.get(name)
-        if values is None:
-            return None
+    fields = {"gender": tuple(sorted(feats.get("Gender") or ()))}
+    for feature, name in _FIELDS.items():
+        values = feats.get(feature)
+        if values is None or feature == "Gender":
+            continue
         if len(values) != 1:
-            raise ValueError(f"feature {name} must be single-valued, got {values}")
-        return values[0]
-
-    return StandardRecord(
-        upos=token.upos,
-        person=one("Person"),
-        number=one("Number"),
-        tense=one("Tense"),
-        mood=one("Mood"),
-        voice=one("Voice"),
-        gender=tuple(sorted(feats.get("Gender") or ())),
-        case=one("Case"),
-        degree=one("Degree"),
-    )
+            raise ValueError(f"feature {feature} must be single-valued, got {values}")
+        fields[name] = values[0]
+    return StandardRecord(upos=token.upos, **fields)
 
 
 # Legality rules (grammar-breaking feature combinations).

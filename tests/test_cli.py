@@ -174,6 +174,21 @@ def test_lint_flags_esse_as_noun(fixtures_dir, tmp_path):
     assert "ESSE_AS_NOUN" in codes
 
 
+# lint.tsv of the UD and of the LASLA fixtures, pinned byte for byte
+LINT_SHA256 = {
+    "ud": "e16f0397ef1d6fe3059313fcf2979d3276514824eb21481b6452766942f5d293",
+    "lasla": "b68c87da796ce742ff297794092bda1287f660802700904689e39f594d2228fc",
+}
+
+
+@pytest.mark.parametrize("flavor", sorted(LINT_SHA256))
+def test_lint_outputs_are_pinned(fixtures_dir, tmp_path, flavor):
+    out = tmp_path / "lint.tsv"
+    assert main(["lint", "--in", str(fixtures_dir / flavor), "--flavor", flavor,
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == LINT_SHA256[flavor]
+
+
 def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
@@ -411,6 +426,33 @@ def test_split_that_cannot_reach_the_test_floor_is_infeasible(workdir, fixtures_
     assert done.stderr.startswith("infeasible: [test-min-size] period ")
     assert done.stderr.count("\n") == 1 and done.stderr.endswith("\n")
     assert not (tmp_path / "splits").exists()
+
+
+def test_split_reads_converted_lasla_whatever_its_raw_mapping(fixtures_dir, tmp_path):
+    # convert writes ten-column CoNLL-U, so a six-column raw LASLA mapping
+    # must not be applied to what split reads
+    lasla = tmp_path / "lasla"
+    lasla.mkdir()
+    rows = (fixtures_dir / "lasla" / "lasla_alpha.conllu").read_text().splitlines()
+    (lasla / "lasla_alpha.conllu").write_text("".join(
+        ("\t".join(row.split("\t")[:6]) if row and not row.startswith("#") else row) + "\n"
+        for row in rows
+    ))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"min_test_sentences": 30, "lasla_mapping": {"n_columns": 6}}))
+    ud, std = fixtures_dir / "ud", tmp_path / "std"
+    for argv in (
+        ("convert", "--in", ud, "--flavor", "ud", "--out", std / "ud"),
+        ("convert", "--in", lasla, "--flavor", "lasla", "--out", std / "lasla"),
+        ("dedup", "--a", ud, "--b", lasla, "--out", tmp_path / "dups.tsv"),
+        ("split", "--ud", std / "ud", "--lasla", std / "lasla",
+         "--metadata", fixtures_dir / "metadata.tsv", "--dups", tmp_path / "dups.tsv",
+         "--out", tmp_path / "splits", "--no-published", "--seed", "7"),
+    ):
+        done = _run_cli(*argv, "--config", config)
+        assert "Traceback" not in done.stderr
+        assert (done.returncode, done.stderr) == (0, ""), argv[0]
+    assert (tmp_path / "splits" / "split_audit.tsv").is_file()
 
 
 def test_importing_the_cli_does_not_import_numpy():
