@@ -16,13 +16,12 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-# evaluation, and with it numpy, is imported by eval and perm-test only
-from . import __version__, dedup, reports, splits
-from .agreement import STAGE_CONVERTED, STAGE_RAW, agreement_table
-from .config import ToolConfig
+# agreement, dedup, evaluation (with numpy), metadata and splits are
+# imported by the subcommands that use them, so convert and lint load none.
+from . import __version__, reports
+from .config import InfeasibleSplitError, ToolConfig
 from .conllu import write_conllu_file
 from .harmonize import ALL_RULES
-from .metadata import load_metadata, read_metadata, validate_metadata
 from .pipeline import FLAVORS, Converter, aligned_pairs, convert_corpus, load_corpus, read_corpus_files
 from .standardize import lint_token
 
@@ -130,6 +129,9 @@ def cmd_convert(args, config: ToolConfig) -> int:
 
 
 def cmd_dedup(args, config: ToolConfig) -> int:
+    from . import dedup
+    from .metadata import load_metadata
+
     corpus_a, _ = load_corpus(args.corpus_a, args.a_flavor, config)
     corpus_b, _ = load_corpus(args.corpus_b, args.b_flavor, config)
     pairs = dedup.find_duplicates(
@@ -147,11 +149,20 @@ def cmd_dedup(args, config: ToolConfig) -> int:
 
 
 def cmd_agree(args, config: ToolConfig) -> int:
+    from . import dedup
+    from .agreement import STAGE_CONVERTED, STAGE_RAW, agreement_table
+
     corpus_a, _ = load_corpus(args.corpus_a, args.a_flavor, config)
     corpus_b, _ = load_corpus(args.corpus_b, args.b_flavor, config)
+    manifest = dedup.read_manifest(args.dups)
+    # conversion works per sentence, so only the named sentences need it;
+    # aligned_pairs still rejects a pair that the corpora do not hold
+    named_a = {row[0] for row in manifest}
+    named_b = {row[1] for row in manifest}
+    corpus_a = [s for s in corpus_a if s.sent_id in named_a]
+    corpus_b = [s for s in corpus_b if s.sent_id in named_b]
     converted_a = convert_corpus(corpus_a, args.a_flavor, config)
     converted_b = convert_corpus(corpus_b, args.b_flavor, config)
-    manifest = dedup.read_manifest(args.dups)
     pairs = aligned_pairs(
         manifest, corpus_a, corpus_b, converted_a.records, converted_b.records
     )
@@ -173,6 +184,8 @@ def cmd_agree(args, config: ToolConfig) -> int:
 
 
 def cmd_metadata_validate(args, config: ToolConfig) -> int:
+    from .metadata import read_metadata, validate_metadata
+
     rows = read_metadata(args.file)
     corpus_counts = None
     if args.corpus is not None:
@@ -189,6 +202,9 @@ def cmd_metadata_validate(args, config: ToolConfig) -> int:
 
 
 def cmd_split(args, config: ToolConfig) -> int:
+    from . import dedup, splits
+    from .metadata import load_metadata
+
     ud_corpus, _ = load_corpus(args.ud, "ud", config)
     lasla_corpus = None
     if args.lasla is not None:
@@ -344,7 +360,7 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args, config)
     except UsageError as exc:
         return _fail("usage error", exc, 2)
-    except splits.InfeasibleSplitError as exc:
+    except InfeasibleSplitError as exc:
         return _fail("infeasible", exc, 1)
     except (ValueError, OSError) as exc:  # a bad input, or a path that cannot be read or written
         return _fail("error", exc, 1)

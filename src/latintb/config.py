@@ -13,14 +13,27 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .conllu import ColumnMapping
-from .dedup import DEFAULT_MIN_CHARS, DEFAULT_MIN_TOKENS
 from .lasla import DEFAULT_LASLA_MAPPING
-from .splits import DEFAULT_DEV_FRACTION, DEFAULT_MIN_TEST
 from .standardize import DEFAULT_LEGALITY_RULES, LEGALITY_RULES, TenseAspectTable
+
+# The defaults of dedup and splits live here, so that loading a config
+# imports neither module.
+DEFAULT_MIN_CHARS = 20
+DEFAULT_MIN_TOKENS = 5
+DEFAULT_DEV_FRACTION = 0.03
+DEFAULT_MIN_TEST = 1000
 
 
 class ConfigError(ValueError):
     pass
+
+
+class InfeasibleSplitError(ValueError):
+    """No split meets a hard constraint under the configured sizes."""
+
+    def __init__(self, constraint: str, message: str):
+        super().__init__(f"[{constraint}] {message}")
+        self.constraint = constraint
 
 
 @dataclass(slots=True)

@@ -25,9 +25,9 @@ UPOS_TAGS = frozenset(
     }
 )
 
-# a multiword-token range ("4-5") or an empty node ("5.1")
+# a multiword-token range ("4-5") or an empty node ("5.1"); a word id is
+# str.isdecimal(), the same Unicode Nd digits that \d matches
 _EXTRA_ID = re.compile(r"^\d+[-.]\d+$")
-_WORD_ID = re.compile(r"^\d+$")
 
 
 class ConlluError(ValueError):
@@ -139,11 +139,12 @@ class Token:
     def __post_init__(self) -> None:
         if self.id < 1:
             raise StructureError(f"token id must be >= 1, got {self.id}")
-        seen = set()
-        for key, _ in self.misc:
-            if key in seen:
-                raise ParseError(f"duplicate MISC key {key!r}")
-            seen.add(key)
+        if len(self.misc) > 1:
+            seen = set()
+            for key, _ in self.misc:
+                if key in seen:
+                    raise ParseError(f"duplicate MISC key {key!r}")
+                seen.add(key)
 
     def misc_get(self, key: str) -> str | None:
         for k, v in self.misc:
@@ -221,12 +222,12 @@ def read_blocks(
     line_no = 0
     for line_no, raw in enumerate(source, start=1):
         line = raw.rstrip("\n")
-        if line == "":
+        if not line:
             if comments or rows:
                 yield tuple(comments), meta, rows, line_no
                 comments, meta, rows = [], {}, []
             continue
-        if line.startswith("#"):
+        if line[0] == "#":
             comments.append(line)
             body = line[1:].strip()
             if "=" in body:
@@ -333,14 +334,17 @@ class CorpusReader:
     raw string, never bundle equality: ``Mood=Sub,Ind`` and
     ``Mood=Ind,Sub`` are equal bundles that standardize to different
     moods. A string that fails to parse is never stored, so it raises
-    again on every line. ``unknown_values`` counts every occurrence of a
-    value outside the mapping's inventory.
+    again on every line. Each distinct raw MISC string likewise gets one
+    entry tuple; ``Token`` checks it for duplicate keys on every line.
+    ``unknown_values`` counts every occurrence of a value outside the
+    mapping's inventory.
     """
 
     def __init__(self, mapping: ColumnMapping = CONLLU_MAPPING):
         self.mapping = mapping
         self.unknown_values: Counter = Counter()
         self._bundles: dict[str, tuple[FeatureBundle, tuple[tuple[str, str], ...]]] = {}
+        self._miscs: dict[str, tuple[tuple[str, str | None], ...]] = {}
         # the fields after the id, as one tuple per row; a field without a
         # column reads the "_" appended to every row
         self._fields = itemgetter(
@@ -358,7 +362,7 @@ class CorpusReader:
         """
         mapping = self.mapping
         id_column = mapping.columns.get("id")
-        fields, bundles = self._fields, self._bundles
+        fields, bundles, miscs = self._fields, self._bundles, self._miscs
         sentences: list[Sentence] = []
         doc_id: str | None = None
 
@@ -376,12 +380,13 @@ class CorpusReader:
                         tok_id = len(tokens) + 1
                     else:
                         raw_id = cols[id_column]
-                        if _EXTRA_ID.match(raw_id):
+                        if raw_id.isdecimal():
+                            tok_id = int(raw_id)
+                        elif _EXTRA_ID.match(raw_id):
                             extras.append((len(tokens), "\t".join(cols)))
                             continue
-                        if not _WORD_ID.match(raw_id):
+                        else:
                             raise ValueError(f"bad token id {raw_id!r}")
-                        tok_id = int(raw_id)
                     cols.append("_")
                     form, lemma, upos, xpos, feats, head, deprel, deps, misc = fields(cols)
                     if upos != "_" and upos not in UPOS_TAGS:
@@ -391,18 +396,21 @@ class CorpusReader:
                         hit = bundles[feats] = _mapped_feats(feats, mapping)
                     if hit[1]:
                         self.unknown_values.update(hit[1])
+                    misc_entries = miscs.get(misc)
+                    if misc_entries is None:
+                        misc_entries = miscs[misc] = _parse_misc(misc)
                     tokens.append(
                         Token(
-                            id=tok_id,
-                            form=form,
-                            lemma=lemma,
-                            upos=upos,
-                            xpos=None if xpos == "_" else xpos,
-                            feats=hit[0],
-                            head=None if head == "_" else head,
-                            deprel=None if deprel == "_" else deprel,
-                            deps=None if deps == "_" else deps,
-                            misc=_parse_misc(misc),
+                            tok_id,
+                            form,
+                            lemma,
+                            upos,
+                            hit[0],
+                            None if xpos == "_" else xpos,
+                            None if head == "_" else head,
+                            None if deprel == "_" else deprel,
+                            None if deps == "_" else deps,
+                            misc_entries,
                         )
                     )
                 except ValueError as exc:

@@ -12,20 +12,20 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from difflib import SequenceMatcher
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import reports
+from .config import DEFAULT_MIN_CHARS, DEFAULT_MIN_TOKENS
 from .conllu import Sentence
-from .metadata import TextMetadata
 from .normalize import NormalizedSentence, matching_key
+
+if TYPE_CHECKING:
+    from .metadata import TextMetadata
 
 BASIS_CHAR_PREFIX = "char-prefix"
 BASIS_CHAR_SUFFIX = "char-suffix"
 BASIS_TOKEN_PREFIX = "token-prefix"
 BASIS_TOKEN_SUFFIX = "token-suffix"
-
-DEFAULT_MIN_CHARS = 20
-DEFAULT_MIN_TOKENS = 5
 
 MANIFEST_HEADER = ("sent_a", "sent_b", "basis", "align_length")
 

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .conllu import ColumnMapping, CorpusReader, Sentence
+from .conllu import CONLLU_MAPPING, ColumnMapping, CorpusReader, Sentence
 
-# LASLA's CoNLL-U-like export: standard columns, "Plural" spelled out,
-# no dependency relations. The known-value inventory covers the features
-# the conversion consumes; values outside it are counted as warnings.
+# LASLA's CoNLL-U-like export: the ten standard columns, "Plural" spelled
+# out. The known-value inventory covers the features the conversion
+# consumes; values outside it are counted as warnings.
 DEFAULT_LASLA_MAPPING = ColumnMapping(
+    columns=dict(CONLLU_MAPPING.columns),
     value_renames={"Number": {"Plural": "Plur"}},
     known_values={
         "Aspect": frozenset({"Imp", "Perf", "Prosp"}),

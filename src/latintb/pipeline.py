@@ -9,17 +9,17 @@ passes through untouched.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .config import ToolConfig
 from .conllu import CONLLU_MAPPING, ConlluError, CorpusReader, FeatureBundle, Sentence, Token
-from .dedup import align_tokens
-from .agreement import AlignedTokenPair
 from .harmonize import harmonize_sentence
-from .normalize import matching_key
 from .standardize import StandardRecord, standardize_lasla, standardize_ud
+
+if TYPE_CHECKING:
+    from .agreement import AlignedTokenPair
 
 _CONSUMED_MISC_KEYS = ("TraditionalTense", "TraditionalMood")
 
@@ -104,23 +104,20 @@ class ConversionResult:
 def _standard_token(
     token: Token, record: StandardRecord, bundles: dict[StandardRecord, FeatureBundle]
 ) -> Token:
+    """The token with the record's UPOS and FEATS and without the consumed
+    MISC keys. A token that has them already is returned as it is; its
+    bundle is equal to the record's, so it serializes alike."""
     feats = bundles.get(record)
     if feats is None:
         feats = bundles[record] = record.to_feature_bundle()
-    misc = tuple(
-        (key, value) for key, value in token.misc if key not in _CONSUMED_MISC_KEYS
-    )
+    misc = token.misc
+    if misc:
+        misc = tuple((key, value) for key, value in misc if key not in _CONSUMED_MISC_KEYS)
+    if record.upos == token.upos and feats == token.feats and misc == token.misc:
+        return token
     return Token(
-        id=token.id,
-        form=token.form,
-        lemma=token.lemma,
-        upos=record.upos,
-        feats=feats,
-        xpos=token.xpos,
-        head=token.head,
-        deprel=token.deprel,
-        deps=token.deps,
-        misc=misc,
+        token.id, token.form, token.lemma, record.upos, feats,
+        token.xpos, token.head, token.deprel, token.deps, misc,
     )
 
 
@@ -133,7 +130,10 @@ def _with_records(
         _standard_token(token, record, bundles)
         for token, record in zip(sentence.tokens, records)
     )
-    return replace(sentence, tokens=tokens)
+    return Sentence(
+        sentence.sent_id, tokens, sentence.text, sentence.doc_id,
+        sentence.work_id, sentence.comments, sentence.extras,
+    )
 
 
 def sentence_with_records(
@@ -213,6 +213,11 @@ def aligned_pairs(
 ) -> list[AlignedTokenPair]:
     """Re-align the duplicate pairs named by a manifest and attach the
     converted records when provided."""
+    # imported here, so that convert and lint load no dedup code
+    from .agreement import AlignedTokenPair
+    from .dedup import align_tokens
+    from .normalize import matching_key
+
     by_id_a = {s.sent_id: i for i, s in enumerate(corpus_a)}
     by_id_b = {s.sent_id: i for i, s in enumerate(corpus_b)}
     pairs: list[AlignedTokenPair] = []

@@ -17,6 +17,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from .config import DEFAULT_DEV_FRACTION, DEFAULT_MIN_TEST, InfeasibleSplitError
 from .conllu import Sentence
 from .dedup import DuplicatePair
 from .metadata import (
@@ -36,15 +37,6 @@ CONSTRAINT_ATOMICITY = "work-atomicity"
 CONSTRAINT_TEST_SIZE = "test-min-size"
 CONSTRAINT_TEST_UD_ONLY = "test-ud-only"
 CONSTRAINT_SHARED_IN_TRAIN = "lasla-shared-in-train"
-
-DEFAULT_DEV_FRACTION = 0.03
-DEFAULT_MIN_TEST = 1000
-
-
-class InfeasibleSplitError(ValueError):
-    def __init__(self, constraint: str, message: str):
-        super().__init__(f"[{constraint}] {message}")
-        self.constraint = constraint
 
 
 @dataclass(frozen=True, slots=True)

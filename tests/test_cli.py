@@ -247,6 +247,83 @@ def test_agree_with_unknown_manifest_sentence_fails_in_one_line(fixtures_dir, tm
     assert done.stderr == "error: manifest pair ('nope', 'nada') not found in corpora\n"
 
 
+def _with_extra_file(corpus, out, text):
+    """A copy of a corpus directory with one more file."""
+    out.mkdir()
+    for file in corpus.glob("*.conllu"):
+        (out / file.name).write_bytes(file.read_bytes())
+    (out / "zz_extra.conllu").write_text(text)
+    return out
+
+
+# Sentences no manifest names, each with a conversion anomaly: a
+# Traditional* key on a noun, and a two-valued Case.
+EXTRA_UD = (
+    "# sent_id = extra-ud-s1\n"
+    "1\tamicus\tamicus\tNOUN\t_\tCase=Nom|Gender=Masc|Number=Sing\t_\t_\t_\tTraditionalMood=Ind\n"
+    "2\tvenit\tvenio\tVERB\t_\tMood=Ind|Number=Sing|Person=3|Tense=Pres|Voice=Act\t_\t_\t_\t_\n"
+)
+EXTRA_LASLA = (
+    "# sent_id = extra-lasla-s1\n"
+    "1\tamici\tamicus\tNOUN\t_\tCase=Nom,Gen|Gender=Masc|Number=Plural\t_\t_\t_\t_\n"
+    "2\tveniunt\tvenio\tVERB\t_\tMood=Ind|Number=Plural|Person=3|Tense=Pres|Voice=Act\t_\t_\t_\t_\n"
+)
+
+
+@pytest.mark.parametrize("exclude", [False, True])
+def test_agree_ignores_sentences_the_manifest_does_not_name(workdir, fixtures_dir, tmp_path, exclude):
+    ud = _with_extra_file(fixtures_dir / "ud", tmp_path / "ud", EXTRA_UD)
+    lasla = _with_extra_file(fixtures_dir / "lasla", tmp_path / "lasla", EXTRA_LASLA)
+    for corpus, flavor in ((ud, "ud"), (lasla, "lasla")):
+        extra, _ = load_corpus(corpus / "zz_extra.conllu", flavor)
+        assert convert_corpus(extra, flavor).anomalies
+    flag = ["--exclude-anomalous"] if exclude else []
+    for a, b, out in ((fixtures_dir / "ud", fixtures_dir / "lasla", "clean.tsv"), (ud, lasla, "extra.tsv")):
+        assert main(["agree", "--a", str(a), "--b", str(b), "--dups", str(workdir / "dups.tsv"),
+                     "--out", str(tmp_path / out), *flag]) == 0
+    assert (tmp_path / "extra.tsv").read_bytes() == (tmp_path / "clean.tsv").read_bytes()
+    if not exclude:
+        assert (tmp_path / "clean.tsv").read_bytes() == (workdir / "agreement.tsv").read_bytes()
+
+
+@pytest.mark.parametrize("missing", ["a", "b", "both", "swapped"])
+def test_agree_names_the_first_manifest_pair_it_cannot_find(workdir, fixtures_dir, tmp_path,
+                                                            capsys, missing):
+    header, *rows = (workdir / "dups.tsv").read_text().splitlines(keepends=True)
+    sent_a, sent_b, *rest = rows[1].split("\t")
+    # each column names a sentence of its own corpus, so a swapped pair is absent too
+    bad = {
+        "a": ("nope", sent_b),
+        "b": (sent_a, "nada"),
+        "both": ("nope", "nada"),
+        "swapped": (sent_b, sent_a),
+    }[missing]
+    manifest = tmp_path / "dups.tsv"
+    manifest.write_text(header + rows[0] + "\t".join([*bad, *rest]) + "".join(rows[2:]))
+    assert main(["agree", "--a", str(fixtures_dir / "ud"), "--b", str(fixtures_dir / "lasla"),
+                 "--dups", str(manifest), "--out", str(tmp_path / "agreement.tsv")]) == 1
+    assert capsys.readouterr().err == f"error: manifest pair {bad!r} not found in corpora\n"
+    assert not (tmp_path / "agreement.tsv").exists()
+
+
+@pytest.mark.parametrize("command", ["convert", "lint"])
+def test_convert_and_lint_load_no_split_dedup_or_numpy_code(fixtures_dir, tmp_path, command):
+    probe = ("import sys\n"
+             "from latintb.cli import main\n"
+             "code = main(sys.argv[1:])\n"
+             "print(sorted(m for m in ('latintb.splits', 'latintb.dedup', 'numpy') if m in sys.modules))\n"
+             "sys.exit(code)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [_src_path(), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", probe, command, "--in", str(fixtures_dir / "ud"), "--flavor", "ud",
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "[]\n"
+
+
 def test_split_with_work_missing_from_metadata_fails_in_one_line(workdir, fixtures_dir, tmp_path):
     metadata = tmp_path / "metadata.tsv"
     lines = (fixtures_dir / "metadata.tsv").read_text().splitlines(keepends=True)

@@ -3,7 +3,7 @@ import io
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from latintb.cli import main
 from latintb.conllu import (
@@ -340,3 +340,55 @@ def test_a_file_that_is_not_utf8_is_named(fixtures_dir, tmp_path, flavor, name):
     read = parse_conllu_file if flavor == "ud" else ingest_lasla_file
     with pytest.raises(ConlluError, match=rf"^{re.escape(str(copy))}: not UTF-8 text \(invalid start byte\)$"):
         read(copy)
+
+
+# The CoNLL-U id patterns as regular expressions: the oracle for the
+# reader's id classification, which tries str.isdecimal() first.
+_REGEX_WORD_ID = re.compile(r"^\d+$")
+_REGEX_EXTRA_ID = re.compile(r"^\d+[-.]\d+$")
+# ASCII and other Unicode Nd digits, digit-like characters outside Nd
+# (superscript two, one half, Roman four), the range and empty-node
+# separators, letters and a space
+_ID_ALPHABET = "0129٣０߃𝟘²½Ⅳ-.xA "
+
+
+@FLAVORS
+@given(raw_id=st.text(alphabet=_ID_ALPHABET, max_size=5))
+@example(raw_id="")
+@example(raw_id="٣０")
+@example(raw_id="00")
+@example(raw_id="1-2")
+@example(raw_id="٣.０")
+@example(raw_id="²")
+@example(raw_id="1.")
+def test_token_ids_are_classified_as_the_id_patterns_classify_them(flavor, raw_id):
+    # a word id of up to five digits stays below the id of the last token
+    text = f"# sent_id = s1\n{raw_id}{ARMA[1:]}\n1000000{ARMA[1:]}\n"
+    if _REGEX_EXTRA_ID.match(raw_id):
+        [sentence] = _read(flavor, text)
+        assert [t.id for t in sentence.tokens] == [1000000]
+        assert sentence.extras == ((0, f"{raw_id}{ARMA[1:]}"),)
+    elif _REGEX_WORD_ID.match(raw_id) and int(raw_id) >= 1:
+        [sentence] = _read(flavor, text)
+        assert [t.id for t in sentence.tokens] == [int(raw_id), 1000000]
+        assert sentence.extras == ()
+    else:
+        error = ("token id must be >= 1, got 0" if _REGEX_WORD_ID.match(raw_id)
+                 else f"bad token id {raw_id!r}")
+        with pytest.raises(ParseError, match=rf"^line 2 \(sentence 's1'\): {re.escape(error)}$"):
+            _read(flavor, text)
+
+
+@FLAVORS
+def test_a_reused_reader_rejects_a_duplicate_misc_key_at_every_line(flavor):
+    reader = CorpusReader(MAPPINGS[flavor])
+    good = ARMA[:-1] + "SpaceAfter=No"
+    bad = ARMA[:-1] + "SpaceAfter=No|SpaceAfter=Yes"
+    text = f"# sent_id = s1\n{good}\n\n# sent_id = s2\n{bad}\n"
+    # the MISC strings are interned per reader, but a failure is not kept
+    for _ in range(2):
+        with pytest.raises(ParseError, match=r"^line 5 \(sentence 's2'\): duplicate MISC key 'SpaceAfter'$"):
+            reader.read(text)
+    [first, second] = reader.read(f"# sent_id = s1\n{good}\n\n# sent_id = s2\n{good}\n")
+    assert first.tokens[0].misc == (("SpaceAfter", "No"),)
+    assert first.tokens[0].misc is second.tokens[0].misc

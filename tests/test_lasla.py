@@ -1,5 +1,6 @@
 import pytest
 
+from latintb.cli import main
 from latintb.conllu import ColumnMapping, CorpusReader, MappingError, ParseError
 from latintb.lasla import DEFAULT_LASLA_MAPPING, ingest_lasla_file
 
@@ -157,3 +158,22 @@ def test_feature_rename_applied():
     text = "1\tx\tx\tNOUN\t_\tGenus=Fem\t_\t_\t_\t_\n"
     sentences, _ = ingest(text, mapping)
     assert sentences[0].tokens[0].feats.get("Gender") == ("Fem",)
+
+
+def test_convert_keeps_lasla_syntax_and_misc(tmp_path):
+    source = tmp_path / "in"
+    source.mkdir()
+    (source / "w.conllu").write_text(
+        "# sent_id = w-s1\n"
+        "1\tpuella\tpuella\tNOUN\t_\tCase=Nom|Gender=Fem|Number=Sing\t2\tnsubj\t2:nsubj\t_\n"
+        "2\tcantat\tcanto\tVERB\t_\tMood=Ind|Number=Sing|Person=3|Tense=Pres|Voice=Act"
+        "\t0\troot\t0:root\tSpaceAfter=No\n"
+    )
+    assert main(["convert", "--in", str(source), "--flavor", "lasla",
+                 "--out", str(tmp_path / "out")]) == 0
+    rows = [line.split("\t") for line in (tmp_path / "out" / "w.conllu").read_text().splitlines()
+            if line and not line.startswith("#")]
+    assert [row[6:] for row in rows] == [
+        ["2", "nsubj", "2:nsubj", "_"],
+        ["0", "root", "0:root", "SpaceAfter=No"],
+    ]
