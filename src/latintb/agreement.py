@@ -39,19 +39,16 @@ class AgreementRow:
 
 @dataclass(frozen=True, slots=True)
 class AlignedTokenPair:
-    """One aligned token with both sides' raw tokens and, when the
-    converted stage is wanted, both sides' standardized records."""
+    """One aligned token with both sides' raw tokens and standardized
+    records."""
 
     token_a: Token
     token_b: Token
-    record_a: StandardRecord | None = None
-    record_b: StandardRecord | None = None
+    record_a: StandardRecord
+    record_b: StandardRecord
 
     def anomalous(self) -> bool:
-        return bool(
-            (self.record_a.anomalies if self.record_a else ())
-            or (self.record_b.anomalies if self.record_b else ())
-        )
+        return bool(self.record_a.anomalies or self.record_b.anomalies)
 
 
 def raw_view(token: Token) -> dict[str, tuple[str, ...]]:
@@ -107,7 +104,6 @@ def agreement_table(
     stage: str = STAGE_CONVERTED,
     *,
     include_anomalous: bool = True,
-    loose_gender_row: bool = True,
 ) -> list[AgreementRow]:
     """Agreement per feature at one pipeline stage.
 
@@ -122,9 +118,6 @@ def agreement_table(
         if features is None:
             features = observed_features(pairs)
     elif stage == STAGE_CONVERTED:
-        missing = [p for p in aligned if p.record_a is None or p.record_b is None]
-        if missing:
-            raise ValueError("converted-stage agreement needs standardized records")
         pairs = [(converted_view(p.record_a), converted_view(p.record_b)) for p in aligned]
         if features is None:
             features = STANDARD_FEATURES
@@ -134,7 +127,7 @@ def agreement_table(
     rows = []
     for feature in features:
         rows.append(feature_agreement(pairs, feature, MODE_STRICT))
-        if feature == "Gender" and loose_gender_row:
+        if feature == "Gender":
             loose = feature_agreement(pairs, "Gender", MODE_LOOSE_GENDER)
             rows.append(AgreementRow(feature="Gender (loose)", same=loose.same, total=loose.total))
     return rows

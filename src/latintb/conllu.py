@@ -14,9 +14,10 @@ import io
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, TextIO
 
 UPOS_TAGS = frozenset(
     {
@@ -198,54 +199,6 @@ def _parse_misc(text: str) -> tuple[tuple[str, str | None], ...]:
     return tuple(entries)
 
 
-def read_blocks(
-    source: str | TextIO,
-    *,
-    separator: str = "\t",
-    n_columns: int = 10,
-) -> Iterator[tuple[tuple[str, ...], dict[str, str], list[tuple[int, list[str]]], int]]:
-    """Split CoNLL-U-like text into blank-line-delimited sentence blocks.
-
-    Yields ``(comments, meta, rows, end)`` per block: the verbatim
-    comment lines, their ``# key = value`` pairs (the last one of a key
-    wins), the ``(line_no, columns)`` rows, and the number of the line
-    that closed the block; a block of comments has no rows. Raises
-    ParseError for a row without exactly ``n_columns`` columns.
-    """
-    if isinstance(source, str):
-        source = io.StringIO(source)
-
-    comments: list[str] = []
-    meta: dict[str, str] = {}
-    rows: list[tuple[int, list[str]]] = []
-
-    line_no = 0
-    for line_no, raw in enumerate(source, start=1):
-        line = raw.rstrip("\n")
-        if not line:
-            if comments or rows:
-                yield tuple(comments), meta, rows, line_no
-                comments, meta, rows = [], {}, []
-            continue
-        if line[0] == "#":
-            comments.append(line)
-            body = line[1:].strip()
-            if "=" in body:
-                key, value = body.split("=", 1)
-                meta[key.strip()] = value.strip()
-            continue
-        cols = line.split(separator)
-        if len(cols) != n_columns:
-            raise ParseError(
-                f"line {line_no} (sentence {meta.get('sent_id')!r}): expected "
-                f"{n_columns} columns, got {len(cols)}"
-            )
-        rows.append((line_no, cols))
-
-    if comments or rows:
-        yield tuple(comments), meta, rows, line_no
-
-
 FIELDS = ("id", "form", "lemma", "upos", "xpos", "feats", "head", "deprel", "deps", "misc")
 MANDATORY_FIELDS = ("form", "lemma", "upos", "feats")
 
@@ -258,20 +211,18 @@ class MappingError(ValueError):
 class ColumnMapping:
     """Where each CoNLL-U field lives in the source rows.
 
-    ``columns`` maps field names from FIELDS to 0-based columns. A field
-    without a column reads as ``_``; without an ``id`` column, tokens are
-    numbered by position. ``feature_renames`` maps source feature names
-    to internal ones; ``value_renames`` maps, per internal feature name,
-    source values to internal values. ``known_values`` (optional) lists
-    the expected value inventory per feature; values outside it are
-    passed through but counted as warnings.
+    ``columns`` maps field names from FIELDS to 0-based columns; by
+    default, each field whose index in FIELDS is below ``n_columns``
+    sits at that index. A field without a column reads as ``_``; without
+    an ``id`` column, tokens are numbered by position.
+    ``feature_renames`` maps source feature names to internal ones;
+    ``value_renames`` maps, per internal feature name, source values to
+    internal values. ``known_values`` (optional) lists the expected value
+    inventory per feature; values outside it are passed through but
+    counted as warnings.
     """
 
-    columns: dict[str, int] = field(
-        default_factory=lambda: {
-            "id": 0, "form": 1, "lemma": 2, "upos": 3, "xpos": 4, "feats": 5,
-        }
-    )
+    columns: dict[str, int] | None = None
     n_columns: int = 10
     separator: str = "\t"
     feature_renames: dict[str, str] = field(default_factory=dict)
@@ -279,6 +230,9 @@ class ColumnMapping:
     known_values: dict[str, frozenset[str]] | None = None
 
     def __post_init__(self) -> None:
+        if self.columns is None:
+            columns = {name: i for i, name in enumerate(FIELDS) if i < self.n_columns}
+            object.__setattr__(self, "columns", columns)
         for name in self.columns:
             if name not in FIELDS:
                 raise MappingError(
@@ -300,7 +254,7 @@ class ColumnMapping:
 
 
 # Plain CoNLL-U: all ten columns, no renames, no inventory.
-CONLLU_MAPPING = ColumnMapping(columns={name: i for i, name in enumerate(FIELDS)})
+CONLLU_MAPPING = ColumnMapping()
 
 
 def _mapped_feats(
@@ -361,77 +315,94 @@ class CorpusReader:
         not increase.
         """
         mapping = self.mapping
+        separator, n_columns = mapping.separator, mapping.n_columns
         id_column = mapping.columns.get("id")
         fields, bundles, miscs = self._fields, self._bundles, self._miscs
+        if isinstance(source, str):
+            source = io.StringIO(source)
         sentences: list[Sentence] = []
         doc_id: str | None = None
+        comments, meta, tokens, extras = [], {}, [], []
 
-        for comments, meta, rows, end in read_blocks(
-            source, separator=mapping.separator, n_columns=mapping.n_columns
-        ):
-            sent_id = meta.get("sent_id")
-            # a "# newdoc id" carries over to the blocks that follow it
-            doc_id = meta.get("newdoc id", doc_id)
-            tokens: list[Token] = []
-            extras: list[tuple[int, str]] = []
-            for line_no, cols in rows:
-                try:
-                    if id_column is None:
-                        tok_id = len(tokens) + 1
-                    else:
-                        raw_id = cols[id_column]
-                        if raw_id.isdecimal():
-                            tok_id = int(raw_id)
-                        elif _EXTRA_ID.match(raw_id):
-                            extras.append((len(tokens), "\t".join(cols)))
-                            continue
-                        else:
-                            raise ValueError(f"bad token id {raw_id!r}")
-                    cols.append("_")
-                    form, lemma, upos, xpos, feats, head, deprel, deps, misc = fields(cols)
-                    if upos != "_" and upos not in UPOS_TAGS:
-                        raise ValueError(f"unknown UPOS {upos!r}")
-                    hit = bundles.get(feats)
-                    if hit is None:
-                        hit = bundles[feats] = _mapped_feats(feats, mapping)
-                    if hit[1]:
-                        self.unknown_values.update(hit[1])
-                    misc_entries = miscs.get(misc)
-                    if misc_entries is None:
-                        misc_entries = miscs[misc] = _parse_misc(misc)
-                    tokens.append(
-                        Token(
-                            tok_id,
-                            form,
-                            lemma,
-                            upos,
-                            hit[0],
-                            None if xpos == "_" else xpos,
-                            None if head == "_" else head,
-                            None if deprel == "_" else deprel,
-                            None if deps == "_" else deps,
-                            misc_entries,
+        # a source never yields "", so a final "" closes the last block
+        for line_no, raw in enumerate(chain(source, ("",)), start=1):
+            line = raw.rstrip("\n")
+            if not line:
+                if tokens:
+                    sent_id = meta.get("sent_id")
+                    if sent_id is None:
+                        sent_id = f"{stem or 'sent'}-{len(sentences) + 1}"
+                    # a "# newdoc id" carries over to the blocks that follow it
+                    doc_id = meta.get("newdoc id", doc_id)
+                    sentences.append(
+                        Sentence(
+                            sent_id=sent_id,
+                            tokens=tuple(tokens),
+                            text=meta.get("text"),
+                            doc_id=doc_id,
+                            work_id=meta.get("work_id") or doc_id or stem,
+                            comments=tuple(comments),
+                            extras=tuple(extras),
                         )
                     )
-                except ValueError as exc:
-                    raise ParseError(
-                        f"line {line_no} (sentence {sent_id!r}): {exc}"
-                    ) from exc
-            if not tokens:
-                raise ParseError(f"line {end}: sentence block without token lines")
-            if sent_id is None:
-                sent_id = f"{stem or 'sent'}-{len(sentences) + 1}"
-            sentences.append(
-                Sentence(
-                    sent_id=sent_id,
-                    tokens=tuple(tokens),
-                    text=meta.get("text"),
-                    doc_id=doc_id,
-                    work_id=meta.get("work_id") or doc_id or stem,
-                    comments=comments,
-                    extras=tuple(extras),
+                    comments, meta, tokens, extras = [], {}, [], []
+                elif comments or extras:
+                    # the closing blank line, or the last line of the source
+                    end = line_no if raw else line_no - 1
+                    raise ParseError(f"line {end}: sentence block without token lines")
+                continue
+            if line[0] == "#":
+                comments.append(line)
+                body = line[1:].strip()
+                if "=" in body:
+                    key, value = body.split("=", 1)
+                    meta[key.strip()] = value.strip()
+                continue
+            try:
+                cols = line.split(separator)
+                if len(cols) != n_columns:
+                    raise ValueError(f"expected {n_columns} columns, got {len(cols)}")
+                if id_column is None:
+                    tok_id = len(tokens) + 1
+                else:
+                    raw_id = cols[id_column]
+                    if raw_id.isdecimal():
+                        tok_id = int(raw_id)
+                    elif _EXTRA_ID.match(raw_id):
+                        extras.append((len(tokens), "\t".join(cols)))
+                        continue
+                    else:
+                        raise ValueError(f"bad token id {raw_id!r}")
+                cols.append("_")
+                form, lemma, upos, xpos, feats, head, deprel, deps, misc = fields(cols)
+                if upos != "_" and upos not in UPOS_TAGS:
+                    raise ValueError(f"unknown UPOS {upos!r}")
+                hit = bundles.get(feats)
+                if hit is None:
+                    hit = bundles[feats] = _mapped_feats(feats, mapping)
+                if hit[1]:
+                    self.unknown_values.update(hit[1])
+                misc_entries = miscs.get(misc)
+                if misc_entries is None:
+                    misc_entries = miscs[misc] = _parse_misc(misc)
+                tokens.append(
+                    Token(
+                        tok_id,
+                        form,
+                        lemma,
+                        upos,
+                        hit[0],
+                        None if xpos == "_" else xpos,
+                        None if head == "_" else head,
+                        None if deprel == "_" else deprel,
+                        None if deps == "_" else deps,
+                        misc_entries,
+                    )
                 )
-            )
+            except ValueError as exc:
+                raise ParseError(
+                    f"line {line_no} (sentence {meta.get('sent_id')!r}): {exc}"
+                ) from exc
         return sentences
 
     def read_file(self, path: str | Path) -> list[Sentence]:

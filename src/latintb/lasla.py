@@ -9,13 +9,12 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .conllu import CONLLU_MAPPING, ColumnMapping, CorpusReader, Sentence
+from .conllu import ColumnMapping, CorpusReader, Sentence
 
 # LASLA's CoNLL-U-like export: the ten standard columns, "Plural" spelled
 # out. The known-value inventory covers the features the conversion
 # consumes; values outside it are counted as warnings.
 DEFAULT_LASLA_MAPPING = ColumnMapping(
-    columns=dict(CONLLU_MAPPING.columns),
     value_renames={"Number": {"Plural": "Plur"}},
     known_values={
         "Aspect": frozenset({"Imp", "Perf", "Prosp"}),

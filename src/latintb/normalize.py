@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass
-from typing import Sequence
-
 from .conllu import Sentence, Token
 
 _JV_TABLE = str.maketrans({"j": "i", "J": "I", "v": "u", "V": "U"})
@@ -30,10 +28,6 @@ def is_punctuation_form(form: str) -> bool:
 
 def is_punctuation_token(token: Token) -> bool:
     return token.upos == "PUNCT" or is_punctuation_form(token.form)
-
-
-def strip_punctuation(tokens: Sequence[Token]) -> list[Token]:
-    return [t for t in tokens if not is_punctuation_token(t)]
 
 
 def normalize_form(form: str) -> str:

@@ -1,9 +1,10 @@
 """Corpus-level plumbing shared by the CLI subcommands.
 
 Conversion runs standardization and harmonization in one pass and
-rewrites each token's FEATS to the standard 9-feature scheme; consumed
-TraditionalTense/TraditionalMood MISC keys are dropped, everything else
-passes through untouched.
+rewrites each token's FEATS to the standard 9-feature scheme; the MISC
+keys the flavor's standardizer reads (UD's TraditionalTense and
+TraditionalMood, none for LASLA) are dropped, everything else passes
+through untouched.
 """
 
 from __future__ import annotations
@@ -16,12 +17,10 @@ from typing import TYPE_CHECKING, Sequence
 from .config import ToolConfig
 from .conllu import CONLLU_MAPPING, ConlluError, CorpusReader, FeatureBundle, Sentence, Token
 from .harmonize import harmonize_sentence
-from .standardize import StandardRecord, standardize_lasla, standardize_ud
+from .standardize import TRADITIONAL_KEYS, StandardRecord, standardize_lasla, standardize_ud
 
 if TYPE_CHECKING:
     from .agreement import AlignedTokenPair
-
-_CONSUMED_MISC_KEYS = ("TraditionalTense", "TraditionalMood")
 
 
 class ManifestError(ValueError):
@@ -36,10 +35,10 @@ def corpus_files(path: str | Path) -> list[Path]:
 
 
 # The one place a corpus flavor is dispatched: its column mapping (given
-# the config) and its token standardizer.
+# the config), its token standardizer and the MISC keys that reads.
 _FLAVORS = {
-    "ud": (lambda config: CONLLU_MAPPING, standardize_ud),
-    "lasla": (lambda config: config.lasla_mapping, standardize_lasla),
+    "ud": (lambda config: CONLLU_MAPPING, standardize_ud, TRADITIONAL_KEYS),
+    "lasla": (lambda config: config.lasla_mapping, standardize_lasla, ()),
 }
 FLAVORS = tuple(_FLAVORS)
 
@@ -61,7 +60,7 @@ def read_corpus_files(
     outside the mapping's inventory (LASLA's). A sent_id that two
     sentences share is a ConlluError, raised before anything is returned.
     """
-    mapping, _ = _flavor(flavor)
+    mapping, _, _ = _flavor(flavor)
     reader = CorpusReader(mapping(config or ToolConfig()))
     files: list[tuple[Path, list[Sentence]]] = []
     holder: dict[str, Path] = {}  # sent_id -> the file that holds it
@@ -102,17 +101,20 @@ class ConversionResult:
 
 
 def _standard_token(
-    token: Token, record: StandardRecord, bundles: dict[StandardRecord, FeatureBundle]
+    token: Token,
+    record: StandardRecord,
+    bundles: dict[StandardRecord, FeatureBundle],
+    consumed: tuple[str, ...],
 ) -> Token:
-    """The token with the record's UPOS and FEATS and without the consumed
-    MISC keys. A token that has them already is returned as it is; its
-    bundle is equal to the record's, so it serializes alike."""
+    """The token with the record's UPOS and FEATS and without the
+    ``consumed`` MISC keys. A token that has them already is returned as
+    it is; its bundle is equal to the record's, so it serializes alike."""
     feats = bundles.get(record)
     if feats is None:
         feats = bundles[record] = record.to_feature_bundle()
     misc = token.misc
     if misc:
-        misc = tuple((key, value) for key, value in misc if key not in _CONSUMED_MISC_KEYS)
+        misc = tuple((key, value) for key, value in misc if key not in consumed)
     if record.upos == token.upos and feats == token.feats and misc == token.misc:
         return token
     return Token(
@@ -125,9 +127,10 @@ def _with_records(
     sentence: Sentence,
     records: Sequence[StandardRecord],
     bundles: dict[StandardRecord, FeatureBundle],
+    consumed: tuple[str, ...],
 ) -> Sentence:
     tokens = tuple(
-        _standard_token(token, record, bundles)
+        _standard_token(token, record, bundles, consumed)
         for token, record in zip(sentence.tokens, records)
     )
     return Sentence(
@@ -139,7 +142,9 @@ def _with_records(
 def sentence_with_records(
     sentence: Sentence, records: Sequence[StandardRecord]
 ) -> Sentence:
-    return _with_records(sentence, records, {})
+    """The sentence with the records' UPOS and FEATS, without the MISC
+    keys that UD's standardizer reads."""
+    return _with_records(sentence, records, {}, TRADITIONAL_KEYS)
 
 
 class Converter:
@@ -147,15 +152,16 @@ class Converter:
     config, collecting rule audit counts and per-token anomaly codes.
 
     A token's standard record depends only on its UPOS, its FEATS and
-    its Traditional* MISC values, and the reader shares one bundle per
-    distinct FEATS string, so tokens that share all four share one
-    record. The memos live as long as the converter, so the files of one
-    corpus share them; each memo holds its bundle, so no id key outlives
-    its object. Harmonization reads the sentence and stays per token.
+    the values of the MISC keys its flavor's standardizer reads, and the
+    reader shares one bundle per distinct FEATS string, so tokens that
+    share all of them share one record. The memos live as long as the
+    converter, so the files of one corpus share them; each memo holds its
+    bundle, so no id key outlives its object. Harmonization reads the
+    sentence and stays per token.
     """
 
     def __init__(self, flavor: str, config: ToolConfig | None = None):
-        _, self._standardize = _flavor(flavor)
+        _, self._standardize, self._misc_keys = _flavor(flavor)
         self.config = config or ToolConfig()
         self._standard: dict[tuple, tuple[FeatureBundle, StandardRecord]] = {}
         self._bundles: dict[StandardRecord, FeatureBundle] = {}
@@ -164,15 +170,13 @@ class Converter:
         """The sentences converted, with the audit counts and anomalies
         of these sentences only."""
         config, standardize, standard = self.config, self._standardize, self._standard
+        misc_keys = self._misc_keys
+        no_values = (None,) * len(misc_keys)  # what a token without MISC reads
         result = ConversionResult(sentences=[], records=[])
 
         def standardized(token: Token) -> StandardRecord:
-            key = (
-                token.upos,
-                id(token.feats),
-                token.misc_get("TraditionalTense"),
-                token.misc_get("TraditionalMood"),
-            )
+            values = map(token.misc_get, misc_keys) if token.misc else no_values
+            key = (token.upos, id(token.feats), *values)
             hit = standard.get(key)
             if hit is None:
                 record = standardize(token, tense_table=config.tense_table)
@@ -191,7 +195,7 @@ class Converter:
                 for code in record.anomalies:
                     result.anomalies.append((sentence.sent_id, token.id, code))
             result.records.append(records)
-            result.sentences.append(_with_records(sentence, records, self._bundles))
+            result.sentences.append(_with_records(sentence, records, self._bundles, misc_keys))
         return result
 
 
@@ -208,11 +212,11 @@ def aligned_pairs(
     manifest_rows: Sequence[tuple[str, str, str, int]],
     corpus_a: Sequence[Sentence],
     corpus_b: Sequence[Sentence],
-    records_a: Sequence[Sequence[StandardRecord]] | None = None,
-    records_b: Sequence[Sequence[StandardRecord]] | None = None,
+    records_a: Sequence[Sequence[StandardRecord]],
+    records_b: Sequence[Sequence[StandardRecord]],
 ) -> list[AlignedTokenPair]:
     """Re-align the duplicate pairs named by a manifest and attach the
-    converted records when provided."""
+    converted records of both sides."""
     # imported here, so that convert and lint load no dedup code
     from .agreement import AlignedTokenPair
     from .dedup import align_tokens
@@ -234,8 +238,8 @@ def aligned_pairs(
                 AlignedTokenPair(
                     token_a=corpus_a[pos_a].tokens[token_index_a],
                     token_b=corpus_b[pos_b].tokens[token_index_b],
-                    record_a=records_a[pos_a][token_index_a] if records_a else None,
-                    record_b=records_b[pos_b][token_index_b] if records_b else None,
+                    record_a=records_a[pos_a][token_index_a],
+                    record_b=records_b[pos_b][token_index_b],
                 )
             )
     return pairs

@@ -104,31 +104,24 @@ def _works(corpus: Iterable[Sentence]) -> dict[str, list[str]]:
     return works
 
 
-def shared_works(
-    duplicates: Sequence[DuplicatePair] | Sequence[tuple[str, str, str, int]],
-    ud_corpus: Sequence[Sentence],
-) -> set[str]:
-    """UD works with at least one sentence duplicated in LASLA.
-
-    Accepts DuplicatePairs or raw manifest rows (sent_a is the UD side).
-    """
-    ud_sent_work = {s.sent_id: s.work_id for s in ud_corpus}
-    works = set()
-    for item in duplicates:
-        sent_a = item.sent_a if isinstance(item, DuplicatePair) else item[0]
-        work = ud_sent_work.get(sent_a)
-        if work:
-            works.add(work)
-    return works
-
-
 def duplicate_ud_sentences(
     duplicates: Sequence[DuplicatePair] | Sequence[tuple[str, str, str, int]],
 ) -> set[str]:
+    """The UD sentence ids of DuplicatePairs or raw manifest rows (sent_a
+    is the UD side)."""
     return {
         item.sent_a if isinstance(item, DuplicatePair) else item[0]
         for item in duplicates
     }
+
+
+def shared_works(
+    duplicates: Sequence[DuplicatePair] | Sequence[tuple[str, str, str, int]],
+    ud_corpus: Sequence[Sentence],
+) -> set[str]:
+    """UD works with at least one sentence duplicated in LASLA."""
+    duplicated = duplicate_ud_sentences(duplicates)
+    return {s.work_id for s in ud_corpus if s.sent_id in duplicated and s.work_id}
 
 
 def _dev_sample(

@@ -223,6 +223,11 @@ class _Conversion:
         return value
 
 
+# The MISC keys standardize_ud reads: a harmonized UD release's traditional
+# tense and mood.
+TRADITIONAL_KEYS = ("TraditionalTense", "TraditionalMood")
+
+
 def _traditional_field(token: Token, name: str) -> str | None:
     """Traditional* fields live in MISC in the harmonized releases, but
     some exports carry them in FEATS; MISC wins."""
@@ -282,8 +287,7 @@ def standardize_ud(
     """
     conv = _Conversion()
     feats = token.feats
-    trad_tense = _traditional_field(token, "TraditionalTense")
-    trad_mood = _traditional_field(token, "TraditionalMood")
+    trad_tense, trad_mood = (_traditional_field(token, key) for key in TRADITIONAL_KEYS)
 
     verbal = token.upos in VERBAL_UPOS
     if (trad_tense is not None or trad_mood is not None) and not verbal:

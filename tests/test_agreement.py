@@ -83,8 +83,7 @@ def test_planted_disagreement_counts_n_minus_one():
     wrong = StandardRecord(upos="NOUN", case="Acc")
     pairs = [AlignedTokenPair(token, token, record, record) for _ in range(9)]
     pairs.append(AlignedTokenPair(token, token, record, wrong))
-    (_, row) = agreement_table(pairs, features=("UPOS", "Case"), stage=STAGE_CONVERTED,
-                               loose_gender_row=False)
+    (_, row) = agreement_table(pairs, features=("UPOS", "Case"), stage=STAGE_CONVERTED)
     assert row.feature == "Case"
     assert row.total == 10
     assert row.same == 9
@@ -101,19 +100,11 @@ def test_converted_stage_merges_mood_and_verbform():
         StandardRecord(upos="VERB", mood="Part"),
         StandardRecord(upos="VERB", mood="Part"),
     )
-    raw = agreement_table([pair], features=("Mood", "VerbForm"), stage=STAGE_RAW,
-                          loose_gender_row=False)
-    conv = agreement_table([pair], features=("Mood",), stage=STAGE_CONVERTED,
-                           loose_gender_row=False)
+    raw = agreement_table([pair], features=("Mood", "VerbForm"), stage=STAGE_RAW)
+    conv = agreement_table([pair], features=("Mood",), stage=STAGE_CONVERTED)
     assert raw[0].total == 0          # raw Mood absent on both sides
     assert raw[1].total == 1          # raw VerbForm present
     assert conv[0] == AgreementRow(feature="Mood", same=1, total=1)
-
-
-def test_converted_stage_requires_records():
-    token = Token(id=1, form="x", lemma="x", upos="NOUN", feats=FeatureBundle())
-    with pytest.raises(ValueError, match="needs standardized records"):
-        agreement_table([AlignedTokenPair(token, token)], stage=STAGE_CONVERTED)
 
 
 def test_anomalous_pairs_counted_unless_excluded():
@@ -125,10 +116,9 @@ def test_anomalous_pairs_counted_unless_excluded():
         AlignedTokenPair(token, token, clean, clean),
         AlignedTokenPair(token, token, flagged, clean),
     ]
-    default = agreement_table(pairs, features=("Case",), stage=STAGE_CONVERTED,
-                              loose_gender_row=False)
+    default = agreement_table(pairs, features=("Case",), stage=STAGE_CONVERTED)
     excluded = agreement_table(pairs, features=("Case",), stage=STAGE_CONVERTED,
-                               include_anomalous=False, loose_gender_row=False)
+                               include_anomalous=False)
     assert default[0].total == 2
     assert excluded[0].total == 1
 

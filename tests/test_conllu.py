@@ -8,6 +8,7 @@ from hypothesis import example, given, strategies as st
 from latintb.cli import main
 from latintb.conllu import (
     CONLLU_MAPPING,
+    ColumnMapping,
     ConlluError,
     CorpusReader,
     FeatureBundle,
@@ -17,7 +18,6 @@ from latintb.conllu import (
     Token,
     parse_conllu,
     parse_conllu_file,
-    read_blocks,
     serialize_conllu,
 )
 from latintb.lasla import DEFAULT_LASLA_MAPPING, ingest_lasla_file
@@ -215,9 +215,11 @@ def test_comment_only_block_fails_at_its_closing_line(flavor):
     head = f"# sent_id = s1\n{ARMA}\n\n# sent_id = s2\n"
     with pytest.raises(ParseError, match="^line 5: sentence block without token lines$"):
         _read(flavor, head + "\n")
-    # at the end of the input, the last line closes the block
-    with pytest.raises(ParseError, match="^line 4: sentence block without token lines$"):
-        _read(flavor, head)
+    # at the end of the input, the last line closes the block, with or
+    # without a final newline
+    for text in (head, head.rstrip("\n")):
+        with pytest.raises(ParseError, match="^line 4: sentence block without token lines$"):
+            _read(flavor, text)
 
 
 @FLAVORS
@@ -244,6 +246,49 @@ def test_token_error_line_counts_comment_and_blank_lines(flavor):
         ParseError, match=r"^line 7 \(sentence 's2'\): unknown UPOS 'NOPE'$"
     ):
         _read(flavor, text)
+
+
+@FLAVORS
+def test_the_first_bad_line_in_file_order_is_named(flavor):
+    bad_upos = ARMA.replace("NOUN", "NOPE")
+    text = f"# sent_id = s1\n{bad_upos}\n2\tbroken\tline\n"
+    with pytest.raises(ParseError, match=r"^line 2 \(sentence 's1'\): unknown UPOS 'NOPE'$"):
+        _read(flavor, text)
+    # a sent_id that follows the bad line is not yet known
+    with pytest.raises(ParseError, match=r"^line 1 \(sentence None\): unknown UPOS 'NOPE'$"):
+        _read(flavor, f"{bad_upos}\n# sent_id = late\n")
+
+
+_COMMENTS = st.text(alphabet="ab =_", max_size=8).map(lambda body: "#" + body)
+_FORMS = st.text(alphabet="abcxyz", min_size=1, max_size=5)
+# a block: comment lines, then at least one token form, then comments
+_BLOCKS = st.tuples(st.lists(_COMMENTS, max_size=3), st.lists(_FORMS, min_size=1, max_size=4),
+                    st.lists(_COMMENTS, max_size=2))
+
+
+@FLAVORS
+@given(
+    blocks=st.lists(_BLOCKS, min_size=1, max_size=5),
+    blank_runs=st.lists(st.integers(min_value=1, max_value=3), min_size=5, max_size=5),
+    final_newline=st.booleans(),
+)
+def test_sentences_are_the_blocks_between_blank_lines(flavor, blocks, blank_runs, final_newline):
+    texts = []
+    for before, forms, after in blocks:
+        rows = [f"{i}\t{form}\t{form}\tNOUN\t_\t_\t_\t_\t_\t_" for i, form in enumerate(forms, 1)]
+        texts.append("\n".join(before + rows + after))
+    text = "".join(block + "\n" * (1 + run) for block, run in zip(texts, blank_runs))
+    if not final_newline:
+        text = text.rstrip("\n")
+    # the oracle: a plain split on blank lines
+    expected = [block.split("\n") for block in re.split(r"\n\n+", text.strip("\n"))]
+    sentences = _read(flavor, text)
+    assert [list(s.comments) for s in sentences] == [
+        [line for line in block if line.startswith("#")] for block in expected
+    ]
+    assert [[t.form for t in s.tokens] for s in sentences] == [
+        [line.split("\t")[1] for line in block if not line.startswith("#")] for block in expected
+    ]
 
 
 @FLAVORS
@@ -314,12 +359,20 @@ def test_one_bundle_per_raw_feats_string_across_the_files_of_a_corpus(flavor, tm
 
 
 def test_read_blocks_metadata_last_wins_and_custom_columns():
-    text = "# sent_id = a\n# sent_id = b\n# note\nx;y\n\n\nz;w\n"
-    blocks = list(read_blocks(text, separator=";", n_columns=2))
-    assert blocks == [
-        (("# sent_id = a", "# sent_id = b", "# note"), {"sent_id": "b"}, [(4, ["x", "y"])], 5),
-        ((), {}, [(7, ["z", "w"])], 7),
-    ]
+    mapping = ColumnMapping(
+        columns={"form": 0, "lemma": 1, "upos": 2, "feats": 3}, n_columns=4, separator=";"
+    )
+    text = "# sent_id = a\n# sent_id = b\n# note\nx;y;NOUN;Case=Nom\n\n\nz;w;VERB;_\n"
+    first, second = CorpusReader(mapping).read(text, stem="f")
+    assert (first.sent_id, first.comments) == ("b", ("# sent_id = a", "# sent_id = b", "# note"))
+    assert (second.sent_id, second.comments) == ("f-2", ())
+    assert [
+        (t.id, t.form, t.lemma, t.upos, t.feats.to_string(), t.xpos, t.head, t.misc)
+        for s in (first, second) for t in s.tokens
+    ] == [(1, "x", "y", "NOUN", "Case=Nom", None, None, ()), (1, "z", "w", "VERB", "_", None, None, ())]
+    # the custom separator decides the width, and the error names the row's line
+    with pytest.raises(ParseError, match=r"^line 7 \(sentence None\): expected 4 columns, got 2$"):
+        CorpusReader(mapping).read(text.replace("z;w;VERB;_", "z;w"))
 
 
 @pytest.mark.parametrize("flavor, name", [("ud", "cl_alpha.conllu"), ("lasla", "lasla_alpha.conllu")])

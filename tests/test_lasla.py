@@ -46,6 +46,20 @@ def test_mapping_requires_mandatory_fields():
         ColumnMapping(columns={"form": 0, "lemma": 1, "upos": 2})
 
 
+@pytest.mark.parametrize("n_columns", [6, 8, 10])
+def test_default_columns_are_the_fields_that_fit(n_columns):
+    fields = ("id", "form", "lemma", "upos", "xpos", "feats", "head", "deprel", "deps", "misc")
+    assert ColumnMapping(n_columns=n_columns).columns == {
+        name: i for i, name in enumerate(fields[:n_columns])
+    }
+
+
+@pytest.mark.parametrize("n_columns", [4, 5])
+def test_default_columns_below_six_leave_feats_unmapped(n_columns):
+    with pytest.raises(MappingError, match="^mandatory field 'feats' has no column assignment$"):
+        ColumnMapping(n_columns=n_columns)
+
+
 @pytest.mark.parametrize("index", [-1, 10, 12])
 def test_mapping_rejects_a_column_outside_the_row(index):
     columns = dict(DEFAULT_LASLA_MAPPING.columns, feats=index)
@@ -160,20 +174,41 @@ def test_feature_rename_applied():
     assert sentences[0].tokens[0].feats.get("Gender") == ("Fem",)
 
 
-def test_convert_keeps_lasla_syntax_and_misc(tmp_path):
+def _convert_lasla(tmp_path, text, *options):
+    """The token rows that ``convert --flavor lasla`` writes for one file."""
     source = tmp_path / "in"
     source.mkdir()
-    (source / "w.conllu").write_text(
-        "# sent_id = w-s1\n"
-        "1\tpuella\tpuella\tNOUN\t_\tCase=Nom|Gender=Fem|Number=Sing\t2\tnsubj\t2:nsubj\t_\n"
-        "2\tcantat\tcanto\tVERB\t_\tMood=Ind|Number=Sing|Person=3|Tense=Pres|Voice=Act"
-        "\t0\troot\t0:root\tSpaceAfter=No\n"
-    )
+    (source / "w.conllu").write_text(text)
     assert main(["convert", "--in", str(source), "--flavor", "lasla",
-                 "--out", str(tmp_path / "out")]) == 0
-    rows = [line.split("\t") for line in (tmp_path / "out" / "w.conllu").read_text().splitlines()
+                 "--out", str(tmp_path / "out"), *options]) == 0
+    return [line.split("\t") for line in (tmp_path / "out" / "w.conllu").read_text().splitlines()
             if line and not line.startswith("#")]
-    assert [row[6:] for row in rows] == [
-        ["2", "nsubj", "2:nsubj", "_"],
-        ["0", "root", "0:root", "SpaceAfter=No"],
-    ]
+
+
+SYNTAX = (
+    "# sent_id = w-s1\n"
+    "1\tpuella\tpuella\tNOUN\t_\tCase=Nom|Gender=Fem|Number=Sing\t2\tnsubj\t2:nsubj\t_\n"
+    "2\tcantat\tcanto\tVERB\t_\tMood=Ind|Number=Sing|Person=3|Tense=Pres|Voice=Act"
+    "\t0\troot\t0:root\tSpaceAfter=No\n"
+)
+# HEAD, DEPREL, DEPS and MISC of its two tokens
+SYNTAX_COLUMNS = [["2", "nsubj", "2:nsubj", "_"], ["0", "root", "0:root", "SpaceAfter=No"]]
+
+
+def test_convert_keeps_lasla_syntax_and_misc(tmp_path):
+    assert [row[6:] for row in _convert_lasla(tmp_path, SYNTAX)] == SYNTAX_COLUMNS
+
+
+def test_a_config_mapping_without_columns_keeps_lasla_syntax_and_misc(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text('{"lasla_mapping": {"value_renames": {"Number": {"Plural": "Plur"}}}}')
+    rows = _convert_lasla(tmp_path, SYNTAX, "--config", str(config))
+    assert [row[6:] for row in rows] == SYNTAX_COLUMNS
+
+
+def test_convert_keeps_traditional_misc_keys_that_lasla_does_not_read(tmp_path):
+    text = SYNTAX.replace("SpaceAfter=No", "TraditionalMood=Sub|SpaceAfter=No")
+    rows = _convert_lasla(tmp_path, text)
+    assert rows[1][9] == "TraditionalMood=Sub|SpaceAfter=No"
+    # the mood still comes from FEATS
+    assert "Mood=Ind" in rows[1][5]

@@ -7,12 +7,16 @@ from latintb.normalize import (
     is_punctuation_form,
     jv_replace,
     matching_key,
-    strip_punctuation,
 )
 
 
 def tok(i, form, upos="NOUN"):
     return Token(id=i, form=form, lemma=form, upos=upos, feats=FeatureBundle())
+
+
+def kept_forms(tokens):
+    """The forms of the tokens a matching key keeps, as they are."""
+    return [tokens[i].form for i in matching_key(Sentence("s", tuple(tokens))).token_indices]
 
 
 def test_jv_replace_examples():
@@ -28,27 +32,22 @@ def test_jv_replace_idempotent_and_length_preserving(text):
     assert len(once) == len(text)
 
 
-def test_strip_punctuation_removes_comma():
-    tokens = [tok(1, "arma"), tok(2, ",", upos="PUNCT"), tok(3, "uirumque")]
-    assert [t.form for t in strip_punctuation(tokens)] == ["arma", "uirumque"]
-
-
 def test_all_punct_sentence_empties():
     tokens = [tok(1, ",", upos="PUNCT"), tok(2, "!", upos="PUNCT")]
-    assert strip_punctuation(tokens) == []
+    assert kept_forms(tokens) == []
 
 
 def test_mixed_form_retained():
     # "que." is not pure punctuation, so stays even with a sloppy UPOS
     tokens = [tok(1, "que.")]
-    assert strip_punctuation(tokens) == tokens
+    assert kept_forms(tokens) == ["que."]
     oracle = all(unicodedata.category(c).startswith("P") for c in "que.")
     assert is_punctuation_form("que.") == oracle is False
 
 
 def test_punct_by_form_alone_removed():
     tokens = [tok(1, "arma"), tok(2, ";")]
-    assert [t.form for t in strip_punctuation(tokens)] == ["arma"]
+    assert kept_forms(tokens) == ["arma"]
     assert is_punctuation_form("§")
 
 

@@ -9,7 +9,6 @@ from latintb.pipeline import (
     ConversionResult,
     convert_corpus,
     load_corpus,
-    sentence_with_records,
 )
 from latintb.standardize import standardize_lasla, standardize_ud
 
@@ -34,6 +33,8 @@ def reference_conversion(sentences, flavor, config):
     """convert_corpus without its memos: standardize every token,
     harmonize every sentence, rewrite every token."""
     standardize = {"ud": standardize_ud, "lasla": standardize_lasla}[flavor]
+    # the MISC keys each standardizer reads, which conversion drops
+    consumed = {"ud": ("TraditionalTense", "TraditionalMood"), "lasla": ()}[flavor]
     result = ConversionResult(sentences=[], records=[])
     for sentence in sentences:
         records = harmonize_sentence(
@@ -46,7 +47,7 @@ def reference_conversion(sentences, flavor, config):
         for token, record in zip(sentence.tokens, records):
             result.anomalies.extend((sentence.sent_id, token.id, a) for a in record.anomalies)
         result.records.append(records)
-        result.sentences.append(sentence_with_records(sentence, records))
+        result.sentences.append(pipeline._with_records(sentence, records, {}, consumed))
     return result
 
 
@@ -117,14 +118,14 @@ def test_convert_standardizes_each_distinct_input_once_across_files(tmp_path, mo
         (corpus / f"{name}.conllu").write_text(f"# sent_id = {name}-1\n" + "".join(
             _token_line(i, *token) for i, token in enumerate(tokens, start=1)
         ))
-    mapping, standardize = pipeline._FLAVORS["ud"]
+    mapping, standardize, misc_keys = pipeline._FLAVORS["ud"]
     calls = []
 
     def counted(token, **kwargs):
         calls.append((token.upos, token.feats.to_string()))
         return standardize(token, **kwargs)
 
-    monkeypatch.setitem(pipeline._FLAVORS, "ud", (mapping, counted))
+    monkeypatch.setitem(pipeline._FLAVORS, "ud", (mapping, counted, misc_keys))
     assert main(["convert", "--in", str(corpus), "--flavor", "ud",
                  "--out", str(tmp_path / "std")]) == 0
     distinct = {(upos, feats) for tokens in files.values() for _, upos, feats in tokens}
