@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import Iterable, NamedTuple, TextIO
 
 UPOS_TAGS = frozenset(
     {
@@ -122,30 +122,42 @@ class FeatureBundle:
         return f"FeatureBundle({self._string!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
-    """One annotated word token (never a multiword range or empty node)."""
-
+class _TokenFields(NamedTuple):
     id: int
     form: str
     lemma: str
     upos: str
-    feats: FeatureBundle = field(default_factory=FeatureBundle)
+    # bundles are immutable, so every token without features shares one
+    feats: FeatureBundle = FeatureBundle()
     xpos: str | None = None
     head: str | None = None
     deprel: str | None = None
     deps: str | None = None
     misc: tuple[tuple[str, str | None], ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.id < 1:
-            raise StructureError(f"token id must be >= 1, got {self.id}")
-        if len(self.misc) > 1:
-            seen = set()
-            for key, _ in self.misc:
-                if key in seen:
-                    raise ParseError(f"duplicate MISC key {key!r}")
-                seen.add(key)
+
+class Token(_TokenFields):
+    """One annotated word token (never a multiword range or empty node).
+
+    An immutable tuple record. The constructor, and ``_replace``, reject
+    an id below 1 (StructureError) and a repeated MISC key (ParseError).
+    ``CorpusReader`` makes the same checks as it reads a line, the MISC
+    one once per distinct MISC string, and then builds the token with
+    ``tuple.__new__``, without a second check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        token = super().__new__(cls, *args, **kwargs)
+        if token.id < 1:
+            raise StructureError(f"token id must be >= 1, got {token.id}")
+        _check_misc_keys(token.misc)
+        return token
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def misc_get(self, key: str) -> str | None:
         for k, v in self.misc:
@@ -186,6 +198,15 @@ class Sentence:
             prev = token.id
 
 
+def _check_misc_keys(misc: tuple[tuple[str, str | None], ...]) -> None:
+    if len(misc) > 1:
+        seen = set()
+        for key, _ in misc:
+            if key in seen:
+                raise ParseError(f"duplicate MISC key {key!r}")
+            seen.add(key)
+
+
 def _parse_misc(text: str) -> tuple[tuple[str, str | None], ...]:
     if text == "_" or text == "":
         return ()
@@ -196,6 +217,7 @@ def _parse_misc(text: str) -> tuple[tuple[str, str | None], ...]:
             entries.append((key, value))
         else:
             entries.append((item, None))
+    _check_misc_keys(entries)
     return tuple(entries)
 
 
@@ -289,9 +311,11 @@ class CorpusReader:
     ``Mood=Ind,Sub`` are equal bundles that standardize to different
     moods. A string that fails to parse is never stored, so it raises
     again on every line. Each distinct raw MISC string likewise gets one
-    entry tuple; ``Token`` checks it for duplicate keys on every line.
-    ``unknown_values`` counts every occurrence of a value outside the
-    mapping's inventory.
+    entry tuple, checked for duplicate keys once, when it is first read;
+    a string with a repeated key is never stored either. With the id
+    checked on each line, every check of ``Token(...)`` is made, so
+    tokens are built with ``tuple.__new__``. ``unknown_values`` counts
+    every occurrence of a value outside the mapping's inventory.
     """
 
     def __init__(self, mapping: ColumnMapping = CONLLU_MAPPING):
@@ -318,6 +342,7 @@ class CorpusReader:
         separator, n_columns = mapping.separator, mapping.n_columns
         id_column = mapping.columns.get("id")
         fields, bundles, miscs = self._fields, self._bundles, self._miscs
+        new = tuple.__new__
         if isinstance(source, str):
             source = io.StringIO(source)
         sentences: list[Sentence] = []
@@ -382,21 +407,27 @@ class CorpusReader:
                     hit = bundles[feats] = _mapped_feats(feats, mapping)
                 if hit[1]:
                     self.unknown_values.update(hit[1])
+                # Token's checks, in its order and with its messages
+                if tok_id < 1:
+                    raise StructureError(f"token id must be >= 1, got {tok_id}")
                 misc_entries = miscs.get(misc)
                 if misc_entries is None:
                     misc_entries = miscs[misc] = _parse_misc(misc)
                 tokens.append(
-                    Token(
-                        tok_id,
-                        form,
-                        lemma,
-                        upos,
-                        hit[0],
-                        None if xpos == "_" else xpos,
-                        None if head == "_" else head,
-                        None if deprel == "_" else deprel,
-                        None if deps == "_" else deps,
-                        misc_entries,
+                    new(
+                        Token,
+                        (
+                            tok_id,
+                            form,
+                            lemma,
+                            upos,
+                            hit[0],
+                            None if xpos == "_" else xpos,
+                            None if head == "_" else head,
+                            None if deprel == "_" else deprel,
+                            None if deps == "_" else deps,
+                            misc_entries,
+                        ),
                     )
                 )
             except ValueError as exc:

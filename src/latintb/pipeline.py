@@ -86,7 +86,8 @@ def load_corpus(
 ) -> tuple[list[Sentence], Counter]:
     """The sentences of every file of ``read_corpus_files``, in file
     order, and the unknown-value counts. ``jobs`` is accepted and
-    ignored: the files are read in one thread.
+    ignored: the files are read in one thread. The benchmark's traced
+    pass (``perfbench/layers.py``) still passes it.
     """
     files, unknown_values = read_corpus_files(path, flavor, config)
     return [sentence for _, sentences in files for sentence in sentences], unknown_values
@@ -117,10 +118,11 @@ def _standard_token(
         misc = tuple((key, value) for key, value in misc if key not in consumed)
     if record.upos == token.upos and feats == token.feats and misc == token.misc:
         return token
-    return Token(
+    # built unchecked: the id is the checked token's, and MISC only lost keys
+    return tuple.__new__(Token, (
         token.id, token.form, token.lemma, record.upos, feats,
         token.xpos, token.head, token.deprel, token.deps, misc,
-    )
+    ))
 
 
 def _with_records(

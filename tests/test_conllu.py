@@ -61,6 +61,25 @@ def test_misc_round_trips_traditional_mood():
     assert "TraditionalMood=Ind" in serialize_conllu([sentence])
 
 
+def test_token_is_an_immutable_record_that_checks_its_fields():
+    token = Token(id=1, form="x", lemma="x", upos="NOUN")
+    with pytest.raises(AttributeError):
+        token.form = "y"
+    assert (token.feats, token.xpos, token.head, token.deprel, token.deps, token.misc) == (
+        FeatureBundle(), None, None, None, None, ())
+    assert serialize_conllu([Sentence("s", (token,))]) == "# sent_id = s\n1\tx\tx\tNOUN\t_\t_\t_\t_\t_\t_\n"
+    same = Token(1, "x", "x", "NOUN", FeatureBundle(), None, None, None, None, ())
+    assert same == token and hash(same) == hash(token)
+    assert token._replace(form="y") != token
+    with pytest.raises(StructureError, match=r"^token id must be >= 1, got 0$"):
+        Token(id=0, form="x", lemma="x", upos="NOUN")
+    with pytest.raises(StructureError, match=r"^token id must be >= 1, got 0$"):
+        token._replace(id=0)
+    with pytest.raises(ParseError, match=r"^duplicate MISC key 'Ref'$"):
+        Token(id=1, form="x", lemma="x", upos="NOUN",
+              misc=(("Ref", "a"), ("Gloss", None), ("Ref", None)))
+
+
 def test_roundtrip_fixture_bytes_and_fields(fixtures_dir):
     text = (fixtures_dir / "roundtrip.conllu").read_text(encoding="utf-8")
     first = parse_conllu(text)
@@ -445,3 +464,45 @@ def test_a_reused_reader_rejects_a_duplicate_misc_key_at_every_line(flavor):
     [first, second] = reader.read(f"# sent_id = s1\n{good}\n\n# sent_id = s2\n{good}\n")
     assert first.tokens[0].misc == (("SpaceAfter", "No"),)
     assert first.tokens[0].misc is second.tokens[0].misc
+
+
+_MISC_ITEMS = st.tuples(st.sampled_from(["Ref", "SpaceAfter", "Gloss"]),
+                        st.sampled_from([None, "a", "No"]))
+
+
+def _misc_text(misc):
+    return "|".join(k if v is None else f"{k}={v}" for k, v in misc) or "_"
+
+
+@FLAVORS
+@given(
+    # a few MISC entry lists, some with a repeated key, shared by the lines
+    pool=st.lists(st.lists(_MISC_ITEMS, max_size=4).map(tuple), min_size=1, max_size=3),
+    rows=st.lists(st.tuples(st.sampled_from([0, 1, 2, 7]), st.integers(0, 2)),
+                  min_size=1, max_size=8),
+)
+def test_the_reader_checks_each_token_as_its_constructor_does(flavor, pool, rows):
+    reader = CorpusReader(MAPPINGS[flavor])
+    blocks = [(token_id, pool[index % len(pool)]) for token_id, index in rows]
+    while True:
+        text = "".join(
+            f"# sent_id = s{n}\n{token_id}\tx\tx\tNOUN\t_\t_\t_\t_\t_\t{_misc_text(misc)}\n\n"
+            for n, (token_id, misc) in enumerate(blocks)
+        )
+        # the oracle: the first line whose token the checking constructor rejects
+        for n, (token_id, misc) in enumerate(blocks):
+            try:
+                Token(token_id, "x", "x", "NOUN", misc=misc)
+            except ConlluError as exc:
+                message = rf"^line {3 * n + 2} \(sentence 's{n}'\): {re.escape(str(exc))}$"
+                break
+        else:
+            break
+        # one reader throughout: a MISC string that failed is not kept, so it fails again
+        with pytest.raises(ParseError, match=message):
+            reader.read(text)
+        del blocks[n]
+    tokens = [token for sentence in reader.read(text) for token in sentence.tokens]
+    assert [(token.id, token.misc) for token in tokens] == blocks
+    for token in tokens:
+        assert type(token) is Token and Token(*token) == token
