@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from collections import Counter
 from pathlib import Path
@@ -239,7 +238,7 @@ def cmd_split(args, config: ToolConfig) -> int:
             atomicity_exceptions=config.atomicity_exceptions,
         )
         manifest = dataclasses.replace(manifest, audit=tuple(results))
-        splits.write_manifest(args.out / f"{manifest.period}.manifest.json", manifest)
+        reports.write_json(args.out / f"{manifest.period}.manifest.json", dataclasses.asdict(manifest))
         parts = splits.materialize(manifest, ud_corpus, lasla_corpus)
         period_dir = args.out / manifest.period
         period_dir.mkdir(exist_ok=True)
@@ -279,9 +278,8 @@ def cmd_eval(args, config: ToolConfig) -> int:
     )
     print(report.format_table())
     if args.out is not None:
-        payload = report.to_dict()
-        payload["provenance"] = reports.footer(args.seed, config.config_hash)
-        args.out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        provenance = reports.footer(args.seed, config.config_hash)
+        reports.write_json(args.out, {**dataclasses.asdict(report), "provenance": provenance})
     return 0
 
 

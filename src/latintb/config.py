@@ -56,7 +56,7 @@ class ToolConfig:
         if path is None:
             return cls()
         try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
+            data = json.loads(Path(path).read_text(encoding="utf-8-sig"))
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config {path}: not UTF-8 text ({exc.reason})") from None
         except json.JSONDecodeError as exc:

@@ -302,6 +302,12 @@ def _mapped_feats(
     return FeatureBundle(entries), tuple(unknown)
 
 
+def _comment_field(line: str) -> tuple[str | None, str]:
+    """A ``# key = value`` comment's stripped key (None without "=") and value."""
+    key, equals, value = line[1:].partition("=")
+    return (key.strip() if equals else None), value.strip()
+
+
 class CorpusReader:
     """Reads the files of one corpus through one ColumnMapping.
 
@@ -344,7 +350,7 @@ class CorpusReader:
         fields, bundles, miscs = self._fields, self._bundles, self._miscs
         new = tuple.__new__
         if isinstance(source, str):
-            source = io.StringIO(source)
+            source = io.StringIO(source, newline=None)
         sentences: list[Sentence] = []
         doc_id: str | None = None
         comments, meta, tokens, extras = [], {}, [], []
@@ -378,10 +384,9 @@ class CorpusReader:
                 continue
             if line[0] == "#":
                 comments.append(line)
-                body = line[1:].strip()
-                if "=" in body:
-                    key, value = body.split("=", 1)
-                    meta[key.strip()] = value.strip()
+                key, value = _comment_field(line)
+                if key is not None:
+                    meta[key] = value
                 continue
             try:
                 cols = line.split(separator)
@@ -458,13 +463,14 @@ def parse_conllu_file(path: str | Path) -> list[Sentence]:
 
 
 def serialize_sentence(sentence: Sentence) -> str:
-    lines: list[str] = []
-    if sentence.comments:
-        lines.extend(sentence.comments)
-    else:
-        lines.append(f"# sent_id = {sentence.sent_id}")
-        if sentence.text is not None:
-            lines.append(f"# text = {sentence.text}")
+    comments = sentence.comments
+    if not comments and sentence.text is not None:
+        comments = (f"# text = {sentence.text}",)
+    # a sentence read without "# sent_id" keeps its id; the usual id line is tested first
+    id_line = f"# sent_id = {sentence.sent_id}"
+    if id_line not in comments and "sent_id" not in map(itemgetter(0), map(_comment_field, comments)):
+        comments = (id_line, *comments)
+    lines = list(comments)
     extras_at: dict[int, list[str]] = {}
     for pos, raw in sentence.extras:
         extras_at.setdefault(pos, []).append(raw)

@@ -60,6 +60,16 @@ def align_tokens(
     return [(match.a + k, match.b + k) for k in range(match.size)]
 
 
+def token_alignment(
+    norm_a: NormalizedSentence, norm_b: NormalizedSentence
+) -> tuple[tuple[int, int], ...]:
+    """``align_tokens`` of two normalized sentences, in original token indices."""
+    return tuple(
+        (norm_a.token_indices[i], norm_b.token_indices[j])
+        for i, j in align_tokens(norm_a.forms, norm_b.forms)
+    )
+
+
 def _candidate_keys(
     norm: NormalizedSentence, min_chars: int, min_tokens: int
 ) -> list[tuple[str, object]]:
@@ -104,31 +114,26 @@ def find_duplicates(
 
     scored = []
     for (a_pos, b_pos), basis in candidates.items():
-        norm_a, norm_b = norms_a[a_pos], norms_b[b_pos]
-        aligned = align_tokens(norm_a.forms, norm_b.forms)
-        if not aligned:
+        alignment = token_alignment(norms_a[a_pos], norms_b[b_pos])
+        if not alignment:
             continue
-        id_a, id_b = norm_a.sent_id, norm_b.sent_id
+        id_a, id_b = norms_a[a_pos].sent_id, norms_b[b_pos].sent_id
         tie = tuple(sorted((id_a, id_b))) + (id_a,)
-        scored.append((-len(aligned), tie, a_pos, b_pos, basis, aligned))
+        scored.append((-len(alignment), tie, a_pos, b_pos, basis, alignment))
 
     scored.sort(key=lambda item: item[:2])
     used_a: set[int] = set()
     used_b: set[int] = set()
     pairs: list[DuplicatePair] = []
-    for _neg_len, _tie, a_pos, b_pos, basis, aligned in scored:
+    for _neg_len, _tie, a_pos, b_pos, basis, alignment in scored:
         if a_pos in used_a or b_pos in used_b:
             continue
         used_a.add(a_pos)
         used_b.add(b_pos)
-        norm_a, norm_b = norms_a[a_pos], norms_b[b_pos]
-        alignment = tuple(
-            (norm_a.token_indices[i], norm_b.token_indices[j]) for i, j in aligned
-        )
         pairs.append(
             DuplicatePair(
-                sent_a=norm_a.sent_id,
-                sent_b=norm_b.sent_id,
+                sent_a=norms_a[a_pos].sent_id,
+                sent_b=norms_b[b_pos].sent_id,
                 work_a=corpus_a[a_pos].work_id,
                 work_b=corpus_b[b_pos].work_id,
                 basis=basis,

@@ -8,14 +8,14 @@ compared by randomized permutation testing with sentence-level swaps.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .conllu import FeatureBundle, Sentence, Token
 from .standardize import STANDARD_FEATURES as REPORT_FEATURES
-from .standardize import StandardRecord, record_from_standard_feats
+from .standardize import StandardRecord, check_label, record_from_standard_feats
 
 Records = Sequence[Sequence[StandardRecord]]
 
@@ -185,26 +185,16 @@ def per_value_f1(gold: Records, pred: Records, feature: str, value: str) -> Valu
 
 @dataclass(slots=True)
 class EvalReport:
-    accuracy: float
+    # the field names are the keys of eval's JSON report
+    whole_string_accuracy: float
     token_count: int
     macro_f1: dict[str, float]
-    per_value: dict[str, dict[str, ValueScore]]
-
-    def to_dict(self) -> dict:
-        return {
-            "whole_string_accuracy": self.accuracy,
-            "token_count": self.token_count,
-            "macro_f1": dict(self.macro_f1),
-            "per_value_f1": {
-                feature: {value: asdict(s) for value, s in values.items()}
-                for feature, values in self.per_value.items()
-            },
-        }
+    per_value_f1: dict[str, dict[str, ValueScore]]
 
     def format_table(self) -> str:
         lines = [
             f"tokens scored        {self.token_count}",
-            f"whole-string acc     {self.accuracy:.4f}",
+            f"whole-string acc     {self.whole_string_accuracy:.4f}",
             "",
             "feature      macro-F1",
         ]
@@ -212,7 +202,7 @@ class EvalReport:
             lines.append(f"{feature:<12} {score:.4f}")
         lines.append("")
         lines.append("feature      value        P      R      F1     support")
-        for feature, values in self.per_value.items():
+        for feature, values in self.per_value_f1.items():
             for value, s in values.items():
                 lines.append(
                     f"{feature:<12} {value:<12} {s.precision:.3f}  {s.recall:.3f}  "
@@ -231,10 +221,10 @@ def evaluate(gold: Records, pred: Records, *, include_upos: bool = False) -> Eva
         macro[feature] = _macro(counts)
         per_value[feature] = {cls: _value_score(*c) for cls, c in zip(classes, counts)}
     return EvalReport(
-        accuracy=_accuracy(*codes.strings(include_upos)),
+        whole_string_accuracy=_accuracy(*codes.strings(include_upos)),
         token_count=len(codes.sentence),
         macro_f1=macro,
-        per_value=per_value,
+        per_value_f1=per_value,
     )
 
 
@@ -247,7 +237,7 @@ def parse_metric(name: str) -> tuple[str, str | None, str | None]:
     """Metric spec -> (kind, feature, value).
 
     Accepted: "morph-acc", "upos-macro-f1", "macro-f1:<Feature>",
-    "value-f1:<Feature>=<Value>".
+    "value-f1:<Feature>=<Value>" with a value ``check_label`` accepts.
     """
     if name == "morph-acc":
         return ("acc", None, None)
@@ -265,6 +255,7 @@ def parse_metric(name: str) -> tuple[str, str | None, str | None]:
         feature, value = spec.split("=", 1)
         if feature not in REPORT_FEATURES:
             raise ValueError(f"unknown feature in metric {name!r}")
+        check_label(feature, value)
         return ("value", feature, value)
     raise ValueError(f"unknown metric {name!r}")
 

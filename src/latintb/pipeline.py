@@ -24,7 +24,7 @@ if TYPE_CHECKING:
 
 
 class ManifestError(ValueError):
-    """A duplicate manifest names a sentence the corpora do not hold."""
+    """A duplicate manifest row that the corpora do not bear out."""
 
 
 def corpus_files(path: str | Path) -> list[Path]:
@@ -217,31 +217,33 @@ def aligned_pairs(
     records_a: Sequence[Sequence[StandardRecord]],
     records_b: Sequence[Sequence[StandardRecord]],
 ) -> list[AlignedTokenPair]:
-    """Re-align the duplicate pairs named by a manifest and attach the
-    converted records of both sides."""
+    """Re-align the duplicate pairs named by a manifest, checking each
+    row's length, and attach the converted records of both sides."""
     # imported here, so that convert and lint load no dedup code
     from .agreement import AlignedTokenPair
-    from .dedup import align_tokens
+    from .dedup import token_alignment
     from .normalize import matching_key
 
     by_id_a = {s.sent_id: i for i, s in enumerate(corpus_a)}
     by_id_b = {s.sent_id: i for i, s in enumerate(corpus_b)}
     pairs: list[AlignedTokenPair] = []
-    for sent_a, sent_b, _basis, _length in manifest_rows:
+    for sent_a, sent_b, _basis, length in manifest_rows:
         if sent_a not in by_id_a or sent_b not in by_id_b:
             raise ManifestError(f"manifest pair ({sent_a!r}, {sent_b!r}) not found in corpora")
         pos_a, pos_b = by_id_a[sent_a], by_id_b[sent_b]
-        norm_a = matching_key(corpus_a[pos_a])
-        norm_b = matching_key(corpus_b[pos_b])
-        for i, j in align_tokens(norm_a.forms, norm_b.forms):
-            token_index_a = norm_a.token_indices[i]
-            token_index_b = norm_b.token_indices[j]
+        alignment = token_alignment(matching_key(corpus_a[pos_a]), matching_key(corpus_b[pos_b]))
+        if len(alignment) != length:
+            raise ManifestError(
+                f"manifest pair ({sent_a!r}, {sent_b!r}) has align_length {length}, "
+                f"but the corpora align {len(alignment)} tokens"
+            )
+        for i, j in alignment:
             pairs.append(
                 AlignedTokenPair(
-                    token_a=corpus_a[pos_a].tokens[token_index_a],
-                    token_b=corpus_b[pos_b].tokens[token_index_b],
-                    record_a=records_a[pos_a][token_index_a],
-                    record_b=records_b[pos_b][token_index_b],
+                    token_a=corpus_a[pos_a].tokens[i],
+                    token_b=corpus_b[pos_b].tokens[j],
+                    record_a=records_a[pos_a][i],
+                    record_b=records_b[pos_b][j],
                 )
             )
     return pairs

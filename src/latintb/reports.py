@@ -1,8 +1,9 @@
-"""TSV tables: deterministic writing with a provenance footer, and the
-one strict reader for every TSV input."""
+"""Artifacts: deterministic TSV tables with a provenance footer, the one
+strict reader for every TSV input, and the one JSON writer."""
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
 
@@ -35,6 +36,11 @@ def write_tsv(
         lines.append("\t".join(str(cell) for cell in row))
     lines.append(footer(seed, config_hash))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def write_json(path: str | Path, payload: object) -> None:
+    """A JSON artifact: sorted keys, two-space indent and a final newline."""
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def read_table(

@@ -9,10 +9,9 @@ every work shared between LASLA and UD into the Classical train set.
 
 from __future__ import annotations
 
-import json
 import random
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -54,25 +53,6 @@ class SplitManifest:
     test_works: tuple[str, ...]
     dev_sentences: tuple[str, ...]
     audit: tuple[AuditResult, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "period": self.period,
-            "seed": self.seed,
-            "train_works": list(self.train_works),
-            "test_works": list(self.test_works),
-            "dev_sentences": list(self.dev_sentences),
-            "audit": [
-                {"constraint": a.constraint, "passed": a.passed, "details": list(a.details)}
-                for a in self.audit
-            ],
-        }
-
-
-def write_manifest(path: str | Path, manifest: SplitManifest) -> None:
-    Path(path).write_text(
-        json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
 
 
 def load_published_assignment(path: str | Path | None = None) -> dict[str, tuple[str, str]]:
@@ -249,15 +229,9 @@ def build_splits(
             )
         )
         if period == PERIOD_CLASSICAL and lasla_corpus is not None:
-            lasla_works = sorted(_works(lasla_corpus))
+            lasla_train = sorted(set(train) | set(_works(lasla_corpus)))
             manifests.append(
-                SplitManifest(
-                    period=PERIOD_CLASSICAL_BOTH,
-                    seed=seed,
-                    train_works=tuple(sorted(set(train) | set(lasla_works))),
-                    test_works=tuple(test),
-                    dev_sentences=tuple(sorted(dev)),
-                )
+                replace(manifests[-1], period=PERIOD_CLASSICAL_BOTH, train_works=tuple(lasla_train))
             )
     return manifests
 

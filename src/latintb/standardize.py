@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterable, Mapping
 
-from .conllu import FeatureBundle, Token
+from .conllu import UPOS_TAGS, FeatureBundle, Token
 
 TENSES = ("Pres", "Imp", "Perf", "Fut", "Pqp", "FutP")
 MOODS = ("Ind", "Sub", "Imp", "Inf", "Part", "Ger", "Gdv", "Sup")
@@ -180,6 +180,20 @@ class StandardRecord:
 
     def to_feature_bundle(self) -> FeatureBundle:
         return FeatureBundle(self.set_values())
+
+
+def check_label(feature: str, label: str) -> None:
+    """Raise ValueError, naming the accepted form, unless some record's
+    ``label_for(feature)`` can be ``label``."""
+    inventory = UPOS_TAGS if feature == "UPOS" else _INVENTORIES[feature]
+    values = label.split(",") if feature == "Gender" else [label]
+    if label == "None" or (values == sorted(set(values)) and set(values) <= set(inventory)):
+        return
+    if feature == "Gender":
+        form = f"distinct values of {', '.join(sorted(GENDERS))}, sorted and joined by ','"
+    else:
+        form = "a UPOS tag" if feature == "UPOS" else f"one of {', '.join(inventory)}"
+    raise ValueError(f"{feature} value {label!r} is not None or {form}")
 
 
 @dataclass(slots=True)

@@ -215,6 +215,17 @@ def test_perm_test_needs_positive_iterations(tmp_path, capsys):
         assert capsys.readouterr().err == f"usage error: {message}\n"
 
 
+@pytest.mark.parametrize("metric", ["value-f1:Mood=Sbu", "value-f1:Gender=Masc,Fem"])
+def test_perm_test_rejects_a_value_no_record_carries(tmp_path, capsys, metric):
+    # rejected before any file is read: the inputs do not exist
+    missing = str(tmp_path / "missing.conllu")
+    assert main(["perm-test", "--gold", missing, "--a", missing, "--b", missing,
+                 "--metric", metric]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert "is not None or " in err
+
+
 def test_perm_test_without_tokens_is_validation_failure(tmp_path, capsys):
     empty = tmp_path / "empty.conllu"
     empty.write_text("")
@@ -304,6 +315,48 @@ def test_agree_names_the_first_manifest_pair_it_cannot_find(workdir, fixtures_di
                  "--dups", str(manifest), "--out", str(tmp_path / "agreement.tsv")]) == 1
     assert capsys.readouterr().err == f"error: manifest pair {bad!r} not found in corpora\n"
     assert not (tmp_path / "agreement.tsv").exists()
+
+
+def test_agree_with_an_align_length_the_corpora_do_not_give_fails_in_one_line(
+        workdir, fixtures_dir, tmp_path):
+    header, first, *rows = (workdir / "dups.tsv").read_text().splitlines(keepends=True)
+    sent_a, sent_b, basis, length = first.rstrip("\n").split("\t")
+    manifest = tmp_path / "dups.tsv"
+    manifest.write_text(header + f"{sent_a}\t{sent_b}\t{basis}\t{int(length) + 1}\n" + "".join(rows))
+    done = _run_cli("agree", "--a", fixtures_dir / "ud", "--b", fixtures_dir / "lasla",
+                    "--dups", manifest, "--out", tmp_path / "agreement.tsv")
+    assert done.returncode == 1
+    assert done.stderr == (
+        f"error: manifest pair ({sent_a!r}, {sent_b!r}) has align_length {int(length) + 1}, "
+        f"but the corpora align {length} tokens\n"
+    )
+    assert not (tmp_path / "agreement.tsv").exists()
+
+
+def test_split_keeps_the_ids_of_sentences_without_a_sent_id_comment(workdir, fixtures_dir, tmp_path):
+    # the converted UD corpus with every "# sent_id" line removed: each
+    # sentence keeps its "# text" comment and is read as <stem>-<n>
+    ud = tmp_path / "ud"
+    ud.mkdir()
+    for file in sorted((workdir / "std" / "ud").glob("*.conllu")):
+        lines = file.read_text().splitlines(keepends=True)
+        (ud / file.name).write_text("".join(line for line in lines if not line.startswith("# sent_id")))
+    ids = {s.sent_id for s in load_corpus(ud, "ud")[0]}
+    assert "cl_alpha-1" in ids
+    dups = tmp_path / "dups.tsv"
+    dups.write_text("sent_a\tsent_b\tbasis\talign_length\n")
+    assert main(["split", "--ud", str(ud), "--metadata", str(fixtures_dir / "metadata.tsv"),
+                 "--dups", str(dups), "--out", str(tmp_path / "splits"),
+                 "--config", str(fixtures_dir / "config.json"), "--no-published", "--seed", "7"]) == 0
+    periods = sorted(tmp_path.joinpath("splits").glob("*.manifest.json"))
+    assert periods
+    for path in periods:
+        manifest = json.loads(path.read_text())
+        period_dir = tmp_path / "splits" / manifest["period"]
+        dev = [s.sent_id for s in parse_conllu_file(period_dir / "dev.conllu")]
+        assert dev and sorted(dev) == manifest["dev_sentences"]
+        for name in ("train", "test"):
+            assert {s.sent_id for s in parse_conllu_file(period_dir / f"{name}.conllu")} <= ids
 
 
 @pytest.mark.parametrize("command", ["convert", "lint"])

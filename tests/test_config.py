@@ -71,6 +71,16 @@ def test_hash_stable_for_same_document(tmp_path):
     assert ToolConfig.load(a).config_hash == ToolConfig.load(b).config_hash
 
 
+def test_a_byte_order_mark_reads_as_if_absent(tmp_path):
+    plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+    plain.write_text('{"min_test_sentences": 30}', encoding="utf-8")
+    marked.write_text('{"min_test_sentences": 30}', encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    a, b = ToolConfig.load(marked), ToolConfig.load(plain)
+    assert a.min_test_sentences == b.min_test_sentences == 30
+    assert a.config_hash == b.config_hash != "default"
+
+
 def test_tense_table_override_on_standardize():
     config = ToolConfig.from_dict({"tense_table": {"Fut,Imp": "FutP"}})
     token = Token(id=1, form="x", lemma="x", upos="VERB",

@@ -19,6 +19,7 @@ from latintb.conllu import (
     parse_conllu,
     parse_conllu_file,
     serialize_conllu,
+    serialize_sentence,
 )
 from latintb.lasla import DEFAULT_LASLA_MAPPING, ingest_lasla_file
 from latintb.pipeline import load_corpus
@@ -353,6 +354,27 @@ def test_sentences_without_ids_are_numbered_per_file_stem(flavor, tmp_path):
     sentences, _ = load_corpus(tmp_path, flavor)
     assert [s.sent_id for s in sentences] == ["a-1", "a-2", "b-1"]
     assert [s.work_id for s in sentences] == ["a", "a", "b"]
+
+
+def test_a_sentence_with_comments_but_no_sent_id_keeps_its_id_when_written():
+    (sentence,) = CorpusReader().read(f"# text = arma\n{ARMA}\n", stem="aeneid")
+    assert sentence.sent_id == "aeneid-1"
+    written = serialize_sentence(sentence)
+    assert written == f"# sent_id = aeneid-1\n# text = arma\n{ARMA}\n"
+    (again,) = CorpusReader().read(written, stem="test")
+    assert (again.sent_id, again.text, again.tokens) == ("aeneid-1", "arma", sentence.tokens)
+    # a comment that carries the key, however spaced, is the id line
+    (spaced,) = CorpusReader().read(f"#sent_id=v1\n{ARMA}\n", stem="aeneid")
+    assert serialize_sentence(spaced) == f"#sent_id=v1\n{ARMA}\n"
+
+
+@pytest.mark.parametrize("final_newline", [True, False])
+def test_crlf_text_parses_as_lf_text(fixtures_dir, final_newline):
+    text = (fixtures_dir / "ud" / "cl_alpha.conllu").read_text(encoding="utf-8")
+    text = text if final_newline else text.rstrip("\n")
+    crlf = parse_conllu(text.replace("\n", "\r\n"))
+    assert crlf == parse_conllu(text)
+    assert all("\r" not in token.misc_string() for s in crlf for token in s.tokens)
 
 
 @FLAVORS

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -112,7 +113,7 @@ def test_evaluate_matches_oracles(pairs, include_upos):
     report = evaluate(gold, pred, include_upos=include_upos)
     flat = [pair for sent in pairs for pair in sent]
     assert report.token_count == len(flat)
-    assert report.accuracy == sum(
+    assert report.whole_string_accuracy == sum(
         g.morph_string(include_upos=include_upos) == p.morph_string(include_upos=include_upos)
         for g, p in flat
     ) / len(flat)
@@ -121,8 +122,8 @@ def test_evaluate_matches_oracles(pairs, include_upos):
             oracle_macro_f1(gold, pred, feature), abs=1e-12
         )
         labels = {r.label_for(feature) for pair in flat for r in pair} | {"None"}
-        assert list(report.per_value[feature]) == sorted(labels)
-        for value, score in report.per_value[feature].items():
+        assert list(report.per_value_f1[feature]) == sorted(labels)
+        for value, score in report.per_value_f1[feature].items():
             precision, recall, f1, support = oracle_value_f1(gold, pred, feature, value)
             assert score.precision == pytest.approx(precision, abs=1e-12)
             assert score.recall == pytest.approx(recall, abs=1e-12)
@@ -227,15 +228,49 @@ def test_parse_metric():
             parse_metric(bad)
 
 
+@pytest.mark.parametrize("feature, value", [
+    ("Mood", "Sub"), ("Mood", "None"), ("UPOS", "NOUN"), ("UPOS", "None"), ("Person", "1"),
+    ("Gender", "Fem"), ("Gender", "Fem,Masc"), ("Gender", "Fem,Masc,Neut"), ("Gender", "None"),
+])
+def test_parse_metric_accepts_every_label_form(feature, value):
+    assert parse_metric(f"value-f1:{feature}={value}") == ("value", feature, value)
+
+
+@pytest.mark.parametrize("feature, value, form", [
+    ("Mood", "Sbu", "one of Ind, Sub, Imp, Inf, Part, Ger, Gdv, Sup"),
+    ("Mood", "", "one of Ind, Sub, Imp, Inf, Part, Ger, Gdv, Sup"),
+    ("Mood", "Sub,Ind", "one of Ind, Sub, Imp, Inf, Part, Ger, Gdv, Sup"),
+    ("Case", "nom", "one of Nom, Gen, Dat, Acc, Abl, Voc, Loc"),
+    ("UPOS", "FOO", "a UPOS tag"),
+    ("Gender", "Masc,Fem", "distinct values of Fem, Masc, Neut, sorted and joined by ','"),
+    ("Gender", "Fem,Fem", "distinct values of Fem, Masc, Neut, sorted and joined by ','"),
+    ("Gender", "Fem,", "distinct values of Fem, Masc, Neut, sorted and joined by ','"),
+])
+def test_parse_metric_rejects_a_value_no_record_carries(feature, value, form):
+    message = f"{feature} value {value!r} is not None or {form}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_metric(f"value-f1:{feature}={value}")
+
+
+def test_a_value_metric_label_is_one_that_evaluate_reports():
+    # every class that evaluate reports is a label parse_metric accepts
+    rng = random.Random(5)
+    gold = random_corpus(rng, 20)
+    report = evaluate(gold, corrupt(gold, rng, 0.3))
+    for feature, values in report.per_value_f1.items():
+        for label in values:
+            assert parse_metric(f"value-f1:{feature}={label}") == ("value", feature, label)
+
+
 def test_evaluate_report_shape():
     rng = random.Random(3)
     gold = random_corpus(rng, 10)
     pred = corrupt(gold, rng, 0.3)
     report = evaluate(gold, pred)
-    assert 0.0 <= report.accuracy <= 1.0
+    assert 0.0 <= report.whole_string_accuracy <= 1.0
     assert set(report.macro_f1) == {"UPOS", "Case", "Degree", "Gender", "Mood",
                                     "Number", "Person", "Tense", "Voice"}
-    for feature, values in report.per_value.items():
+    for feature, values in report.per_value_f1.items():
         assert sum(s.support for s in values.values()) == report.token_count
     table = report.format_table()
     assert "whole-string acc" in table

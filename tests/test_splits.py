@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -18,8 +19,8 @@ from latintb.splits import (
     load_published_assignment,
     materialize,
     shared_works,
-    write_manifest,
 )
+from latintb.reports import write_json
 
 MIN_TEST = 30  # fixture-scale floor; the real default is 1000
 
@@ -259,8 +260,18 @@ def test_shipped_assignment_table_loads():
 def test_manifest_json_roundtrip(tmp_path, manifests):
     manifest = manifests[0]
     path = tmp_path / "m.json"
-    write_manifest(path, manifest)
-    assert json.loads(path.read_text(encoding="utf-8")) == manifest.to_dict()
+    write_json(path, dataclasses.asdict(manifest))
+    assert json.loads(path.read_text(encoding="utf-8")) == {
+        "period": manifest.period,
+        "seed": manifest.seed,
+        "train_works": list(manifest.train_works),
+        "test_works": list(manifest.test_works),
+        "dev_sentences": list(manifest.dev_sentences),
+        "audit": [
+            {"constraint": a.constraint, "passed": a.passed, "details": list(a.details)}
+            for a in manifest.audit
+        ],
+    }
 
 
 @pytest.mark.parametrize(
