@@ -15,8 +15,9 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-# agreement, dedup, evaluation (with numpy), metadata and splits are
-# imported by the subcommands that use them, so convert and lint load none.
+# agreement, dedup, evaluation, metadata and splits are imported by the
+# subcommands that use them, so convert and lint load none; numpy is
+# loaded by perm-test alone, through evaluation.permutation_test.
 from . import __version__, reports
 from .config import InfeasibleSplitError, ToolConfig
 from .conllu import write_conllu_file
@@ -263,10 +264,17 @@ def cmd_split(args, config: ToolConfig) -> int:
 def _aligned_records(config: ToolConfig, gold_path: Path, *pred_paths: Path):
     from . import evaluation
 
-    gold, *preds = [load_corpus(path, "ud", config)[0] for path in (gold_path, *pred_paths)]
+    paths = (gold_path, *pred_paths)
+    gold, *preds = [load_corpus(path, "ud", config)[0] for path in paths]
     for pred in preds:
         evaluation.check_alignment(gold, pred)
-    return [evaluation.records_of(corpus) for corpus in (gold, *preds)]
+    records = []
+    for path, corpus in zip(paths, (gold, *preds)):
+        try:
+            records.append(evaluation.records_of(corpus))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    return records
 
 
 def cmd_eval(args, config: ToolConfig) -> int:

@@ -121,6 +121,12 @@ class TenseAspectTable:
     def lookup(self, tense: str | None, aspect: str | None) -> str | None:
         return self._table[(tense, aspect)]
 
+    def __eq__(self, other: object) -> bool:
+        # defining __eq__ leaves the table unhashable, like ToolConfig
+        if not isinstance(other, TenseAspectTable):
+            return NotImplemented
+        return self._table == other._table
+
 
 _DEFAULT_TABLE = TenseAspectTable.default()
 

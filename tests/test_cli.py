@@ -166,6 +166,23 @@ def test_eval_misaligned_is_validation_failure(workdir, tmp_path):
     assert main(["eval", "--gold", str(gold), "--pred", str(other)]) == 1
 
 
+@pytest.mark.parametrize("command", ["eval", "perm-test"])
+@pytest.mark.parametrize("feats, message", [
+    ("Case=Foo", "case value 'Foo' outside inventory"),
+    ("VerbForm=Fin", "non-standard feature 'VerbForm' in 'x'"),
+])
+def test_a_non_standard_label_is_named_with_its_file_and_sentence(
+    tmp_path, capsys, command, feats, message
+):
+    gold, pred = tmp_path / "gold.conllu", tmp_path / "pred.conllu"
+    sentence = "# sent_id = s1\n1\tx\tx\tNOUN\t_\t{}\t0\troot\t_\t_\n\n"
+    gold.write_text(sentence.format("Case=Nom"))
+    pred.write_text(sentence.format(feats))
+    inputs = ["--pred", pred] if command == "eval" else ["--a", gold, "--b", pred]
+    assert main([command, "--gold", str(gold), *map(str, inputs)]) == 1
+    assert capsys.readouterr().err == f"error: {pred}: sentence 's1': {message}\n"
+
+
 def test_lint_flags_esse_as_noun(fixtures_dir, tmp_path):
     out = tmp_path / "lint.tsv"
     assert main(["lint", "--in", str(fixtures_dir / "ud"), "--flavor", "ud",
@@ -359,22 +376,28 @@ def test_split_keeps_the_ids_of_sentences_without_a_sent_id_comment(workdir, fix
             assert {s.sent_id for s in parse_conllu_file(period_dir / f"{name}.conllu")} <= ids
 
 
-@pytest.mark.parametrize("command", ["convert", "lint"])
-def test_convert_and_lint_load_no_split_dedup_or_numpy_code(fixtures_dir, tmp_path, command):
+@pytest.mark.parametrize("command", ["convert", "lint", "eval"])
+def test_convert_and_lint_load_no_split_dedup_or_numpy_code(workdir, fixtures_dir, tmp_path, command):
     probe = ("import sys\n"
              "from latintb.cli import main\n"
              "code = main(sys.argv[1:])\n"
-             "print(sorted(m for m in ('latintb.splits', 'latintb.dedup', 'numpy') if m in sys.modules))\n"
+             "print(sorted(m for m in ('latintb.splits', 'latintb.dedup', 'numpy') if m in sys.modules),\n"
+             "      file=sys.stderr)\n"
              "sys.exit(code)\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [_src_path(), os.environ.get("PYTHONPATH")])))
+    if command == "eval":
+        converted = str(workdir / "std" / "ud")
+        args = ["--gold", converted, "--pred", converted, "--out", str(tmp_path / "eval.json")]
+    else:
+        args = ["--in", str(fixtures_dir / "ud"), "--flavor", "ud", "--out", str(tmp_path / "out")]
     done = subprocess.run(
-        [sys.executable, "-c", probe, command, "--in", str(fixtures_dir / "ud"), "--flavor", "ud",
-         "--out", str(tmp_path / "out")],
+        [sys.executable, "-c", probe, command, *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
-    assert (done.returncode, done.stderr) == (0, "")
-    assert done.stdout == "[]\n"
+    # eval prints its table to stdout, so the probe reports on stderr
+    assert (done.returncode, done.stderr) == (0, "[]\n")
+    assert done.stdout.startswith("tokens scored") if command == "eval" else done.stdout == ""
 
 
 def test_split_with_work_missing_from_metadata_fails_in_one_line(workdir, fixtures_dir, tmp_path):
@@ -602,6 +625,25 @@ def test_version_runs_without_numpy(tmp_path):
                           capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == f"latintb {latintb.__version__}\n"
+
+
+def test_eval_runs_without_numpy(workdir, tmp_path):
+    gold = workdir / "splits" / "Classical-UD" / "test.conllu"
+    pred_a, pred_b = tmp_path / "a.conllu", tmp_path / "b.conllu"
+    _write_predictions(gold, pred_a, pred_b)
+    (tmp_path / "numpy.py").write_text('raise ImportError("numpy is not available")\n')
+    reports = []
+    for name, pythonpath in (("plain", [_src_path()]), ("no-numpy", [str(tmp_path), _src_path()])):
+        reports.append(tmp_path / f"{name}.json")
+        done = subprocess.run(
+            [sys.executable, "-m", "latintb.cli", "eval", "--gold", str(gold), "--pred", str(pred_a),
+             "--out", str(reports[-1])],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath)),
+        )
+        assert (done.returncode, done.stderr) == (0, ""), name
+    assert reports[0].read_bytes() == reports[1].read_bytes()
+    assert hashlib.sha256(reports[1].read_bytes()).hexdigest() == EVAL_REPORT_SHA256
 
 
 def test_cli_runs_without_importlib_resources_abc():

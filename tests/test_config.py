@@ -4,7 +4,7 @@ import pytest
 
 from latintb.config import ConfigError, ToolConfig
 from latintb.conllu import CorpusReader, FeatureBundle, Token
-from latintb.standardize import standardize_lasla
+from latintb.standardize import TenseAspectTable, standardize_lasla
 
 
 def test_defaults():
@@ -79,6 +79,19 @@ def test_a_byte_order_mark_reads_as_if_absent(tmp_path):
     a, b = ToolConfig.load(marked), ToolConfig.load(plain)
     assert a.min_test_sentences == b.min_test_sentences == 30
     assert a.config_hash == b.config_hash != "default"
+
+
+def test_configs_compare_by_value(tmp_path):
+    assert ToolConfig() == ToolConfig()
+    path = tmp_path / "config.json"
+    path.write_text('{"min_test_sentences": 30, "tense_table": {"Fut,Imp": "FutP"}}')
+    loaded = ToolConfig.load(path)
+    assert loaded == ToolConfig.load(path)
+    other_table = TenseAspectTable.from_overrides({"Fut,Imp": "FutP"})
+    assert ToolConfig(tense_table=other_table) != ToolConfig()
+    assert ToolConfig(tense_table=other_table) == ToolConfig(tense_table=loaded.tense_table)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(other_table)
 
 
 def test_tense_table_override_on_standardize():

@@ -12,9 +12,9 @@ from latintb.evaluation import (
     REPORT_FEATURES,
     AlignmentError,
     MAX_ITERATIONS,
-    _build_machine,
+    _accuracy,
+    _class_counts,
     _Codes,
-    _swap_masks,
     check_alignment,
     evaluate,
     macro_f1,
@@ -24,6 +24,7 @@ from latintb.evaluation import (
     records_of,
     whole_string_accuracy,
 )
+from latintb.permutation import _build_machine, _swap_masks
 from latintb.standardize import StandardRecord
 
 CASES = ["Nom", "Gen", "Dat", "Acc", "Abl", None]
@@ -129,6 +130,63 @@ def test_evaluate_matches_oracles(pairs, include_upos):
             assert score.recall == pytest.approx(recall, abs=1e-12)
             assert score.f1 == pytest.approx(f1, abs=1e-12)
             assert score.support == support
+
+
+def numpy_class_counts(gold, pred, feature):
+    """The numpy scoring that counted per token before the point metrics
+    counted (gold, pred) record pairs: a confusion matrix of class codes."""
+    index = {}
+    tokens = [
+        np.array([index.setdefault(r, len(index)) for s in c for r in s], dtype=np.intp)
+        for c in (gold, pred)
+    ]
+    keys = [r.label_for(feature) for r in index]
+    classes = sorted(set(keys) | {"None"})
+    position = {v: k for k, v in enumerate(classes)}
+    lookup = np.array([position[k] for k in keys], dtype=np.intp)
+    gold_cls, pred_cls = (lookup[t] for t in tokens)
+    n = len(classes)
+    confusion = np.bincount(gold_cls * n + pred_cls, minlength=n * n).reshape(n, n)
+    tp = confusion.diagonal()
+    fp = confusion.sum(axis=0) - tp
+    fn = confusion.sum(axis=1) - tp
+    return classes, list(zip(tp.tolist(), fp.tolist(), fn.tolist()))
+
+
+def numpy_accuracy(gold, pred, include_upos):
+    strings = [
+        np.array([r.morph_string(include_upos=include_upos) for s in c for r in s])
+        for c in (gold, pred)
+    ]
+    if len(strings[0]) == 0:
+        raise AlignmentError("no tokens to score")
+    return int((strings[0] == strings[1]).sum()) / len(strings[0])
+
+
+# aligned (gold, prediction) pairs, where a sentence may have no tokens
+# and a corpus no sentences
+aligned_pairs_or_none = st.lists(st.lists(st.tuples(records, records), max_size=5), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(aligned_pairs_or_none, st.booleans())
+@example([], False)
+@example([[], []], True)
+@example([[], [(StandardRecord(upos="NOUN", number="Sing"),) * 2]], False)
+def test_pair_counts_equal_the_numpy_confusion_matrix(pairs, include_upos):
+    gold = [[g for g, _ in sent] for sent in pairs]
+    pred = [[p for _, p in sent] for sent in pairs]
+    codes = _Codes(gold, pred)
+    counts = codes.pairs()
+    for feature in REPORT_FEATURES:
+        assert _class_counts(codes, counts, feature) == numpy_class_counts(gold, pred, feature)
+    if any(pairs):
+        assert _accuracy(codes, counts, include_upos) == numpy_accuracy(gold, pred, include_upos)
+    else:
+        with pytest.raises(AlignmentError, match="no tokens"):
+            _accuracy(codes, counts, include_upos)
+        with pytest.raises(AlignmentError, match="no tokens"):
+            numpy_accuracy(gold, pred, include_upos)
 
 
 def test_identity_scores_one():
