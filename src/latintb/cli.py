@@ -10,6 +10,7 @@ only reads, computes and writes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import sys
 from collections import Counter
@@ -20,7 +21,7 @@ from pathlib import Path
 # loaded by perm-test alone, through evaluation.permutation_test.
 from . import __version__, reports
 from .config import InfeasibleSplitError, ToolConfig
-from .conllu import write_conllu_file
+from .conllu import CorpusReader, write_conllu_file
 from .harmonize import ALL_RULES
 from .pipeline import FLAVORS, Converter, aligned_pairs, convert_corpus, load_corpus, read_corpus_files
 from .standardize import lint_token
@@ -261,19 +262,33 @@ def cmd_split(args, config: ToolConfig) -> int:
     return 0 if all_passed else 1
 
 
+@contextlib.contextmanager
+def _naming(path: Path):
+    """A ValueError raised inside names ``path``, the file at fault."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _aligned_records(config: ToolConfig, gold_path: Path, *pred_paths: Path):
     from . import evaluation
 
+    # One reader and one record memo serve gold and predictions, so a
+    # FEATS string the files share is parsed once and each distinct
+    # (UPOS, bundle) pair becomes one record. Sentence ids stay checked
+    # per path: gold and predictions share them.
+    reader = CorpusReader()
     paths = (gold_path, *pred_paths)
-    gold, *preds = [load_corpus(path, "ud", config)[0] for path in paths]
-    for pred in preds:
-        evaluation.check_alignment(gold, pred)
+    gold, *preds = [load_corpus(path, "ud", config, reader=reader)[0] for path in paths]
+    for path, pred in zip(pred_paths, preds):
+        with _naming(path):
+            evaluation.check_alignment(gold, pred)
+    memo: evaluation.RecordMemo = {}
     records = []
     for path, corpus in zip(paths, (gold, *preds)):
-        try:
-            records.append(evaluation.records_of(corpus))
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+        with _naming(path):
+            records.append(evaluation.records_of(corpus, memo))
     return records
 
 

@@ -45,11 +45,19 @@ def check_alignment(gold: Sequence[Sentence], pred: Sequence[Sentence]) -> None:
                 )
 
 
-def records_of(sentences: Sequence[Sentence]) -> list[list[StandardRecord]]:
-    # Tokens with one UPOS and one FEATS bundle (parse_conllu shares a
-    # bundle per distinct FEATS string) share one record. The memo holds
-    # each bundle, so no key outlives the object whose id it holds.
-    memo: dict[tuple[str, int], tuple[FeatureBundle, StandardRecord]] = {}
+RecordMemo = dict[tuple[str, int], tuple[FeatureBundle, StandardRecord]]
+
+
+def records_of(
+    sentences: Sequence[Sentence], memo: RecordMemo | None = None
+) -> list[list[StandardRecord]]:
+    # Tokens with one UPOS and one FEATS bundle share one record. A
+    # CorpusReader shares a bundle per distinct FEATS string across every
+    # file it reads, so corpora read through one reader and passed one
+    # ``memo`` share their records too. The memo holds each bundle, so no
+    # key outlives the object whose id it holds.
+    if memo is None:
+        memo = {}
 
     def record(token: Token) -> StandardRecord:
         key = (token.upos, id(token.feats))

@@ -1,9 +1,13 @@
 """The numpy machinery of evaluation.permutation_test.
 
 Metrics are reduced to per-sentence sufficient statistics once, after
-which every swap pattern is a matrix product. This is the only module
-of latintb that imports numpy; permutation_test imports it on first use,
-so eval and the other subcommands never load numpy.
+which every swap pattern is a matrix product. Iterations run in blocks
+whose swap masks fit a fixed byte budget, and each block's hits are
+counted before the next block is drawn, so memory grows neither with
+the iteration count nor, past MAX_BLOCK_ROWS rows, with the number of
+sentences. This is the only module of latintb that imports numpy;
+permutation_test imports it on first use, so eval and the other
+subcommands never load numpy.
 """
 
 from __future__ import annotations
@@ -170,6 +174,20 @@ def _pcg64_seeds(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
     return seeds
 
 
+# One block of iterations holds, per row and sentence, 4 bytes of raw
+# PCG64 words (one 64-bit word covers two sentences) and an 8-byte
+# float64 mask: BLOCK_BYTES bounds that, for 256 rows at 813 sentences.
+# Blocks never exceed MAX_BLOCK_ROWS rows, and fewer rows than a few
+# hundred make each row's share of the per-block numpy calls costly.
+BLOCK_BYTES = 2_500_000
+MAX_BLOCK_ROWS = 1024
+
+
+def block_rows(n_sentences: int) -> int:
+    """Iterations per block for masks over ``n_sentences`` sentences."""
+    return max(1, min(MAX_BLOCK_ROWS, BLOCK_BYTES // (12 * n_sentences)))
+
+
 def _swap_masks(seed: int, start: int, stop: int, n_sentences: int) -> np.ndarray:
     """Swap masks of iterations [start, stop) as float64 0/1 rows."""
     n_words = (n_sentences + 1) // 2
@@ -202,9 +220,9 @@ def observed_and_hits(
     machine = _build_machine(codes, metric, include_upos)
     n_sentences = len(codes.sentence_lengths)
     observed = float(machine.diffs(np.zeros((1, n_sentences)))[0])
-    chunk = 1024
-    sims = np.concatenate([
-        machine.diffs(_swap_masks(seed, start, min(start + chunk, iterations), n_sentences))
-        for start in range(0, iterations, chunk)
-    ])
-    return observed, int((sims >= observed).sum())
+    rows, hits = block_rows(n_sentences), 0
+    for start in range(0, iterations, rows):
+        # the block's masks are a temporary, freed before the next is drawn
+        diffs = machine.diffs(_swap_masks(seed, start, min(start + rows, iterations), n_sentences))
+        hits += int((diffs >= observed).sum())
+    return observed, hits

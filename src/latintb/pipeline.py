@@ -51,17 +51,25 @@ def _flavor(flavor: str):
 
 
 def read_corpus_files(
-    path: str | Path, flavor: str, config: ToolConfig | None = None
+    path: str | Path,
+    flavor: str,
+    config: ToolConfig | None = None,
+    *,
+    reader: CorpusReader | None = None,
 ) -> tuple[list[tuple[Path, list[Sentence]]], Counter]:
     """Read a file or a directory of .conllu files, in sorted file order,
-    through one reader, so every file shares its FEATS bundles.
+    through one reader, so every file shares its FEATS bundles. A
+    ``reader`` made for the flavor may be passed in, so that several
+    paths share their bundles too.
 
-    Returns each file with its sentences, and the counts of values
-    outside the mapping's inventory (LASLA's). A sent_id that two
-    sentences share is a ConlluError, raised before anything is returned.
+    Returns each file with its sentences, and the reader's counts of
+    values outside the mapping's inventory (LASLA's). A sent_id that two
+    sentences under ``path`` share is a ConlluError, raised before
+    anything is returned.
     """
-    mapping, _, _ = _flavor(flavor)
-    reader = CorpusReader(mapping(config or ToolConfig()))
+    if reader is None:
+        mapping, _, _ = _flavor(flavor)
+        reader = CorpusReader(mapping(config or ToolConfig()))
     files: list[tuple[Path, list[Sentence]]] = []
     holder: dict[str, Path] = {}  # sent_id -> the file that holds it
     for file in corpus_files(path):
@@ -83,13 +91,14 @@ def load_corpus(
     config: ToolConfig | None = None,
     *,
     jobs: int = 1,
+    reader: CorpusReader | None = None,
 ) -> tuple[list[Sentence], Counter]:
     """The sentences of every file of ``read_corpus_files``, in file
     order, and the unknown-value counts. ``jobs`` is accepted and
     ignored: the files are read in one thread. The benchmark's traced
     pass (``perfbench/layers.py``) still passes it.
     """
-    files, unknown_values = read_corpus_files(path, flavor, config)
+    files, unknown_values = read_corpus_files(path, flavor, config, reader=reader)
     return [sentence for _, sentences in files for sentence in sentences], unknown_values
 
 

@@ -10,7 +10,7 @@ import pytest
 
 import latintb
 from latintb.baseline import predict_corpus
-from latintb.cli import main
+from latintb.cli import _aligned_records, main
 from latintb.config import ToolConfig
 from latintb.conllu import parse_conllu_file, write_conllu_file
 from latintb.harmonize import RULE_PRON_PERSON
@@ -181,6 +181,46 @@ def test_a_non_standard_label_is_named_with_its_file_and_sentence(
     inputs = ["--pred", pred] if command == "eval" else ["--a", gold, "--b", pred]
     assert main([command, "--gold", str(gold), *map(str, inputs)]) == 1
     assert capsys.readouterr().err == f"error: {pred}: sentence 's1': {message}\n"
+
+
+SENTENCE = "# sent_id = {}\n1\tx\tx\tNOUN\t_\t{}\t0\troot\t_\t_\n\n"
+
+
+@pytest.mark.parametrize("command, flag", [("eval", "--pred"), ("perm-test", "--a"),
+                                           ("perm-test", "--b")])
+def test_a_misaligned_prediction_file_is_named(tmp_path, capsys, command, flag):
+    gold, pred = tmp_path / "gold.conllu", tmp_path / "pred.conllu"
+    gold.write_text(SENTENCE.format("s1", "Case=Nom"))
+    pred.write_text(SENTENCE.format("s1", "Case=Nom") + SENTENCE.format("s2", "Case=Nom"))
+    inputs = {"--pred": ["--pred", pred], "--a": ["--a", pred, "--b", gold],
+              "--b": ["--a", gold, "--b", pred]}[flag]
+    assert main([command, "--gold", str(gold), *map(str, inputs)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {pred}: sentence count mismatch: gold 1, predictions 2\n"
+    )
+
+
+def test_gold_and_predictions_share_records_and_sentence_ids(tmp_path, capsys):
+    gold, pred = tmp_path / "gold.conllu", tmp_path / "pred.conllu"
+    gold.write_text(SENTENCE.format("s1", "Case=Nom") + SENTENCE.format("s2", "Case=Acc"))
+    pred.write_text(SENTENCE.format("s1", "Case=Nom") + SENTENCE.format("s2", "Case=Gen"))
+    (gold_s1, gold_s2), (pred_s1, pred_s2) = _aligned_records(ToolConfig(), gold, pred)
+    assert pred_s1[0] is gold_s1[0]
+    assert pred_s2[0] is not gold_s2[0]
+    assert main(["eval", "--gold", str(gold), "--pred", str(pred)]) == 0
+    assert "tokens scored        2" in capsys.readouterr().out
+
+
+def test_a_gold_directory_with_a_repeated_sentence_id_fails_in_one_line(tmp_path, capsys):
+    corpus, pred = tmp_path / "gold", tmp_path / "pred.conllu"
+    corpus.mkdir()
+    for name in ("a", "b"):
+        (corpus / f"{name}.conllu").write_text(SENTENCE.format("s1", "Case=Nom"))
+    pred.write_text(SENTENCE.format("s1", "Case=Nom") + SENTENCE.format("s2", "Case=Nom"))
+    assert main(["eval", "--gold", str(corpus), "--pred", str(pred)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: sentence id 's1' appears in {corpus / 'a.conllu'} and in {corpus / 'b.conllu'}\n"
+    )
 
 
 def test_lint_flags_esse_as_noun(fixtures_dir, tmp_path):

@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -24,6 +25,7 @@ from latintb.evaluation import (
     records_of,
     whole_string_accuracy,
 )
+from latintb import permutation
 from latintb.permutation import _build_machine, _swap_masks
 from latintb.standardize import StandardRecord
 
@@ -520,3 +522,59 @@ def test_p_value_matches_a_row_by_row_loop_over_reference_masks(metric, iteratio
     hits = sum(machine.diffs(mask[None, :])[0] >= observed for mask in masks)
     result = permutation_test(gold, preds_a, preds_b, metric, iterations=iterations, seed=13)
     assert result.p_value == hits / iterations
+
+
+# --- blocks of iterations --------------------------------------------------
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+@pytest.mark.parametrize("metric", ["morph-acc", "macro-f1:Case"])
+def test_p_value_across_block_boundaries(monkeypatch, metric, block):
+    rng = random.Random(12)
+    gold = random_corpus(rng, 9, max_tokens=5)
+    preds_a = corrupt(gold, rng, 0.3)
+    preds_b = corrupt(gold, rng, 0.4)
+    monkeypatch.setattr(permutation, "BLOCK_BYTES", block * 12 * len(gold))
+    assert permutation.block_rows(len(gold)) == block
+    drawn = []
+
+    def recorded_swap_masks(seed, start, stop, n_sentences):
+        drawn.append((start, stop))
+        return _swap_masks(seed, start, stop, n_sentences)
+
+    monkeypatch.setattr(permutation, "_swap_masks", recorded_swap_masks)
+    machine = _build_machine(_Codes(gold, preds_a, preds_b), metric, False)
+    observed = machine.diffs(np.zeros((1, len(gold))))[0]
+    for iterations in sorted({1, max(1, block - 1), block + 1, 2 * block + 1}):
+        drawn.clear()
+        masks = reference_swap_masks(13, 0, iterations, len(gold))
+        hits = sum(machine.diffs(mask[None, :])[0] >= observed for mask in masks)
+        result = permutation_test(gold, preds_a, preds_b, metric, iterations=iterations, seed=13)
+        assert result.p_value == hits / iterations
+        starts = range(0, iterations, block)
+        assert drawn == [(start, min(start + block, iterations)) for start in starts]
+
+
+def test_block_rows_keep_to_the_budget_and_the_row_cap():
+    assert permutation.block_rows(1) == permutation.MAX_BLOCK_ROWS == 1024
+    assert permutation.block_rows(120) == 1024
+    assert permutation.block_rows(813) == 256
+    assert permutation.block_rows(10**12) == 1
+
+
+def test_perm_test_memory_does_not_grow_with_iterations():
+    rng = random.Random(14)
+    gold = random_corpus(rng, 813, max_tokens=19)
+    codes = _Codes(gold, corrupt(gold, rng, 0.1), corrupt(gold, rng, 0.12))
+
+    def traced_peak(iterations):
+        tracemalloc.start()
+        try:
+            permutation.observed_and_hits(codes, "upos-macro-f1", False, iterations, 1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = traced_peak(256), traced_peak(10_000)
+    assert long < 5_000_000
+    assert long <= short + 100_000
