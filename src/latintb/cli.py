@@ -109,9 +109,19 @@ def _report(args, config: ToolConfig, path: Path, header, rows) -> None:
     reports.write_tsv(path, header, rows, seed=args.seed, config_hash=config.config_hash)
 
 
+def _warn_unknown(*unknown_values: Counter) -> None:
+    """One stderr line counting the feature values that raw LASLA reads
+    found outside the mapping's inventory and kept as read. A command
+    calls it last, on success, so a failure still writes one line."""
+    total = sum(sum(counts.values()) for counts in unknown_values)
+    if total:
+        print(f"warning: {total} feature values outside the LASLA inventory kept as read",
+              file=sys.stderr)
+
+
 def cmd_convert(args, config: ToolConfig) -> int:
     # every file is read, and sentence ids checked, before any output
-    files, _ = read_corpus_files(args.input, args.flavor, config)
+    files, unknown_values = read_corpus_files(args.input, args.flavor, config)
     args.out.mkdir(parents=True, exist_ok=True)
     audit_rows = []
     anomaly_rows = []
@@ -126,6 +136,7 @@ def cmd_convert(args, config: ToolConfig) -> int:
     _report(args, config, args.out / "harmonization_audit.tsv",
             ("corpus", "rule_id", "tokens_affected"), audit_rows)
     _report(args, config, args.out / "anomalies.tsv", ("sent_id", "token_id", "code"), anomaly_rows)
+    _warn_unknown(unknown_values)
     return 0
 
 
@@ -133,8 +144,8 @@ def cmd_dedup(args, config: ToolConfig) -> int:
     from . import dedup
     from .metadata import load_metadata
 
-    corpus_a, _ = load_corpus(args.corpus_a, args.a_flavor, config)
-    corpus_b, _ = load_corpus(args.corpus_b, args.b_flavor, config)
+    corpus_a, unknown_a = load_corpus(args.corpus_a, args.a_flavor, config)
+    corpus_b, unknown_b = load_corpus(args.corpus_b, args.b_flavor, config)
     pairs = dedup.find_duplicates(
         corpus_a,
         corpus_b,
@@ -146,6 +157,7 @@ def cmd_dedup(args, config: ToolConfig) -> int:
         metadata = load_metadata(args.metadata) if args.metadata else None
         _report(args, config, args.report, ("author", "work", "duplicates"),
                 dedup.duplicate_report(pairs, metadata))
+    _warn_unknown(unknown_a, unknown_b)
     return 0
 
 
@@ -153,8 +165,8 @@ def cmd_agree(args, config: ToolConfig) -> int:
     from . import dedup
     from .agreement import STAGE_CONVERTED, STAGE_RAW, agreement_table
 
-    corpus_a, _ = load_corpus(args.corpus_a, args.a_flavor, config)
-    corpus_b, _ = load_corpus(args.corpus_b, args.b_flavor, config)
+    corpus_a, unknown_a = load_corpus(args.corpus_a, args.a_flavor, config)
+    corpus_b, unknown_b = load_corpus(args.corpus_b, args.b_flavor, config)
     manifest = dedup.read_manifest(args.dups)
     # conversion works per sentence, so only the named sentences need it;
     # aligned_pairs still rejects a pair that the corpora do not hold
@@ -181,6 +193,7 @@ def cmd_agree(args, config: ToolConfig) -> int:
     _report(args, config, args.out,
             ("feature", "before_pct", "before_same", "before_total",
              "after_pct", "after_same", "after_total"), rows)
+    _warn_unknown(unknown_a, unknown_b)
     return 0
 
 
@@ -188,9 +201,9 @@ def cmd_metadata_validate(args, config: ToolConfig) -> int:
     from .metadata import read_metadata, validate_metadata
 
     rows = read_metadata(args.file)
-    corpus_counts = None
+    corpus_counts, unknown_values = None, Counter()
     if args.corpus is not None:
-        sentences, _ = load_corpus(args.corpus, args.flavor, config)
+        sentences, unknown_values = load_corpus(args.corpus, args.flavor, config)
         corpus_counts = Counter(sentence.work_id or "?" for sentence in sentences)
     violations = validate_metadata(rows, corpus_counts=corpus_counts)
     for violation in violations:
@@ -199,6 +212,7 @@ def cmd_metadata_validate(args, config: ToolConfig) -> int:
         print(f"{len(violations)} violations", file=sys.stderr)
         return 1
     print("metadata ok")
+    _warn_unknown(unknown_values)
     return 0
 
 
@@ -343,7 +357,7 @@ def cmd_perm_test(args, config: ToolConfig) -> int:
 
 
 def cmd_lint(args, config: ToolConfig) -> int:
-    sentences, _ = load_corpus(args.input, args.flavor, config)
+    sentences, unknown_values = load_corpus(args.input, args.flavor, config)
     converted = convert_corpus(sentences, args.flavor, config)
     rows = []
     for sentence, records in zip(converted.sentences, converted.records):
@@ -351,6 +365,7 @@ def cmd_lint(args, config: ToolConfig) -> int:
             for code in lint_token(token, record, config.legality_rules):
                 rows.append((sentence.sent_id, token.id, code))
     _report(args, config, args.out, ("sent_id", "token_id", "code"), rows)
+    _warn_unknown(unknown_values)
     return 0
 
 

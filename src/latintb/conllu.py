@@ -320,8 +320,18 @@ class CorpusReader:
     entry tuple, checked for duplicate keys once, when it is first read;
     a string with a repeated key is never stored either. With the id
     checked on each line, every check of ``Token(...)`` is made, so
-    tokens are built with ``tuple.__new__``. ``unknown_values`` counts
-    every occurrence of a value outside the mapping's inventory.
+    tokens are built with ``tuple.__new__``.
+
+    When the mapping has an ``id`` column, each distinct raw token line
+    is also memoized, with the values it holds outside the mapping's
+    inventory: a line read again, in any file, gives back the same
+    token without being split or checked. Tokens are immutable, so the
+    sentences of every file share them. Only a line that passed every
+    check is stored, so a bad line raises at each occurrence, with its
+    own line number. Without an id column a token's id is its position,
+    and lines are not memoized. ``unknown_values`` counts every
+    occurrence of a value outside the mapping's inventory, memoized
+    lines included.
     """
 
     def __init__(self, mapping: ColumnMapping = CONLLU_MAPPING):
@@ -329,6 +339,7 @@ class CorpusReader:
         self.unknown_values: Counter = Counter()
         self._bundles: dict[str, tuple[FeatureBundle, tuple[tuple[str, str], ...]]] = {}
         self._miscs: dict[str, tuple[tuple[str, str | None], ...]] = {}
+        self._lines: dict[str, tuple[Token, tuple[tuple[str, str], ...]]] = {}
         # the fields after the id, as one tuple per row; a field without a
         # column reads the "_" appended to every row
         self._fields = itemgetter(
@@ -348,6 +359,8 @@ class CorpusReader:
         separator, n_columns = mapping.separator, mapping.n_columns
         id_column = mapping.columns.get("id")
         fields, bundles, miscs = self._fields, self._bundles, self._miscs
+        # without an id column a line's id is its position, so it is not memoized
+        lines = self._lines if id_column is not None else None
         new = tuple.__new__
         if isinstance(source, str):
             source = io.StringIO(source, newline=None)
@@ -388,6 +401,13 @@ class CorpusReader:
                 if key is not None:
                     meta[key] = value
                 continue
+            if lines is not None:
+                seen = lines.get(line)
+                if seen is not None:
+                    tokens.append(seen[0])
+                    if seen[1]:
+                        self.unknown_values.update(seen[1])
+                    continue
             try:
                 cols = line.split(separator)
                 if len(cols) != n_columns:
@@ -435,6 +455,8 @@ class CorpusReader:
                         ),
                     )
                 )
+                if lines is not None:
+                    lines[line] = (tokens[-1], hit[1])
             except ValueError as exc:
                 raise ParseError(
                     f"line {line_no} (sentence {meta.get('sent_id')!r}): {exc}"

@@ -46,18 +46,23 @@ class _Machine:
     A mask row moves each swapped sentence's statistics from one system
     to the other, so both systems' totals under every mask come from one
     matrix product with ``delta``; ``score`` turns totals into metric
-    values, one per row.
+    values, one per row. A sentence on which both systems have the same
+    statistics moves nothing, so only the ``moving`` sentences enter the
+    product. Masks are 0/1 and the statistics integer counts, so every
+    sum is exact and the product equals the one over all sentences.
     """
 
     def __init__(self, stats_a: np.ndarray, stats_b: np.ndarray, score, scale: float = 1.0):
         self.base_a = stats_a.sum(axis=0)
         self.base_b = stats_b.sum(axis=0)
-        self.delta = stats_b - stats_a
+        delta = stats_b - stats_a
+        self.moving = np.flatnonzero(delta.any(axis=1))
+        self.delta = delta[self.moving]
         self.score = score
         self.scale = scale
 
     def diffs(self, masks: np.ndarray) -> np.ndarray:
-        moved = masks @ self.delta
+        moved = masks[:, self.moving] @ self.delta
         diff = self.score(self.base_a + moved) - self.score(self.base_b - moved)
         return np.abs(diff) / self.scale
 

@@ -10,11 +10,13 @@ import pytest
 
 import latintb
 from latintb.baseline import predict_corpus
+from latintb import evaluation
 from latintb.cli import _aligned_records, main
 from latintb.config import ToolConfig
 from latintb.conllu import parse_conllu_file, write_conllu_file
 from latintb.harmonize import RULE_PRON_PERSON
 from latintb.pipeline import convert_corpus, load_corpus, sentence_with_records
+from latintb.evaluation import records_of
 from latintb.reports import read_table
 from latintb.standardize import StandardRecord
 
@@ -200,15 +202,51 @@ def test_a_misaligned_prediction_file_is_named(tmp_path, capsys, command, flag):
     )
 
 
-def test_gold_and_predictions_share_records_and_sentence_ids(tmp_path, capsys):
+def test_gold_and_predictions_share_records_and_sentence_ids(tmp_path, capsys, monkeypatch):
     gold, pred = tmp_path / "gold.conllu", tmp_path / "pred.conllu"
     gold.write_text(SENTENCE.format("s1", "Case=Nom") + SENTENCE.format("s2", "Case=Acc"))
     pred.write_text(SENTENCE.format("s1", "Case=Nom") + SENTENCE.format("s2", "Case=Gen"))
+    corpora = []
+
+    def recorded_records_of(sentences, memo=None):
+        corpora.append(sentences)
+        return records_of(sentences, memo)
+
+    monkeypatch.setattr(evaluation, "records_of", recorded_records_of)
     (gold_s1, gold_s2), (pred_s1, pred_s2) = _aligned_records(ToolConfig(), gold, pred)
     assert pred_s1[0] is gold_s1[0]
     assert pred_s2[0] is not gold_s2[0]
+    # an identical token line is one token in both files
+    [(gold_t1,), (gold_t2,)], [(pred_t1,), (pred_t2,)] = ([s.tokens for s in c] for c in corpora)
+    assert pred_t1 is gold_t1
+    assert pred_t2 is not gold_t2
     assert main(["eval", "--gold", str(gold), "--pred", str(pred)]) == 0
     assert "tokens scored        2" in capsys.readouterr().out
+
+
+def test_a_raw_lasla_read_warns_once_with_its_unknown_value_count(fixtures_dir, tmp_path, capsys):
+    # Case=Erg lies outside LASLA's inventory, on a line read twice
+    lasla, dups = tmp_path / "w.conllu", tmp_path / "dups.tsv"
+    line = "1\tpuer\tpuer\tNOUN\t_\tCase=Erg|Number=Sing\t_\t_\t_\t_\n"
+    lasla.write_text(f"# sent_id = w-1\n{line}\n# sent_id = w-2\n{line}")
+    ud = fixtures_dir / "ud" / "cl_alpha.conllu"
+    warning = "warning: 2 feature values outside the LASLA inventory kept as read\n"
+    for argv in (
+        ["convert", "--in", lasla, "--flavor", "lasla", "--out", tmp_path / "std"],
+        ["lint", "--in", lasla, "--flavor", "lasla", "--out", tmp_path / "lint.tsv"],
+        ["dedup", "--a", ud, "--b", lasla, "--out", dups],
+        ["agree", "--a", ud, "--b", lasla, "--dups", dups, "--out", tmp_path / "agree.tsv"],
+        ["metadata-validate", "--file", fixtures_dir / "metadata.tsv", "--corpus", lasla,
+         "--flavor", "lasla"],
+    ):
+        assert main([str(arg) for arg in argv]) == 0
+        assert capsys.readouterr().err == warning
+    # a UD read has no inventory, and a failing run writes its one line only
+    assert main(["lint", "--in", str(ud), "--flavor", "ud", "--out", str(tmp_path / "lint.tsv")]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["lint", "--in", str(lasla), "--flavor", "lasla", "--out", str(tmp_path)]) == 1
+    error = capsys.readouterr().err
+    assert error.startswith("error: ") and error.count("\n") == 1
 
 
 def test_a_gold_directory_with_a_repeated_sentence_id_fails_in_one_line(tmp_path, capsys):

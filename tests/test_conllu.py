@@ -1,9 +1,10 @@
 import codecs
 import io
 import re
+from collections import Counter
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from latintb.cli import main
 from latintb.conllu import (
@@ -528,3 +529,104 @@ def test_the_reader_checks_each_token_as_its_constructor_does(flavor, pool, rows
     assert [(token.id, token.misc) for token in tokens] == blocks
     for token in tokens:
         assert type(token) is Token and Token(*token) == token
+
+
+# Token rows the files below are made of: (form, UPOS, FEATS, MISC,
+# then the values outside LASLA's inventory, or the error of a bad row).
+_ROWS = [
+    ("arma", "NOUN", "Case=Acc|Number=Plur", "_", ()),
+    ("cano", "VERB", "Mood=Ind|Person=1", "SpaceAfter=No", ()),
+    ("uirum", "NOUN", "Case=Erg", "_", (("Case", "Erg"),)),
+    ("que", "CCONJ", "_", "_", ()),
+    ("nil", "NOPE", "_", "_", "unknown UPOS 'NOPE'"),
+    ("bis", "NOUN", "Case=Acc|Case=Nom", "_", "duplicate feature 'Case'"),
+]
+
+
+def _row_line(token_id, row):
+    form, upos, feats, misc, _ = _ROWS[row]
+    return f"{token_id}\t{form}\t{form}\t{upos}\t_\t{feats}\t_\t_\t_\t{misc}"
+
+
+def _file_text(sentences):
+    """Each sentence a block; a row's id is its position in the block."""
+    return "".join(
+        f"# sent_id = s{n}\n" + "".join(_row_line(i, row) + "\n" for i, row in enumerate(rows, 1)) + "\n"
+        for n, rows in enumerate(sentences)
+    )
+
+
+def _expected(flavor, sentences):
+    """Without any reader: the (id, form, FEATS, MISC) of every token, or
+    the message naming the first bad line, and the unknown values the
+    rows before it hold, once per occurrence."""
+    unknown, line_no = Counter(), 0
+    for n, rows in enumerate(sentences):
+        line_no += 1  # the sent_id comment
+        for row in rows:
+            line_no += 1
+            outside = _ROWS[row][4]
+            if isinstance(outside, str):
+                return f"line {line_no} (sentence 's{n}'): {outside}", unknown
+            if flavor == "lasla":
+                unknown.update(outside)
+        line_no += 1  # the closing blank line
+    return [
+        [(i, _ROWS[row][0], _ROWS[row][2], _ROWS[row][3]) for i, row in enumerate(rows, 1)]
+        for rows in sentences
+    ], unknown
+
+
+def _outcome(reader, text):
+    try:
+        return reader.read(text, stem="f")
+    except ParseError as exc:
+        return str(exc)
+
+
+_FILES = st.lists(
+    st.lists(st.lists(st.integers(0, len(_ROWS) - 1), min_size=1, max_size=3), min_size=1, max_size=3),
+    min_size=1, max_size=4,
+)
+
+
+@FLAVORS
+@settings(max_examples=150, deadline=None)
+@given(files=_FILES)
+@example(files=[[[2], [2]]])
+@example(files=[[[0, 4], [4]], [[4]], [[0, 4]]])
+def test_one_reader_reads_repeated_lines_as_a_fresh_reader_per_file_does(flavor, files):
+    shared = CorpusReader(MAPPINGS[flavor])
+    texts = [_file_text(sentences) for sentences in files]
+    expected_unknown, fresh_unknown = Counter(), Counter()
+    line_tokens = {}  # each raw line, with the token the shared reader gave it
+    # a second pass reads every line from the memo
+    for _ in range(2):
+        for sentences, text in zip(files, texts):
+            fresh = CorpusReader(MAPPINGS[flavor])
+            outcome = _outcome(shared, text)
+            assert outcome == _outcome(fresh, text)
+            fresh_unknown += fresh.unknown_values
+            expected, unknown = _expected(flavor, sentences)
+            expected_unknown += unknown
+            if isinstance(expected, str):
+                assert outcome == expected
+                continue
+            assert [
+                [(t.id, t.form, t.feats.to_string(), t.misc_string()) for t in s.tokens]
+                for s in outcome
+            ] == expected
+            for s, rows in zip(outcome, sentences):
+                for token, (i, row) in zip(s.tokens, enumerate(rows, 1)):
+                    assert line_tokens.setdefault(_row_line(i, row), token) is token
+    assert shared.unknown_values == fresh_unknown == expected_unknown
+
+
+def test_without_an_id_column_a_repeated_row_is_numbered_by_its_position():
+    mapping = ColumnMapping(columns={"form": 0, "lemma": 1, "upos": 2, "feats": 3}, n_columns=4)
+    reader = CorpusReader(mapping)
+    text = "x\ty\tNOUN\t_\nx\ty\tNOUN\t_\n\nz\tw\tVERB\t_\nx\ty\tNOUN\t_\n"
+    for _ in range(2):
+        first, second = reader.read(text)
+        assert [t.id for t in first.tokens] == [1, 2]
+        assert [(t.id, t.form) for t in second.tokens] == [(1, "z"), (2, "x")]

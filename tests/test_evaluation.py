@@ -476,6 +476,73 @@ def test_seed_and_iterations_outside_the_spawn_word_are_rejected():
         permutation_test(gold, gold, gold, "morph-acc", iterations=MAX_ITERATIONS + 1)
 
 
+# --- sentences that move ---------------------------------------------------
+
+PERM_METRICS = ["morph-acc", "upos-macro-f1", "macro-f1:Case", "macro-f1:Gender",
+                "value-f1:Case=Nom", "value-f1:Gender=Fem,Masc"]
+# differs from every record the strategy draws in UPOS, Case and Gender
+WRONG = StandardRecord(upos="PROPN", case="Voc", gender=("Neut",))
+
+
+def machine_and_stats(codes, metric):
+    """The machine and the per-sentence statistics it was given."""
+    given_stats = []
+
+    class Recording(permutation._Machine):
+        def __init__(self, stats_a, stats_b, *args, **kwargs):
+            given_stats.append((stats_a, stats_b))
+            super().__init__(stats_a, stats_b, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(permutation, "_Machine", Recording)
+        machine = _build_machine(codes, metric, False)
+    [stats] = given_stats
+    return machine, stats
+
+
+def full_diffs(machine, stats_a, stats_b, masks):
+    """The reduction over every sentence, those that move nothing included."""
+    moved = masks @ (stats_b - stats_a)
+    diff = machine.score(machine.base_a + moved) - machine.score(machine.base_b - moved)
+    return np.abs(diff) / machine.scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    triples=st.lists(st.lists(st.tuples(records, records, records), max_size=4),
+                     min_size=1, max_size=6).filter(any),
+    metric=st.sampled_from(PERM_METRICS),
+    mode=st.sampled_from(["drawn", "a == b", "b all wrong"]),
+    seed=st.integers(0, 2**32),
+)
+def test_moving_sentences_give_the_full_product_bit_for_bit(triples, metric, mode, seed):
+    gold = [[g for g, _, _ in sent] for sent in triples]
+    a = [[p for _, p, _ in sent] for sent in triples]
+    b = [[p for _, _, p in sent] for sent in triples]
+    if mode == "a == b":
+        b = a
+    elif mode == "b all wrong":
+        a, b = gold, [[WRONG] * len(sent) for sent in gold]
+    codes = _Codes(gold, a, b)
+    machine, (stats_a, stats_b) = machine_and_stats(codes, metric)
+    n = len(gold)
+    masks = np.random.default_rng(seed).integers(0, 2, (20, n)).astype(np.float64)
+    masks = np.vstack([np.zeros(n), np.ones(n), masks])
+    assert np.array_equal(machine.diffs(masks), full_diffs(machine, stats_a, stats_b, masks))
+    if mode == "a == b":
+        assert len(machine.moving) == 0
+    elif mode == "b all wrong" and not metric.startswith("value-f1"):
+        assert machine.moving.tolist() == [i for i, sent in enumerate(gold) if sent]
+    # the p-value's counts, against the full product over the same draw
+    iterations = 37
+    observed = full_diffs(machine, stats_a, stats_b, np.zeros((1, n)))[0]
+    hits = int((full_diffs(machine, stats_a, stats_b, _swap_masks(seed, 0, iterations, n))
+                >= observed).sum())
+    assert permutation.observed_and_hits(codes, metric, False, iterations, seed) == (observed, hits)
+    if mode == "a == b":
+        assert (observed, hits) == (0.0, iterations)
+
+
 # --- the swap-mask draw ----------------------------------------------------
 
 
