@@ -21,9 +21,11 @@ from pathlib import Path
 # loaded by perm-test alone, through evaluation.permutation_test.
 from . import __version__, reports
 from .config import InfeasibleSplitError, ToolConfig
-from .conllu import CorpusReader, write_conllu_file
+from .conllu import write_conllu_file
 from .harmonize import ALL_RULES
-from .pipeline import FLAVORS, Converter, aligned_pairs, convert_corpus, load_corpus, read_corpus_files
+from .pipeline import (
+    FLAVORS, Converter, aligned_pairs, convert_corpus, corpus_reader, load_corpus, read_corpus_files,
+)
 from .standardize import lint_token
 
 
@@ -52,26 +54,31 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("convert", parents=[common], help="standardize and harmonize a corpus")
+    p.set_defaults(run=cmd_convert)
     p.add_argument("--in", dest="input", type=Path, required=True)
     p.add_argument("--flavor", choices=FLAVORS, required=True)
     p.add_argument("--out", type=Path, required=True, help="output directory")
 
     p = sub.add_parser("dedup", parents=[common, pair], help="find duplicate sentences across two corpora")
+    p.set_defaults(run=cmd_dedup)
     p.add_argument("--out", type=Path, required=True, help="duplicate manifest TSV")
     p.add_argument("--report", type=Path, default=None, help="per-work duplicate counts TSV")
     p.add_argument("--metadata", type=Path, default=None)
 
     p = sub.add_parser("agree", parents=[common, pair], help="annotation agreement over duplicate tokens")
+    p.set_defaults(run=cmd_agree)
     p.add_argument("--dups", type=Path, required=True, help="duplicate manifest TSV")
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--exclude-anomalous", action="store_true")
 
     p = sub.add_parser("metadata-validate", parents=[common], help="check a metadata table")
+    p.set_defaults(run=cmd_metadata_validate)
     p.add_argument("--file", type=Path, required=True)
     p.add_argument("--corpus", type=Path, default=None, help="cross-check sentence counts")
     p.add_argument("--flavor", choices=FLAVORS, default="ud")
 
     p = sub.add_parser("split", parents=[common], help="build constrained time-period splits")
+    p.set_defaults(run=cmd_split)
     p.add_argument("--ud", type=Path, required=True, help="standardized UD corpus")
     p.add_argument("--lasla", type=Path, default=None, help="standardized LASLA corpus")
     p.add_argument("--metadata", type=Path, required=True)
@@ -83,11 +90,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="ignore the shipped assignment and fill greedily")
 
     p = sub.add_parser("eval", parents=[common], help="score a prediction file against gold")
+    p.set_defaults(run=cmd_eval)
     p.add_argument("--gold", type=Path, required=True)
     p.add_argument("--pred", type=Path, required=True)
     p.add_argument("--out", type=Path, default=None, help="JSON report")
 
     p = sub.add_parser("perm-test", parents=[common], help="paired permutation test between two prediction files")
+    p.set_defaults(run=cmd_perm_test)
     p.add_argument("--gold", type=Path, required=True)
     p.add_argument("--a", dest="pred_a", type=Path, required=True)
     p.add_argument("--b", dest="pred_b", type=Path, required=True)
@@ -97,6 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, default=None)
 
     p = sub.add_parser("lint", parents=[common], help="legality and divergence flags for a corpus")
+    p.set_defaults(run=cmd_lint)
     p.add_argument("--in", dest="input", type=Path, required=True)
     p.add_argument("--flavor", choices=FLAVORS, default="ud")
     p.add_argument("--out", type=Path, required=True)
@@ -121,7 +131,8 @@ def _warn_unknown(*unknown_values: Counter) -> None:
 
 def cmd_convert(args, config: ToolConfig) -> int:
     # every file is read, and sentence ids checked, before any output
-    files, unknown_values = read_corpus_files(args.input, args.flavor, config)
+    reader = corpus_reader(args.flavor, config)
+    files = read_corpus_files(args.input, reader)
     args.out.mkdir(parents=True, exist_ok=True)
     audit_rows = []
     anomaly_rows = []
@@ -136,7 +147,7 @@ def cmd_convert(args, config: ToolConfig) -> int:
     _report(args, config, args.out / "harmonization_audit.tsv",
             ("corpus", "rule_id", "tokens_affected"), audit_rows)
     _report(args, config, args.out / "anomalies.tsv", ("sent_id", "token_id", "code"), anomaly_rows)
-    _warn_unknown(unknown_values)
+    _warn_unknown(reader.unknown_values)
     return 0
 
 
@@ -292,9 +303,12 @@ def _aligned_records(config: ToolConfig, gold_path: Path, *pred_paths: Path):
     # FEATS string the files share is parsed once and each distinct
     # (UPOS, bundle) pair becomes one record. Sentence ids stay checked
     # per path: gold and predictions share them.
-    reader = CorpusReader()
+    reader = corpus_reader("ud", config)
     paths = (gold_path, *pred_paths)
-    gold, *preds = [load_corpus(path, "ud", config, reader=reader)[0] for path in paths]
+    gold, *preds = [
+        [sentence for _, sentences in read_corpus_files(path, reader) for sentence in sentences]
+        for path in paths
+    ]
     for path, pred in zip(pred_paths, preds):
         with _naming(path):
             evaluation.check_alignment(gold, pred)
@@ -369,18 +383,6 @@ def cmd_lint(args, config: ToolConfig) -> int:
     return 0
 
 
-_COMMANDS = {
-    "convert": cmd_convert,
-    "dedup": cmd_dedup,
-    "agree": cmd_agree,
-    "metadata-validate": cmd_metadata_validate,
-    "split": cmd_split,
-    "eval": cmd_eval,
-    "perm-test": cmd_perm_test,
-    "lint": cmd_lint,
-}
-
-
 def _fail(prefix: str, exc: Exception, code: int) -> int:
     print(f"{prefix}: {exc}", file=sys.stderr)
     return code
@@ -393,7 +395,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         return _fail("config error", exc, 2)
     try:
-        return _COMMANDS[args.command](args, config)
+        return args.run(args, config)
     except UsageError as exc:
         return _fail("usage error", exc, 2)
     except InfeasibleSplitError as exc:

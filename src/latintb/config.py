@@ -1,8 +1,11 @@
 """Tool configuration: one JSON document overriding pinned defaults.
 
-Flags override config, config overrides defaults. The resolved document
-is hashed so every report can name the exact configuration it was
-produced under.
+Flags override config, config overrides defaults. The JSON document as
+given (keys sorted, no whitespace) is hashed, so every report can name
+the configuration file it was produced under. The hash is of the
+document, not of the settings it resolves to: ``{}`` and a document
+that sets a key to its default hash differently, and a run without
+``--config`` reports ``config=default``.
 """
 
 from __future__ import annotations

@@ -465,13 +465,15 @@ class CorpusReader:
 
     def read_file(self, path: str | Path) -> list[Sentence]:
         """Read one file with its stem as the ``stem`` of ``read``. A
-        leading UTF-8 byte-order mark is skipped."""
+        leading UTF-8 byte-order mark is skipped. An error names the file."""
         path = Path(path)
         with open(path, encoding="utf-8-sig") as handle:
             try:
                 return self.read(handle, stem=path.stem)
             except UnicodeDecodeError as exc:
                 raise ConlluError(f"{path}: not UTF-8 text ({exc.reason})") from None
+            except ConlluError as exc:
+                raise type(exc)(f"{path}: {exc}") from None
 
 
 def parse_conllu(source: str | TextIO) -> list[Sentence]:

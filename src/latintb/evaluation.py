@@ -74,17 +74,16 @@ def records_of(
     return records
 
 
-def _check_shape(gold: Records, pred: Records) -> None:
-    if len(gold) != len(pred) or any(len(g) != len(p) for g, p in zip(gold, pred)):
-        raise AlignmentError("gold and prediction records are not aligned")
-
-
 class _Codes:
     """Aligned corpora of records as integer codes, one per distinct
     record, so labels and strings are built once per distinct record
-    instead of once per token."""
+    instead of once per token. Every corpus must have the first one's
+    sentence lengths."""
 
     def __init__(self, *corpora: Records):
+        self.sentence_lengths = [len(s) for s in corpora[0]]
+        if any([len(s) for s in c] != self.sentence_lengths for c in corpora[1:]):
+            raise AlignmentError("gold and prediction records are not aligned")
         # Tokens share record objects (records_of builds one per distinct
         # UPOS and FEATS bundle), and hashing an int id is cheaper than
         # hashing a record, so each object is hashed by value once.
@@ -93,7 +92,6 @@ class _Codes:
         code = {key: index.setdefault(r, len(index)) for key, r in objects.items()}
         self.tokens = [[code[id(r)] for s in c for r in s] for c in corpora]
         self.records = list(index)
-        self.sentence_lengths = [len(s) for s in corpora[0]]
 
     def _recode(self, keys: list[str]) -> tuple[list[str], list[int]]:
         """The sorted keys (one per record) plus "None", and each record's
@@ -145,7 +143,6 @@ def whole_string_accuracy(
     gold: Records, pred: Records, *, include_upos: bool = False
 ) -> float:
     """Fraction of tokens whose sorted feature string matches gold exactly."""
-    _check_shape(gold, pred)
     codes = _Codes(gold, pred)
     return _accuracy(codes, codes.pairs(), include_upos)
 
@@ -163,7 +160,6 @@ def _macro(counts: list[tuple[int, int, int]]) -> float:
 def macro_f1(gold: Records, pred: Records, feature: str) -> float:
     """Unweighted mean of per-class F1 over the values observed in gold
     or predictions, plus None, which is a value like any other."""
-    _check_shape(gold, pred)
     codes = _Codes(gold, pred)
     return _macro(_class_counts(codes, codes.pairs(), feature)[1])
 
@@ -190,7 +186,6 @@ def _value_score(tp: int, fp: int, fn: int) -> ValueScore:
 
 def per_value_f1(gold: Records, pred: Records, feature: str, value: str) -> ValueScore:
     """One-vs-rest precision/recall/F1 for one feature value."""
-    _check_shape(gold, pred)
     codes = _Codes(gold, pred)
     classes, counts = _class_counts(codes, codes.pairs(), feature)
     return _value_score(*dict(zip(classes, counts)).get(value, (0, 0, 0)))
@@ -225,7 +220,6 @@ class EvalReport:
 
 
 def evaluate(gold: Records, pred: Records, *, include_upos: bool = False) -> EvalReport:
-    _check_shape(gold, pred)
     codes = _Codes(gold, pred)
     pairs = codes.pairs()
     macro: dict[str, float] = {}
@@ -317,8 +311,6 @@ def permutation_test(
         raise ValueError(f"iterations must be in 1..{MAX_ITERATIONS}, got {iterations}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    _check_shape(gold, preds_a)
-    _check_shape(gold, preds_b)
     codes = _Codes(gold, preds_a, preds_b)
     if len(codes.tokens[0]) == 0:
         raise AlignmentError("no tokens to score")

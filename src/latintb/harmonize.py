@@ -46,8 +46,7 @@ DEFAULT_PRONOUN_PERSONS: Mapping[str, str] = {
     "ego": "1",
     "nos": "1",
     "tu": "2",
-    "uos": "2",
-    "vos": "2",
+    "uos": "2",  # lemmas are looked up after v -> u, so "vos" reads as "uos"
 }
 
 

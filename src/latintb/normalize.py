@@ -8,10 +8,6 @@ from .conllu import Sentence, Token
 
 _JV_TABLE = str.maketrans({"j": "i", "J": "I", "v": "u", "V": "U"})
 
-# Unicode categories P* plus the section sign, which predates its own
-# punctuation category.
-_EXTRA_PUNCT = {"§"}
-
 
 def jv_replace(text: str) -> str:
     """Map j->i and v->u (both cases); length-preserving and idempotent."""
@@ -21,9 +17,7 @@ def jv_replace(text: str) -> str:
 def is_punctuation_form(form: str) -> bool:
     if not form:
         return False
-    return all(
-        unicodedata.category(ch).startswith("P") or ch in _EXTRA_PUNCT for ch in form
-    )
+    return all(unicodedata.category(ch).startswith("P") for ch in form)
 
 
 def is_punctuation_token(token: Token) -> bool:

@@ -50,26 +50,19 @@ def _flavor(flavor: str):
         raise ValueError(f"unknown flavor {flavor!r}") from None
 
 
-def read_corpus_files(
-    path: str | Path,
-    flavor: str,
-    config: ToolConfig | None = None,
-    *,
-    reader: CorpusReader | None = None,
-) -> tuple[list[tuple[Path, list[Sentence]]], Counter]:
-    """Read a file or a directory of .conllu files, in sorted file order,
-    through one reader, so every file shares its FEATS bundles. A
-    ``reader`` made for the flavor may be passed in, so that several
-    paths share their bundles too.
+def corpus_reader(flavor: str, config: ToolConfig | None = None) -> CorpusReader:
+    """A reader through the flavor's column mapping under ``config``."""
+    mapping, _, _ = _flavor(flavor)
+    return CorpusReader(mapping(config or ToolConfig()))
 
-    Returns each file with its sentences, and the reader's counts of
-    values outside the mapping's inventory (LASLA's). A sent_id that two
-    sentences under ``path`` share is a ConlluError, raised before
-    anything is returned.
+
+def read_corpus_files(path: str | Path, reader: CorpusReader) -> list[tuple[Path, list[Sentence]]]:
+    """Each file of a file or a directory of .conllu files, in sorted
+    file order, with its sentences, read through ``reader``: the files
+    share its FEATS bundles and its counts of values outside the
+    mapping's inventory. A sent_id that two sentences under ``path``
+    share is a ConlluError, raised before anything is returned.
     """
-    if reader is None:
-        mapping, _, _ = _flavor(flavor)
-        reader = CorpusReader(mapping(config or ToolConfig()))
     files: list[tuple[Path, list[Sentence]]] = []
     holder: dict[str, Path] = {}  # sent_id -> the file that holds it
     for file in corpus_files(path):
@@ -82,7 +75,7 @@ def read_corpus_files(
                 )
             holder[sentence.sent_id] = file
         files.append((file, sentences))
-    return files, reader.unknown_values
+    return files
 
 
 def load_corpus(
@@ -91,15 +84,15 @@ def load_corpus(
     config: ToolConfig | None = None,
     *,
     jobs: int = 1,
-    reader: CorpusReader | None = None,
 ) -> tuple[list[Sentence], Counter]:
-    """The sentences of every file of ``read_corpus_files``, in file
-    order, and the unknown-value counts. ``jobs`` is accepted and
-    ignored: the files are read in one thread. The benchmark's traced
-    pass (``perfbench/layers.py``) still passes it.
+    """The sentences of every file of ``read_corpus_files`` through a new
+    ``corpus_reader``, in file order, and its unknown-value counts.
+    ``jobs`` is accepted and ignored: the files are read in one thread.
+    The benchmark's traced pass (``perfbench/layers.py``) still passes it.
     """
-    files, unknown_values = read_corpus_files(path, flavor, config, reader=reader)
-    return [sentence for _, sentences in files for sentence in sentences], unknown_values
+    reader = corpus_reader(flavor, config)
+    files = read_corpus_files(path, reader)
+    return [sentence for _, sentences in files for sentence in sentences], reader.unknown_values
 
 
 @dataclass(slots=True)

@@ -31,9 +31,16 @@ def write_tsv(
     seed: int | None = None,
     config_hash: str = "default",
 ) -> None:
+    """A TSV table with the provenance footer. A cell that holds a tab or
+    a line break is a ValueError, raised before the file is written."""
     lines = ["\t".join(header)]
     for row in rows:
-        lines.append("\t".join(str(cell) for cell in row))
+        cells = [str(cell) for cell in row]
+        for cell in cells:
+            # read_table splits a table into lines with str.splitlines
+            if "\t" in cell or "".join(cell.splitlines()) != cell:
+                raise ValueError(f"{path}: cell {cell!r} holds a tab or a line break")
+        lines.append("\t".join(cells))
     lines.append(footer(seed, config_hash))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 

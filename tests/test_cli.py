@@ -284,6 +284,25 @@ def test_lint_outputs_are_pinned(fixtures_dir, tmp_path, flavor):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == LINT_SHA256[flavor]
 
 
+@pytest.mark.parametrize("command", ["dedup", "lint"])
+def test_a_sentence_id_holding_a_tab_is_refused_by_the_tsv_writer(tmp_path, capsys, command):
+    # the id reaches a manifest row and a lint row, where it would shift a column
+    words = "gallia est omnis divisa in partes tres quarum unam incolunt belgae".split()
+    tokens = "".join(f"{i}\t{w}\tsum\tNOUN\t_\t_\t_\t_\t_\t_\n" for i, w in enumerate(words, 1))
+    corpus = tmp_path / "ud.conllu"
+    corpus.write_text(f"# sent_id = s\t1\n{tokens}\n")
+    other = tmp_path / "other.conllu"
+    other.write_text(f"# sent_id = o1\n{tokens}\n")
+    out = tmp_path / "out.tsv"
+    argv = {
+        "dedup": ["dedup", "--a", corpus, "--b", other, "--b-flavor", "ud", "--out", out],
+        "lint": ["lint", "--in", corpus, "--out", out],
+    }[command]
+    assert main(list(map(str, argv))) == 1
+    assert capsys.readouterr().err == f"error: {out}: cell 's\\t1' holds a tab or a line break\n"
+    assert not out.exists()
+
+
 def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
@@ -578,6 +597,27 @@ def test_pipeline_outputs_are_pinned(workdir, name):
     assert digest == PIPELINE_SHA256[name]
 
 
+# The whole output tree of scripts/run_fixture_pipeline.sh (every
+# subcommand and scripts/predict_baseline.py), pinned byte for byte.
+DEMO_TREE_FILES = 44
+DEMO_TREE_SHA256 = "d62aca38d6c01dc65b60f677b0a5c91ad78d09140bee06abe0ce4e90ac2133ec"
+
+
+def test_the_fixture_pipeline_script_output_is_pinned(tmp_path):
+    script = Path(__file__).parents[1] / "scripts" / "run_fixture_pipeline.sh"
+    # the script runs python3: make that this interpreter
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    (bin_dir / "python3").symlink_to(sys.executable)
+    env = dict(os.environ, PATH=os.pathsep.join([str(bin_dir), os.environ.get("PATH", "")]))
+    out = tmp_path / "demo"
+    done = subprocess.run(["bash", str(script), str(out)], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert sum(p.is_file() for p in out.rglob("*")) == DEMO_TREE_FILES
+    assert _tree_sha256(out) == DEMO_TREE_SHA256
+
+
 def test_a_sentence_id_shared_by_two_files_fails_in_one_line(fixtures_dir, tmp_path):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
@@ -821,7 +861,31 @@ def test_truncated_token_line_fails_in_one_line_naming_it(fixtures_dir, tmp_path
     source.write_text("".join(lines))
     done = _convert_ud(source, tmp_path / "out")
     assert done.returncode == 1
-    assert done.stderr == "error: line 4 (sentence 'cl_alpha-s1'): expected 10 columns, got 3\n"
+    assert done.stderr == (
+        f"error: {source}: line 4 (sentence 'cl_alpha-s1'): expected 10 columns, got 3\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["eval", "dedup", "convert"])
+def test_a_malformed_line_is_named_with_its_file(tmp_path, capsys, command):
+    # good files on both sides of the bad one in a directory of several
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name in ("a", "b", "c"):
+        (corpus / f"{name}.conllu").write_text(SENTENCE.format(f"{name}1", "Case=Nom"))
+    bad = corpus / "b.conllu"
+    bad.write_text(SENTENCE.format("b1", "Case=Nom") + "# sent_id = b2\n1\tx\n")
+    good = corpus / "a.conllu"
+    argv = {
+        "eval": ["eval", "--gold", good, "--pred", bad],
+        "dedup": ["dedup", "--a", good, "--b", corpus, "--b-flavor", "ud",
+                  "--out", tmp_path / "dups.tsv"],
+        "convert": ["convert", "--in", corpus, "--flavor", "ud", "--out", tmp_path / "std"],
+    }[command]
+    assert main(list(map(str, argv))) == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}: line 5 (sentence 'b2'): expected 10 columns, got 2\n"
+    )
 
 
 def test_bad_manifest_row_fails_in_one_line_naming_file_and_line(fixtures_dir, tmp_path):

@@ -278,6 +278,27 @@ def test_alignment_errors():
         check_alignment(gold, [Sentence(sent_id="s", tokens=(other,))])
 
 
+@pytest.mark.parametrize("pred", [
+    [[StandardRecord(upos="NOUN")]],
+    [[StandardRecord(upos="NOUN")], []],
+    # as many tokens as gold, but not per sentence
+    [[StandardRecord(upos="NOUN"), StandardRecord(upos="VERB")], []],
+], ids=["fewer-sentences", "fewer-tokens", "tokens-moved"])
+def test_every_scorer_refuses_records_that_do_not_line_up(pred):
+    gold = [[StandardRecord(upos="NOUN")], [StandardRecord(upos="VERB")]]
+    scorers = [
+        lambda: whole_string_accuracy(gold, pred),
+        lambda: macro_f1(gold, pred, "Case"),
+        lambda: per_value_f1(gold, pred, "Case", "Nom"),
+        lambda: evaluate(gold, pred),
+        lambda: permutation_test(gold, pred, gold, iterations=1),
+        lambda: permutation_test(gold, gold, pred, iterations=1),
+    ]
+    for scorer in scorers:
+        with pytest.raises(AlignmentError, match="^gold and prediction records are not aligned$"):
+            scorer()
+
+
 def test_parse_metric():
     assert parse_metric("morph-acc") == ("acc", None, None)
     assert parse_metric("upos-macro-f1") == ("macro", "UPOS", None)

@@ -117,6 +117,8 @@ def test_pronoun_person_repair_opt_in():
     repaired = repair_pronoun_person("ego", record)
     assert repaired.person == "1"
     assert repair_pronoun_person("mensa", record).person is None
+    # the lemma is normalized (lowercase, v -> u) before the lookup
+    assert repair_pronoun_person("Vos", record).person == "2"
     already = StandardRecord(upos="PRON", person="2", case="Nom", number="Sing")
     assert repair_pronoun_person("ego", already).person == "2"
 
