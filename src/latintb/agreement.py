@@ -7,8 +7,7 @@ UD value in LASLA's value list under the loose gender criterion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .conllu import Token
 from .standardize import STANDARD_FEATURES, StandardRecord
@@ -23,8 +22,7 @@ STAGE_CONVERTED = "converted"
 FeatureView = Mapping[str, tuple[str, ...]]
 
 
-@dataclass(frozen=True, slots=True)
-class AgreementRow:
+class AgreementRow(NamedTuple):
     feature: str
     same: int
     total: int
@@ -37,8 +35,7 @@ class AgreementRow:
         return f"{100 * self.percent:.1f}"
 
 
-@dataclass(frozen=True, slots=True)
-class AlignedTokenPair:
+class AlignedTokenPair(NamedTuple):
     """One aligned token with both sides' raw tokens and standardized
     records."""
 

@@ -11,14 +11,18 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import sys
 from collections import Counter
 from pathlib import Path
 
-# agreement, dedup, evaluation, metadata and splits are imported by the
-# subcommands that use them, so convert and lint load none; numpy is
-# loaded by perm-test alone, through evaluation.permutation_test.
+# Only what every subcommand needs is imported here: each fresh process
+# pays for its imports. agreement, dedup, evaluation, metadata and splits
+# are imported by the subcommands that use them, so convert and lint load
+# none; numpy is loaded by perm-test alone, through
+# evaluation.permutation_test; json and hashlib only when a config is read
+# or a JSON report written. Records are NamedTuples, so no run loads
+# dataclasses and the inspect module it imports. A test in
+# tests/test_cli.py checks this in fresh interpreters.
 from . import __version__, reports
 from .config import InfeasibleSplitError, ToolConfig
 from .conllu import write_conllu_file
@@ -264,8 +268,8 @@ def cmd_split(args, config: ToolConfig) -> int:
             min_test=config.min_test_sentences,
             atomicity_exceptions=config.atomicity_exceptions,
         )
-        manifest = dataclasses.replace(manifest, audit=tuple(results))
-        reports.write_json(args.out / f"{manifest.period}.manifest.json", dataclasses.asdict(manifest))
+        manifest = manifest._replace(audit=tuple(results))
+        reports.write_json(args.out / f"{manifest.period}.manifest.json", manifest)
         parts = splits.materialize(manifest, ud_corpus, lasla_corpus)
         period_dir = args.out / manifest.period
         period_dir.mkdir(exist_ok=True)
@@ -330,7 +334,7 @@ def cmd_eval(args, config: ToolConfig) -> int:
     print(report.format_table())
     if args.out is not None:
         provenance = reports.footer(args.seed, config.config_hash)
-        reports.write_json(args.out, {**dataclasses.asdict(report), "provenance": provenance})
+        reports.write_json(args.out, {**report._asdict(), "provenance": provenance})
     return 0
 
 

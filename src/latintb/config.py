@@ -10,14 +10,12 @@ that sets a key to its default hash differently, and a run without
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .conllu import ColumnMapping
 from .lasla import DEFAULT_LASLA_MAPPING
-from .standardize import DEFAULT_LEGALITY_RULES, LEGALITY_RULES, TenseAspectTable
+from .standardize import DEFAULT_LEGALITY_RULES, DEFAULT_TENSE_TABLE, LEGALITY_RULES, TenseAspectTable
 
 # The defaults of dedup and splits live here, so that loading a config
 # imports neither module.
@@ -39,8 +37,11 @@ class InfeasibleSplitError(ValueError):
         self.constraint = constraint
 
 
-@dataclass(slots=True)
-class ToolConfig:
+class ToolConfig(NamedTuple):
+    """The settings of one run, an immutable tuple record. The JSON
+    modules are imported only when a config document is read, so a run
+    without ``--config`` loads neither ``json`` nor ``hashlib``."""
+
     dedup_min_chars: int = DEFAULT_MIN_CHARS
     dedup_min_tokens: int = DEFAULT_MIN_TOKENS
     dev_fraction: float = DEFAULT_DEV_FRACTION
@@ -50,14 +51,16 @@ class ToolConfig:
     pronoun_person_repair: bool = False
     include_upos_in_string: bool = False
     legality_rules: tuple[str, ...] = DEFAULT_LEGALITY_RULES
-    lasla_mapping: ColumnMapping = field(default_factory=lambda: DEFAULT_LASLA_MAPPING)
-    tense_table: TenseAspectTable = field(default_factory=TenseAspectTable.default)
+    lasla_mapping: ColumnMapping = DEFAULT_LASLA_MAPPING
+    tense_table: TenseAspectTable = DEFAULT_TENSE_TABLE
     config_hash: str = "default"
 
     @classmethod
     def load(cls, path: str | Path | None) -> "ToolConfig":
         if path is None:
             return cls()
+        import json
+
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8-sig"))
         except UnicodeDecodeError as exc:
@@ -68,20 +71,29 @@ class ToolConfig:
 
     @classmethod
     def from_dict(cls, data) -> "ToolConfig":
+        import hashlib
+        import json
+
         try:
             config = cls(**_object("config", _FIELDS, data))
         except ValueError as exc:  # also a MappingError or a bad tense/aspect table
             raise ConfigError(str(exc)) from exc
         canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
-        config.config_hash = hashlib.sha256(canonical.encode()).hexdigest()[:12]
-        return config
+        return config._replace(config_hash=hashlib.sha256(canonical.encode()).hexdigest()[:12])
+
+
+def _shown(value) -> str:
+    """A JSON value as an error message shows it."""
+    import json
+
+    return json.dumps(value)
 
 
 def _object(what: str, fields: dict, data, prefix: str = "") -> dict:
     """The values of the JSON object ``data``, each turned by its key's
     coercer in ``fields``; ``prefix`` starts each key's name in errors."""
     if type(data) is not dict:
-        raise ConfigError(f"{what} must be a JSON object, got {json.dumps(data)}")
+        raise ConfigError(f"{what} must be a JSON object, got {_shown(data)}")
     unknown = set(data) - set(fields)
     if unknown:
         raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
@@ -92,7 +104,7 @@ def _checked(expected: str, valid, convert=None):
     """A coercer that keeps a JSON value ``valid`` accepts, or names ``expected``."""
     def coerce(name: str, value):
         if not valid(value):
-            raise ConfigError(f"{name} must be {expected}, got {json.dumps(value)}")
+            raise ConfigError(f"{name} must be {expected}, got {_shown(value)}")
         return value if convert is None else convert(value)
     return coerce
 

@@ -13,11 +13,11 @@ from __future__ import annotations
 import io
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, NamedTuple, TextIO
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, TextIO
 
 UPOS_TAGS = frozenset(
     {
@@ -122,6 +122,12 @@ class FeatureBundle:
         return f"FeatureBundle({self._string!r})"
 
 
+def _checked_make(cls, iterable):
+    """A record's ``_make``, and so its ``_replace``, through its checking
+    constructor."""
+    return cls(*iterable)
+
+
 class _TokenFields(NamedTuple):
     id: int
     form: str
@@ -155,9 +161,7 @@ class Token(_TokenFields):
         _check_misc_keys(token.misc)
         return token
 
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
+    _make = classmethod(_checked_make)
 
     def misc_get(self, key: str) -> str | None:
         for k, v in self.misc:
@@ -171,14 +175,7 @@ class Token(_TokenFields):
         return "|".join(k if v is None else f"{k}={v}" for k, v in self.misc)
 
 
-@dataclass(frozen=True, slots=True)
-class Sentence:
-    """A sentence with its tokens, comments, and pass-through records.
-
-    ``extras`` holds verbatim multiword-token / empty-node lines as
-    (insert-before-word-index, raw line) pairs.
-    """
-
+class _SentenceFields(NamedTuple):
     sent_id: str
     tokens: tuple[Token, ...]
     text: str | None = None
@@ -187,15 +184,31 @@ class Sentence:
     comments: tuple[str, ...] = ()
     extras: tuple[tuple[int, str], ...] = ()
 
-    def __post_init__(self) -> None:
+
+class Sentence(_SentenceFields):
+    """A sentence with its tokens, comments, and pass-through records.
+
+    ``extras`` holds verbatim multiword-token / empty-node lines as
+    (insert-before-word-index, raw line) pairs. An immutable tuple
+    record; the constructor, and ``_replace``, reject token ids that do
+    not strictly increase (StructureError).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        sentence = super().__new__(cls, *args, **kwargs)
         prev = 0
-        for token in self.tokens:
+        for token in sentence.tokens:
             if token.id <= prev:
                 raise StructureError(
-                    f"sentence {self.sent_id!r}: token ids not strictly increasing "
+                    f"sentence {sentence.sent_id!r}: token ids not strictly increasing "
                     f"({prev} then {token.id})"
                 )
             prev = token.id
+        return sentence
+
+    _make = classmethod(_checked_make)
 
 
 def _check_misc_keys(misc: tuple[tuple[str, str | None], ...]) -> None:
@@ -229,8 +242,20 @@ class MappingError(ValueError):
     """Invalid or incomplete column mapping."""
 
 
-@dataclass(frozen=True, slots=True)
-class ColumnMapping:
+# the default rename tables: shared, so read-only
+_NO_RENAMES: Mapping = MappingProxyType({})
+
+
+class _ColumnMappingFields(NamedTuple):
+    columns: dict[str, int] | None = None
+    n_columns: int = 10
+    separator: str = "\t"
+    feature_renames: Mapping[str, str] = _NO_RENAMES
+    value_renames: Mapping[str, Mapping[str, str]] = _NO_RENAMES
+    known_values: dict[str, frozenset[str]] | None = None
+
+
+class ColumnMapping(_ColumnMappingFields):
     """Where each CoNLL-U field lives in the source rows.
 
     ``columns`` maps field names from FIELDS to 0-based columns; by
@@ -241,38 +266,38 @@ class ColumnMapping:
     ``value_renames`` maps, per internal feature name, source values to
     internal values. ``known_values`` (optional) lists the expected value
     inventory per feature; values outside it are passed through but
-    counted as warnings.
+    counted as warnings. An immutable tuple record: the constructor, and
+    ``_replace``, raise MappingError for an invalid or incomplete mapping.
     """
 
-    columns: dict[str, int] | None = None
-    n_columns: int = 10
-    separator: str = "\t"
-    feature_renames: dict[str, str] = field(default_factory=dict)
-    value_renames: dict[str, dict[str, str]] = field(default_factory=dict)
-    known_values: dict[str, frozenset[str]] | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.columns is None:
-            columns = {name: i for i, name in enumerate(FIELDS) if i < self.n_columns}
-            object.__setattr__(self, "columns", columns)
-        for name in self.columns:
+    def __new__(cls, *args, **kwargs):
+        mapping = super().__new__(cls, *args, **kwargs)
+        if mapping.columns is None:
+            columns = {name: i for i, name in enumerate(FIELDS) if i < mapping.n_columns}
+            mapping = super().__new__(cls, columns, *mapping[1:])
+        for name in mapping.columns:
             if name not in FIELDS:
                 raise MappingError(
                     f"{name!r} is not a CoNLL-U field; fields are {', '.join(FIELDS)}"
                 )
         for name in MANDATORY_FIELDS:
-            if name not in self.columns:
+            if name not in mapping.columns:
                 raise MappingError(f"mandatory field {name!r} has no column assignment")
-        tables = {f"value renames for {f!r}": table for f, table in self.value_renames.items()}
-        for what, table in {**tables, "feature renames": self.feature_renames}.items():
+        tables = {f"value renames for {f!r}": table for f, table in mapping.value_renames.items()}
+        for what, table in {**tables, "feature renames": mapping.feature_renames}.items():
             if len(set(table.values())) != len(table):
                 raise MappingError(f"{what} are not injective")
-        for name, index in self.columns.items():
-            if not 0 <= index < self.n_columns:
+        for name, index in mapping.columns.items():
+            if not 0 <= index < mapping.n_columns:
                 raise MappingError(
                     f"column {index} of field {name!r} is outside "
-                    f"0..{self.n_columns - 1}"
+                    f"0..{mapping.n_columns - 1}"
                 )
+        return mapping
+
+    _make = classmethod(_checked_make)
 
 
 # Plain CoNLL-U: all ten columns, no renames, no inventory.
@@ -300,6 +325,10 @@ def _mapped_feats(
             unknown.extend((name, value) for value in mapped if value not in inventory)
         entries.append((name, mapped))
     return FeatureBundle(entries), tuple(unknown)
+
+
+# the comments whose values name a sentence, a document or a work
+_ID_KEYS = frozenset({"sent_id", "newdoc id", "work_id"})
 
 
 def _comment_field(line: str) -> tuple[str | None, str]:
@@ -352,8 +381,9 @@ class CorpusReader:
         Sentences without a work id take ``stem``, and those without a
         ``# sent_id`` are numbered ``<stem>-<n>`` (``sent-<n>`` without a
         stem). Raises ParseError for malformed lines (with line number
-        and current sentence id) and StructureError for token ids that do
-        not increase.
+        and current sentence id), for a sent_id, newdoc id or work_id
+        holding a tab or a line break, and StructureError for token ids
+        that do not increase.
         """
         mapping = self.mapping
         separator, n_columns = mapping.separator, mapping.n_columns
@@ -399,6 +429,9 @@ class CorpusReader:
                 comments.append(line)
                 key, value = _comment_field(line)
                 if key is not None:
+                    # an id goes into TSV cells, which read_table splits with str.splitlines
+                    if key in _ID_KEYS and ("\t" in value or "".join(value.splitlines()) != value):
+                        raise ParseError(f"line {line_no}: {key} {value!r} holds a tab or a line break")
                     meta[key] = value
                 continue
             if lines is not None:

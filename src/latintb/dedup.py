@@ -9,10 +9,8 @@ most one partner per sentence.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
-from difflib import SequenceMatcher
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from . import reports
 from .config import DEFAULT_MIN_CHARS, DEFAULT_MIN_TOKENS
@@ -30,8 +28,7 @@ BASIS_TOKEN_SUFFIX = "token-suffix"
 MANIFEST_HEADER = ("sent_a", "sent_b", "basis", "align_length")
 
 
-@dataclass(frozen=True, slots=True)
-class DuplicatePair:
+class DuplicatePair(NamedTuple):
     """One matched sentence pair with its contiguous token alignment.
 
     Alignment indices point into the original token lists of each
@@ -54,6 +51,8 @@ def align_tokens(
     Ties go to the earliest start in ``forms_a``, then in ``forms_b``,
     which is ``find_longest_match``'s own tie rule.
     """
+    from difflib import SequenceMatcher  # here, so that split loads no difflib
+
     match = SequenceMatcher(None, forms_a, forms_b, autojunk=False).find_longest_match(
         0, len(forms_a), 0, len(forms_b)
     )

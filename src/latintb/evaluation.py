@@ -12,8 +12,7 @@ permutation.py on first use.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .conllu import FeatureBundle, Sentence, Token
 from .standardize import STANDARD_FEATURES as REPORT_FEATURES
@@ -164,8 +163,7 @@ def macro_f1(gold: Records, pred: Records, feature: str) -> float:
     return _macro(_class_counts(codes, codes.pairs(), feature)[1])
 
 
-@dataclass(frozen=True, slots=True)
-class ValueScore:
+class ValueScore(NamedTuple):
     precision: float
     recall: float
     f1: float
@@ -191,13 +189,25 @@ def per_value_f1(gold: Records, pred: Records, feature: str, value: str) -> Valu
     return _value_score(*dict(zip(classes, counts)).get(value, (0, 0, 0)))
 
 
-@dataclass(slots=True)
 class EvalReport:
     # the field names are the keys of eval's JSON report
-    whole_string_accuracy: float
-    token_count: int
-    macro_f1: dict[str, float]
-    per_value_f1: dict[str, dict[str, ValueScore]]
+    __slots__ = ("whole_string_accuracy", "token_count", "macro_f1", "per_value_f1")
+
+    def __init__(
+        self,
+        whole_string_accuracy: float,
+        token_count: int,
+        macro_f1: dict[str, float],
+        per_value_f1: dict[str, dict[str, ValueScore]],
+    ):
+        self.whole_string_accuracy = whole_string_accuracy
+        self.token_count = token_count
+        self.macro_f1 = macro_f1
+        self.per_value_f1 = per_value_f1
+
+    def _asdict(self) -> dict[str, object]:
+        """The fields by name, as a record's ``_asdict`` gives them."""
+        return {name: getattr(self, name) for name in self.__slots__}
 
     def format_table(self) -> str:
         lines = [
@@ -268,8 +278,7 @@ def parse_metric(name: str) -> tuple[str, str | None, str | None]:
     raise ValueError(f"unknown metric {name!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class PermutationResult:
+class PermutationResult(NamedTuple):
     metric: str
     observed_diff: float
     p_value: float

@@ -8,7 +8,6 @@ audited afterwards.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import replace
 from typing import Mapping, Sequence
 
 from .conllu import Sentence
@@ -55,7 +54,7 @@ def collapse_upos(record: StandardRecord, audit: Counter | None = None) -> Stand
     if record.upos == "INTJ":
         if audit is not None:
             audit[RULE_COLLAPSE_INTJ] += 1
-        return replace(record, upos="PART")
+        return record._replace(upos="PART")
     return record
 
 
@@ -121,7 +120,7 @@ def enforce_arbitrary_values(
     if audit is not None:
         for rule in applied:
             audit[rule] += 1
-    return replace(record, **changes)
+    return record._replace(**changes)
 
 
 def arbitrary_value_violations(record: StandardRecord, *, iri: bool = False) -> list[str]:
@@ -164,7 +163,7 @@ def repair_pronoun_person(
         return record
     if audit is not None:
         audit[RULE_PRON_PERSON] += 1
-    return replace(record, person=person)
+    return record._replace(person=person)
 
 
 def harmonize_sentence(

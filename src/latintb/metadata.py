@@ -8,9 +8,8 @@ follow the three broad eras used everywhere downstream: Classical
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .reports import read_table
 
@@ -48,8 +47,7 @@ class PeriodError(ValueError):
     """Century falls outside every defined time period (3rd century CE)."""
 
 
-@dataclass(frozen=True, slots=True)
-class TextMetadata:
+class TextMetadata(NamedTuple):
     treebank: str
     work_id: str
     author: str
@@ -64,8 +62,7 @@ class TextMetadata:
         return self.train_sents + self.dev_sents + self.test_sents
 
 
-@dataclass(frozen=True, slots=True)
-class Violation:
+class Violation(NamedTuple):
     work_id: str
     code: str
     message: str

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass
+from typing import NamedTuple
+
 from .conllu import Sentence, Token
 
 _JV_TABLE = str.maketrans({"j": "i", "J": "I", "v": "u", "V": "U"})
@@ -28,8 +29,7 @@ def normalize_form(form: str) -> str:
     return jv_replace(form.lower())
 
 
-@dataclass(frozen=True, slots=True)
-class NormalizedSentence:
+class NormalizedSentence(NamedTuple):
     """Punctuation-free, case/JV-normalized view used for duplicate matching."""
 
     sent_id: str

@@ -10,7 +10,6 @@ through untouched.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -28,10 +27,15 @@ class ManifestError(ValueError):
 
 
 def corpus_files(path: str | Path) -> list[Path]:
+    """The path itself, or the sorted .conllu files of a directory; a
+    directory without one is a ValueError, not an empty corpus."""
     path = Path(path)
-    if path.is_dir():
-        return sorted(p for p in path.iterdir() if p.suffix == ".conllu")
-    return [path]
+    if not path.is_dir():
+        return [path]
+    files = sorted(p for p in path.iterdir() if p.suffix == ".conllu")
+    if not files:
+        raise ValueError(f"{path}: no .conllu file in this directory")
+    return files
 
 
 # The one place a corpus flavor is dispatched: its column mapping (given
@@ -95,12 +99,23 @@ def load_corpus(
     return [sentence for _, sentences in files for sentence in sentences], reader.unknown_values
 
 
-@dataclass(slots=True)
 class ConversionResult:
-    sentences: list[Sentence]
-    records: list[list[StandardRecord]]
-    audit: Counter = field(default_factory=Counter)
-    anomalies: list[tuple[str, int, str]] = field(default_factory=list)
+    """Converted sentences, their records, rule audit counts and
+    (sent_id, token id, code) anomalies; filled in as sentences convert."""
+
+    __slots__ = ("sentences", "records", "audit", "anomalies")
+
+    def __init__(
+        self,
+        sentences: list[Sentence],
+        records: list[list[StandardRecord]],
+        audit: Counter | None = None,
+        anomalies: list[tuple[str, int, str]] | None = None,
+    ):
+        self.sentences = sentences
+        self.records = records
+        self.audit = Counter() if audit is None else audit
+        self.anomalies = [] if anomalies is None else anomalies
 
 
 def _standard_token(
@@ -137,10 +152,8 @@ def _with_records(
         _standard_token(token, record, bundles, consumed)
         for token, record in zip(sentence.tokens, records)
     )
-    return Sentence(
-        sentence.sent_id, tokens, sentence.text, sentence.doc_id,
-        sentence.work_id, sentence.comments, sentence.extras,
-    )
+    # built unchecked: the tokens keep the checked sentence's ids
+    return tuple.__new__(Sentence, (sentence.sent_id, tokens, *sentence[2:]))
 
 
 def sentence_with_records(

@@ -3,7 +3,6 @@ strict reader for every TSV input, and the one JSON writer."""
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
 
@@ -45,9 +44,27 @@ def write_tsv(
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def plain(value: object) -> object:
+    """``value`` with every record in it, at any depth, as a dict of its
+    fields, and every tuple as a list. A record is anything with an
+    ``_asdict`` method; ``json.dumps`` would write a tuple record as an
+    array."""
+    if hasattr(value, "_asdict"):
+        value = value._asdict()
+    if isinstance(value, dict):
+        return {key: plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [plain(item) for item in value]
+    return value
+
+
 def write_json(path: str | Path, payload: object) -> None:
-    """A JSON artifact: sorted keys, two-space indent and a final newline."""
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    """A JSON artifact of ``plain(payload)``: sorted keys, two-space
+    indent and a final newline."""
+    import json
+
+    text = json.dumps(plain(payload), indent=2, sort_keys=True)
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def read_table(

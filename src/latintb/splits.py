@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .config import DEFAULT_DEV_FRACTION, DEFAULT_MIN_TEST, InfeasibleSplitError
 from .conllu import Sentence
@@ -38,15 +37,13 @@ CONSTRAINT_TEST_UD_ONLY = "test-ud-only"
 CONSTRAINT_SHARED_IN_TRAIN = "lasla-shared-in-train"
 
 
-@dataclass(frozen=True, slots=True)
-class AuditResult:
+class AuditResult(NamedTuple):
     constraint: str
     passed: bool
     details: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
-class SplitManifest:
+class SplitManifest(NamedTuple):
     period: str
     seed: int
     train_works: tuple[str, ...]
@@ -87,12 +84,9 @@ def _works(corpus: Iterable[Sentence]) -> dict[str, list[str]]:
 def duplicate_ud_sentences(
     duplicates: Sequence[DuplicatePair] | Sequence[tuple[str, str, str, int]],
 ) -> set[str]:
-    """The UD sentence ids of DuplicatePairs or raw manifest rows (sent_a
-    is the UD side)."""
-    return {
-        item.sent_a if isinstance(item, DuplicatePair) else item[0]
-        for item in duplicates
-    }
+    """The UD sentence ids of DuplicatePairs or raw manifest rows: both
+    are tuples that open with sent_a, the UD side."""
+    return {item[0] for item in duplicates}
 
 
 def shared_works(
@@ -231,7 +225,7 @@ def build_splits(
         if period == PERIOD_CLASSICAL and lasla_corpus is not None:
             lasla_train = sorted(set(train) | set(_works(lasla_corpus)))
             manifests.append(
-                replace(manifests[-1], period=PERIOD_CLASSICAL_BOTH, train_works=tuple(lasla_train))
+                manifests[-1]._replace(period=PERIOD_CLASSICAL_BOTH, train_works=tuple(lasla_train))
             )
     return manifests
 

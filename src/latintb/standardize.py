@@ -8,11 +8,10 @@ gerund, gerundive, supine).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
-from .conllu import UPOS_TAGS, FeatureBundle, Token
+from .conllu import UPOS_TAGS, FeatureBundle, Token, _checked_make
 
 TENSES = ("Pres", "Imp", "Perf", "Fut", "Pqp", "FutP")
 MOODS = ("Ind", "Sub", "Imp", "Inf", "Part", "Ger", "Gdv", "Sup")
@@ -122,24 +121,16 @@ class TenseAspectTable:
         return self._table[(tense, aspect)]
 
     def __eq__(self, other: object) -> bool:
-        # defining __eq__ leaves the table unhashable, like ToolConfig
+        # defining __eq__ leaves the table, and so a ToolConfig, unhashable
         if not isinstance(other, TenseAspectTable):
             return NotImplemented
         return self._table == other._table
 
 
-_DEFAULT_TABLE = TenseAspectTable.default()
+DEFAULT_TENSE_TABLE = TenseAspectTable.default()
 
 
-@dataclass(frozen=True, slots=True)
-class StandardRecord:
-    """One token's standard-Latin-grammar annotation.
-
-    ``gender`` is a tuple to carry LASLA's multi-valued genders; empty
-    means None. ``anomalies`` records conversion problems without
-    breaking the record's validity.
-    """
-
+class _StandardRecordFields(NamedTuple):
     upos: str
     person: str | None = None
     number: str | None = None
@@ -151,11 +142,28 @@ class StandardRecord:
     degree: str | None = None
     anomalies: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        for (feature, inventory), value in zip(_INVENTORIES.items(), _field_values(self)):
+
+class StandardRecord(_StandardRecordFields):
+    """One token's standard-Latin-grammar annotation.
+
+    ``gender`` is a tuple to carry LASLA's multi-valued genders; empty
+    means None. ``anomalies`` records conversion problems without
+    breaking the record's validity. An immutable tuple record: the
+    constructor, and ``_replace``, raise ValueError for a value outside
+    its feature's inventory.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        record = super().__new__(cls, *args, **kwargs)
+        for (feature, inventory), value in zip(_INVENTORIES.items(), _field_values(record)):
             for v in value if feature == "Gender" else (value,):
                 if v is not None and v not in inventory:
                     raise ValueError(f"{_FIELDS[feature]} value {v!r} outside inventory")
+        return record
+
+    _make = classmethod(_checked_make)
 
     def values_for(self, feature: str) -> tuple[str, ...]:
         """Values of one of the 9 features; empty tuple means None."""
@@ -202,11 +210,13 @@ def check_label(feature: str, label: str) -> None:
     raise ValueError(f"{feature} value {label!r} is not None or {form}")
 
 
-@dataclass(slots=True)
 class _Conversion:
     """Mutable scratch state while assembling one record."""
 
-    anomalies: list[str] = field(default_factory=list)
+    __slots__ = ("anomalies",)
+
+    def __init__(self) -> None:
+        self.anomalies: list[str] = []
 
     def flag(self, code: str) -> None:
         if code not in self.anomalies:
@@ -297,7 +307,7 @@ def _tense_from_table(
 
 
 def standardize_ud(
-    token: Token, *, tense_table: TenseAspectTable = _DEFAULT_TABLE
+    token: Token, *, tense_table: TenseAspectTable = DEFAULT_TENSE_TABLE
 ) -> StandardRecord:
     """Standardize a token from a harmonized-UD-style source.
 
@@ -344,7 +354,7 @@ def standardize_ud(
 
 
 def standardize_lasla(
-    token: Token, *, tense_table: TenseAspectTable = _DEFAULT_TABLE
+    token: Token, *, tense_table: TenseAspectTable = DEFAULT_TENSE_TABLE
 ) -> StandardRecord:
     """Standardize a token ingested from LASLA.
 

@@ -286,11 +286,13 @@ def test_lint_outputs_are_pinned(fixtures_dir, tmp_path, flavor):
 
 @pytest.mark.parametrize("command", ["dedup", "lint"])
 def test_a_sentence_id_holding_a_tab_is_refused_by_the_tsv_writer(tmp_path, capsys, command):
-    # the id reaches a manifest row and a lint row, where it would shift a column
+    # the id reaches a manifest row and a lint row, where it would shift a column;
+    # the reader refuses a tab in a "# sent_id", so this one is numbered after its
+    # file's stem
     words = "gallia est omnis divisa in partes tres quarum unam incolunt belgae".split()
     tokens = "".join(f"{i}\t{w}\tsum\tNOUN\t_\t_\t_\t_\t_\t_\n" for i, w in enumerate(words, 1))
-    corpus = tmp_path / "ud.conllu"
-    corpus.write_text(f"# sent_id = s\t1\n{tokens}\n")
+    corpus = tmp_path / "s\t1.conllu"
+    corpus.write_text(f"{tokens}\n")
     other = tmp_path / "other.conllu"
     other.write_text(f"# sent_id = o1\n{tokens}\n")
     out = tmp_path / "out.tsv"
@@ -299,7 +301,7 @@ def test_a_sentence_id_holding_a_tab_is_refused_by_the_tsv_writer(tmp_path, caps
         "lint": ["lint", "--in", corpus, "--out", out],
     }[command]
     assert main(list(map(str, argv))) == 1
-    assert capsys.readouterr().err == f"error: {out}: cell 's\\t1' holds a tab or a line break\n"
+    assert capsys.readouterr().err == f"error: {out}: cell 's\\t1-1' holds a tab or a line break\n"
     assert not out.exists()
 
 
@@ -360,6 +362,50 @@ def _run_cli(*argv):
         [sys.executable, "-m", "latintb.cli", *map(str, argv)],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def _modules_loaded(tmp_path, code: str, *argv) -> set[str]:
+    """The top-level names of the modules in ``sys.modules`` after a fresh
+    interpreter runs ``code``, which writes them to the file ``argv[1]``."""
+    listing = tmp_path / "modules.txt"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [_src_path(), os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", code, listing, *map(str, argv)],
+                   env=env, capture_output=True, timeout=120, check=False)
+    return {name.partition(".")[0] for name in listing.read_text().split()}
+
+
+_WRITE_MODULES = "open(sys.argv[1], 'w').write(' '.join(sys.modules))"
+_BARE = "import sys\n" + _WRITE_MODULES
+_RUN_MAIN = (
+    "import sys\nfrom latintb.cli import main\ntry:\n    main(sys.argv[2:])\nfinally:\n    "
+    + _WRITE_MODULES
+)
+# modules that a run without --config or numbers to permute has no use for,
+# and that cost a fresh process milliseconds to import
+_NOT_AT_START = {"dataclasses", "inspect", "hashlib", "json", "numpy"}
+
+
+@pytest.mark.parametrize(
+    "command", ["--version", "convert", "lint", "dedup", "agree", "metadata-validate"]
+)
+def test_a_run_without_config_imports_no_module_it_does_not_use(fixtures_dir, tmp_path, command):
+    ud, lasla = fixtures_dir / "ud", fixtures_dir / "lasla"
+    dups = tmp_path / "dups.tsv"
+    assert main(["dedup", "--a", str(ud), "--b", str(lasla), "--out", str(dups)]) == 0
+    argv = {
+        "--version": ["--version"],
+        "convert": ["convert", "--in", ud, "--flavor", "ud", "--out", tmp_path / "std"],
+        "lint": ["lint", "--in", ud, "--out", tmp_path / "lint.tsv"],
+        "dedup": ["dedup", "--a", ud, "--b", lasla, "--out", tmp_path / "d.tsv"],
+        "agree": ["agree", "--a", ud, "--b", lasla, "--dups", dups, "--out", tmp_path / "a.tsv"],
+        "metadata-validate": ["metadata-validate", "--file", fixtures_dir / "metadata.tsv",
+                              "--corpus", ud],
+    }[command]
+    bare = _modules_loaded(tmp_path, _BARE)
+    loaded = _modules_loaded(tmp_path, _RUN_MAIN, *argv)
+    assert "latintb" in loaded
+    assert (loaded - bare) & _NOT_AT_START == set()
 
 
 def test_agree_with_unknown_manifest_sentence_fails_in_one_line(fixtures_dir, tmp_path):
@@ -819,13 +865,11 @@ def _convert_ud(source, out):
     return done
 
 
-@pytest.mark.parametrize("kind", ["file", "directory"])
+# a directory without a .conllu file is an error: see test_exit_codes.py
+@pytest.mark.parametrize("kind", ["file"])
 def test_convert_of_empty_input_writes_reports_without_rows(tmp_path, kind):
     source = tmp_path / "empty.conllu"
-    if kind == "file":
-        source.write_text("")
-    else:
-        source.mkdir()
+    source.write_text("")
     done = _convert_ud(source, tmp_path / "out")
     assert done.returncode == 0
     footer = f"# latintb={latintb.__version__} seed=0 config=default\n"

@@ -13,6 +13,7 @@ from latintb.conllu import (
     ConlluError,
     CorpusReader,
     FeatureBundle,
+    MappingError,
     ParseError,
     Sentence,
     StructureError,
@@ -630,3 +631,41 @@ def test_without_an_id_column_a_repeated_row_is_numbered_by_its_position():
         first, second = reader.read(text)
         assert [t.id for t in first.tokens] == [1, 2]
         assert [(t.id, t.form) for t in second.tokens] == [(1, "z"), (2, "x")]
+
+
+def _error(make) -> tuple[type, str]:
+    with pytest.raises(ValueError) as info:
+        make()
+    return type(info.value), str(info.value)
+
+
+_T1, _T2 = (Token(id=i, form="x", lemma="x", upos="NOUN") for i in (1, 2))
+
+
+@pytest.mark.parametrize("record, bad, error", [
+    (Sentence("s", (_T1, _T2)), {"tokens": (_T2, _T1)}, StructureError),
+    (ColumnMapping(), {"columns": {"form": 1}}, MappingError),
+    (ColumnMapping(), {"feature_renames": {"Genus": "Gender", "Sexus": "Gender"}}, MappingError),
+    (ColumnMapping(), {"n_columns": 8}, MappingError),
+])
+def test_replace_checks_a_record_as_its_constructor_does(record, bad, error):
+    fields = {**record._asdict(), **bad}
+    assert _error(lambda: type(record)(**fields))[0] is error
+    assert _error(lambda: record._replace(**bad)) == _error(lambda: type(record)(**fields))
+
+
+_ID_BREAKS = ["\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("key", ["sent_id", "newdoc id", "work_id"])
+@pytest.mark.parametrize("char", _ID_BREAKS, ids=[f"U+{ord(c):04X}" for c in _ID_BREAKS])
+def test_an_id_holding_a_tab_or_a_line_boundary_is_a_parse_error(tmp_path, key, char):
+    # the only boundaries a line can hold: the reader splits lines at "\n" and "\r"
+    assert "".join(f"a{char}b".splitlines()) != f"a{char}b" or char == "\t"
+    path = tmp_path / "c.conllu"
+    path.write_text(f"# sent_id = s1\n# {key} = a{char}b\n1\tx\tx\tNOUN\t_\t_\t_\t_\t_\t_\n\n",
+                    encoding="utf-8")
+    message = f"{path}: line 2: {key} {'a' + char + 'b'!r} holds a tab or a line break"
+    with pytest.raises(ParseError) as info:
+        parse_conllu_file(path)
+    assert str(info.value) == message

@@ -94,6 +94,7 @@ def oracle_value_f1(gold, pred, feature, value):
     return precision, recall, f1, tp + fn
 
 
+# builds() fills every field of a NamedTuple, so the unvaried ones are pinned
 records = st.builds(
     StandardRecord,
     upos=st.sampled_from(["NOUN", "VERB", "ADJ", "_"]),
@@ -101,6 +102,8 @@ records = st.builds(
     mood=st.sampled_from(MOODS),
     number=st.sampled_from(["Sing", "Plur", None]),
     gender=st.sampled_from([(), ("Fem",), ("Masc",), ("Fem", "Masc"), ("Masc", "Fem")]),
+    **dict.fromkeys(["person", "tense", "voice", "degree"], st.none()),
+    anomalies=st.just(()),
 )
 # aligned (gold, prediction) pairs, one list per sentence
 aligned_pairs = st.lists(

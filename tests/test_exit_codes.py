@@ -198,3 +198,28 @@ def test_a_bad_path_keeps_the_exit_code_contract(base, command, option, kind):
         slots = [i for i, arg in enumerate(argv) if isinstance(arg, Path)]
         argv[slots[option % len(slots)]] = bad_path(kind, Path(work))
         run(argv)
+
+
+@pytest.mark.parametrize("command", ["convert", "dedup"])
+def test_a_directory_without_a_conllu_file_is_an_error(tmp_path, command):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a.txt").write_text("not a corpus\n")
+    out = tmp_path / "out"
+    argv = {
+        "convert": ["convert", "--in", corpus, "--flavor", "ud", "--out", out],
+        "dedup": ["dedup", "--a", corpus, "--b", corpus, "--out", out],
+    }[command]
+    assert run(argv) == (1, f"error: {corpus}: no .conllu file in this directory\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["sent_id", "newdoc id", "work_id"])
+def test_an_id_holding_a_tab_fails_before_any_output(tmp_path, key):
+    # with Case=Foo, a read that let the id through would reach anomalies.tsv
+    corpus = tmp_path / "in.conllu"
+    corpus.write_text(f"# {key} = s\t1\n1\tx\tx\tNOUN\t_\tCase=Foo\t_\t_\t_\t_\n\n")
+    out = tmp_path / "out"
+    code, stderr = run(["convert", "--in", corpus, "--flavor", "ud", "--out", out])
+    assert (code, stderr) == (1, f"error: {corpus}: line 1: {key} 's\\t1' holds a tab or a line break\n")
+    assert not out.exists()

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import re
@@ -20,7 +19,7 @@ from latintb.splits import (
     materialize,
     shared_works,
 )
-from latintb.reports import write_json
+from latintb.reports import plain, write_json
 
 MIN_TEST = 30  # fixture-scale floor; the real default is 1000
 
@@ -260,7 +259,7 @@ def test_shipped_assignment_table_loads():
 def test_manifest_json_roundtrip(tmp_path, manifests):
     manifest = manifests[0]
     path = tmp_path / "m.json"
-    write_json(path, dataclasses.asdict(manifest))
+    write_json(path, plain(manifest))
     assert json.loads(path.read_text(encoding="utf-8")) == {
         "period": manifest.period,
         "seed": manifest.seed,

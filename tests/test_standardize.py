@@ -278,3 +278,15 @@ def test_morph_string_sorted_alphabetically():
         "Mood=Ind|Number=Sing|Person=3|Tense=Pres|Voice=Act"
     )
     assert record.morph_string(include_upos=True).startswith("UPOS=VERB|")
+
+
+def test_replace_checks_a_record_as_its_constructor_does():
+    errors = []
+    for make in (lambda: StandardRecord("NOUN", case="Foo"),
+                 lambda: StandardRecord("NOUN")._replace(case="Foo"),
+                 lambda: StandardRecord("NOUN", gender=("Masc",))._replace(gender=("Masc", "X"))):
+        with pytest.raises(ValueError) as info:
+            make()
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1] == (ValueError, "case value 'Foo' outside inventory")
+    assert errors[2] == (ValueError, "gender value 'X' outside inventory")
