@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -19,7 +20,8 @@ from pathlib import Path
 # pays for its imports. agreement, dedup, evaluation, metadata and splits
 # are imported by the subcommands that use them, so convert and lint load
 # none; numpy is loaded by perm-test alone, through
-# evaluation.permutation_test; json and hashlib only when a config is read
+# evaluation.permutation_test, on one BLAS thread unless the caller sets
+# OPENBLAS_NUM_THREADS; json and hashlib only when a config is read
 # or a JSON report written. Records are NamedTuples, so no run loads
 # dataclasses and the inspect module it imports. A test in
 # tests/test_cli.py checks this in fresh interpreters.
@@ -157,7 +159,6 @@ def cmd_convert(args, config: ToolConfig) -> int:
 
 def cmd_dedup(args, config: ToolConfig) -> int:
     from . import dedup
-    from .metadata import load_metadata
 
     corpus_a, unknown_a = load_corpus(args.corpus_a, args.a_flavor, config)
     corpus_b, unknown_b = load_corpus(args.corpus_b, args.b_flavor, config)
@@ -169,7 +170,11 @@ def cmd_dedup(args, config: ToolConfig) -> int:
     )
     dedup.write_manifest(args.out, pairs, seed=args.seed, config_hash=config.config_hash)
     if args.report is not None:
-        metadata = load_metadata(args.metadata) if args.metadata else None
+        metadata = None
+        if args.metadata is not None:
+            from .metadata import load_metadata
+
+            metadata = load_metadata(args.metadata)
         _report(args, config, args.report, ("author", "work", "duplicates"),
                 dedup.duplicate_report(pairs, metadata))
     _warn_unknown(unknown_a, unknown_b)
@@ -339,6 +344,12 @@ def cmd_eval(args, config: ToolConfig) -> int:
 
 
 def cmd_perm_test(args, config: ToolConfig) -> int:
+    # Before numpy loads, or OpenBLAS starts a worker thread per core that
+    # each process pays to start and stop. The sums are exact integer
+    # counts, so any thread count gives the same bytes. Set here, not in
+    # permutation.py, so that importing the library never changes the
+    # BLAS threads of a host program.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from . import evaluation
 
     try:

@@ -331,6 +331,12 @@ def _mapped_feats(
 _ID_KEYS = frozenset({"sent_id", "newdoc id", "work_id"})
 
 
+def _breaks_a_cell(value: str) -> bool:
+    """Whether an id would shift or split a TSV cell: read_table splits
+    lines with str.splitlines and cells at tabs."""
+    return "\t" in value or "".join(value.splitlines()) != value
+
+
 def _comment_field(line: str) -> tuple[str | None, str]:
     """A ``# key = value`` comment's stripped key (None without "=") and value."""
     key, equals, value = line[1:].partition("=")
@@ -381,10 +387,12 @@ class CorpusReader:
         Sentences without a work id take ``stem``, and those without a
         ``# sent_id`` are numbered ``<stem>-<n>`` (``sent-<n>`` without a
         stem). Raises ParseError for malformed lines (with line number
-        and current sentence id), for a sent_id, newdoc id or work_id
-        holding a tab or a line break, and StructureError for token ids
-        that do not increase.
+        and current sentence id), for a stem, sent_id, newdoc id or
+        work_id holding a tab or a line break, and StructureError for
+        token ids that do not increase.
         """
+        if stem is not None and _breaks_a_cell(stem):
+            raise ParseError(f"stem {stem!r} holds a tab or a line break")
         mapping = self.mapping
         separator, n_columns = mapping.separator, mapping.n_columns
         id_column = mapping.columns.get("id")
@@ -429,8 +437,7 @@ class CorpusReader:
                 comments.append(line)
                 key, value = _comment_field(line)
                 if key is not None:
-                    # an id goes into TSV cells, which read_table splits with str.splitlines
-                    if key in _ID_KEYS and ("\t" in value or "".join(value.splitlines()) != value):
+                    if key in _ID_KEYS and _breaks_a_cell(value):
                         raise ParseError(f"line {line_no}: {key} {value!r} holds a tab or a line break")
                     meta[key] = value
                 continue

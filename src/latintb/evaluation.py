@@ -314,7 +314,9 @@ def permutation_test(
     be >= 0 and ``iterations`` in 1..2**32 (i is one 32-bit spawn word).
     ``jobs`` is accepted for interface symmetry with the other stages
     and ignored: the work runs in this thread, because worker threads
-    did not make it faster.
+    did not make it faster. numpy's BLAS keeps the threads that the host
+    program gave it; the ``perm-test`` subcommand gives it one, unless
+    its caller sets ``OPENBLAS_NUM_THREADS``.
     """
     if not 1 <= iterations <= MAX_ITERATIONS:
         raise ValueError(f"iterations must be in 1..{MAX_ITERATIONS}, got {iterations}")

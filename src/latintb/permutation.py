@@ -7,7 +7,11 @@ counted before the next block is drawn, so memory grows neither with
 the iteration count nor, past MAX_BLOCK_ROWS rows, with the number of
 sentences. This is the only module of latintb that imports numpy;
 permutation_test imports it on first use, so eval and the other
-subcommands never load numpy.
+subcommands never load numpy. The module leaves numpy's BLAS threads as
+the host program set them; the ``perm-test`` subcommand keeps them at
+one (``OPENBLAS_NUM_THREADS=1``) unless its caller sets that variable.
+Masks are 0/1 and statistics integer counts, so every thread count
+gives the same sums.
 """
 
 from __future__ import annotations

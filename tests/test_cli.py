@@ -285,23 +285,23 @@ def test_lint_outputs_are_pinned(fixtures_dir, tmp_path, flavor):
 
 
 @pytest.mark.parametrize("command", ["dedup", "lint"])
-def test_a_sentence_id_holding_a_tab_is_refused_by_the_tsv_writer(tmp_path, capsys, command):
-    # the id reaches a manifest row and a lint row, where it would shift a column;
-    # the reader refuses a tab in a "# sent_id", so this one is numbered after its
-    # file's stem
+def test_a_file_stem_holding_a_tab_is_refused_by_the_reader(tmp_path, capsys, command):
+    # every sentence has a "# sent_id", but the stem still names their work, and a
+    # work id reaches the cells of dedup's report; the file is refused as it is read,
+    # before any output, where the TSV writer used to refuse a row
     words = "gallia est omnis divisa in partes tres quarum unam incolunt belgae".split()
     tokens = "".join(f"{i}\t{w}\tsum\tNOUN\t_\t_\t_\t_\t_\t_\n" for i, w in enumerate(words, 1))
     corpus = tmp_path / "s\t1.conllu"
-    corpus.write_text(f"{tokens}\n")
+    corpus.write_text(f"# sent_id = s1\n{tokens}\n")
     other = tmp_path / "other.conllu"
     other.write_text(f"# sent_id = o1\n{tokens}\n")
     out = tmp_path / "out.tsv"
     argv = {
-        "dedup": ["dedup", "--a", corpus, "--b", other, "--b-flavor", "ud", "--out", out],
+        "dedup": ["dedup", "--a", other, "--b", corpus, "--b-flavor", "ud", "--out", out],
         "lint": ["lint", "--in", corpus, "--out", out],
     }[command]
     assert main(list(map(str, argv))) == 1
-    assert capsys.readouterr().err == f"error: {out}: cell 's\\t1-1' holds a tab or a line break\n"
+    assert capsys.readouterr().err == f"error: {corpus}: stem 's\\t1' holds a tab or a line break\n"
     assert not out.exists()
 
 
@@ -364,48 +364,136 @@ def _run_cli(*argv):
     )
 
 
-def _modules_loaded(tmp_path, code: str, *argv) -> set[str]:
-    """The top-level names of the modules in ``sys.modules`` after a fresh
-    interpreter runs ``code``, which writes them to the file ``argv[1]``."""
-    listing = tmp_path / "modules.txt"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+def _probe(tmp_path, code: str, *argv, **env: str) -> str:
+    """What a fresh interpreter that runs ``code`` writes to the file
+    ``sys.argv[1]``; ``argv`` follows it, and ``env`` is added to its
+    environment. OPENBLAS_NUM_THREADS is left out unless ``env`` sets it:
+    an in-process perm-test sets it in this process."""
+    listing = tmp_path / "probe.txt"
+    listing.unlink(missing_ok=True)
+    base = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [_src_path(), os.environ.get("PYTHONPATH")])))
+    base.pop("OPENBLAS_NUM_THREADS", None)
     subprocess.run([sys.executable, "-c", code, listing, *map(str, argv)],
-                   env=env, capture_output=True, timeout=120, check=False)
-    return {name.partition(".")[0] for name in listing.read_text().split()}
+                   env={**base, **env}, capture_output=True, timeout=120, check=False)
+    return listing.read_text()
 
 
-_WRITE_MODULES = "open(sys.argv[1], 'w').write(' '.join(sys.modules))"
-_BARE = "import sys\n" + _WRITE_MODULES
-_RUN_MAIN = (
-    "import sys\nfrom latintb.cli import main\ntry:\n    main(sys.argv[2:])\nfinally:\n    "
-    + _WRITE_MODULES
-)
+def _modules_loaded(tmp_path, code: str, *argv) -> set[str]:
+    """The names in ``sys.modules`` after a fresh interpreter runs ``code``."""
+    return set(_probe(tmp_path, code, *argv).split())
+
+
+def _run_main_then(report: str) -> str:
+    """Code that runs ``main`` on ``sys.argv[2:]`` and, whatever its end,
+    then writes ``report`` to the file ``sys.argv[1]``."""
+    return ("import os, sys\nfrom latintb.cli import main\ntry:\n    main(sys.argv[2:])\n"
+            f"finally:\n    open(sys.argv[1], 'w').write({report})")
+
+
+_MODULES = "' '.join(sys.modules)"
+_BARE = f"import sys\nopen(sys.argv[1], 'w').write({_MODULES})"
+_RUN_MAIN = _run_main_then(_MODULES)
 # modules that a run without --config or numbers to permute has no use for,
 # and that cost a fresh process milliseconds to import
 _NOT_AT_START = {"dataclasses", "inspect", "hashlib", "json", "numpy"}
 
 
 @pytest.mark.parametrize(
-    "command", ["--version", "convert", "lint", "dedup", "agree", "metadata-validate"]
+    "command", ["--version", "convert", "lint", "dedup", "agree", "metadata-validate", "eval"]
 )
-def test_a_run_without_config_imports_no_module_it_does_not_use(fixtures_dir, tmp_path, command):
+def test_a_run_without_config_imports_no_module_it_does_not_use(
+    workdir, fixtures_dir, tmp_path, command
+):
     ud, lasla = fixtures_dir / "ud", fixtures_dir / "lasla"
-    dups = tmp_path / "dups.tsv"
-    assert main(["dedup", "--a", str(ud), "--b", str(lasla), "--out", str(dups)]) == 0
+    std = workdir / "std" / "ud"
     argv = {
         "--version": ["--version"],
         "convert": ["convert", "--in", ud, "--flavor", "ud", "--out", tmp_path / "std"],
         "lint": ["lint", "--in", ud, "--out", tmp_path / "lint.tsv"],
         "dedup": ["dedup", "--a", ud, "--b", lasla, "--out", tmp_path / "d.tsv"],
-        "agree": ["agree", "--a", ud, "--b", lasla, "--dups", dups, "--out", tmp_path / "a.tsv"],
+        "agree": ["agree", "--a", ud, "--b", lasla, "--dups", workdir / "dups.tsv",
+                  "--out", tmp_path / "a.tsv"],
         "metadata-validate": ["metadata-validate", "--file", fixtures_dir / "metadata.tsv",
                               "--corpus", ud],
+        # without --out, eval writes no JSON
+        "eval": ["eval", "--gold", std, "--pred", std],
     }[command]
     bare = _modules_loaded(tmp_path, _BARE)
     loaded = _modules_loaded(tmp_path, _RUN_MAIN, *argv)
     assert "latintb" in loaded
-    assert (loaded - bare) & _NOT_AT_START == set()
+    assert {name.partition(".")[0] for name in loaded - bare} & _NOT_AT_START == set()
+
+
+def test_dedup_loads_metadata_only_for_a_report_with_metadata(fixtures_dir, tmp_path):
+    ud, lasla = fixtures_dir / "ud", fixtures_dir / "lasla"
+    dedup = ["dedup", "--a", ud, "--b", lasla, "--out", tmp_path / "d.tsv"]
+    assert "latintb.metadata" not in _modules_loaded(tmp_path, _RUN_MAIN, *dedup)
+    # the probe does see it where it is used
+    assert "latintb.metadata" in _modules_loaded(
+        tmp_path, _RUN_MAIN, *dedup, "--report", tmp_path / "r.tsv",
+        "--metadata", fixtures_dir / "metadata.tsv")
+
+
+_HAS_PROC = Path("/proc/self/task").is_dir()
+# After the run, the process's OS threads (where /proc lists them) and its
+# OPENBLAS_NUM_THREADS.
+_RUN_MAIN_THREADS = _run_main_then(
+    "f\"{len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else '-'} "
+    "{os.environ.get('OPENBLAS_NUM_THREADS')}\"")
+
+
+def _eight_commands(workdir, fixtures_dir, out: Path) -> dict[str, list]:
+    """A run of each subcommand that succeeds on the fixtures, writing under ``out``."""
+    ud, lasla = fixtures_dir / "ud", fixtures_dir / "lasla"
+    gold = workdir / "splits" / "Classical-UD" / "test.conllu"
+    pred_a, pred_b = out / "a.conllu", out / "b.conllu"
+    _write_predictions(gold, pred_a, pred_b)
+    return {
+        "convert": ["convert", "--in", ud, "--flavor", "ud", "--out", out / "std"],
+        "dedup": ["dedup", "--a", ud, "--b", lasla, "--out", out / "d.tsv"],
+        "agree": ["agree", "--a", ud, "--b", lasla, "--dups", workdir / "dups.tsv",
+                  "--out", out / "agree.tsv"],
+        "metadata-validate": ["metadata-validate", "--file", fixtures_dir / "metadata.tsv",
+                              "--corpus", ud],
+        "split": ["split", "--ud", workdir / "std" / "ud", "--lasla", workdir / "std" / "lasla",
+                  "--metadata", fixtures_dir / "metadata.tsv", "--dups", workdir / "dups.tsv",
+                  "--out", out / "splits", "--config", fixtures_dir / "config.json",
+                  "--no-published", "--seed", "7"],
+        "eval": ["eval", "--gold", gold, "--pred", pred_a, "--out", out / "eval.json"],
+        "perm-test": ["perm-test", "--gold", gold, "--a", pred_a, "--b", pred_b,
+                      "--n", "2000", "--out", out / "perm.tsv"],
+        "lint": ["lint", "--in", ud, "--out", out / "lint.tsv"],
+    }
+
+
+@pytest.mark.skipif(not _HAS_PROC, reason="no /proc/self/task")
+@pytest.mark.parametrize("command", ["convert", "dedup", "agree", "metadata-validate", "split",
+                                     "eval", "perm-test", "lint"])
+def test_every_subcommand_ends_with_one_os_thread(workdir, fixtures_dir, tmp_path, command):
+    # with numpy, OpenBLAS would start a worker thread per core that perm-test never needs
+    argv = _eight_commands(workdir, fixtures_dir, tmp_path)[command]
+    assert _probe(tmp_path, _RUN_MAIN_THREADS, *argv).split()[0] == "1"
+
+
+@pytest.mark.parametrize("metric", ["morph-acc", "upos-macro-f1", "macro-f1:Case",
+                                    "value-f1:Mood=Sub"])
+def test_perm_test_results_do_not_depend_on_blas_threads(workdir, fixtures_dir, tmp_path, metric):
+    argv = _eight_commands(workdir, fixtures_dir, tmp_path)["perm-test"]
+    argv = [*argv[:-2], "--metric", metric, "--out"]
+    outputs, reports = [], []
+    for threads in (None, "2"):
+        outputs.append(tmp_path / f"perm-{threads}.tsv")
+        env = {} if threads is None else {"OPENBLAS_NUM_THREADS": threads}
+        reports.append(_probe(tmp_path, _RUN_MAIN_THREADS, *argv, outputs[-1], **env).split())
+    assert outputs[0].read_bytes() == outputs[1].read_bytes()
+    assert outputs[0].read_text(encoding="utf-8").startswith("metric\tobserved_diff\t")
+    # unset, perm-test sets one thread; the caller's 2 is kept, and OpenBLAS uses it
+    assert [reports[0][1], reports[1][1]] == ["1", "2"]
+    if _HAS_PROC:
+        assert reports[0][0] == "1"
+        if len(os.sched_getaffinity(0)) >= 2:
+            assert reports[1][0] == "2"
 
 
 def test_agree_with_unknown_manifest_sentence_fails_in_one_line(fixtures_dir, tmp_path):

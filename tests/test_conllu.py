@@ -669,3 +669,17 @@ def test_an_id_holding_a_tab_or_a_line_boundary_is_a_parse_error(tmp_path, key, 
     with pytest.raises(ParseError) as info:
         parse_conllu_file(path)
     assert str(info.value) == message
+
+
+# a file name may also hold "\n" and "\r", which the reader never sees in a line
+_STEM_BREAKS = ["\n", "\r", *_ID_BREAKS]
+
+
+@pytest.mark.parametrize("char", _STEM_BREAKS, ids=[f"U+{ord(c):04X}" for c in _STEM_BREAKS])
+def test_a_file_stem_holding_a_tab_or_a_line_break_is_a_parse_error(tmp_path, char):
+    # the stem names the work and numbers each sentence without a "# sent_id"
+    path = tmp_path / f"a{char}b.conllu"
+    path.write_text("1\tx\tx\tNOUN\t_\t_\t_\t_\t_\t_\n\n", encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        parse_conllu_file(path)
+    assert str(info.value) == f"{path}: stem {'a' + char + 'b'!r} holds a tab or a line break"

@@ -223,3 +223,23 @@ def test_an_id_holding_a_tab_fails_before_any_output(tmp_path, key):
     code, stderr = run(["convert", "--in", corpus, "--flavor", "ud", "--out", out])
     assert (code, stderr) == (1, f"error: {corpus}: line 1: {key} 's\\t1' holds a tab or a line break\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["convert", "dedup", "lint"])
+def test_a_file_stem_holding_a_tab_fails_before_any_output(tmp_path, command):
+    # the stem numbers a sentence without a "# sent_id" (s\t1-1) and names its work;
+    # the clean file before it in the directory is read, but nothing is written
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a.conllu").write_text("# sent_id = a1\n1\tx\tx\tNOUN\t_\t_\t_\t_\t_\t_\n\n")
+    bad = corpus / "s\t1.conllu"
+    bad.write_text("1\tx\tx\tNOUN\t_\tCase=Foo\t_\t_\t_\t_\n\n")
+    out = tmp_path / "out"
+    argv = {
+        "convert": ["convert", "--in", corpus, "--flavor", "ud", "--out", out],
+        "dedup": ["dedup", "--a", FIXTURES / "ud", "--b", corpus, "--b-flavor", "ud",
+                  "--out", out],
+        "lint": ["lint", "--in", corpus, "--out", out],
+    }[command]
+    assert run(argv) == (1, f"error: {bad}: stem 's\\t1' holds a tab or a line break\n")
+    assert not out.exists()
