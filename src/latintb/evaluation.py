@@ -146,9 +146,11 @@ def whole_string_accuracy(
     return _accuracy(codes, codes.pairs(), include_upos)
 
 
-def _f1(tp: int, fp: int, fn: int) -> float:
+def _f1(tp, fp, fn):
+    """F1 from counts, 0 where there is nothing to score: of ints, or
+    elementwise of numpy arrays."""
     denom = 2 * tp + fp + fn
-    return 2 * tp / denom if denom else 0.0
+    return 2 * tp / (denom + (denom == 0))
 
 
 def _macro(counts: list[tuple[int, int, int]]) -> float:
@@ -189,25 +191,12 @@ def per_value_f1(gold: Records, pred: Records, feature: str, value: str) -> Valu
     return _value_score(*dict(zip(classes, counts)).get(value, (0, 0, 0)))
 
 
-class EvalReport:
+class EvalReport(NamedTuple):
     # the field names are the keys of eval's JSON report
-    __slots__ = ("whole_string_accuracy", "token_count", "macro_f1", "per_value_f1")
-
-    def __init__(
-        self,
-        whole_string_accuracy: float,
-        token_count: int,
-        macro_f1: dict[str, float],
-        per_value_f1: dict[str, dict[str, ValueScore]],
-    ):
-        self.whole_string_accuracy = whole_string_accuracy
-        self.token_count = token_count
-        self.macro_f1 = macro_f1
-        self.per_value_f1 = per_value_f1
-
-    def _asdict(self) -> dict[str, object]:
-        """The fields by name, as a record's ``_asdict`` gives them."""
-        return {name: getattr(self, name) for name in self.__slots__}
+    whole_string_accuracy: float
+    token_count: int
+    macro_f1: dict[str, float]
+    per_value_f1: dict[str, dict[str, ValueScore]]
 
     def format_table(self) -> str:
         lines = [
@@ -316,7 +305,8 @@ def permutation_test(
     and ignored: the work runs in this thread, because worker threads
     did not make it faster. numpy's BLAS keeps the threads that the host
     program gave it; the ``perm-test`` subcommand gives it one, unless
-    its caller sets ``OPENBLAS_NUM_THREADS``.
+    its caller sets ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or
+    ``OMP_NUM_THREADS``.
     """
     if not 1 <= iterations <= MAX_ITERATIONS:
         raise ValueError(f"iterations must be in 1..{MAX_ITERATIONS}, got {iterations}")

@@ -1,24 +1,26 @@
 """The numpy machinery of evaluation.permutation_test.
 
-Metrics are reduced to per-sentence sufficient statistics once, after
-which every swap pattern is a matrix product. Iterations run in blocks
-whose swap masks fit a fixed byte budget, and each block's hits are
-counted before the next block is drawn, so memory grows neither with
-the iteration count nor, past MAX_BLOCK_ROWS rows, with the number of
-sentences. This is the only module of latintb that imports numpy;
-permutation_test imports it on first use, so eval and the other
-subcommands never load numpy. The module leaves numpy's BLAS threads as
-the host program set them; the ``perm-test`` subcommand keeps them at
-one (``OPENBLAS_NUM_THREADS=1``) unless its caller sets that variable.
-Masks are 0/1 and statistics integer counts, so every thread count
-gives the same sums.
+Each metric is reduced once to per-sentence counts: correct tokens for
+morph-acc, and for the F1 metrics the per-class (tp, fp, fn) table that
+eval scores too, read whole for macro-F1 and one class's column for a
+value's F1, both through evaluation._f1. Every swap pattern is then a
+matrix product. Iterations run in blocks whose swap masks fit a fixed
+byte budget, and each block's hits are counted before the next is drawn,
+so memory grows neither with the iteration count nor, past
+MAX_BLOCK_ROWS rows, with the number of sentences. This is the only
+module of latintb that imports numpy; permutation_test imports it on
+first use, so eval and the other subcommands never load numpy. The
+module leaves numpy's BLAS threads as the host program set them;
+``perm-test`` sets one unless its caller sets OpenBLAS's thread count
+(see cli.cmd_perm_test). Masks are 0/1 and statistics integer counts,
+so every thread count gives the same sums.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .evaluation import _Codes, parse_metric
+from .evaluation import _Codes, _f1, parse_metric
 
 
 def _tally(rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int) -> np.ndarray:
@@ -30,15 +32,15 @@ def _tally(rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int) -> np.n
 def sentence_stats(
     sentence: np.ndarray, n_sent: int, gold: np.ndarray, pred: np.ndarray, n_cls: int
 ) -> np.ndarray:
-    """Per sentence, per class: tp, fp, fn and predicted count, given
-    each token's sentence index and its gold and predicted class."""
+    """Per sentence, the (tp, fp, fn) table of the classes, given each
+    token's sentence index and its gold and predicted class: an
+    n_sent x n_cls x 3 array. A class's predicted count is tp + fp."""
     hit, miss = gold == pred, gold != pred
     return np.stack(
         [
             _tally(sentence[hit], gold[hit], n_sent, n_cls),
             _tally(sentence[miss], pred[miss], n_sent, n_cls),
             _tally(sentence[miss], gold[miss], n_sent, n_cls),
-            _tally(sentence, pred, n_sent, n_cls),
         ],
         axis=-1,
     ).astype(np.float64)
@@ -71,11 +73,6 @@ class _Machine:
         return np.abs(diff) / self.scale
 
 
-def _f1_rows(tp: np.ndarray, fp: np.ndarray, fn: np.ndarray) -> np.ndarray:
-    denom = 2 * tp + fp + fn
-    return np.divide(2 * tp, denom, out=np.zeros_like(denom), where=denom > 0)
-
-
 def _build_machine(codes: _Codes, metric: str, include_upos: bool) -> _Machine:
     kind, feature, value = parse_metric(metric)
     n_sent = len(codes.sentence_lengths)
@@ -97,30 +94,27 @@ def _build_machine(codes: _Codes, metric: str, include_upos: bool) -> _Machine:
         )
         return _Machine(stats_a, stats_b, lambda t: t[:, 0], scale=float(len(gold)))
     classes, lookup = codes.classes(feature)
-    labels = per_token(lookup)
-    if kind == "value":
-        target = classes.index(value) if value in classes else -1
-        # one-vs-rest: class 1 is the value, class 0 everything else
-        gold, a, b = ((c == target).astype(np.intp) for c in labels)
-        stats_a, stats_b = (
-            sentence_stats(sentence, n_sent, gold, pred, 2)[:, 1, :3] for pred in (a, b)
-        )
-        return _Machine(stats_a, stats_b, lambda t: _f1_rows(*t.T))
-    gold, a, b = labels
+    gold, a, b = per_token(lookup)
     n_cls = len(classes)
-    stats_a, stats_b = (
-        sentence_stats(sentence, n_sent, gold, pred, n_cls).reshape(n_sent, n_cls * 4)
-        for pred in (a, b)
-    )
+    stats_a, stats_b = (sentence_stats(sentence, n_sent, gold, pred, n_cls) for pred in (a, b))
+    if kind == "value":
+        # The value's column of the table; when no record carries the
+        # value, its counts are all 0.
+        stats_a, stats_b = (
+            s[:, classes.index(value)] if value in classes else np.zeros((n_sent, 3))
+            for s in (stats_a, stats_b)
+        )
+        return _Machine(stats_a, stats_b, lambda t: _f1(*t.T))
     always_active = (np.bincount(gold, minlength=n_cls) > 0) | np.array(
         [c == "None" for c in classes]
     )
 
     def macro(totals: np.ndarray) -> np.ndarray:
-        tp, fp, fn, predicted = np.moveaxis(totals.reshape(len(totals), n_cls, 4), -1, 0)
-        active = always_active | (predicted > 0)
-        return (_f1_rows(tp, fp, fn) * active).sum(axis=1) / active.sum(axis=1)
+        tp, fp, fn = np.moveaxis(totals.reshape(len(totals), n_cls, 3), -1, 0)
+        active = always_active | (tp + fp > 0)
+        return (_f1(tp, fp, fn) * active).sum(axis=1) / active.sum(axis=1)
 
+    stats_a, stats_b = (s.reshape(n_sent, n_cls * 3) for s in (stats_a, stats_b))
     return _Machine(stats_a, stats_b, macro)
 
 
