@@ -136,7 +136,8 @@ def _assign_period_works(
 
     test_size = sum(len(pool[w]) for w in test)
     # Smallest works first keeps the test set lean while reaching the floor.
-    for work in sorted(unassigned, key=lambda w: (len(pool[w]), w)):
+    unassigned.sort(key=lambda w: (len(pool[w]), w))
+    for work in unassigned:
         if test_size < min_test:
             test.append(work)
             test_size += len(pool[work])
@@ -154,6 +155,10 @@ def _assign_period_works(
             f"period {period}: only {test_size} test sentences available "
             f"(need {min_test}); binding constraint: {blocking}",
         )
+    # All open works are in test: a valid split keeps one, the smallest, in train.
+    if not train and unassigned and test_size - len(pool[unassigned[0]]) >= min_test:
+        test.remove(unassigned[0])
+        train.append(unassigned[0])
     if not train:
         raise InfeasibleSplitError(
             CONSTRAINT_TEST_SIZE,

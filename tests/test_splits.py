@@ -1,8 +1,13 @@
+import itertools
 import json
 import math
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from latintb.conllu import Sentence
+from latintb.metadata import TextMetadata
 
 from latintb.splits import (
     CONSTRAINT_ATOMICITY,
@@ -185,6 +190,66 @@ def test_infeasible_when_floor_unreachable(
         build_splits(converted_ud.sentences, lasla_corpus, metadata_table,
                      duplicate_pairs, seed=7, min_test=10_000)
     assert err.value.constraint == CONSTRAINT_TEST_SIZE
+
+
+def _period(sizes, century=-1):
+    """One period's UD works ``w0``, ``w1``, ... with ``sizes`` sentences each."""
+    corpus = [Sentence(f"w{k}-{i}", (), work_id=f"w{k}")
+              for k, size in enumerate(sizes) for i in range(size)]
+    metadata = {f"w{k}": TextMetadata("Perseus", f"w{k}", "anon", century)
+                for k in range(len(sizes))}
+    return corpus, metadata
+
+
+def test_a_smallest_work_left_in_train_makes_the_period_feasible():
+    # smallest-first, both works reach test; the 100-sentence work alone suffices
+    corpus, metadata = _period([3, 100])
+    [manifest] = build_splits(corpus, None, metadata, [], seed=7, min_test=50)
+    assert (manifest.train_works, manifest.test_works) == (("w0",), ("w1",))
+
+
+def _brute_force_feasible(sizes, mandatory, published, min_test):
+    """Whether some train/test assignment of the works meets every constraint."""
+    names = [f"w{k}" for k in range(len(sizes))]
+    size = dict(zip(names, sizes))
+    for sides in itertools.product(("train", "test"), repeat=len(names)):
+        side = dict(zip(names, sides))
+        if any(side[w] != published[w][1] for w in published):
+            continue
+        if any(side[w] == "test" for w in mandatory):
+            continue
+        if "train" in sides and sum(size[w] for w in names if side[w] == "test") >= min_test:
+            return True
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_split_is_infeasible_exactly_when_no_assignment_exists(data):
+    sizes = data.draw(st.lists(st.integers(1, 12), min_size=1, max_size=8))
+    names = [f"w{k}" for k in range(len(sizes))]
+    classical = data.draw(st.booleans())
+    shared = data.draw(st.sets(st.sampled_from(names)))
+    published = data.draw(st.dictionaries(
+        st.sampled_from(names), st.sampled_from(["train", "test"]).map(lambda s: ("x", s))))
+    min_test = data.draw(st.integers(0, sum(sizes) + 2))
+    corpus, metadata = _period(sizes, -1 if classical else 5)
+    duplicates = [(f"{w}-0", f"lasla-{w}", "prefix", 1) for w in sorted(shared)]
+    mandatory = shared if classical else set()
+    feasible = _brute_force_feasible(sizes, mandatory, published, min_test)
+    try:
+        manifests = build_splits(corpus, None, metadata, duplicates, seed=7,
+                                 min_test=min_test, published=published)
+    except InfeasibleSplitError:
+        assert not feasible
+        return
+    assert feasible
+    [manifest] = manifests
+    assert manifest.train_works
+    for work, (_, side) in published.items():
+        assert work in (manifest.test_works if side == "test" else manifest.train_works)
+    results = audit_splits(manifest, corpus, None, metadata, duplicates, min_test=min_test)
+    assert all(r.passed for r in results), results
 
 
 def test_materialize_partitions_sentences(manifests, converted_ud, lasla_corpus):
