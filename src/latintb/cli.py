@@ -21,7 +21,7 @@ from pathlib import Path
 # are imported by the subcommands that use them, so convert and lint load
 # none; numpy is loaded by perm-test alone, through
 # evaluation.permutation_test, on one BLAS thread unless the caller sets
-# OPENBLAS_NUM_THREADS; json and hashlib only when a config is read
+# OpenBLAS's thread count; json and hashlib only when a config is read
 # or a JSON report written. Records are NamedTuples, so no run loads
 # dataclasses and the inspect module it imports. A test in
 # tests/test_cli.py checks this in fresh interpreters.
@@ -345,11 +345,13 @@ def cmd_eval(args, config: ToolConfig) -> int:
 
 def cmd_perm_test(args, config: ToolConfig) -> int:
     # Before numpy loads, or OpenBLAS starts a worker thread per core that
-    # each process pays to start and stop. The sums are exact integer
-    # counts, so any thread count gives the same bytes. Set here, not in
-    # permutation.py, so that importing the library never changes the
-    # BLAS threads of a host program.
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    # each process pays to start and stop; the sums are exact integer
+    # counts, so any thread count gives the same bytes. Not in
+    # permutation.py, so that importing the library never changes a host
+    # program's BLAS threads. A count the caller gives OpenBLAS is kept.
+    blas_threads = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    if not any(os.environ.get(name) for name in blas_threads):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     from . import evaluation
 
     try:
@@ -399,7 +401,9 @@ def cmd_lint(args, config: ToolConfig) -> int:
 
 
 def _fail(prefix: str, exc: Exception, code: int) -> int:
-    print(f"{prefix}: {exc}", file=sys.stderr)
+    # each line boundary that str.splitlines knows, escaped, even in a path
+    breaks = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+    print(f"{prefix}: {exc}".translate({ord(c): repr(c)[1:-1] for c in breaks}), file=sys.stderr)
     return code
 
 

@@ -367,13 +367,14 @@ def _run_cli(*argv):
 def _probe(tmp_path, code: str, *argv, **env: str) -> str:
     """What a fresh interpreter that runs ``code`` writes to the file
     ``sys.argv[1]``; ``argv`` follows it, and ``env`` is added to its
-    environment. OPENBLAS_NUM_THREADS is left out unless ``env`` sets it:
-    an in-process perm-test sets it in this process."""
+    environment. OpenBLAS's thread variables are left out unless ``env``
+    sets them: an in-process perm-test sets one in this process."""
     listing = tmp_path / "probe.txt"
     listing.unlink(missing_ok=True)
     base = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [_src_path(), os.environ.get("PYTHONPATH")])))
-    base.pop("OPENBLAS_NUM_THREADS", None)
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        base.pop(name, None)
     subprocess.run([sys.executable, "-c", code, listing, *map(str, argv)],
                    env={**base, **env}, capture_output=True, timeout=120, check=False)
     return listing.read_text()
@@ -482,18 +483,18 @@ def test_perm_test_results_do_not_depend_on_blas_threads(workdir, fixtures_dir, 
     argv = _eight_commands(workdir, fixtures_dir, tmp_path)["perm-test"]
     argv = [*argv[:-2], "--metric", metric, "--out"]
     outputs, reports = [], []
-    for threads in (None, "2"):
-        outputs.append(tmp_path / f"perm-{threads}.tsv")
-        env = {} if threads is None else {"OPENBLAS_NUM_THREADS": threads}
+    for env in ({}, {"OPENBLAS_NUM_THREADS": "2"}, {"OMP_NUM_THREADS": "2"}):
+        outputs.append(tmp_path / f"perm-{len(outputs)}.tsv")
         reports.append(_probe(tmp_path, _RUN_MAIN_THREADS, *argv, outputs[-1], **env).split())
-    assert outputs[0].read_bytes() == outputs[1].read_bytes()
+    assert outputs[0].read_bytes() == outputs[1].read_bytes() == outputs[2].read_bytes()
     assert outputs[0].read_text(encoding="utf-8").startswith("metric\tobserved_diff\t")
-    # unset, perm-test sets one thread; the caller's 2 is kept, and OpenBLAS uses it
-    assert [reports[0][1], reports[1][1]] == ["1", "2"]
+    # unset, perm-test sets one thread; the caller's 2, in either variable, is
+    # kept (OPENBLAS_NUM_THREADS stays unset beside OMP_NUM_THREADS), and OpenBLAS uses it
+    assert [report[1] for report in reports] == ["1", "2", "None"]
     if _HAS_PROC:
         assert reports[0][0] == "1"
         if len(os.sched_getaffinity(0)) >= 2:
-            assert reports[1][0] == "2"
+            assert reports[1][0] == reports[2][0] == "2"
 
 
 def test_agree_with_unknown_manifest_sentence_fails_in_one_line(fixtures_dir, tmp_path):

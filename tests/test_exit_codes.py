@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import latintb
-from latintb.cli import main
+from latintb.cli import _fail, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 PUBLISHED = Path(latintb.__file__).parent / "data" / "published_split_assignment.tsv"
@@ -39,7 +39,7 @@ def run(argv) -> tuple[int, str]:
     stderr = err.getvalue()
     assert code in (0, 1, 2), (argv, code)
     if code:
-        assert stderr.endswith("\n") and stderr.count("\n") == 1, (argv, stderr)
+        assert stderr.endswith("\n") and len(stderr.splitlines()) == 1, (argv, stderr)
     return code, stderr
 
 
@@ -173,15 +173,24 @@ def commands(base: Path, out: Path) -> list[list]:
 
 
 def bad_path(kind: str, work: Path) -> Path:
-    """A path of this kind under ``work``."""
-    (work / "a-directory").mkdir(exist_ok=True)
-    (work / "a-file").write_text("x\n")
+    """A path of this kind under ``work``; the ``-lf`` kinds hold a line feed."""
+    for name in ("a-directory", "a\ndirectory"):
+        (work / name).mkdir(exist_ok=True)
+    for name in ("a-file", "a\nfile"):
+        (work / name).write_text("x\n")
     return {
         "missing": work / "missing" / "name",
         "directory": work / "a-directory",
         "file": work / "a-file",
         "under-a-file": work / "a-file" / "name",
+        "missing-lf": work / "miss\ning" / "name",
+        "directory-lf": work / "a\ndirectory",
+        "file-lf": work / "a\nfile",
     }[kind]
+
+
+BAD_PATH_KINDS = ("missing", "directory", "file", "under-a-file",
+                  "missing-lf", "directory-lf", "file-lf")
 
 
 def test_every_command_succeeds_on_clean_paths(base, tmp_path):
@@ -191,7 +200,7 @@ def test_every_command_succeeds_on_clean_paths(base, tmp_path):
 
 @settings(max_examples=40, deadline=None)
 @given(command=st.integers(min_value=0, max_value=7), option=st.integers(min_value=0),
-       kind=st.sampled_from(("missing", "directory", "file", "under-a-file")))
+       kind=st.sampled_from(BAD_PATH_KINDS))
 def test_a_bad_path_keeps_the_exit_code_contract(base, command, option, kind):
     with tempfile.TemporaryDirectory() as work:
         argv = commands(base, Path(work))[command]
@@ -242,4 +251,26 @@ def test_a_file_stem_holding_a_tab_fails_before_any_output(tmp_path, command):
         "lint": ["lint", "--in", corpus, "--out", out],
     }[command]
     assert run(argv) == (1, f"error: {bad}: stem 's\\t1' holds a tab or a line break\n")
+    assert not out.exists()
+
+
+def test_a_failure_escapes_every_line_boundary_and_nothing_else(capsys):
+    boundaries = [c for c in map(chr, range(0x110000)) if len(f"a{c}b".splitlines()) > 1]
+    text = "x\\n\t" + "".join(boundaries) + "y"
+    assert _fail("error", ValueError(text), 1) == 1
+    stderr = capsys.readouterr().err
+    escaped = "".join(repr(c)[1:-1] for c in boundaries)
+    assert stderr == f"error: x\\n\t{escaped}y\n"
+    assert len(stderr.splitlines()) == 1
+
+
+def test_a_file_stem_holding_a_line_feed_fails_in_one_line(tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    bad = corpus / "a\nb.conllu"
+    bad.write_text("1\tx\tx\tNOUN\t_\t_\t_\t_\t_\t_\n\n")
+    out = tmp_path / "lint.tsv"
+    escaped = str(bad).replace("\n", "\\n")
+    assert run(["lint", "--in", corpus, "--out", out]) == (
+        1, f"error: {escaped}: stem 'a\\nb' holds a tab or a line break\n")
     assert not out.exists()
