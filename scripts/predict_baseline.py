@@ -11,7 +11,7 @@ import argparse
 from pathlib import Path
 
 from latintb.baseline import predict_corpus
-from latintb.conllu import parse_conllu_file, write_conllu_file
+from latintb.conllu import parse_conllu_file, serialize_conllu
 from latintb.pipeline import sentence_with_records
 from latintb.standardize import StandardRecord
 
@@ -31,9 +31,9 @@ def main() -> None:
     if args.degrade:
         for index in range(0, len(records), args.degrade):
             records[index] = [StandardRecord(upos="NOUN") for _ in records[index]]
-    write_conllu_file(
-        args.out,
-        [sentence_with_records(s, r) for s, r in zip(sentences, records)],
+    args.out.write_text(
+        serialize_conllu(sentence_with_records(s, r) for s, r in zip(sentences, records)),
+        encoding="utf-8",
     )
     print(f"wrote {len(sentences)} sentences to {args.out}")
 

@@ -2,19 +2,21 @@
 split, eval, perm-test, lint.
 
 Identical inputs, flags, and seed produce byte-identical outputs. Exit
-codes: 0 success, 1 validation failure, 2 usage error. ``main`` alone
-turns a failure into its exit code and one line on stderr; a command
-only reads, computes and writes.
+codes: 0 success, 1 validation failure, 2 usage error. A command only
+reads and computes; ``main`` alone writes its outputs, all or none, and
+turns a failure into its exit code and one line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import os
 import sys
 from collections import Counter
 from pathlib import Path
+from typing import NamedTuple
 
 # Only what every subcommand needs is imported here: each fresh process
 # pays for its imports. agreement, dedup, evaluation, metadata and splits
@@ -27,7 +29,7 @@ from pathlib import Path
 # tests/test_cli.py checks this in fresh interpreters.
 from . import __version__, reports
 from .config import InfeasibleSplitError, ToolConfig
-from .conllu import write_conllu_file
+from .conllu import serialize_conllu
 from .harmonize import ALL_RULES
 from .pipeline import (
     FLAVORS, Converter, aligned_pairs, convert_corpus, corpus_reader, load_corpus, read_corpus_files,
@@ -37,6 +39,13 @@ from .standardize import lint_token
 
 class UsageError(ValueError):
     """A flag value out of range (exit 2)."""
+
+
+class Output(NamedTuple):
+    """The text of each output file, and the raw LASLA values read outside the inventory."""
+
+    files: dict[Path, str]
+    unknown: Counter
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -120,44 +129,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _report(args, config: ToolConfig, path: Path, header, rows) -> None:
+def _report(args, config: ToolConfig, output: Output, path: Path, header, rows) -> None:
     """A TSV report, with the run's seed and config in its footer."""
-    reports.write_tsv(path, header, rows, seed=args.seed, config_hash=config.config_hash)
+    with _naming(path):
+        output.files[path] = reports.tsv_text(header, rows, seed=args.seed, config_hash=config.config_hash)
 
 
-def _warn_unknown(*unknown_values: Counter) -> None:
-    """One stderr line counting the feature values that raw LASLA reads
-    found outside the mapping's inventory and kept as read. A command
-    calls it last, on success, so a failure still writes one line."""
-    total = sum(sum(counts.values()) for counts in unknown_values)
-    if total:
-        print(f"warning: {total} feature values outside the LASLA inventory kept as read",
-              file=sys.stderr)
-
-
-def cmd_convert(args, config: ToolConfig) -> int:
-    # every file is read, and sentence ids checked, before any output
+def cmd_convert(args, config: ToolConfig, output: Output) -> int:
     reader = corpus_reader(args.flavor, config)
-    files = read_corpus_files(args.input, reader)
-    args.out.mkdir(parents=True, exist_ok=True)
     audit_rows = []
     anomaly_rows = []
     converter = Converter(args.flavor, config)  # its memos serve every file
-    for file, sentences in files:
+    for file, sentences in read_corpus_files(args.input, reader):
         result = converter.convert(sentences)
-        write_conllu_file(args.out / file.name, result.sentences)
+        output.files[args.out / file.name] = serialize_conllu(result.sentences)
         for rule in ALL_RULES:
             if result.audit.get(rule):
                 audit_rows.append((file.stem, rule, result.audit[rule]))
         anomaly_rows.extend(result.anomalies)
-    _report(args, config, args.out / "harmonization_audit.tsv",
+    _report(args, config, output, args.out / "harmonization_audit.tsv",
             ("corpus", "rule_id", "tokens_affected"), audit_rows)
-    _report(args, config, args.out / "anomalies.tsv", ("sent_id", "token_id", "code"), anomaly_rows)
-    _warn_unknown(reader.unknown_values)
+    _report(args, config, output, args.out / "anomalies.tsv", ("sent_id", "token_id", "code"), anomaly_rows)
+    output.unknown.update(reader.unknown_values)
     return 0
 
 
-def cmd_dedup(args, config: ToolConfig) -> int:
+def cmd_dedup(args, config: ToolConfig, output: Output) -> int:
     from . import dedup
 
     corpus_a, unknown_a = load_corpus(args.corpus_a, args.a_flavor, config)
@@ -168,20 +165,20 @@ def cmd_dedup(args, config: ToolConfig) -> int:
         min_chars=config.dedup_min_chars,
         min_tokens=config.dedup_min_tokens,
     )
-    dedup.write_manifest(args.out, pairs, seed=args.seed, config_hash=config.config_hash)
+    _report(args, config, output, args.out, dedup.MANIFEST_HEADER, dedup.manifest_rows(pairs))
     if args.report is not None:
         metadata = None
         if args.metadata is not None:
             from .metadata import load_metadata
 
             metadata = load_metadata(args.metadata)
-        _report(args, config, args.report, ("author", "work", "duplicates"),
+        _report(args, config, output, args.report, ("author", "work", "duplicates"),
                 dedup.duplicate_report(pairs, metadata))
-    _warn_unknown(unknown_a, unknown_b)
+    output.unknown.update(unknown_a + unknown_b)
     return 0
 
 
-def cmd_agree(args, config: ToolConfig) -> int:
+def cmd_agree(args, config: ToolConfig, output: Output) -> int:
     from . import dedup
     from .agreement import STAGE_CONVERTED, STAGE_RAW, agreement_table
 
@@ -210,21 +207,22 @@ def cmd_agree(args, config: ToolConfig) -> int:
         for row in (before.get(feature), after.get(feature)):
             cells += [row.percent_str(), row.same, row.total] if row else ["--"] * 3
         rows.append(cells)
-    _report(args, config, args.out,
+    _report(args, config, output, args.out,
             ("feature", "before_pct", "before_same", "before_total",
              "after_pct", "after_same", "after_total"), rows)
-    _warn_unknown(unknown_a, unknown_b)
+    output.unknown.update(unknown_a + unknown_b)
     return 0
 
 
-def cmd_metadata_validate(args, config: ToolConfig) -> int:
+def cmd_metadata_validate(args, config: ToolConfig, output: Output) -> int:
     from .metadata import read_metadata, validate_metadata
 
     rows = read_metadata(args.file)
-    corpus_counts, unknown_values = None, Counter()
+    corpus_counts = None
     if args.corpus is not None:
         sentences, unknown_values = load_corpus(args.corpus, args.flavor, config)
         corpus_counts = Counter(sentence.work_id or "?" for sentence in sentences)
+        output.unknown.update(unknown_values)
     violations = validate_metadata(rows, corpus_counts=corpus_counts)
     for violation in violations:
         print(f"{violation.work_id}\t{violation.code}\t{violation.message}")
@@ -232,11 +230,10 @@ def cmd_metadata_validate(args, config: ToolConfig) -> int:
         print(f"{len(violations)} violations", file=sys.stderr)
         return 1
     print("metadata ok")
-    _warn_unknown(unknown_values)
     return 0
 
 
-def cmd_split(args, config: ToolConfig) -> int:
+def cmd_split(args, config: ToolConfig, output: Output) -> int:
     from . import dedup, splits
     from .metadata import load_metadata
 
@@ -260,7 +257,6 @@ def cmd_split(args, config: ToolConfig) -> int:
         min_test=config.min_test_sentences,
         published=published,
     )
-    args.out.mkdir(parents=True, exist_ok=True)
     audit_rows = []
     all_passed = True
     for manifest in manifests:
@@ -274,12 +270,10 @@ def cmd_split(args, config: ToolConfig) -> int:
             atomicity_exceptions=config.atomicity_exceptions,
         )
         manifest = manifest._replace(audit=tuple(results))
-        reports.write_json(args.out / f"{manifest.period}.manifest.json", manifest)
+        output.files[args.out / f"{manifest.period}.manifest.json"] = reports.json_text(manifest)
         parts = splits.materialize(manifest, ud_corpus, lasla_corpus)
-        period_dir = args.out / manifest.period
-        period_dir.mkdir(exist_ok=True)
         for split_name, sentences in parts.items():
-            write_conllu_file(period_dir / f"{split_name}.conllu", sentences)
+            output.files[args.out / manifest.period / f"{split_name}.conllu"] = serialize_conllu(sentences)
             audit_rows.append((manifest.period, f"{split_name}-sentences", len(sentences), ""))
         for result in results:
             all_passed &= result.passed
@@ -291,18 +285,20 @@ def cmd_split(args, config: ToolConfig) -> int:
                     "; ".join(result.details),
                 )
             )
-    _report(args, config, args.out / "split_audit.tsv", ("period", "check", "result", "details"),
+    _report(args, config, output, args.out / "split_audit.tsv", ("period", "check", "result", "details"),
             audit_rows)
     return 0 if all_passed else 1
 
 
 @contextlib.contextmanager
 def _naming(path: Path):
-    """A ValueError raised inside names ``path``, the file at fault."""
+    """A ValueError or OSError raised inside names ``path``, the file at fault."""
     try:
         yield
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
 
 
 def _aligned_records(config: ToolConfig, gold_path: Path, *pred_paths: Path):
@@ -329,7 +325,7 @@ def _aligned_records(config: ToolConfig, gold_path: Path, *pred_paths: Path):
     return records
 
 
-def cmd_eval(args, config: ToolConfig) -> int:
+def cmd_eval(args, config: ToolConfig, output: Output) -> int:
     from . import evaluation
 
     gold_records, pred_records = _aligned_records(config, args.gold, args.pred)
@@ -339,11 +335,11 @@ def cmd_eval(args, config: ToolConfig) -> int:
     print(report.format_table())
     if args.out is not None:
         provenance = reports.footer(args.seed, config.config_hash)
-        reports.write_json(args.out, {**report._asdict(), "provenance": provenance})
+        output.files[args.out] = reports.json_text({**report._asdict(), "provenance": provenance})
     return 0
 
 
-def cmd_perm_test(args, config: ToolConfig) -> int:
+def cmd_perm_test(args, config: ToolConfig, output: Output) -> int:
     # Before numpy loads, or OpenBLAS starts a worker thread per core that
     # each process pays to start and stop; the sums are exact integer
     # counts, so any thread count gives the same bytes. Not in
@@ -381,13 +377,13 @@ def cmd_perm_test(args, config: ToolConfig) -> int:
     if result.note:
         print(f"note: {result.note}")
     if args.out is not None:
-        _report(args, config, args.out, ("metric", "observed_diff", "p_value", "iterations", "seed"),
+        _report(args, config, output, args.out, ("metric", "observed_diff", "p_value", "iterations", "seed"),
                 [(result.metric, f"{result.observed_diff:.6f}", f"{result.p_value:.4f}",
                   result.iterations, result.seed)])
     return 0
 
 
-def cmd_lint(args, config: ToolConfig) -> int:
+def cmd_lint(args, config: ToolConfig, output: Output) -> int:
     sentences, unknown_values = load_corpus(args.input, args.flavor, config)
     converted = convert_corpus(sentences, args.flavor, config)
     rows = []
@@ -395,8 +391,8 @@ def cmd_lint(args, config: ToolConfig) -> int:
         for token, record in zip(sentence.tokens, records):
             for code in lint_token(token, record, config.legality_rules):
                 rows.append((sentence.sent_id, token.id, code))
-    _report(args, config, args.out, ("sent_id", "token_id", "code"), rows)
-    _warn_unknown(unknown_values)
+    _report(args, config, output, args.out, ("sent_id", "token_id", "code"), rows)
+    output.unknown.update(unknown_values)
     return 0
 
 
@@ -407,20 +403,49 @@ def _fail(prefix: str, exc: Exception, code: int) -> int:
     return code
 
 
+def _commit(files: dict[Path, str]) -> None:
+    """Every file written, or none: each text goes to a new sibling file, in a directory
+    made if missing, and all are renamed into place; a failure removes what was made."""
+    staged = {path: path.with_name(f".{path.name}.{os.getpid()}.new") for path in files}
+    # the directories the commit makes; in reverse order each comes before its parent
+    missing = sorted({d for path in files for d in path.parents if not d.exists()}, reverse=True)
+    try:
+        for path, new in staged.items():
+            path.parent.mkdir(parents=True, exist_ok=True)
+            with _naming(path):
+                if path.is_dir():  # else its rename would fail after others were done
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+                new.write_text(files[path], encoding="utf-8")
+        for path, new in staged.items():
+            with _naming(path):
+                os.replace(new, path)
+    except BaseException:
+        for leftover in [*staged.values(), *missing]:
+            with contextlib.suppress(OSError):
+                leftover.rmdir() if leftover in missing else leftover.unlink()
+        raise
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = ToolConfig.load(args.config)
     except (ValueError, OSError) as exc:
         return _fail("config error", exc, 2)
+    output = Output({}, Counter())
     try:
-        return args.run(args, config)
+        code = args.run(args, config, output)
+        _commit(output.files)
     except UsageError as exc:
         return _fail("usage error", exc, 2)
     except InfeasibleSplitError as exc:
         return _fail("infeasible", exc, 1)
     except (ValueError, OSError) as exc:  # a bad input, or a path that cannot be read or written
         return _fail("error", exc, 1)
+    if code == 0 and output.unknown:
+        print(f"warning: {sum(output.unknown.values())} feature values outside the LASLA inventory "
+              "kept as read", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Read, model, and write CoNLL-U treebank files.
+"""Read, model, and serialize CoNLL-U treebank files.
 
 One reader serves every corpus flavor: a ColumnMapping says where each
 CoNLL-U field sits in a row, so plain CoNLL-U and LASLA's export differ
@@ -18,6 +18,8 @@ from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, TextIO
+
+from .reports import breaks_a_cell
 
 UPOS_TAGS = frozenset(
     {
@@ -331,12 +333,6 @@ def _mapped_feats(
 _ID_KEYS = frozenset({"sent_id", "newdoc id", "work_id"})
 
 
-def _breaks_a_cell(value: str) -> bool:
-    """Whether an id would shift or split a TSV cell: read_table splits
-    lines with str.splitlines and cells at tabs."""
-    return "\t" in value or "".join(value.splitlines()) != value
-
-
 def _comment_field(line: str) -> tuple[str | None, str]:
     """A ``# key = value`` comment's stripped key (None without "=") and value."""
     key, equals, value = line[1:].partition("=")
@@ -391,7 +387,7 @@ class CorpusReader:
         work_id holding a tab or a line break, and StructureError for
         token ids that do not increase.
         """
-        if stem is not None and _breaks_a_cell(stem):
+        if stem is not None and breaks_a_cell(stem):
             raise ParseError(f"stem {stem!r} holds a tab or a line break")
         mapping = self.mapping
         separator, n_columns = mapping.separator, mapping.n_columns
@@ -437,7 +433,7 @@ class CorpusReader:
                 comments.append(line)
                 key, value = _comment_field(line)
                 if key is not None:
-                    if key in _ID_KEYS and _breaks_a_cell(value):
+                    if key in _ID_KEYS and breaks_a_cell(value):
                         raise ParseError(f"line {line_no}: {key} {value!r} holds a tab or a line break")
                     meta[key] = value
                 continue
@@ -562,7 +558,3 @@ def serialize_sentence(sentence: Sentence) -> str:
 
 def serialize_conllu(sentences: Iterable[Sentence]) -> str:
     return "\n".join(serialize_sentence(s) for s in sentences)
-
-
-def write_conllu_file(path: str | Path, sentences: Iterable[Sentence]) -> None:
-    Path(path).write_text(serialize_conllu(sentences), encoding="utf-8")

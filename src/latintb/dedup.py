@@ -156,20 +156,9 @@ def duplicate_report(
     )
 
 
-def write_manifest(
-    path: str | Path,
-    pairs: Sequence[DuplicatePair],
-    *,
-    seed: int | None = None,
-    config_hash: str = "default",
-) -> None:
-    reports.write_tsv(
-        path,
-        MANIFEST_HEADER,
-        ((p.sent_a, p.sent_b, p.basis, len(p.alignment)) for p in pairs),
-        seed=seed,
-        config_hash=config_hash,
-    )
+def manifest_rows(pairs: Sequence[DuplicatePair]) -> list[tuple[str, str, str, int]]:
+    """The manifest's rows under ``MANIFEST_HEADER``, as ``read_manifest`` reads them."""
+    return [(p.sent_a, p.sent_b, p.basis, len(p.alignment)) for p in pairs]
 
 
 def read_manifest(path: str | Path) -> list[tuple[str, str, str, int]]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .config import ToolConfig
 from .conllu import CONLLU_MAPPING, ConlluError, CorpusReader, FeatureBundle, Sentence, Token
@@ -99,23 +99,14 @@ def load_corpus(
     return [sentence for _, sentences in files for sentence in sentences], reader.unknown_values
 
 
-class ConversionResult:
+class ConversionResult(NamedTuple):
     """Converted sentences, their records, rule audit counts and
     (sent_id, token id, code) anomalies; filled in as sentences convert."""
 
-    __slots__ = ("sentences", "records", "audit", "anomalies")
-
-    def __init__(
-        self,
-        sentences: list[Sentence],
-        records: list[list[StandardRecord]],
-        audit: Counter | None = None,
-        anomalies: list[tuple[str, int, str]] | None = None,
-    ):
-        self.sentences = sentences
-        self.records = records
-        self.audit = Counter() if audit is None else audit
-        self.anomalies = [] if anomalies is None else anomalies
+    sentences: list[Sentence]
+    records: list[list[StandardRecord]]
+    audit: Counter
+    anomalies: list[tuple[str, int, str]]
 
 
 def _standard_token(
@@ -189,7 +180,7 @@ class Converter:
         config, standardize, standard = self.config, self._standardize, self._standard
         misc_keys = self._misc_keys
         no_values = (None,) * len(misc_keys)  # what a token without MISC reads
-        result = ConversionResult(sentences=[], records=[])
+        result = ConversionResult([], [], Counter(), [])
 
         def standardized(token: Token) -> StandardRecord:
             values = map(token.misc_get, misc_keys) if token.misc else no_values

@@ -1,5 +1,5 @@
 """Artifacts: deterministic TSV tables with a provenance footer, the one
-strict reader for every TSV input, and the one JSON writer."""
+strict reader for every TSV input, and the one JSON renderer."""
 
 from __future__ import annotations
 
@@ -22,26 +22,30 @@ def footer(seed: int | None = None, config_hash: str = "default") -> str:
     return " ".join(parts)
 
 
-def write_tsv(
-    path: str | Path,
+def breaks_a_cell(value: str) -> bool:
+    """Whether a value would shift or split a TSV cell: read_table splits
+    lines with str.splitlines and cells at tabs."""
+    return "\t" in value or "".join(value.splitlines()) != value
+
+
+def tsv_text(
     header: Sequence[str],
     rows: Iterable[Sequence[object]],
     *,
     seed: int | None = None,
     config_hash: str = "default",
-) -> None:
+) -> str:
     """A TSV table with the provenance footer. A cell that holds a tab or
-    a line break is a ValueError, raised before the file is written."""
+    a line break is a ValueError."""
     lines = ["\t".join(header)]
     for row in rows:
         cells = [str(cell) for cell in row]
         for cell in cells:
-            # read_table splits a table into lines with str.splitlines
-            if "\t" in cell or "".join(cell.splitlines()) != cell:
-                raise ValueError(f"{path}: cell {cell!r} holds a tab or a line break")
+            if breaks_a_cell(cell):
+                raise ValueError(f"cell {cell!r} holds a tab or a line break")
         lines.append("\t".join(cells))
     lines.append(footer(seed, config_hash))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"
 
 
 def plain(value: object) -> object:
@@ -58,13 +62,12 @@ def plain(value: object) -> object:
     return value
 
 
-def write_json(path: str | Path, payload: object) -> None:
+def json_text(payload: object) -> str:
     """A JSON artifact of ``plain(payload)``: sorted keys, two-space
     indent and a final newline."""
     import json
 
-    text = json.dumps(plain(payload), indent=2, sort_keys=True)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    return json.dumps(plain(payload), indent=2, sort_keys=True) + "\n"
 
 
 def read_table(

@@ -13,8 +13,9 @@ from latintb.agreement import (
     raw_view,
 )
 from latintb.conllu import FeatureBundle, Token
-from latintb.dedup import read_manifest, write_manifest
+from latintb.dedup import MANIFEST_HEADER, manifest_rows, read_manifest
 from latintb.pipeline import aligned_pairs
+from latintb.reports import tsv_text
 from latintb.standardize import StandardRecord
 
 
@@ -127,7 +128,8 @@ def test_strict_symmetric_and_loose_monotonic(
     ud_corpus, lasla_corpus, converted_ud, converted_lasla, duplicate_pairs, tmp_path
 ):
     manifest_path = tmp_path / "dups.tsv"
-    write_manifest(manifest_path, duplicate_pairs)
+    manifest_path.write_text(tsv_text(MANIFEST_HEADER, manifest_rows(duplicate_pairs)),
+                             encoding="utf-8")
     rows = read_manifest(manifest_path)
     pairs = aligned_pairs(rows, ud_corpus, lasla_corpus,
                           converted_ud.records, converted_lasla.records)

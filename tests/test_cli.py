@@ -13,7 +13,7 @@ from latintb.baseline import predict_corpus
 from latintb import evaluation
 from latintb.cli import _aligned_records, main
 from latintb.config import ToolConfig
-from latintb.conllu import parse_conllu_file, write_conllu_file
+from latintb.conllu import parse_conllu_file, serialize_conllu
 from latintb.harmonize import RULE_PRON_PERSON
 from latintb.pipeline import convert_corpus, load_corpus, sentence_with_records
 from latintb.evaluation import records_of
@@ -119,12 +119,14 @@ def test_metadata_validate_failure(tmp_path, fixtures_dir):
 def _write_predictions(gold_path, out_a, out_b):
     gold = parse_conllu_file(gold_path)
     records = predict_corpus(gold)
-    write_conllu_file(out_a, [sentence_with_records(s, r) for s, r in zip(gold, records)])
+    out_a.write_text(serialize_conllu(sentence_with_records(s, r) for s, r in zip(gold, records)),
+                     encoding="utf-8")
     degraded = [
         [StandardRecord(upos="NOUN") for _ in recs] if i % 3 == 0 else list(recs)
         for i, recs in enumerate(records)
     ]
-    write_conllu_file(out_b, [sentence_with_records(s, r) for s, r in zip(gold, degraded)])
+    out_b.write_text(serialize_conllu(sentence_with_records(s, r) for s, r in zip(gold, degraded)),
+                     encoding="utf-8")
 
 
 def test_eval_and_perm_test(workdir, tmp_path, capsys):

@@ -8,13 +8,15 @@ from latintb.conllu import FeatureBundle, Sentence, Token
 from latintb.dedup import (
     DEFAULT_MIN_CHARS,
     DEFAULT_MIN_TOKENS,
+    MANIFEST_HEADER,
     align_tokens,
     duplicate_report,
     find_duplicates,
+    manifest_rows,
     read_manifest,
-    write_manifest,
 )
 from latintb.normalize import matching_key
+from latintb.reports import tsv_text
 
 
 def oracle_align(forms_a, forms_b):
@@ -194,7 +196,7 @@ def test_duplicate_report_counts_by_work(duplicate_pairs, metadata_table, plante
 
 def test_manifest_roundtrip(tmp_path, duplicate_pairs):
     path = tmp_path / "dups.tsv"
-    write_manifest(path, duplicate_pairs)
+    path.write_text(tsv_text(MANIFEST_HEADER, manifest_rows(duplicate_pairs)), encoding="utf-8")
     rows = read_manifest(path)
     assert [(r[0], r[1]) for r in rows] == [
         (p.sent_a, p.sent_b) for p in duplicate_pairs

@@ -5,8 +5,9 @@ escapes ``main``. A non-zero exit writes exactly one line to stderr.
 ``metadata-validate`` also lists its violations, one line each, on
 stdout; its one stderr line counts them.
 
-The faults are byte mutations of a copy of each kind of input, and bad
-paths in place of each path option. A path that cannot be read or
+The faults are byte mutations of a copy of each kind of input, bad
+paths in place of each path option, and a failed write of each output
+file. A failing run writes no output file. A path that cannot be read or
 written for lack of permission is not among them: the suite may run as
 root, which no file mode stops, and a faked ``PermissionError`` would
 test nothing that ``OSError`` does not.
@@ -14,9 +15,12 @@ test nothing that ``OSError`` does not.
 
 from __future__ import annotations
 
+import ast
 import codecs
 import contextlib
+import errno
 import io
+import os
 import shutil
 import tempfile
 from pathlib import Path
@@ -274,3 +278,119 @@ def test_a_file_stem_holding_a_line_feed_fails_in_one_line(tmp_path):
     assert run(["lint", "--in", corpus, "--out", out]) == (
         1, f"error: {escaped}: stem 'a\\nb' holds a tab or a line break\n")
     assert not out.exists()
+
+
+def tree(root: Path) -> dict[Path, bytes | None]:
+    """Every path under ``root``, with a file's bytes and None for a directory."""
+    return {path: None if path.is_dir() else path.read_bytes() for path in root.rglob("*")}
+
+
+def test_a_late_input_error_leaves_no_output(tmp_path):
+    # dedup computes its manifest before it reads the metadata of --report
+    out = tmp_path / "o"
+    out.mkdir()
+    missing = out / "missing.tsv"
+    argv = ["dedup", "--a", FIXTURES / "ud", "--b", FIXTURES / "lasla", "--out", out / "dups.tsv",
+            "--report", out / "r.tsv", "--metadata", missing]
+    assert run(argv) == (1, f"error: [Errno 2] No such file or directory: {str(missing)!r}\n")
+    assert tree(tmp_path) == {out: None}
+
+
+def test_an_output_path_held_by_a_directory_fails_before_any_output(tmp_path):
+    std = tmp_path / "o2" / "std"
+    held = std / "anomalies.tsv"
+    held.mkdir(parents=True)
+    before = tree(tmp_path)
+    argv = ["convert", "--in", FIXTURES / "ud", "--flavor", "ud", "--out", std]
+    assert run(argv) == (1, f"error: [Errno 21] Is a directory: {str(held)!r}\n")
+    assert tree(tmp_path) == before
+
+
+def test_an_output_file_gets_its_missing_directories(base, tmp_path):
+    out = tmp_path / "new" / "dir" / "lint.tsv"
+    assert run(["lint", "--in", base / "cl_alpha.conllu", "--out", out]) == (0, "")
+    assert set(tree(tmp_path)) == {tmp_path / "new", out.parent, out}
+
+
+def test_a_text_that_cannot_be_encoded_fails_without_output(tmp_path):
+    # a file name that is not UTF-8 reads as a stem holding a lone surrogate,
+    # which the commit cannot encode when it writes the converted file
+    corpus, out, name = tmp_path / "corpus", tmp_path / "out", os.fsdecode(b"\xff.conllu")
+    corpus.mkdir()
+    try:
+        (corpus / name).write_bytes(b"1\tx\tx\tNOUN\t_\t_\t_\t_\t_\t_\n\n")
+    except OSError:
+        pytest.skip("the file system refuses a file name that is not UTF-8")
+    code, stderr = run(["convert", "--in", corpus, "--flavor", "ud", "--out", out])
+    assert code == 1 and stderr.startswith(f"error: {out / name}: 'utf-8' codec can't encode")
+    assert not out.exists()
+
+
+COMMAND_NAMES = [argv[0] for argv in commands(Path(), Path())]
+
+
+@pytest.mark.parametrize("command", range(len(COMMAND_NAMES)), ids=COMMAND_NAMES)
+def test_a_failed_write_leaves_every_output_path_as_it_was(base, tmp_path, monkeypatch, command):
+    """The k-th file write of the commit fails, for every k, with the
+    outputs absent (their directories too) or holding earlier bytes."""
+    write_text = Path.write_text
+    clean = tmp_path / "clean"
+    clean.mkdir()
+    assert run(commands(base, clean)[command]) == (0, "")
+    outputs = [path.relative_to(clean) for path, data in tree(clean).items() if data is not None]
+    for earlier in (False, True):
+        for k in range(len(outputs)):
+            work = tmp_path / f"{earlier}-{k}"
+            for output in outputs if earlier else ():
+                (work / output).parent.mkdir(parents=True, exist_ok=True)
+                (work / output).write_bytes(b"earlier\n")
+            work.mkdir(exist_ok=True)
+            before = tree(work)
+            writes = []
+
+            def failing_write(path, text, *args, **kwargs):
+                writes.append(path)
+                if len(writes) <= k:
+                    return write_text(path, text, *args, **kwargs)
+                write_text(path, text[: len(text) // 2], *args, **kwargs)  # a partial file
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+            with monkeypatch.context() as patch:
+                patch.setattr(Path, "write_text", failing_write)
+                code, stderr = run(commands(base, work)[command])
+            siblings = {(work / o).with_name(f".{o.name}.{os.getpid()}.new"): work / o for o in outputs}
+            assert len(writes) == k + 1 and writes[k] in siblings
+            failed = siblings[writes[k]]
+            assert (code, stderr) == (1, f"error: [Errno {errno.ENOSPC}] "
+                                         f"{os.strerror(errno.ENOSPC)}: {str(failed)!r}\n")
+            assert tree(work) == before, (earlier, k)
+
+
+# what writes a file or makes a directory: calls by these names, os.replace,
+# and an open() given a mode that writes
+WRITING_CALLS = frozenset({"write_text", "write_bytes", "mkdir", "makedirs", "touch", "rename",
+                           "unlink", "rmdir"})
+
+
+def writing_calls(path: Path) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        modes = [arg.value for arg in [*node.args, *(kw.value for kw in node.keywords if kw.arg == "mode")]
+                 if isinstance(arg, ast.Constant) and isinstance(arg.value, str)]
+        if (name in WRITING_CALLS
+                or ast.unparse(func) == "os.replace"
+                or name == "open" and any(set(m) <= set("rwxabt+") and set(m) & set("wax+")
+                                          for m in modes)):
+            found.append(f"{path.name}:{node.lineno}: {ast.unparse(func)}")
+    return found
+
+
+def test_only_cli_writes_files():
+    calls = {path.name: writing_calls(path)
+             for path in sorted(Path(latintb.__file__).parent.glob("*.py"))}
+    assert calls.pop("cli.py"), "the scan sees the writes of cli.main"
+    assert [call for found in calls.values() for call in found] == []

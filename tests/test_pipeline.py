@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from latintb import pipeline
@@ -35,7 +37,7 @@ def reference_conversion(sentences, flavor, config):
     standardize = {"ud": standardize_ud, "lasla": standardize_lasla}[flavor]
     # the MISC keys each standardizer reads, which conversion drops
     consumed = {"ud": ("TraditionalTense", "TraditionalMood"), "lasla": ()}[flavor]
-    result = ConversionResult(sentences=[], records=[])
+    result = ConversionResult(sentences=[], records=[], audit=Counter(), anomalies=[])
     for sentence in sentences:
         records = harmonize_sentence(
             sentence,

@@ -4,24 +4,22 @@ from importlib import resources
 
 import pytest
 
-from latintb.reports import read_table, write_tsv
+from latintb.reports import read_table, tsv_text
 
 HEADER = ("name", "count")
 
 
 def test_written_report_reads_back(tmp_path):
     path = tmp_path / "report.tsv"
-    write_tsv(path, HEADER, [("a", 1), ("b", 2)], seed=3)
+    path.write_text(tsv_text(HEADER, [("a", 1), ("b", 2)], seed=3), encoding="utf-8")
     assert read_table(str(path), HEADER, list) == [["a", "1"], ["b", "2"]]
 
 
 @pytest.mark.parametrize("cell", ["a\tb", "a\nb", "a\r", "\x0ba", "a\x1eb", "a\x85b", "a\u2028b"])
-def test_a_cell_that_would_shift_a_column_is_refused(tmp_path, cell):
+def test_a_cell_that_would_shift_a_column_is_refused(cell):
     # a tab, or a line boundary that read_table's str.splitlines splits on
-    path = tmp_path / "report.tsv"
-    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: cell {cell!r}')} holds a tab or a line break$"):
-        write_tsv(path, HEADER, [("ok", 1), (cell, 2)])
-    assert not path.exists()
+    with pytest.raises(ValueError, match=f"^{re.escape(f'cell {cell!r}')} holds a tab or a line break$"):
+        tsv_text(HEADER, [("ok", 1), (cell, 2)])
 
 
 @pytest.mark.parametrize(

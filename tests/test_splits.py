@@ -24,7 +24,7 @@ from latintb.splits import (
     materialize,
     shared_works,
 )
-from latintb.reports import plain, write_json
+from latintb.reports import json_text, plain
 
 MIN_TEST = 30  # fixture-scale floor; the real default is 1000
 
@@ -324,7 +324,7 @@ def test_shipped_assignment_table_loads():
 def test_manifest_json_roundtrip(tmp_path, manifests):
     manifest = manifests[0]
     path = tmp_path / "m.json"
-    write_json(path, plain(manifest))
+    path.write_text(json_text(plain(manifest)), encoding="utf-8")
     assert json.loads(path.read_text(encoding="utf-8")) == {
         "period": manifest.period,
         "seed": manifest.seed,
