@@ -384,11 +384,18 @@ class CorpusReader:
         ``# sent_id`` are numbered ``<stem>-<n>`` (``sent-<n>`` without a
         stem). Raises ParseError for malformed lines (with line number
         and current sentence id), for a stem, sent_id, newdoc id or
-        work_id holding a tab or a line break, and StructureError for
-        token ids that do not increase.
+        work_id holding a tab or a line break, for a stem that cannot be
+        encoded as UTF-8 (a file name that is not UTF-8 decodes to lone
+        surrogates), and StructureError for token ids that do not
+        increase.
         """
-        if stem is not None and breaks_a_cell(stem):
-            raise ParseError(f"stem {stem!r} holds a tab or a line break")
+        if stem is not None:
+            if breaks_a_cell(stem):
+                raise ParseError(f"stem {stem!r} holds a tab or a line break")
+            try:
+                stem.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ParseError(f"stem {stem!r} cannot be encoded as UTF-8") from None
         mapping = self.mapping
         separator, n_columns = mapping.separator, mapping.n_columns
         id_column = mapping.columns.get("id")

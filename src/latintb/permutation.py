@@ -4,16 +4,23 @@ Each metric is reduced once to per-sentence counts: correct tokens for
 morph-acc, and for the F1 metrics the per-class (tp, fp, fn) table that
 eval scores too, read whole for macro-F1 and one class's column for a
 value's F1, both through evaluation._f1. Every swap pattern is then a
-matrix product. Iterations run in blocks whose swap masks fit a fixed
-byte budget, and each block's hits are counted before the next is drawn,
-so memory grows neither with the iteration count nor, past
-MAX_BLOCK_ROWS rows, with the number of sentences. This is the only
-module of latintb that imports numpy; permutation_test imports it on
-first use, so eval and the other subcommands never load numpy. The
-module leaves numpy's BLAS threads as the host program set them;
-``perm-test`` sets one unless its caller sets OpenBLAS's thread count
-(see cli.cmd_perm_test). Masks are 0/1 and statistics integer counts,
-so every thread count gives the same sums.
+matrix product over the moving sentences, those on which the two
+systems' counts differ; the others change no sum. Iteration i's swap
+bits are those of ``default_rng(SeedSequence(entropy=seed,
+spawn_key=(i,))).integers(0, 2, n_sentences)``, computed only for the
+moving sentences. When few of the 64-bit PCG64 outputs hold a moving
+sentence, PCG64 is replayed in uint64 numpy arithmetic, jumping from
+one such output to the next; when enough do that drawing every output
+costs less (_draws_every_word), each iteration's generator draws all of
+them, and only then is numpy.random loaded. Iterations run in blocks
+that fit a fixed byte budget, and each block's hits are counted before
+the next is drawn, so memory does not grow with the iteration count.
+This is the only module of latintb that imports numpy; permutation_test
+imports it on first use, so eval and the other subcommands never load
+numpy. The module leaves numpy's BLAS threads as the host program set
+them; ``perm-test`` sets one unless its caller sets OpenBLAS's thread
+count (see cli.cmd_perm_test). Masks are 0/1 and statistics integer
+counts, so every thread count gives the same sums.
 """
 
 from __future__ import annotations
@@ -68,7 +75,9 @@ class _Machine:
         self.scale = scale
 
     def diffs(self, masks: np.ndarray) -> np.ndarray:
-        moved = masks[:, self.moving] @ self.delta
+        """The absolute metric difference under each row of ``masks``,
+        which has a 0/1 column per moving sentence."""
+        moved = masks @ self.delta
         diff = self.score(self.base_a + moved) - self.score(self.base_b - moved)
         return np.abs(diff) / self.scale
 
@@ -118,16 +127,50 @@ def _build_machine(codes: _Codes, metric: str, include_upos: bool) -> _Machine:
     return _Machine(stats_a, stats_b, macro)
 
 
-# Iteration i's swap mask is, bit for bit,
-#   default_rng(SeedSequence(entropy=seed, spawn_key=(i,))).integers(0, 2, n)
-# but computed for a block of iterations at once: numpy's SeedSequence
-# hash and PCG64 seeding are replayed below, vectorized over i, and one
-# PCG64 is re-seeded per row. The constants are numpy's.
+# The swap bits of a block of iterations at once: numpy's SeedSequence
+# hash and PCG64 seeding are replayed below, vectorized over the
+# iterations, with each 128-bit PCG64 value held as two uint64 arrays,
+# its high and its low word. The constants are numpy's. Every array is unsigned and every
+# scalar that meets one is an np.uint32 or np.uint64, so neither value-
+# based casting (numpy < 2) nor NEP 50 can widen a value to float64.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # SeedSequence entropy mixing
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # SeedSequence.generate_state
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_LOW32 = np.uint64(_MASK32)
+_ONE, _S31, _S32, _S58, _S63 = (np.uint64(k) for k in (1, 31, 32, 58, 63))
+
+
+def _mix(x: int, y: int) -> int:
+    """SeedSequence's mix of two uint32 words."""
+    value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return value ^ value >> 16
+
+
+def _seed_pool(seed: int) -> tuple[list[int], int]:
+    """``SeedSequence(entropy=seed).pool`` in plain Python, and the hash
+    constant that a further entropy word is mixed in with."""
+    words = [seed >> shift & _MASK32 for shift in range(0, max(1, seed.bit_length()), 32)]
+    hash_const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    # A seed of under four words mixes as if zero-padded to four.
+    pool = [hashmix(words[k] if k < len(words) else 0) for k in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    return pool, hash_const
 
 
 def _hashmix(words: np.ndarray, hash_const: int, mult: int) -> tuple[np.ndarray, int]:
@@ -140,17 +183,36 @@ def _hashmix(words: np.ndarray, hash_const: int, mult: int) -> tuple[np.ndarray,
     return value, hash_const
 
 
-def _pcg64_seeds(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
-    """The PCG64 (state, inc) of ``default_rng(SeedSequence(entropy=seed,
-    spawn_key=(i,)))`` for each i in [start, stop)."""
-    # The pool of SeedSequence(entropy=seed) is the spawned sequence's
-    # pool before its one spawn word is mixed in (both hash a seed of
-    # under four words as if zero-padded to four); by then the hash
-    # constant has been stepped 16 times, plus 4 per entropy word past 4.
-    pool = np.random.SeedSequence(entropy=seed).pool.tolist()
-    extra_words = max(0, (int(seed).bit_length() + 31) // 32 - 4)
-    hash_const = _INIT_A * pow(_MULT_A, 16 + 4 * extra_words, 1 << 32) & _MASK32
-    spawn = np.arange(start, stop, dtype=np.uint32)
+def _times(hi: np.ndarray, lo: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 128-bit values (hi, lo) times ``c``, mod 2^128. The high word
+    of lo times c's low word comes from 32-bit limb products, each of
+    which fits in 64 bits."""
+    c_hi, c_lo = np.uint64(c >> 64 & _MASK64), np.uint64(c & _MASK64)
+    c0, c1 = np.uint64(c & _MASK32), np.uint64(c >> 32 & _MASK32)
+    lo0, lo1 = lo & _LOW32, lo >> _S32
+    t = lo0 * c0
+    u = lo1 * c0 + (t >> _S32)
+    w = lo0 * c1 + (u & _LOW32)
+    carry = lo1 * c1 + (u >> _S32) + (w >> _S32)
+    return carry + hi * c_lo + lo * c_hi, lo * c_lo
+
+
+def _add(
+    a_hi: np.ndarray, a_lo: np.ndarray, b_hi: np.ndarray, b_lo: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The 128-bit sums (a_hi, a_lo) + (b_hi, b_lo), mod 2^128."""
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < b_lo), lo
+
+
+def _pcg64_seeds(seed: int, spawn: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The PCG64 state and increment of ``default_rng(SeedSequence(
+    entropy=seed, spawn_key=(i,)))`` for each i of the uint32 array
+    ``spawn``, as uint64 arrays (state high, state low, inc high, inc
+    low)."""
+    # The spawned sequence's pool is the pool of SeedSequence(entropy=seed)
+    # with its one spawn word mixed in.
+    pool, hash_const = _seed_pool(seed)
     mixed = []
     for word in pool:
         value, hash_const = _hashmix(spawn, hash_const, _MULT_A)
@@ -160,46 +222,71 @@ def _pcg64_seeds(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
     # generate_state(4, np.uint64): eight uint32 words cycling over the
     # pool, paired little-endian into four uint64 words.
     hash_const = _INIT_B
-    state = []
+    halves = []
     for k in range(8):
         value, hash_const = _hashmix(mixed[k % 4], hash_const, _MULT_B)
-        state.append(value.astype(np.uint64))
-    s0, s1, s2, s3 = (
-        (state[2 * k] | state[2 * k + 1] << np.uint64(32)).tolist() for k in range(4)
-    )
-    seeds = []
-    for high_state, low_state, high_seq, low_seq in zip(s0, s1, s2, s3):
-        # PCG64's srandom: inc from the sequence, two steps around adding
-        # the initial state.
-        inc = ((high_seq << 64 | low_seq) << 1 | 1) & _MASK128
-        initstate = high_state << 64 | low_state
-        seeds.append((((inc + initstate) * _PCG64_MULT + inc) & _MASK128, inc))
-    return seeds
+        halves.append(value.astype(np.uint64))
+    init_hi, init_lo, seq_hi, seq_lo = (halves[2 * k] | halves[2 * k + 1] << _S32 for k in range(4))
+    # PCG64's srandom: inc from the sequence, two steps around adding the
+    # initial state.
+    inc_hi, inc_lo = seq_hi << _ONE | seq_lo >> _S63, seq_lo << _ONE | _ONE
+    hi, lo = _add(inc_hi, inc_lo, init_hi, init_lo)
+    hi, lo = _add(*_times(hi, lo, _PCG64_MULT), inc_hi, inc_lo)
+    return hi, lo, inc_hi, inc_lo
 
 
-# One block of iterations holds, per row and sentence, 4 bytes of raw
-# PCG64 words (one 64-bit word covers two sentences) and an 8-byte
-# float64 mask: BLOCK_BYTES bounds that, for 256 rows at 813 sentences.
-# Blocks never exceed MAX_BLOCK_ROWS rows, and fewer rows than a few
-# hundred make each row's share of the per-block numpy calls costly.
-BLOCK_BYTES = 2_500_000
-MAX_BLOCK_ROWS = 1024
+def _jump(steps: int) -> tuple[int, int]:
+    """(M^steps, M^(steps-1) + ... + M + 1) mod 2^128 for PCG64's
+    multiplier M: ``steps`` steps take a state s with increment inc to
+    M^steps s + (M^(steps-1) + ... + 1) inc (Brown 1994)."""
+    # M - 1 divides M^steps - 1, and a power reduced mod (M - 1) 2^128
+    # keeps the quotient mod 2^128.
+    power = pow(_PCG64_MULT, steps, (_PCG64_MULT - 1) << 128)
+    return power & _MASK128, (power - 1) // (_PCG64_MULT - 1)
 
 
-def block_rows(n_sentences: int) -> int:
-    """Iterations per block for masks over ``n_sentences`` sentences."""
-    return max(1, min(MAX_BLOCK_ROWS, BLOCK_BYTES // (12 * n_sentences)))
+def _bit_masks(seeds: tuple[np.ndarray, ...], moving: np.ndarray) -> np.ndarray:
+    """The swap bits of the ``moving`` sentences (sorted indices) under
+    the PCG64 ``seeds`` of _pcg64_seeds, as a float64 array with a row
+    per moving sentence and a column per iteration. Only the 64-bit
+    outputs that hold a moving sentence are computed: the state jumps
+    from one to the next."""
+    hi, lo, inc_hi, inc_lo = seeds
+    masks = np.empty((len(moving), len(hi)))
+    columns: dict[int, list[tuple[int, int]]] = {}
+    for column, sentence in enumerate(moving.tolist()):
+        columns.setdefault(sentence >> 1, []).append((column, sentence & 1))
+    steps = 0  # output word k is read from the state after k + 1 steps
+    for word, in_word in columns.items():
+        mult, plus = _jump(word + 1 - steps)
+        steps = word + 1
+        hi, lo = _times(hi, lo, mult)
+        hi, lo = _add(hi, lo, *((inc_hi, inc_lo) if plus == 1 else _times(inc_hi, inc_lo, plus)))
+        # XSL-RR outputs hi ^ lo rotated right by hi's top six bits, and
+        # integers(0, 2) keeps bit 31 of it for sentence 2 word, bit 63
+        # for sentence 2 word + 1 (see _raw_masks).
+        folded = hi ^ lo
+        shift = ((hi >> _S58) + _S31) & _S63
+        for column, odd in in_word:
+            np.bitwise_and(folded >> (shift ^ _S32 if odd else shift), _ONE,
+                           out=masks[column], casting="unsafe")
+    return masks
 
 
-def _swap_masks(seed: int, start: int, stop: int, n_sentences: int) -> np.ndarray:
-    """Swap masks of iterations [start, stop) as float64 0/1 rows."""
+def _raw_masks(seeds: tuple[np.ndarray, ...], n_sentences: int, moving: np.ndarray) -> np.ndarray:
+    """The swap bits of the ``moving`` sentences under the PCG64
+    ``seeds``, as float64 rows, one per iteration: each row's generator
+    draws every 64-bit output of the row."""
+    from numpy.random import PCG64  # loaded for this draw only
+
     n_words = (n_sentences + 1) // 2
-    raw = np.empty((stop - start, n_words), dtype=np.uint64)
-    bitgen = np.random.PCG64(0)  # every row sets its own state
-    for row, (state, inc) in enumerate(_pcg64_seeds(seed, start, stop)):
+    hi, lo, inc_hi, inc_lo = (a.tolist() for a in seeds)
+    raw = np.empty((len(hi), n_words), dtype=np.uint64)
+    bitgen = PCG64(0)  # every row sets its own state
+    for row, (high, low, inc_high, inc_low) in enumerate(zip(hi, lo, inc_hi, inc_lo)):
         bitgen.state = {
             "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
+            "state": {"state": high << 64 | low, "inc": inc_high << 64 | inc_low},
             "has_uint32": 0,
             "uinteger": 0,
         }
@@ -207,10 +294,59 @@ def _swap_masks(seed: int, start: int, stop: int, n_sentences: int) -> np.ndarra
     # integers(0, 2) draws 32 bits at a time, the low half of each 64-bit
     # output first, and keeps the top bit: Lemire's method never rejects
     # with a range of 2.
-    halves = raw.astype("<u8", copy=False).view("<u4")[:, :n_sentences]
-    masks = np.empty((stop - start, n_sentences), dtype=np.float64)
+    halves = raw.astype("<u8", copy=False).view("<u4")[:, moving]
+    masks = np.empty(halves.shape)
     np.greater_equal(halves, np.uint32(1 << 31), out=masks, casting="unsafe")
     return masks
+
+
+# What each draw costs per iteration, measured on a 2-core x86-64 VM with
+# numpy 2.4.6 at 813 and 4065 sentences, each at the block length it
+# gets: the per-row draw about 7 us to seed the row's generator plus 3 ns
+# per 64-bit output of the row, the bit-only draw about 60 ns per output
+# that holds a moving sentence (its blocks shorten as more sentences
+# move). They cross near 137 of 407 outputs at 813 sentences and 218 of
+# 2033 at 4065. The per-row draw also loads numpy.random, once: about
+# 10 ms and 6 MB of peak memory.
+_ROW_NS, _RAW_WORD_NS, _BIT_WORD_NS = 7000, 3, 60
+
+
+def _draws_every_word(n_sentences: int, moving: np.ndarray) -> bool:
+    """Whether drawing every 64-bit output of each row costs less than
+    computing only the outputs that hold a ``moving`` sentence."""
+    moving_words = len(np.unique(moving >> 1))
+    return _ROW_NS + _RAW_WORD_NS * ((n_sentences + 1) // 2) < _BIT_WORD_NS * moving_words
+
+
+def _swap_masks(seed: int, start: int, stop: int, n_sentences: int, moving: np.ndarray) -> np.ndarray:
+    """The swap bits of iterations [start, stop) for the ``moving``
+    sentences (sorted indices among ``n_sentences``), as float64 0/1
+    rows over the moving columns."""
+    seeds = _pcg64_seeds(seed, np.arange(start, stop, dtype=np.uint32))
+    if _draws_every_word(n_sentences, moving):
+        return _raw_masks(seeds, n_sentences, moving)
+    return _bit_masks(seeds, moving).T
+
+
+# A block holds, per iteration, the float64 mask over the moving
+# sentences, the product and the scores computed from it (about four
+# times the width of the statistics), the draw's uint64 working arrays
+# and, for the per-row draw, every 64-bit output of the row and a copy
+# of the 32-bit halves it keeps: BLOCK_BYTES bounds that. Blocks never
+# exceed MAX_BLOCK_ROWS rows. Each numpy call of the bit-only draw has a
+# fixed cost of about a microsecond, so it gains from long blocks.
+BLOCK_BYTES = 2_500_000
+MAX_BLOCK_ROWS = 8192
+_DRAW_ROW_WORDS = 16
+
+
+def block_rows(n_sentences: int, moving: np.ndarray, width: int) -> int:
+    """Iterations per block for the swap bits of the ``moving`` sentences
+    among ``n_sentences`` and statistics ``width`` columns wide."""
+    row_words = len(moving) + 4 * width + _DRAW_ROW_WORDS
+    if _draws_every_word(n_sentences, moving):
+        row_words += (n_sentences + 1) // 2 + (len(moving) + 1) // 2
+    return max(1, min(MAX_BLOCK_ROWS, BLOCK_BYTES // (8 * row_words)))
 
 
 def observed_and_hits(
@@ -221,11 +357,12 @@ def observed_and_hits(
     swap masks of iterations [0, iterations) give a difference at least
     as large."""
     machine = _build_machine(codes, metric, include_upos)
-    n_sentences = len(codes.sentence_lengths)
-    observed = float(machine.diffs(np.zeros((1, n_sentences)))[0])
-    rows, hits = block_rows(n_sentences), 0
+    n_sentences, moving = len(codes.sentence_lengths), machine.moving
+    observed = float(machine.diffs(np.zeros((1, len(moving))))[0])
+    rows, hits = block_rows(n_sentences, moving, machine.delta.shape[1]), 0
     for start in range(0, iterations, rows):
         # the block's masks are a temporary, freed before the next is drawn
-        diffs = machine.diffs(_swap_masks(seed, start, min(start + rows, iterations), n_sentences))
+        stop = min(start + rows, iterations)
+        diffs = machine.diffs(_swap_masks(seed, start, stop, n_sentences, moving))
         hits += int((diffs >= observed).sum())
     return observed, hits

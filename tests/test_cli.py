@@ -438,6 +438,47 @@ def test_dedup_loads_metadata_only_for_a_report_with_metadata(fixtures_dir, tmp_
         "--metadata", fixtures_dir / "metadata.tsv")
 
 
+def _repeated_with_flipped_feats(gold, out, copies):
+    """``copies`` copies of the gold file, each sentence id suffixed with
+    its copy, as gold, a perfect prediction file and one whose every
+    token has other features: then every sentence moves under morph-acc."""
+    same, flipped = [], []
+    text = gold.read_text(encoding="utf-8").strip("\n") + "\n\n"
+    for copy in range(copies):
+        for line in text.split("\n")[:-1]:  # each copy ends with a blank line
+            cols = line.split("\t")
+            if line.startswith("# sent_id"):
+                line = f"{line}-{copy}"
+            same.append(line)
+            if cols[0].isdigit():
+                cols[5] = "Case=Nom" if cols[5] == "_" else "_"
+                line = "\t".join(cols)
+            flipped.append(line)
+    paths = out / "gold.conllu", out / "a.conllu", out / "b.conllu"
+    for path, lines in zip(paths, (same, same, flipped)):
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return paths
+
+
+def test_a_perm_test_loads_numpy_random_only_when_many_sentences_move(workdir, tmp_path):
+    # The bit-only draw replays PCG64 in numpy arithmetic; only the per-row
+    # draw, which pays off when many 64-bit outputs hold a moving sentence,
+    # loads numpy.random (about 10 ms and 6 MB of peak memory).
+    gold = workdir / "splits" / "Classical-UD" / "test.conllu"
+    pred_a, pred_b = tmp_path / "a.conllu", tmp_path / "b.conllu"
+    _write_predictions(gold, pred_a, pred_b)  # b differs on every third sentence
+    few = ["perm-test", "--gold", gold, "--a", pred_a, "--b", pred_b, "--n", "3000"]
+    loaded = _modules_loaded(tmp_path, _RUN_MAIN, *few)
+    assert "numpy" in loaded and "numpy.random" not in loaded
+    # the probe does see it where it is used
+    many = tmp_path / "many"
+    many.mkdir()
+    copies = -(-1000 // len(parse_conllu_file(gold)))
+    gold, pred_a, pred_b = _repeated_with_flipped_feats(gold, many, copies)
+    every = ["perm-test", "--gold", gold, "--a", pred_a, "--b", pred_b, "--n", "300"]
+    assert "numpy.random" in _modules_loaded(tmp_path, _RUN_MAIN, *every)
+
+
 _HAS_PROC = Path("/proc/self/task").is_dir()
 # After the run, the process's OS threads (where /proc lists them) and its
 # OPENBLAS_NUM_THREADS.

@@ -1,5 +1,6 @@
 import codecs
 import io
+import os
 import re
 from collections import Counter
 
@@ -683,3 +684,17 @@ def test_a_file_stem_holding_a_tab_or_a_line_break_is_a_parse_error(tmp_path, ch
     with pytest.raises(ParseError) as info:
         parse_conllu_file(path)
     assert str(info.value) == f"{path}: stem {'a' + char + 'b'!r} holds a tab or a line break"
+
+
+def test_a_file_stem_that_is_not_utf8_is_a_parse_error(tmp_path):
+    # the byte 0xff decodes to a lone surrogate, which no output can encode
+    path = tmp_path / os.fsdecode(b"a\xffb.conllu")
+    try:
+        path.write_text("1\tx\tx\tNOUN\t_\t_\t_\t_\t_\t_\n\n", encoding="utf-8")
+    except OSError:
+        pytest.skip("the file system refuses a file name that is not UTF-8")
+    with pytest.raises(ParseError) as info:
+        parse_conllu_file(path)
+    assert str(info.value) == f"{path}: stem 'a\\udcffb' cannot be encoded as UTF-8"
+    with pytest.raises(ParseError, match="cannot be encoded as UTF-8"):
+        CorpusReader().read("1\tx\tx\tNOUN\t_\t_\t_\t_\t_\t_\n\n", stem="a\udcffb")

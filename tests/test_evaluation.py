@@ -26,7 +26,15 @@ from latintb.evaluation import (
     whole_string_accuracy,
 )
 from latintb import permutation
-from latintb.permutation import _build_machine, _swap_masks
+from latintb.permutation import (
+    _bit_masks,
+    _build_machine,
+    _jump,
+    _pcg64_seeds,
+    _raw_masks,
+    _seed_pool,
+    _swap_masks,
+)
 from latintb.standardize import StandardRecord
 
 CASES = ["Nom", "Gen", "Dat", "Acc", "Abl", None]
@@ -473,7 +481,8 @@ def test_machine_diffs_match_point_metrics_on_swapped_sets(metric):
     preds_a = corrupt(gold, rng, 0.3)
     preds_b = corrupt(gold, rng, 0.5)
     masks = np.random.default_rng(11).integers(0, 2, (25, len(gold))).astype(np.float64)
-    diffs = _build_machine(_Codes(gold, preds_a, preds_b), metric, False).diffs(masks)
+    machine = _build_machine(_Codes(gold, preds_a, preds_b), metric, False)
+    diffs = machine.diffs(masks[:, machine.moving])
     for mask, diff in zip(masks, diffs):
         swapped_a = [b if bit else a for a, b, bit in zip(preds_a, preds_b, mask)]
         swapped_b = [a if bit else b for a, b, bit in zip(preds_a, preds_b, mask)]
@@ -552,7 +561,8 @@ def test_moving_sentences_give_the_full_product_bit_for_bit(triples, metric, mod
     n = len(gold)
     masks = np.random.default_rng(seed).integers(0, 2, (20, n)).astype(np.float64)
     masks = np.vstack([np.zeros(n), np.ones(n), masks])
-    assert np.array_equal(machine.diffs(masks), full_diffs(machine, stats_a, stats_b, masks))
+    assert np.array_equal(machine.diffs(masks[:, machine.moving]),
+                          full_diffs(machine, stats_a, stats_b, masks))
     if mode == "a == b":
         assert len(machine.moving) == 0
     elif mode == "b all wrong" and not metric.startswith("value-f1"):
@@ -560,7 +570,7 @@ def test_moving_sentences_give_the_full_product_bit_for_bit(triples, metric, mod
     # the p-value's counts, against the full product over the same draw
     iterations = 37
     observed = full_diffs(machine, stats_a, stats_b, np.zeros((1, n)))[0]
-    hits = int((full_diffs(machine, stats_a, stats_b, _swap_masks(seed, 0, iterations, n))
+    hits = int((full_diffs(machine, stats_a, stats_b, reference_swap_masks(seed, 0, iterations, n))
                 >= observed).sum())
     assert permutation.observed_and_hits(codes, metric, False, iterations, seed) == (observed, hits)
     if mode == "a == b":
@@ -579,6 +589,10 @@ def reference_swap_masks(seed, start, stop, n_sentences):
     return masks
 
 
+def spawn_words(start, stop):
+    return np.arange(start, stop, dtype=np.uint32)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(0, 2**160),
@@ -595,9 +609,104 @@ def reference_swap_masks(seed, start, stop, n_sentences):
 def test_swap_masks_match_one_generator_per_iteration(seed, start, rows, n_sentences):
     stop = start + rows
     assert np.array_equal(
-        _swap_masks(seed, start, stop, n_sentences),
+        _swap_masks(seed, start, stop, n_sentences, np.arange(n_sentences)),
         reference_swap_masks(seed, start, stop, n_sentences),
     )
+
+
+@st.composite
+def column_subsets(draw):
+    """A sentence count and a sorted, non-empty subset of its indices."""
+    n_sentences = draw(st.integers(1, 300))
+    columns = draw(st.sets(st.integers(0, n_sentences - 1), min_size=1, max_size=40))
+    return n_sentences, np.array(sorted(columns))
+
+
+# word w holds sentences 2w and 2w + 1
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**160), start=st.integers(0, 2**32 - 3), rows=st.integers(1, 3),
+       subset=column_subsets())
+@example(seed=3, start=0, rows=3, subset=(12, np.arange(12)))  # adjacent words, both sentences
+@example(seed=2**160, start=2**32 - 3, rows=3, subset=(12, np.array([1, 2, 5, 6])))  # one each
+@example(seed=5, start=9, rows=2, subset=(20, np.array([0, 4, 9, 15])))  # skip 1 word, then 2
+@example(seed=2**64, start=1, rows=3, subset=(300, np.array([0, 1, 150, 299])))  # skip many
+@example(seed=7, start=2**31, rows=3, subset=(40, np.arange(0, 40, 2)))  # only even
+@example(seed=2**96 + 1, start=4, rows=3, subset=(40, np.arange(1, 40, 2)))  # only odd
+@example(seed=11, start=2**32 - 3, rows=3, subset=(9, np.array([8])))  # last of an odd count
+@example(seed=12, start=0, rows=1, subset=(299, np.array([3, 298])))
+def test_both_draws_match_one_generator_per_iteration_on_any_sentences(seed, start, rows, subset):
+    n_sentences, moving = subset
+    stop = start + rows
+    expected = reference_swap_masks(seed, start, stop, n_sentences)[:, moving]
+    seeds = _pcg64_seeds(seed, spawn_words(start, stop))
+    assert np.array_equal(_bit_masks(seeds, moving).T, expected)
+    assert np.array_equal(_raw_masks(seeds, n_sentences, moving), expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**300))
+@example(seed=0)
+@example(seed=2**32 - 1)
+@example(seed=2**32)
+@example(seed=2**128 - 1)
+@example(seed=2**128)
+@example(seed=2**300 - 1)
+def test_seed_pool_is_numpys(seed):
+    assert _seed_pool(seed)[0] == np.random.SeedSequence(entropy=seed).pool.tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**160), start=st.integers(0, 2**32 - 3))
+@example(seed=0, start=0)
+@example(seed=2**128, start=2**32 - 3)
+def test_pcg64_seeds_are_numpys(seed, start):
+    hi, lo, inc_hi, inc_lo = (a.tolist() for a in _pcg64_seeds(seed, spawn_words(start, start + 3)))
+    for row, i in enumerate(range(start, start + 3)):
+        bitgen = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+        state = bitgen.state["state"]
+        assert (hi[row] << 64 | lo[row], inc_hi[row] << 64 | inc_lo[row]) == (state["state"], state["inc"])
+
+
+def test_a_jump_is_that_many_steps():
+    mult, plus, m = 1, 0, permutation._PCG64_MULT
+    for steps in range(1, 200):
+        # one more step: s -> m s + inc
+        mult, plus = mult * m % 2**128, (plus * m + 1) % 2**128
+        assert _jump(steps) == (mult, plus)
+    # jumps compose: a + b steps are b steps after a
+    (mult_a, plus_a), (mult_b, plus_b) = _jump(2**40 + 3), _jump(12345)
+    assert _jump(2**40 + 12348) == (mult_a * mult_b % 2**128, (mult_b * plus_a + plus_b) % 2**128)
+
+
+def test_the_draw_computes_in_unsigned_integers_only():
+    # Every ufunc of the seeding and the bit-only draw must take unsigned or
+    # boolean arrays and numpy scalars, never a Python number, whose type
+    # numpy < 2 picks from its value, and must make only unsigned or boolean
+    # results, except where it writes into a float64 mask through ``out``.
+    calls = []
+
+    class Unsigned(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+            calls.append(ufunc.__name__)
+            for operand in inputs:
+                assert isinstance(operand, (np.ndarray, np.generic)), (ufunc, operand)
+                assert operand.dtype.kind in "ub", (ufunc, operand.dtype)
+            plain = [x.view(np.ndarray) if isinstance(x, Unsigned) else x for x in inputs]
+            if out is not None:
+                kwargs["out"] = tuple(o.view(np.ndarray) if isinstance(o, Unsigned) else o for o in out)
+            result = getattr(ufunc, method)(*plain, **kwargs)
+            if out is not None:
+                return out[0] if len(out) == 1 else out
+            assert result.dtype.kind in "ub", (ufunc, result.dtype)
+            return result.view(Unsigned)
+
+    seed, start, stop = 2**130 + 7, 2**32 - 5, 2**32
+    seeds = _pcg64_seeds(seed, spawn_words(start, stop).view(Unsigned))
+    assert [(type(a), a.dtype) for a in seeds] == [(Unsigned, np.dtype(np.uint64))] * 4
+    moving = np.array([0, 1, 2, 5, 9, 40])
+    masks = _bit_masks(seeds, moving)
+    assert {"multiply", "add", "right_shift", "bitwise_and", "less"} <= set(calls)
+    assert np.array_equal(masks.T, reference_swap_masks(seed, start, stop, 41)[:, moving])
 
 
 @pytest.mark.parametrize("iterations", [1, 1023, 1024, 1025, 2049])
@@ -608,11 +717,52 @@ def test_p_value_matches_a_row_by_row_loop_over_reference_masks(metric, iteratio
     preds_a = corrupt(gold, rng, 0.3)
     preds_b = corrupt(gold, rng, 0.4)
     machine = _build_machine(_Codes(gold, preds_a, preds_b), metric, False)
-    observed = machine.diffs(np.zeros((1, len(gold))))[0]
-    masks = reference_swap_masks(13, 0, iterations, len(gold))
+    observed = machine.diffs(np.zeros((1, len(machine.moving))))[0]
+    masks = reference_swap_masks(13, 0, iterations, len(gold))[:, machine.moving]
     hits = sum(machine.diffs(mask[None, :])[0] >= observed for mask in masks)
     result = permutation_test(gold, preds_a, preds_b, metric, iterations=iterations, seed=13)
     assert result.p_value == hits / iterations
+
+
+def draws_taken(monkeypatch) -> list[str]:
+    """The names of the draws that the permutation test calls from now on."""
+    taken = []
+    for name in ("_bit_masks", "_raw_masks"):
+        def recorded(*args, draw=getattr(permutation, name), name=name):
+            taken.append(name)
+            return draw(*args)
+
+        monkeypatch.setattr(permutation, name, recorded)
+    return taken
+
+
+def one_token_apart(rng, gold, every):
+    """Predictions a and b equal to gold except on every ``every``-th
+    sentence, where one of them, at random, gets its first token wrong:
+    those sentences move, for each metric the records differ in."""
+    preds_a, preds_b = [list(s) for s in gold], [list(s) for s in gold]
+    for i in range(0, len(gold), every):
+        wrong = rng.choice((preds_a, preds_b))
+        wrong[i][0] = WRONG
+    return preds_a, preds_b
+
+
+@pytest.mark.parametrize("every, draw", [(1, "_raw_masks"), (24, "_bit_masks")])
+def test_the_draw_follows_how_many_words_hold_a_moving_sentence(monkeypatch, every, draw):
+    rng = random.Random(15)
+    gold = random_corpus(rng, 813, max_tokens=4)
+    preds_a, preds_b = one_token_apart(rng, gold, every)
+    machine = _build_machine(_Codes(gold, preds_a, preds_b), "morph-acc", False)
+    assert machine.moving.tolist() == list(range(0, 813, every))
+    taken = draws_taken(monkeypatch)
+    observed = machine.diffs(np.zeros((1, len(machine.moving))))[0]
+    iterations = 300
+    masks = reference_swap_masks(16, 0, iterations, len(gold))[:, machine.moving]
+    hits = sum(machine.diffs(mask[None, :])[0] >= observed for mask in masks)
+    result = permutation_test(gold, preds_a, preds_b, "morph-acc", iterations=iterations, seed=16)
+    assert result.p_value == hits / iterations
+    assert 0 < hits < iterations
+    assert set(taken) == {draw}
 
 
 # --- blocks of iterations --------------------------------------------------
@@ -625,20 +775,23 @@ def test_p_value_across_block_boundaries(monkeypatch, metric, block):
     gold = random_corpus(rng, 9, max_tokens=5)
     preds_a = corrupt(gold, rng, 0.3)
     preds_b = corrupt(gold, rng, 0.4)
-    monkeypatch.setattr(permutation, "BLOCK_BYTES", block * 12 * len(gold))
-    assert permutation.block_rows(len(gold)) == block
+    machine = _build_machine(_Codes(gold, preds_a, preds_b), metric, False)
+    moving, width = machine.moving, machine.delta.shape[1]
+    # 9 sentences take the bit-only draw, which keeps no 64-bit output
+    row_words = len(moving) + 4 * width + permutation._DRAW_ROW_WORDS
+    monkeypatch.setattr(permutation, "BLOCK_BYTES", block * 8 * row_words)
+    assert permutation.block_rows(len(gold), moving, width) == block
     drawn = []
 
-    def recorded_swap_masks(seed, start, stop, n_sentences):
+    def recorded_swap_masks(seed, start, stop, n_sentences, moving):
         drawn.append((start, stop))
-        return _swap_masks(seed, start, stop, n_sentences)
+        return _swap_masks(seed, start, stop, n_sentences, moving)
 
     monkeypatch.setattr(permutation, "_swap_masks", recorded_swap_masks)
-    machine = _build_machine(_Codes(gold, preds_a, preds_b), metric, False)
-    observed = machine.diffs(np.zeros((1, len(gold))))[0]
+    observed = machine.diffs(np.zeros((1, len(moving))))[0]
     for iterations in sorted({1, max(1, block - 1), block + 1, 2 * block + 1}):
         drawn.clear()
-        masks = reference_swap_masks(13, 0, iterations, len(gold))
+        masks = reference_swap_masks(13, 0, iterations, len(gold))[:, moving]
         hits = sum(machine.diffs(mask[None, :])[0] >= observed for mask in masks)
         result = permutation_test(gold, preds_a, preds_b, metric, iterations=iterations, seed=13)
         assert result.p_value == hits / iterations
@@ -647,25 +800,52 @@ def test_p_value_across_block_boundaries(monkeypatch, metric, block):
 
 
 def test_block_rows_keep_to_the_budget_and_the_row_cap():
-    assert permutation.block_rows(1) == permutation.MAX_BLOCK_ROWS == 1024
-    assert permutation.block_rows(120) == 1024
-    assert permutation.block_rows(813) == 256
-    assert permutation.block_rows(10**12) == 1
+    budget = permutation.BLOCK_BYTES // 8  # in 8-byte words
+    assert permutation.block_rows(1, np.arange(1), 1) == permutation.MAX_BLOCK_ROWS == 8192
+    assert permutation.block_rows(120, np.arange(0, 120, 7), 1) == 8192
+    # bit-only: the mask over the moving sentences, four times the
+    # statistics' width, and the draw's working arrays
+    assert permutation.block_rows(813, np.arange(0, 813, 50), 33) == budget // (17 + 4 * 33 + 16)
+    # per-row: every 64-bit output of the row and the halves kept, too
+    assert permutation.block_rows(813, np.arange(813), 1) == budget // (813 + 4 + 16 + 407 + 407)
+    assert permutation.block_rows(1, np.arange(1), 10**12) == 1
 
 
-def test_perm_test_memory_does_not_grow_with_iterations():
+def one_block_and_many(codes, metric, many):
+    """The traced peak memory of the permutation test over one block of
+    iterations and over ``many`` iterations, after an untraced run has
+    imported what the draw needs."""
+    machine = _build_machine(codes, metric, False)
+    block = permutation.block_rows(len(codes.sentence_lengths), machine.moving, machine.delta.shape[1])
+    permutation.observed_and_hits(codes, metric, False, 1, 1)
+    peaks = []
+    for iterations in (block, many):
+        tracemalloc.start()
+        try:
+            permutation.observed_and_hits(codes, metric, False, iterations, 1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
+def test_perm_test_memory_does_not_grow_with_iterations(monkeypatch):
     rng = random.Random(14)
     gold = random_corpus(rng, 813, max_tokens=19)
     codes = _Codes(gold, corrupt(gold, rng, 0.1), corrupt(gold, rng, 0.12))
-
-    def traced_peak(iterations):
-        tracemalloc.start()
-        try:
-            permutation.observed_and_hits(codes, "upos-macro-f1", False, iterations, 1)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    short, long = traced_peak(256), traced_peak(10_000)
+    taken = draws_taken(monkeypatch)
+    short, long = one_block_and_many(codes, "upos-macro-f1", 10_000)
     assert long < 5_000_000
     assert long <= short + 100_000
+    assert set(taken) == {"_raw_masks"}  # 351 of 407 words hold a moving sentence
+
+
+def test_perm_test_memory_does_not_grow_with_iterations_on_the_bit_only_draw(monkeypatch):
+    rng = random.Random(14)
+    gold = random_corpus(rng, 813, max_tokens=19)
+    codes = _Codes(gold, *one_token_apart(rng, gold, 6))
+    taken = draws_taken(monkeypatch)
+    short, long = one_block_and_many(codes, "upos-macro-f1", 40_000)
+    assert long < 5_000_000
+    assert long <= short + 100_000
+    assert set(taken) == {"_bit_masks"}

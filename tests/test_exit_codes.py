@@ -314,7 +314,7 @@ def test_an_output_file_gets_its_missing_directories(base, tmp_path):
 
 def test_a_text_that_cannot_be_encoded_fails_without_output(tmp_path):
     # a file name that is not UTF-8 reads as a stem holding a lone surrogate,
-    # which the commit cannot encode when it writes the converted file
+    # which no output could encode: the reader refuses it, naming the input
     corpus, out, name = tmp_path / "corpus", tmp_path / "out", os.fsdecode(b"\xff.conllu")
     corpus.mkdir()
     try:
@@ -322,7 +322,7 @@ def test_a_text_that_cannot_be_encoded_fails_without_output(tmp_path):
     except OSError:
         pytest.skip("the file system refuses a file name that is not UTF-8")
     code, stderr = run(["convert", "--in", corpus, "--flavor", "ud", "--out", out])
-    assert code == 1 and stderr.startswith(f"error: {out / name}: 'utf-8' codec can't encode")
+    assert (code, stderr) == (1, f"error: {corpus / name}: stem '\\udcff' cannot be encoded as UTF-8\n")
     assert not out.exists()
 
 
