@@ -136,6 +136,19 @@ def adj_item(rng: random.Random) -> Item:
     return Item(form, lemma, "ADJ", "ADJ", feats_ud, feats_lasla)
 
 
+# finite kind: singular ending, plural ending, Aspect, UD Tense, TraditionalTense, Voice
+FINITE_FORMS = {
+    "pres": ("at", "ant", "Imp", "Pres", "Pres", "Act"),
+    "impf": ("abat", "abant", "Imp", "Past", "Imp", "Act"),
+    "perf": ("auit", "auerunt", "Perf", "Past", "Perf", "Act"),
+    "fut": ("abit", "abunt", "Imp", "Fut", "Fut", "Act"),
+    # TraditionalTense says Fut; only Aspect separates it from the future
+    "futp": ("auerit", "auerint", "Perf", "Fut", "Fut", "Act"),
+    "pqp": ("auerat", "auerant", "Perf", "Pqp", "Pqp", "Act"),
+    "pass": ("atur", "antur", "Imp", "Pres", "Pres", "Pass"),
+}
+
+
 def verb_item(rng: random.Random) -> Item:
     stem, lemma = rng.choice(VERBS)
     kind = rng.choice(
@@ -145,56 +158,14 @@ def verb_item(rng: random.Random) -> Item:
     person, number = "3", rng.choice(("Sing", "Plur"))
     n_l = lasla_number(number)
 
-    if kind == "pres":
-        form = stem + ("at" if number == "Sing" else "ant")
-        ud = {"Aspect": "Imp", "Mood": "Ind", "Number": number, "Person": person,
-              "Tense": "Pres", "VerbForm": "Fin", "Voice": "Act"}
-        misc = [("TraditionalMood", "Ind"), ("TraditionalTense", "Pres")]
-        la = {"Aspect": "Imp", "Mood": "Ind", "Number": n_l, "Person": person,
-              "Tense": "Pres", "Voice": "Act"}
-    elif kind == "impf":
-        form = stem + ("abat" if number == "Sing" else "abant")
-        ud = {"Aspect": "Imp", "Mood": "Ind", "Number": number, "Person": person,
-              "Tense": "Past", "VerbForm": "Fin", "Voice": "Act"}
-        misc = [("TraditionalMood", "Ind"), ("TraditionalTense", "Imp")]
-        la = {"Aspect": "Imp", "Mood": "Ind", "Number": n_l, "Person": person,
-              "Tense": "Past", "Voice": "Act"}
-    elif kind == "perf":
-        form = stem + ("auit" if number == "Sing" else "auerunt")
-        ud = {"Aspect": "Perf", "Mood": "Ind", "Number": number, "Person": person,
-              "Tense": "Past", "VerbForm": "Fin", "Voice": "Act"}
-        misc = [("TraditionalMood", "Ind"), ("TraditionalTense", "Perf")]
-        la = {"Aspect": "Perf", "Mood": "Ind", "Number": n_l, "Person": person,
-              "Tense": "Past", "Voice": "Act"}
-    elif kind == "fut":
-        form = stem + ("abit" if number == "Sing" else "abunt")
-        ud = {"Aspect": "Imp", "Mood": "Ind", "Number": number, "Person": person,
-              "Tense": "Fut", "VerbForm": "Fin", "Voice": "Act"}
-        misc = [("TraditionalMood", "Ind"), ("TraditionalTense", "Fut")]
-        la = {"Aspect": "Imp", "Mood": "Ind", "Number": n_l, "Person": person,
-              "Tense": "Fut", "Voice": "Act"}
-    elif kind == "futp":
-        # TraditionalTense says Fut; only Aspect separates it from the future
-        form = stem + ("auerit" if number == "Sing" else "auerint")
-        ud = {"Aspect": "Perf", "Mood": "Ind", "Number": number, "Person": person,
-              "Tense": "Fut", "VerbForm": "Fin", "Voice": "Act"}
-        misc = [("TraditionalMood", "Ind"), ("TraditionalTense", "Fut")]
-        la = {"Aspect": "Perf", "Mood": "Ind", "Number": n_l, "Person": person,
-              "Tense": "Fut", "Voice": "Act"}
-    elif kind == "pqp":
-        form = stem + ("auerat" if number == "Sing" else "auerant")
-        ud = {"Aspect": "Perf", "Mood": "Ind", "Number": number, "Person": person,
-              "Tense": "Pqp", "VerbForm": "Fin", "Voice": "Act"}
-        misc = [("TraditionalMood", "Ind"), ("TraditionalTense", "Pqp")]
-        la = {"Aspect": "Perf", "Mood": "Ind", "Number": n_l, "Person": person,
-              "Tense": "Pqp", "Voice": "Act"}
-    elif kind == "pass":
-        form = stem + ("atur" if number == "Sing" else "antur")
-        ud = {"Aspect": "Imp", "Mood": "Ind", "Number": number, "Person": person,
-              "Tense": "Pres", "VerbForm": "Fin", "Voice": "Pass"}
-        misc = [("TraditionalMood", "Ind"), ("TraditionalTense", "Pres")]
-        la = {"Aspect": "Imp", "Mood": "Ind", "Number": n_l, "Person": person,
-              "Tense": "Pres", "Voice": "Pass"}
+    if kind in FINITE_FORMS:
+        singular, plural, aspect, tense, trad_tense, voice = FINITE_FORMS[kind]
+        form = stem + (singular if number == "Sing" else plural)
+        ud = {"Aspect": aspect, "Mood": "Ind", "Number": number, "Person": person,
+              "Tense": tense, "VerbForm": "Fin", "Voice": voice}
+        misc = [("TraditionalMood", "Ind"), ("TraditionalTense", trad_tense)]
+        la = {"Aspect": aspect, "Mood": "Ind", "Number": n_l, "Person": person,
+              "Tense": tense, "Voice": voice}
     elif kind == "inf":
         # infinitives carry no TraditionalTense; Aspect decides
         form = stem + "are"

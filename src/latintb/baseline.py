@@ -7,6 +7,7 @@ against brute-force oracles.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Sequence
 
 from .conllu import Sentence
@@ -20,51 +21,37 @@ _CLOSED_CLASS = {
     "ut": "SCONJ", "si": "SCONJ", "quod": "SCONJ",
     "qui": "PRON", "quae": "PRON", "hic": "PRON", "ille": "PRON", "is": "PRON",
 }
+_PRON = StandardRecord(upos="PRON", case="Nom", number="Sing")
+
+_verb = partial(StandardRecord, upos="VERB", tense="Pres", mood="Ind")
+_noun = partial(StandardRecord, upos="NOUN")
+# Tried in order: the first row with a suffix that ends the form gives its record.
+_SUFFIX_RULES = (
+    (("que",), StandardRecord(upos="CCONJ")),
+    (("nt",), _verb(person="3", number="Plur", voice="Act")),
+    (("ntur",), _verb(person="3", number="Plur", voice="Pass")),
+    (("tur",), _verb(person="3", number="Sing", voice="Pass")),
+    (("re",), _verb(mood="Inf", voice="Act")),
+    (("t",), _verb(person="3", number="Sing", voice="Act")),
+    (("orum", "arum"), _noun(case="Gen", number="Plur", gender=("Masc",))),
+    (("is",), _noun(case="Abl", number="Plur", gender=("Masc",))),
+    (("am",), _noun(case="Acc", number="Sing", gender=("Fem",))),
+    (("um",), _noun(case="Acc", number="Sing", gender=("Masc",))),
+    (("us",), _noun(case="Nom", number="Sing", gender=("Masc",))),
+    (("ae",), _noun(case="Gen", number="Sing", gender=("Fem",))),
+    (("a",), _noun(case="Nom", number="Sing", gender=("Fem",))),
+    (("e",), StandardRecord(upos="ADV")),
+)
 
 
 def predict_token(form: str) -> StandardRecord:
     word = normalize_form(form)
     if word in _CLOSED_CLASS:
         upos = _CLOSED_CLASS[word]
-        if upos == "PRON":
-            return StandardRecord(upos="PRON", case="Nom", number="Sing")
-        return StandardRecord(upos=upos)
-    if word.endswith("que"):
-        return StandardRecord(upos="CCONJ")
-    if word.endswith("nt"):
-        return StandardRecord(
-            upos="VERB", person="3", number="Plur", tense="Pres", mood="Ind", voice="Act"
-        )
-    if word.endswith("ntur"):
-        return StandardRecord(
-            upos="VERB", person="3", number="Plur", tense="Pres", mood="Ind", voice="Pass"
-        )
-    if word.endswith("tur"):
-        return StandardRecord(
-            upos="VERB", person="3", number="Sing", tense="Pres", mood="Ind", voice="Pass"
-        )
-    if word.endswith("re"):
-        return StandardRecord(upos="VERB", tense="Pres", mood="Inf", voice="Act")
-    if word.endswith("t"):
-        return StandardRecord(
-            upos="VERB", person="3", number="Sing", tense="Pres", mood="Ind", voice="Act"
-        )
-    if word.endswith("orum") or word.endswith("arum"):
-        return StandardRecord(upos="NOUN", case="Gen", number="Plur", gender=("Masc",))
-    if word.endswith("is"):
-        return StandardRecord(upos="NOUN", case="Abl", number="Plur", gender=("Masc",))
-    if word.endswith("am"):
-        return StandardRecord(upos="NOUN", case="Acc", number="Sing", gender=("Fem",))
-    if word.endswith("um"):
-        return StandardRecord(upos="NOUN", case="Acc", number="Sing", gender=("Masc",))
-    if word.endswith("us"):
-        return StandardRecord(upos="NOUN", case="Nom", number="Sing", gender=("Masc",))
-    if word.endswith("ae"):
-        return StandardRecord(upos="NOUN", case="Gen", number="Sing", gender=("Fem",))
-    if word.endswith("a"):
-        return StandardRecord(upos="NOUN", case="Nom", number="Sing", gender=("Fem",))
-    if word.endswith("e"):
-        return StandardRecord(upos="ADV")
+        return _PRON if upos == "PRON" else StandardRecord(upos=upos)
+    for suffixes, record in _SUFFIX_RULES:
+        if word.endswith(suffixes):
+            return record
     return StandardRecord(upos="NOUN")
 
 

@@ -42,9 +42,9 @@ class UsageError(ValueError):
 
 
 class Output(NamedTuple):
-    """The text of each output file, and the raw LASLA values read outside the inventory."""
+    """Each output file with its text, and the raw LASLA values read outside the inventory."""
 
-    files: dict[Path, str]
+    files: list[tuple[Path, str]]
     unknown: Counter
 
 
@@ -132,7 +132,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _report(args, config: ToolConfig, output: Output, path: Path, header, rows) -> None:
     """A TSV report, with the run's seed and config in its footer."""
     with _naming(path):
-        output.files[path] = reports.tsv_text(header, rows, seed=args.seed, config_hash=config.config_hash)
+        text = reports.tsv_text(header, rows, seed=args.seed, config_hash=config.config_hash)
+    output.files.append((path, text))
 
 
 def cmd_convert(args, config: ToolConfig, output: Output) -> int:
@@ -142,7 +143,7 @@ def cmd_convert(args, config: ToolConfig, output: Output) -> int:
     converter = Converter(args.flavor, config)  # its memos serve every file
     for file, sentences in read_corpus_files(args.input, reader):
         result = converter.convert(sentences)
-        output.files[args.out / file.name] = serialize_conllu(result.sentences)
+        output.files.append((args.out / file.name, serialize_conllu(result.sentences)))
         for rule in ALL_RULES:
             if result.audit.get(rule):
                 audit_rows.append((file.stem, rule, result.audit[rule]))
@@ -270,10 +271,12 @@ def cmd_split(args, config: ToolConfig, output: Output) -> int:
             atomicity_exceptions=config.atomicity_exceptions,
         )
         manifest = manifest._replace(audit=tuple(results))
-        output.files[args.out / f"{manifest.period}.manifest.json"] = reports.json_text(manifest)
+        output.files.append((args.out / f"{manifest.period}.manifest.json", reports.json_text(manifest)))
         parts = splits.materialize(manifest, ud_corpus, lasla_corpus)
         for split_name, sentences in parts.items():
-            output.files[args.out / manifest.period / f"{split_name}.conllu"] = serialize_conllu(sentences)
+            output.files.append(
+                (args.out / manifest.period / f"{split_name}.conllu", serialize_conllu(sentences))
+            )
             audit_rows.append((manifest.period, f"{split_name}-sentences", len(sentences), ""))
         for result in results:
             all_passed &= result.passed
@@ -335,7 +338,7 @@ def cmd_eval(args, config: ToolConfig, output: Output) -> int:
     print(report.format_table())
     if args.out is not None:
         provenance = reports.footer(args.seed, config.config_hash)
-        output.files[args.out] = reports.json_text({**report._asdict(), "provenance": provenance})
+        output.files.append((args.out, reports.json_text({**report._asdict(), "provenance": provenance})))
     return 0
 
 
@@ -403,24 +406,32 @@ def _fail(prefix: str, exc: Exception, code: int) -> int:
     return code
 
 
-def _commit(files: dict[Path, str]) -> None:
+def _commit(files: list[tuple[Path, str]]) -> None:
     """Every file written, or none: each text goes to a new sibling file, in a directory
-    made if missing, and all are renamed into place; a failure removes what was made."""
-    staged = {path: path.with_name(f".{path.name}.{os.getpid()}.new") for path in files}
+    made if missing, and all are renamed into place; a failure removes what was made.
+    Two outputs that name one directory entry, however spelled, are refused first."""
+    entries: dict[tuple[str, str], Path] = {}
+    for path, _ in files:
+        # the parent resolved, the name not: a symlink at an output path is replaced, not followed
+        entry = (os.path.realpath(path.parent), path.name)
+        if entry in entries:
+            raise ValueError(f"{path}: names the same file as output {entries[entry]}")
+        entries[entry] = path
+    staged = [(path, text, path.with_name(f".{path.name}.{os.getpid()}.new")) for path, text in files]
     # the directories the commit makes; in reverse order each comes before its parent
-    missing = sorted({d for path in files for d in path.parents if not d.exists()}, reverse=True)
+    missing = sorted({d for path, _ in files for d in path.parents if not d.exists()}, reverse=True)
     try:
-        for path, new in staged.items():
+        for path, text, new in staged:
             path.parent.mkdir(parents=True, exist_ok=True)
             with _naming(path):
                 if path.is_dir():  # else its rename would fail after others were done
                     raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-                new.write_text(files[path], encoding="utf-8")
-        for path, new in staged.items():
+                new.write_text(text, encoding="utf-8")
+        for path, _, new in staged:
             with _naming(path):
                 os.replace(new, path)
     except BaseException:
-        for leftover in [*staged.values(), *missing]:
+        for leftover in [*(new for _, _, new in staged), *missing]:
             with contextlib.suppress(OSError):
                 leftover.rmdir() if leftover in missing else leftover.unlink()
         raise
@@ -432,7 +443,7 @@ def main(argv: list[str] | None = None) -> int:
         config = ToolConfig.load(args.config)
     except (ValueError, OSError) as exc:
         return _fail("config error", exc, 2)
-    output = Output({}, Counter())
+    output = Output([], Counter())
     try:
         code = args.run(args, config, output)
         _commit(output.files)

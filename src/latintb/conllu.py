@@ -103,14 +103,8 @@ class FeatureBundle:
     def to_string(self) -> str:
         return self._string
 
-    def __bool__(self) -> bool:
-        return bool(self._index)
-
     def __len__(self) -> int:
         return len(self._index)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._index
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FeatureBundle):

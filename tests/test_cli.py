@@ -352,6 +352,21 @@ def test_perm_test_without_tokens_is_validation_failure(tmp_path, capsys):
     assert capsys.readouterr().err == "error: no tokens to score\n"
 
 
+def test_perm_test_notes_when_no_simulated_difference_reaches_the_observed_one(tmp_path, capsys):
+    # b is wrong on every one of 200 sentences: no relabelling comes near
+    paths = {}
+    for name, case in (("gold", "Nom"), ("a", "Nom"), ("b", "Acc")):
+        paths[name] = tmp_path / f"{name}.conllu"
+        paths[name].write_text("".join(f"# sent_id = s{i}\n1\tx\tx\tNOUN\t_\tCase={case}\t_\t_\t_\t_\n\n"
+                                       for i in range(200)))
+    assert main(["perm-test", "--gold", str(paths["gold"]), "--a", str(paths["a"]),
+                 "--b", str(paths["b"]), "--n", "1000"]) == 0
+    assert capsys.readouterr().out == (
+        "metric=morph-acc observed_diff=1.000000 p=0.0000 iterations=1000 seed=0\n"
+        "note: no simulated difference reached the observed one; p < 0.003 (rule of three)\n"
+    )
+
+
 def _src_path() -> str:
     return str(Path(latintb.__file__).parents[1])
 

@@ -59,6 +59,11 @@ def test_empty_bundle_serializes_to_underscore():
     assert FeatureBundle().to_string() == "_"
 
 
+def test_a_bundle_is_truthy_when_it_holds_a_feature():
+    assert bool(FeatureBundle()) is False
+    assert bool(_feats("Case=Nom")) is True
+
+
 def test_misc_round_trips_traditional_mood():
     token = Token(id=1, form="x", lemma="x", upos="NOUN", misc=(("TraditionalMood", "Ind"),))
     sentence = Sentence(sent_id="s", tokens=(token,))
@@ -130,6 +135,16 @@ def test_duplicate_misc_key_rejected():
 def test_empty_feature_value_rejected():
     with pytest.raises(ParseError):
         parse_conllu("1\tx\tx\tNOUN\t_\tCase=\t_\t_\t_\t_\n")
+
+
+@pytest.mark.parametrize("raw, message", [
+    ("=Nom", "empty feature name"),
+    ("Case=Nom=Acc", "feature 'Case' has a value with structural characters"),
+], ids=["empty-name", "value-holding-equals"])
+def test_a_malformed_feats_item_names_its_line(raw, message):
+    text = f"# sent_id = s\n{ARMA}\n2\tx\tx\tNOUN\t_\t{raw}\t_\t_\t_\t_\n"
+    with pytest.raises(ParseError, match=f"^line 3 \\(sentence 's'\\): {re.escape(message)}$"):
+        parse_conllu(text)
 
 
 def test_duplicate_feature_rejected():

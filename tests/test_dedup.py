@@ -141,6 +141,16 @@ def test_disjoint_corpora_no_pairs():
     assert find_duplicates(a, b) == []
 
 
+def test_a_candidate_that_shares_no_token_is_dropped():
+    # the first tokens share their first 20 characters, a char-prefix key,
+    # but no form of one sentence is a form of the other
+    a = [sent("a1", ["quadringentesimusprimus", "alpha", "beta"], "wa")]
+    b = [sent("b1", ["quadringentesimusprimo", "gamma", "delta"], "wb")]
+    norms_a, norms_b = [matching_key(s) for s in a], [matching_key(s) for s in b]
+    assert oracle_candidates(norms_a, norms_b, DEFAULT_MIN_CHARS, DEFAULT_MIN_TOKENS) == {(0, 0)}
+    assert find_duplicates(a, b) == []
+
+
 def test_fixture_duplicates_match_planted_set(
     ud_corpus, lasla_corpus, duplicate_pairs, planted_duplicates
 ):

@@ -306,6 +306,43 @@ def test_an_output_path_held_by_a_directory_fails_before_any_output(tmp_path):
     assert tree(tmp_path) == before
 
 
+@pytest.mark.parametrize("case", ["same-spelling", "input-named-like-a-report", "dot-dot"])
+def test_two_outputs_that_name_one_file_fail_before_any_output(tmp_path, case):
+    # an existing output keeps its bytes, and no other file is written
+    held = tmp_path / "x.tsv"
+    held.write_bytes(b"earlier\n")
+    (tmp_path / "sub").mkdir()
+    pair = ["dedup", "--a", FIXTURES / "ud", "--b", FIXTURES / "lasla", "--out", held]
+    if case == "same-spelling":
+        argv, first, second = [*pair, "--report", held], held, held
+    elif case == "dot-dot":
+        second = tmp_path / "sub" / ".." / "x.tsv"
+        argv, first = [*pair, "--report", second], held
+    else:  # convert writes each input under its own name, beside its reports
+        corpus = tmp_path / "anomalies.tsv"
+        shutil.copy(FIXTURES / "ud" / "bible_john.conllu", corpus)
+        held = tmp_path / "d" / "anomalies.tsv"
+        held.parent.mkdir()
+        held.write_bytes(b"earlier\n")
+        argv = ["convert", "--in", corpus, "--flavor", "ud", "--out", held.parent]
+        first = second = held
+    before = tree(tmp_path)
+    assert run(argv) == (1, f"error: {second}: names the same file as output {first}\n")
+    assert tree(tmp_path) == before
+
+
+def test_a_symlink_at_an_output_path_is_replaced_not_followed(tmp_path):
+    target = tmp_path / "x.tsv"
+    target.write_bytes(b"earlier\n")
+    link = tmp_path / "link.tsv"
+    link.symlink_to(target)
+    argv = ["dedup", "--a", FIXTURES / "ud", "--b", FIXTURES / "lasla", "--out", target,
+            "--report", link]
+    assert run(argv) == (0, "")
+    assert not link.is_symlink()
+    assert target.read_text().startswith("sent_a\t") and link.read_text().startswith("author\t")
+
+
 def test_an_output_file_gets_its_missing_directories(base, tmp_path):
     out = tmp_path / "new" / "dir" / "lint.tsv"
     assert run(["lint", "--in", base / "cl_alpha.conllu", "--out", out]) == (0, "")

@@ -2,6 +2,7 @@ import re
 
 import pytest
 
+from latintb.cli import main
 from latintb.metadata import (
     PERIOD_BIBLE,
     PERIOD_CLASSICAL,
@@ -94,6 +95,19 @@ def test_count_crosscheck(ud_corpus):
 
 
 HEADER = "treebank\twork_id\tauthor\tcentury\tis_bible\tgenres\ttrain_sents\tdev_sents\ttest_sents"
+
+
+@pytest.mark.parametrize("row, line", [
+    ("Other\tw\tA\t-1\tfalse\tspeech\t1\t0\t0",
+     "w\tunknown-treebank\ttreebank 'Other' not recognized"),
+    ("Perseus\tw\tA\t-1\tfalse\tspeech\t1\t-1\t0",
+     "w\tnegative-count\tsentence counts must be non-negative"),
+], ids=["unknown-treebank", "negative-count"])
+def test_metadata_validate_lists_a_violation(tmp_path, capsys, row, line):
+    table = tmp_path / "meta.tsv"
+    table.write_text(f"{HEADER}\n{row}\n")
+    assert main(["metadata-validate", "--file", str(table)]) == 1
+    assert capsys.readouterr() == (f"{line}\n", "1 violations\n")
 
 
 def test_strict_load_raises(tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from latintb.conllu import FeatureBundle, Token
 from latintb.standardize import (
     ANOMALY_MOOD_CONFLICT,
+    ANOMALY_UNKNOWN_VALUE,
     ANOMALY_TRAD_ON_NONVERB,
     CASES,
     DEGREES,
@@ -21,6 +22,8 @@ from latintb.standardize import (
     UD_TENSES,
     VOICES,
     LINT_ESSE_AS_NOUN,
+    LINT_INF_WITH_CASE,
+    LINT_SUI_WITH_NUMBER,
     StandardRecord,
     TenseAspectTable,
     legality_check,
@@ -130,6 +133,14 @@ def test_ud_traditional_mood_wins():
         misc=[("TraditionalMood", "Gdv")],
     )
     assert standardize_ud(token).mood == "Gdv"
+
+
+def test_ud_unknown_traditional_mood_gives_no_mood():
+    # the MISC value wins over FEATS Mood=Ind, and it is outside the inventory
+    token = make_token({"Mood": "Ind", "VerbForm": "Fin"}, misc=[("TraditionalMood", "Xyz")])
+    record = standardize_ud(token)
+    assert record.mood is None
+    assert record.anomalies == (ANOMALY_UNKNOWN_VALUE,)
 
 
 def test_traditional_field_on_non_verb_flags_anomaly():
@@ -268,6 +279,16 @@ def test_lint_flags_esse_as_noun():
     token = make_token({}, upos="NOUN", form="esse", lemma="sum")
     record = StandardRecord(upos="NOUN")
     assert LINT_ESSE_AS_NOUN in lint_token(token, record)
+
+
+@pytest.mark.parametrize("token, record, code", [
+    (make_token(form="amare"),
+     StandardRecord(upos="VERB", tense="Pres", mood="Inf", voice="Act", case="Acc"), LINT_INF_WITH_CASE),
+    (make_token(upos="PRON", form="se", lemma="sui"),
+     StandardRecord(upos="PRON", case="Acc", number="Sing"), LINT_SUI_WITH_NUMBER),
+], ids=["infinitive-with-case", "sui-with-number"])
+def test_lint_flags_a_divergence_left_untouched(token, record, code):
+    assert lint_token(token, record) == [code]
 
 
 def test_morph_string_sorted_alphabetically():
