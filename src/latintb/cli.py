@@ -3,8 +3,9 @@ split, eval, perm-test, lint.
 
 Identical inputs, flags, and seed produce byte-identical outputs. Exit
 codes: 0 success, 1 validation failure, 2 usage error. A command only
-reads and computes; ``main`` alone writes its outputs, all or none, and
-turns a failure into its exit code and one line on stderr.
+reads and computes, through and into its run record; ``main`` alone
+writes its outputs, all or none, and prints its results only after the
+outputs are written, so a failing run prints only its one error line.
 """
 
 from __future__ import annotations
@@ -31,9 +32,7 @@ from . import __version__, reports
 from .config import InfeasibleSplitError, ToolConfig
 from .conllu import serialize_conllu
 from .harmonize import ALL_RULES
-from .pipeline import (
-    FLAVORS, Converter, aligned_pairs, convert_corpus, corpus_reader, load_corpus, read_corpus_files,
-)
+from .pipeline import FLAVORS, Converter, aligned_pairs, convert_corpus, corpus_reader, read_corpus_files
 from .standardize import lint_token
 
 
@@ -42,10 +41,31 @@ class UsageError(ValueError):
 
 
 class Output(NamedTuple):
-    """Each output file with its text, and the raw LASLA values read outside the inventory."""
+    """A run's record: its config and seed, each output file with its text, the lines for
+    stdout and stderr, and the raw LASLA values read outside the inventory. ``main`` prints
+    the lines only after every file is written, so a run that fails prints no result."""
 
+    config: ToolConfig
+    seed: int
     files: list[tuple[Path, str]]
+    stdout: list[str]
+    stderr: list[str]
     unknown: Counter
+
+    def read(self, flavor: str, *paths: Path, by_file: bool = False) -> list[list]:
+        """Each path's sentences in file order, or ``by_file`` its files with their sentences,
+        read through one new reader of the flavor. The reader's unknown-value counts go to the
+        run; the reader, with its memos, is dropped when the read returns."""
+        reader = corpus_reader(flavor, self.config)
+        read = [read_corpus_files(path, reader) for path in paths]
+        self.unknown.update(reader.unknown_values)
+        return read if by_file else [[s for _, sentences in files for s in sentences] for files in read]
+
+    def tsv(self, path: Path, header, rows) -> None:
+        """A TSV report at ``path``, with the run's seed and config in its footer."""
+        with _naming(path):
+            text = reports.tsv_text(header, rows, seed=self.seed, config_hash=self.config.config_hash)
+        self.files.append((path, text))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -129,62 +149,47 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _report(args, config: ToolConfig, output: Output, path: Path, header, rows) -> None:
-    """A TSV report, with the run's seed and config in its footer."""
-    with _naming(path):
-        text = reports.tsv_text(header, rows, seed=args.seed, config_hash=config.config_hash)
-    output.files.append((path, text))
-
-
-def cmd_convert(args, config: ToolConfig, output: Output) -> int:
-    reader = corpus_reader(args.flavor, config)
+def cmd_convert(args, output: Output) -> int:
+    [files] = output.read(args.flavor, args.input, by_file=True)
     audit_rows = []
     anomaly_rows = []
-    converter = Converter(args.flavor, config)  # its memos serve every file
-    for file, sentences in read_corpus_files(args.input, reader):
+    converter = Converter(args.flavor, output.config)  # its memos serve every file
+    for file, sentences in files:
         result = converter.convert(sentences)
         output.files.append((args.out / file.name, serialize_conllu(result.sentences)))
         for rule in ALL_RULES:
             if result.audit.get(rule):
                 audit_rows.append((file.stem, rule, result.audit[rule]))
         anomaly_rows.extend(result.anomalies)
-    _report(args, config, output, args.out / "harmonization_audit.tsv",
-            ("corpus", "rule_id", "tokens_affected"), audit_rows)
-    _report(args, config, output, args.out / "anomalies.tsv", ("sent_id", "token_id", "code"), anomaly_rows)
-    output.unknown.update(reader.unknown_values)
+    output.tsv(args.out / "harmonization_audit.tsv", ("corpus", "rule_id", "tokens_affected"), audit_rows)
+    output.tsv(args.out / "anomalies.tsv", ("sent_id", "token_id", "code"), anomaly_rows)
     return 0
 
 
-def cmd_dedup(args, config: ToolConfig, output: Output) -> int:
+def cmd_dedup(args, output: Output) -> int:
     from . import dedup
 
-    corpus_a, unknown_a = load_corpus(args.corpus_a, args.a_flavor, config)
-    corpus_b, unknown_b = load_corpus(args.corpus_b, args.b_flavor, config)
-    pairs = dedup.find_duplicates(
-        corpus_a,
-        corpus_b,
-        min_chars=config.dedup_min_chars,
-        min_tokens=config.dedup_min_tokens,
-    )
-    _report(args, config, output, args.out, dedup.MANIFEST_HEADER, dedup.manifest_rows(pairs))
+    [corpus_a] = output.read(args.a_flavor, args.corpus_a)
+    [corpus_b] = output.read(args.b_flavor, args.corpus_b)
+    pairs = dedup.find_duplicates(corpus_a, corpus_b, min_chars=output.config.dedup_min_chars,
+                                  min_tokens=output.config.dedup_min_tokens)
+    output.tsv(args.out, dedup.MANIFEST_HEADER, dedup.manifest_rows(pairs))
     if args.report is not None:
         metadata = None
         if args.metadata is not None:
             from .metadata import load_metadata
 
             metadata = load_metadata(args.metadata)
-        _report(args, config, output, args.report, ("author", "work", "duplicates"),
-                dedup.duplicate_report(pairs, metadata))
-    output.unknown.update(unknown_a + unknown_b)
+        output.tsv(args.report, ("author", "work", "duplicates"), dedup.duplicate_report(pairs, metadata))
     return 0
 
 
-def cmd_agree(args, config: ToolConfig, output: Output) -> int:
+def cmd_agree(args, output: Output) -> int:
     from . import dedup
     from .agreement import STAGE_CONVERTED, STAGE_RAW, agreement_table
 
-    corpus_a, unknown_a = load_corpus(args.corpus_a, args.a_flavor, config)
-    corpus_b, unknown_b = load_corpus(args.corpus_b, args.b_flavor, config)
+    [corpus_a] = output.read(args.a_flavor, args.corpus_a)
+    [corpus_b] = output.read(args.b_flavor, args.corpus_b)
     manifest = dedup.read_manifest(args.dups)
     # conversion works per sentence, so only the named sentences need it;
     # aligned_pairs still rejects a pair that the corpora do not hold
@@ -192,8 +197,8 @@ def cmd_agree(args, config: ToolConfig, output: Output) -> int:
     named_b = {row[1] for row in manifest}
     corpus_a = [s for s in corpus_a if s.sent_id in named_a]
     corpus_b = [s for s in corpus_b if s.sent_id in named_b]
-    converted_a = convert_corpus(corpus_a, args.a_flavor, config)
-    converted_b = convert_corpus(corpus_b, args.b_flavor, config)
+    converted_a = convert_corpus(corpus_a, args.a_flavor, output.config)
+    converted_b = convert_corpus(corpus_b, args.b_flavor, output.config)
     pairs = aligned_pairs(
         manifest, corpus_a, corpus_b, converted_a.records, converted_b.records
     )
@@ -208,41 +213,37 @@ def cmd_agree(args, config: ToolConfig, output: Output) -> int:
         for row in (before.get(feature), after.get(feature)):
             cells += [row.percent_str(), row.same, row.total] if row else ["--"] * 3
         rows.append(cells)
-    _report(args, config, output, args.out,
-            ("feature", "before_pct", "before_same", "before_total",
-             "after_pct", "after_same", "after_total"), rows)
-    output.unknown.update(unknown_a + unknown_b)
+    output.tsv(args.out, ("feature", "before_pct", "before_same", "before_total",
+                          "after_pct", "after_same", "after_total"), rows)
     return 0
 
 
-def cmd_metadata_validate(args, config: ToolConfig, output: Output) -> int:
+def cmd_metadata_validate(args, output: Output) -> int:
     from .metadata import read_metadata, validate_metadata
 
     rows = read_metadata(args.file)
     corpus_counts = None
     if args.corpus is not None:
-        sentences, unknown_values = load_corpus(args.corpus, args.flavor, config)
+        [sentences] = output.read(args.flavor, args.corpus)
         corpus_counts = Counter(sentence.work_id or "?" for sentence in sentences)
-        output.unknown.update(unknown_values)
     violations = validate_metadata(rows, corpus_counts=corpus_counts)
-    for violation in violations:
-        print(f"{violation.work_id}\t{violation.code}\t{violation.message}")
+    output.stdout.extend(f"{v.work_id}\t{v.code}\t{v.message}" for v in violations)
     if violations:
-        print(f"{len(violations)} violations", file=sys.stderr)
+        output.stderr.append(f"{len(violations)} violation{'' if len(violations) == 1 else 's'}")
         return 1
-    print("metadata ok")
+    output.stdout.append("metadata ok")
     return 0
 
 
-def cmd_split(args, config: ToolConfig, output: Output) -> int:
+def cmd_split(args, output: Output) -> int:
     from . import dedup, splits
     from .metadata import load_metadata
 
-    ud_corpus, _ = load_corpus(args.ud, "ud", config)
+    [ud_corpus] = output.read("ud", args.ud)
     lasla_corpus = None
     if args.lasla is not None:
         # convert writes plain CoNLL-U, so lasla_mapping (raw LASLA) does not apply
-        lasla_corpus, _ = load_corpus(args.lasla, "ud", config)
+        [lasla_corpus] = output.read("ud", args.lasla)
     metadata = load_metadata(args.metadata)
     manifest_rows = dedup.read_manifest(args.dups)
     published = None
@@ -254,8 +255,8 @@ def cmd_split(args, config: ToolConfig, output: Output) -> int:
         metadata,
         manifest_rows,
         args.seed,
-        dev_fraction=config.dev_fraction,
-        min_test=config.min_test_sentences,
+        dev_fraction=output.config.dev_fraction,
+        min_test=output.config.min_test_sentences,
         published=published,
     )
     audit_rows = []
@@ -267,8 +268,8 @@ def cmd_split(args, config: ToolConfig, output: Output) -> int:
             lasla_corpus,
             metadata,
             manifest_rows,
-            min_test=config.min_test_sentences,
-            atomicity_exceptions=config.atomicity_exceptions,
+            min_test=output.config.min_test_sentences,
+            atomicity_exceptions=output.config.atomicity_exceptions,
         )
         manifest = manifest._replace(audit=tuple(results))
         output.files.append((args.out / f"{manifest.period}.manifest.json", reports.json_text(manifest)))
@@ -288,8 +289,7 @@ def cmd_split(args, config: ToolConfig, output: Output) -> int:
                     "; ".join(result.details),
                 )
             )
-    _report(args, config, output, args.out / "split_audit.tsv", ("period", "check", "result", "details"),
-            audit_rows)
+    output.tsv(args.out / "split_audit.tsv", ("period", "check", "result", "details"), audit_rows)
     return 0 if all_passed else 1
 
 
@@ -304,45 +304,40 @@ def _naming(path: Path):
         raise OSError(exc.errno, exc.strerror, str(path)) from None
 
 
-def _aligned_records(config: ToolConfig, gold_path: Path, *pred_paths: Path):
+def _aligned_records(output: Output, gold_path: Path, *pred_paths: Path):
     from . import evaluation
 
     # One reader and one record memo serve gold and predictions, so a
     # FEATS string the files share is parsed once and each distinct
     # (UPOS, bundle) pair becomes one record. Sentence ids stay checked
     # per path: gold and predictions share them.
-    reader = corpus_reader("ud", config)
-    paths = (gold_path, *pred_paths)
-    gold, *preds = [
-        [sentence for _, sentences in read_corpus_files(path, reader) for sentence in sentences]
-        for path in paths
-    ]
+    gold, *preds = corpora = output.read("ud", gold_path, *pred_paths)
     for path, pred in zip(pred_paths, preds):
         with _naming(path):
             evaluation.check_alignment(gold, pred)
     memo: evaluation.RecordMemo = {}
     records = []
-    for path, corpus in zip(paths, (gold, *preds)):
+    for path, corpus in zip((gold_path, *pred_paths), corpora):
         with _naming(path):
             records.append(evaluation.records_of(corpus, memo))
     return records
 
 
-def cmd_eval(args, config: ToolConfig, output: Output) -> int:
+def cmd_eval(args, output: Output) -> int:
     from . import evaluation
 
-    gold_records, pred_records = _aligned_records(config, args.gold, args.pred)
+    gold_records, pred_records = _aligned_records(output, args.gold, args.pred)
     report = evaluation.evaluate(
-        gold_records, pred_records, include_upos=config.include_upos_in_string
+        gold_records, pred_records, include_upos=output.config.include_upos_in_string
     )
-    print(report.format_table())
+    output.stdout.append(report.format_table())
     if args.out is not None:
-        provenance = reports.footer(args.seed, config.config_hash)
+        provenance = reports.footer(output.seed, output.config.config_hash)
         output.files.append((args.out, reports.json_text({**report._asdict(), "provenance": provenance})))
     return 0
 
 
-def cmd_perm_test(args, config: ToolConfig, output: Output) -> int:
+def cmd_perm_test(args, output: Output) -> int:
     # Before numpy loads, or OpenBLAS starts a worker thread per core that
     # each process pays to start and stop; the sums are exact integer
     # counts, so any thread count gives the same bytes. Not in
@@ -366,36 +361,34 @@ def cmd_perm_test(args, config: ToolConfig, output: Output) -> int:
         if bad:
             raise UsageError(message)
     result = evaluation.permutation_test(
-        *_aligned_records(config, args.gold, args.pred_a, args.pred_b),
+        *_aligned_records(output, args.gold, args.pred_a, args.pred_b),
         args.metric,
         iterations=args.iterations,
         seed=args.seed,
-        include_upos=config.include_upos_in_string,
+        include_upos=output.config.include_upos_in_string,
     )
-    line = (
+    output.stdout.append(
         f"metric={result.metric} observed_diff={result.observed_diff:.6f} "
         f"p={result.p_value:.4f} iterations={result.iterations} seed={result.seed}"
     )
-    print(line)
     if result.note:
-        print(f"note: {result.note}")
+        output.stdout.append(f"note: {result.note}")
     if args.out is not None:
-        _report(args, config, output, args.out, ("metric", "observed_diff", "p_value", "iterations", "seed"),
-                [(result.metric, f"{result.observed_diff:.6f}", f"{result.p_value:.4f}",
-                  result.iterations, result.seed)])
+        output.tsv(args.out, ("metric", "observed_diff", "p_value", "iterations", "seed"),
+                   [(result.metric, f"{result.observed_diff:.6f}", f"{result.p_value:.4f}",
+                     result.iterations, result.seed)])
     return 0
 
 
-def cmd_lint(args, config: ToolConfig, output: Output) -> int:
-    sentences, unknown_values = load_corpus(args.input, args.flavor, config)
-    converted = convert_corpus(sentences, args.flavor, config)
+def cmd_lint(args, output: Output) -> int:
+    [sentences] = output.read(args.flavor, args.input)
+    converted = convert_corpus(sentences, args.flavor, output.config)
     rows = []
     for sentence, records in zip(converted.sentences, converted.records):
         for token, record in zip(sentence.tokens, records):
-            for code in lint_token(token, record, config.legality_rules):
+            for code in lint_token(token, record, output.config.legality_rules):
                 rows.append((sentence.sent_id, token.id, code))
-    _report(args, config, output, args.out, ("sent_id", "token_id", "code"), rows)
-    output.unknown.update(unknown_values)
+    output.tsv(args.out, ("sent_id", "token_id", "code"), rows)
     return 0
 
 
@@ -443,9 +436,9 @@ def main(argv: list[str] | None = None) -> int:
         config = ToolConfig.load(args.config)
     except (ValueError, OSError) as exc:
         return _fail("config error", exc, 2)
-    output = Output([], Counter())
+    output = Output(config, args.seed, [], [], [], Counter())
     try:
-        code = args.run(args, config, output)
+        code = args.run(args, output)
         _commit(output.files)
     except UsageError as exc:
         return _fail("usage error", exc, 2)
@@ -453,8 +446,13 @@ def main(argv: list[str] | None = None) -> int:
         return _fail("infeasible", exc, 1)
     except (ValueError, OSError) as exc:  # a bad input, or a path that cannot be read or written
         return _fail("error", exc, 1)
-    if code == 0 and output.unknown:
-        print(f"warning: {sum(output.unknown.values())} feature values outside the LASLA inventory "
+    for line in output.stdout:
+        print(line)
+    for line in output.stderr:
+        print(line, file=sys.stderr)
+    unknown = sum(output.unknown.values())
+    if code == 0 and unknown:
+        print(f"warning: {unknown} feature value{'' if unknown == 1 else 's'} outside the LASLA inventory "
               "kept as read", file=sys.stderr)
     return code
 

@@ -159,5 +159,6 @@ def load_metadata(path: str | Path) -> dict[str, TextMetadata]:
     violations = validate_metadata(rows)
     if violations:
         summary = "; ".join(f"{v.work_id}: {v.code}" for v in violations[:5])
-        raise MetadataError(f"{len(violations)} metadata violations ({summary} ...)")
+        count = f"{len(violations)} metadata violation{'' if len(violations) == 1 else 's'}"
+        raise MetadataError(f"{count} ({summary} ...)")
     return {meta.work_id: meta for meta in rows}

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 import latintb
 from latintb.baseline import predict_corpus
 from latintb import evaluation
-from latintb.cli import _aligned_records, main
+from latintb.cli import Output, _aligned_records, main
 from latintb.config import ToolConfig
 from latintb.conllu import parse_conllu_file, serialize_conllu
 from latintb.harmonize import RULE_PRON_PERSON
@@ -215,7 +216,8 @@ def test_gold_and_predictions_share_records_and_sentence_ids(tmp_path, capsys, m
         return records_of(sentences, memo)
 
     monkeypatch.setattr(evaluation, "records_of", recorded_records_of)
-    (gold_s1, gold_s2), (pred_s1, pred_s2) = _aligned_records(ToolConfig(), gold, pred)
+    output = Output(ToolConfig(), 0, [], [], [], Counter())
+    (gold_s1, gold_s2), (pred_s1, pred_s2) = _aligned_records(output, gold, pred)
     assert pred_s1[0] is gold_s1[0]
     assert pred_s2[0] is not gold_s2[0]
     # an identical token line is one token in both files
@@ -249,6 +251,21 @@ def test_a_raw_lasla_read_warns_once_with_its_unknown_value_count(fixtures_dir, 
     assert main(["lint", "--in", str(lasla), "--flavor", "lasla", "--out", str(tmp_path)]) == 1
     error = capsys.readouterr().err
     assert error.startswith("error: ") and error.count("\n") == 1
+
+
+def test_the_unknown_values_of_two_raw_lasla_reads_are_counted_together(tmp_path, capsys):
+    # each corpus has one Case=Erg, a value outside LASLA's inventory
+    line = "1\tpuer\tpuer\tNOUN\t_\tCase={}|Number=Sing\t_\t_\t_\t_\n"
+    a, b = tmp_path / "a.conllu", tmp_path / "b.conllu"
+    a.write_text(f"# sent_id = a-1\n{line.format('Erg')}\n# sent_id = a-2\n{line.format('Nom')}")
+    b.write_text(f"# sent_id = b-1\n{line.format('Erg')}")
+    assert main(["dedup", "--a", str(a), "--b", str(b), "--a-flavor", "lasla", "--b-flavor", "lasla",
+                 "--out", str(tmp_path / "dups.tsv")]) == 0
+    assert capsys.readouterr().err == (
+        "warning: 2 feature values outside the LASLA inventory kept as read\n")
+    assert main(["convert", "--in", str(a), "--flavor", "lasla", "--out", str(tmp_path / "std")]) == 0
+    assert capsys.readouterr().err == (
+        "warning: 1 feature value outside the LASLA inventory kept as read\n")
 
 
 def test_a_gold_directory_with_a_repeated_sentence_id_fails_in_one_line(tmp_path, capsys):

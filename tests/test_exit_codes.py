@@ -431,3 +431,60 @@ def test_only_cli_writes_files():
              for path in sorted(Path(latintb.__file__).parent.glob("*.py"))}
     assert calls.pop("cli.py"), "the scan sees the writes of cli.main"
     assert [call for found in calls.values() for call in found] == []
+
+
+def callers(path: Path, names: set[str]) -> set[tuple[str, str]]:
+    """(enclosing function, callee) for each call in the module to one of ``names``, the
+    function qualified by its class; a call outside any function is in ``<module>``."""
+    found = set()
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in names:
+                    found.add((scope or "<module>", name))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    return found
+
+
+def test_commands_only_compute():
+    # main alone prints a run's results, and _fail its one error line; a command
+    # reads its corpora only through the run record's read helper
+    package = Path(latintb.__file__).parent
+    prints = {(path.name, scope) for path in sorted(package.glob("*.py"))
+              for scope, _ in callers(path, {"print"})}
+    assert prints == {("cli.py", "main"), ("cli.py", "_fail")}
+    reads = callers(package / "cli.py", {"corpus_reader", "read_corpus_files", "load_corpus"})
+    assert reads == {("Output.read", "corpus_reader"), ("Output.read", "read_corpus_files")}
+
+
+@pytest.mark.parametrize("command", ["eval", "perm-test"])
+def test_a_run_whose_output_cannot_be_written_prints_no_result(base, tmp_path, capsys, command):
+    gold = base / "std" / "ud" / "cl_alpha.conllu"
+    held = tmp_path / "held"
+    held.mkdir()
+    preds = {"eval": ["--pred", gold], "perm-test": ["--a", gold, "--b", gold, "--n", "20"]}[command]
+    assert main([str(arg) for arg in [command, "--gold", gold, *preds, "--out", held]]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(held)!r}\n")
+
+
+def test_metadata_validate_prints_its_violations_and_their_count(tmp_path, capsys):
+    table = tmp_path / "meta.tsv"
+    table.write_text("treebank\twork_id\tauthor\tcentury\tis_bible\tgenres\t"
+                     "train_sents\tdev_sents\ttest_sents\n"
+                     "Other\tw\tA\t-1\tfalse\tspeech\t1\t0\t0\n"
+                     "Perseus\tv\tA\t-1\tfalse\tspeech\t1\t-1\t0\n")
+    assert main(["metadata-validate", "--file", str(table)]) == 1
+    assert capsys.readouterr() == (
+        "w\tunknown-treebank\ttreebank 'Other' not recognized\n"
+        "v\tnegative-count\tsentence counts must be non-negative\n",
+        "2 violations\n",
+    )

@@ -107,13 +107,23 @@ def test_metadata_validate_lists_a_violation(tmp_path, capsys, row, line):
     table = tmp_path / "meta.tsv"
     table.write_text(f"{HEADER}\n{row}\n")
     assert main(["metadata-validate", "--file", str(table)]) == 1
-    assert capsys.readouterr() == (f"{line}\n", "1 violations\n")
+    assert capsys.readouterr() == (f"{line}\n", "1 violation\n")
 
 
 def test_strict_load_raises(tmp_path):
     table = tmp_path / "meta.tsv"
     table.write_text(HEADER + "\nPerseus\tw\tA\t0\tfalse\tspeech\t1\t0\t0\n")
-    with pytest.raises(MetadataError, match="violations"):
+    message = "1 metadata violation (w: century-out-of-range ...)"
+    with pytest.raises(MetadataError, match=f"^{re.escape(message)}$"):
+        load_metadata(table)
+
+
+def test_strict_load_counts_its_violations(tmp_path):
+    table = tmp_path / "meta.tsv"
+    table.write_text(HEADER + "\nPerseus\tw\tA\t0\tfalse\tspeech\t1\t0\t0"
+                     "\nPerseus\tv\tA\t-1\tfalse\tspeech\t1\t-1\t0\n")
+    message = "2 metadata violations (w: century-out-of-range; v: negative-count ...)"
+    with pytest.raises(MetadataError, match=f"^{re.escape(message)}$"):
         load_metadata(table)
 
 
