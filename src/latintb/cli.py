@@ -226,7 +226,8 @@ def cmd_metadata_validate(args, output: Output) -> int:
     if args.corpus is not None:
         [sentences] = output.read(args.flavor, args.corpus)
         corpus_counts = Counter(sentence.work_id or "?" for sentence in sentences)
-    violations = validate_metadata(rows, corpus_counts=corpus_counts)
+    # split requires a row for each UD work, not for a LASLA one
+    violations = validate_metadata(rows, corpus_counts=corpus_counts, require_rows=args.flavor == "ud")
     output.stdout.extend(f"{v.work_id}\t{v.code}\t{v.message}" for v in violations)
     if violations:
         output.stderr.append(f"{len(violations)} violation{'' if len(violations) == 1 else 's'}")
@@ -259,8 +260,7 @@ def cmd_split(args, output: Output) -> int:
         min_test=output.config.min_test_sentences,
         published=published,
     )
-    audit_rows = []
-    all_passed = True
+    audit_rows, failed = [], []
     for manifest in manifests:
         results = splits.audit_splits(
             manifest,
@@ -280,7 +280,8 @@ def cmd_split(args, output: Output) -> int:
             )
             audit_rows.append((manifest.period, f"{split_name}-sentences", len(sentences), ""))
         for result in results:
-            all_passed &= result.passed
+            if not result.passed:
+                failed.append(f"{manifest.period} {result.constraint}")
             audit_rows.append(
                 (
                     manifest.period,
@@ -290,7 +291,10 @@ def cmd_split(args, output: Output) -> int:
                 )
             )
     output.tsv(args.out / "split_audit.tsv", ("period", "check", "result", "details"), audit_rows)
-    return 0 if all_passed else 1
+    if failed:
+        output.stderr.append(f"split audit failed: {'; '.join(failed)}")
+        return 1
+    return 0
 
 
 @contextlib.contextmanager

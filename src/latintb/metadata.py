@@ -128,9 +128,12 @@ def validate_metadata(
     rows: Iterable[TextMetadata],
     *,
     corpus_counts: Mapping[str, int] | None = None,
+    require_rows: bool = False,
 ) -> list[Violation]:
     """Check every invariant; optionally cross-check per-work sentence
-    counts against an actual corpus (work_id -> sentence count)."""
+    counts against an actual corpus (work_id -> sentence count), and with
+    ``require_rows`` flag each of its works that has no row, as split does
+    for every work of its UD corpus."""
     violations: list[Violation] = []
     seen: set[str] = set()
     for meta in rows:
@@ -151,6 +154,11 @@ def validate_metadata(
                         f"declared {declared} sentences, corpus has {actual}",
                     )
                 )
+    if require_rows and corpus_counts is not None:
+        violations.extend(
+            Violation(work, "missing-row", f"corpus has {corpus_counts[work]} sentences, table has no row")
+            for work in sorted(set(corpus_counts) - seen)
+        )
     return violations
 
 

@@ -142,37 +142,6 @@ _LOW32 = np.uint64(_MASK32)
 _ONE, _S31, _S32, _S58, _S63 = (np.uint64(k) for k in (1, 31, 32, 58, 63))
 
 
-def _mix(x: int, y: int) -> int:
-    """SeedSequence's mix of two uint32 words."""
-    value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return value ^ value >> 16
-
-
-def _seed_pool(seed: int) -> tuple[list[int], int]:
-    """``SeedSequence(entropy=seed).pool`` in plain Python, and the hash
-    constant that a further entropy word is mixed in with."""
-    words = [seed >> shift & _MASK32 for shift in range(0, max(1, seed.bit_length()), 32)]
-    hash_const = _INIT_A
-
-    def hashmix(value: int) -> int:
-        nonlocal hash_const
-        value ^= hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * hash_const & _MASK32
-        return value ^ value >> 16
-
-    # A seed of under four words mixes as if zero-padded to four.
-    pool = [hashmix(words[k] if k < len(words) else 0) for k in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in words[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    return pool, hash_const
-
-
 def _hashmix(words: np.ndarray, hash_const: int, mult: int) -> tuple[np.ndarray, int]:
     """SeedSequence's hash of uint32 ``words`` under one hash constant,
     and the constant for the next word."""
@@ -181,6 +150,31 @@ def _hashmix(words: np.ndarray, hash_const: int, mult: int) -> tuple[np.ndarray,
     value *= np.uint32(hash_const)
     value ^= value >> np.uint32(16)
     return value, hash_const
+
+
+def _seed_pool(seed: int, *spawn: np.ndarray) -> list[np.ndarray]:
+    """The pool of ``SeedSequence(entropy=seed, spawn_key=(i,))`` for each
+    i of the uint32 array ``spawn``, as four uint32 arrays; with no spawn,
+    the pool of ``SeedSequence(entropy=seed)``, as four one-element arrays.
+    numpy zero-pads the seed's words to four before a spawn word, and a
+    shorter seed mixes as if so padded. Each seed word is a one-element
+    array, as numpy warns when a product of scalars overflows."""
+    shifts = range(0, max(128, seed.bit_length()), 32)
+    words = np.array([seed >> shift & _MASK32 for shift in shifts], dtype=np.uint32)
+    mixer, hash_const = [], _INIT_A
+    for word in words[:4, None]:
+        value, hash_const = _hashmix(word, hash_const, _MULT_A)
+        mixer.append(value)
+    # The rest of the entropy follows the pool, so one loop mixes each
+    # pool word into the others and then each further word into all four.
+    mixer += [*words[4:, None], *spawn]
+    for src in range(len(mixer)):
+        for dst in range(4):
+            if src != dst:
+                value, hash_const = _hashmix(mixer[src], hash_const, _MULT_A)
+                value = mixer[dst] * np.uint32(_MIX_MULT_L) - value * np.uint32(_MIX_MULT_R)
+                mixer[dst] = value ^ value >> np.uint32(16)
+    return mixer[:4]
 
 
 def _times(hi: np.ndarray, lo: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
@@ -210,21 +204,13 @@ def _pcg64_seeds(seed: int, spawn: np.ndarray) -> tuple[np.ndarray, ...]:
     entropy=seed, spawn_key=(i,)))`` for each i of the uint32 array
     ``spawn``, as uint64 arrays (state high, state low, inc high, inc
     low)."""
-    # The spawned sequence's pool is the pool of SeedSequence(entropy=seed)
-    # with its one spawn word mixed in.
-    pool, hash_const = _seed_pool(seed)
-    mixed = []
-    for word in pool:
-        value, hash_const = _hashmix(spawn, hash_const, _MULT_A)
-        value = np.uint32(_MIX_MULT_L * word & _MASK32) - value * np.uint32(_MIX_MULT_R)
-        value ^= value >> np.uint32(16)
-        mixed.append(value)
+    pool = _seed_pool(seed, spawn)
     # generate_state(4, np.uint64): eight uint32 words cycling over the
     # pool, paired little-endian into four uint64 words.
     hash_const = _INIT_B
     halves = []
     for k in range(8):
-        value, hash_const = _hashmix(mixed[k % 4], hash_const, _MULT_B)
+        value, hash_const = _hashmix(pool[k % 4], hash_const, _MULT_B)
         halves.append(value.astype(np.uint64))
     init_hi, init_lo, seq_hi, seq_lo = (halves[2 * k] | halves[2 * k + 1] << _S32 for k in range(4))
     # PCG64's srandom: inc from the sequence, two steps around adding the

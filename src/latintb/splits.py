@@ -4,7 +4,9 @@ Work-level assignment is rule-driven (published table when available,
 greedy fill otherwise); only dev membership is sampled. Three hard
 constraints: works are atomic across train/test, test sets hold at
 least 1000 sentences, and tests draw from UD data only, which forces
-every work shared between LASLA and UD into the Classical train set.
+every work shared between LASLA and UD into the Classical train set,
+and every work that the metadata lists as LASLA or whose id the LASLA
+corpus holds into the train set of its period.
 """
 
 from __future__ import annotations
@@ -113,23 +115,25 @@ def _assign_period_works(
     period: str,
     works: list[str],
     pool: Mapping[str, list[str]],
-    mandatory_train: set[str],
+    held: Mapping[str, str],
     published: Mapping[str, tuple[str, str]] | None,
     min_test: int,
 ) -> tuple[list[str], list[str]]:
+    """Train and test works of one period; ``held`` maps each work that
+    must stay in train to the constraint that holds it there."""
     train: list[str] = []
     test: list[str] = []
     unassigned: list[str] = []
     for work in works:
         if published and work in published:
             split = published[work][1]
-            if work in mandatory_train and split == "test":
+            if work in held and split == "test":
+                kind = "LASLA-shared" if held[work] == CONSTRAINT_SHARED_IN_TRAIN else "non-UD"
                 raise InfeasibleSplitError(
-                    CONSTRAINT_SHARED_IN_TRAIN,
-                    f"published assignment puts LASLA-shared work {work!r} in test",
+                    held[work], f"published assignment puts {kind} work {work!r} in test"
                 )
             (train if split == "train" else test).append(work)
-        elif work in mandatory_train:
+        elif work in held:
             train.append(work)
         else:
             unassigned.append(work)
@@ -145,11 +149,7 @@ def _assign_period_works(
             train.append(work)
 
     if test_size < min_test:
-        blocking = (
-            CONSTRAINT_SHARED_IN_TRAIN
-            if mandatory_train
-            else CONSTRAINT_TEST_SIZE
-        )
+        blocking = ", ".join(sorted(set(held.values()))) or CONSTRAINT_TEST_SIZE
         raise InfeasibleSplitError(
             CONSTRAINT_TEST_SIZE,
             f"period {period}: only {test_size} test sentences available "
@@ -186,6 +186,7 @@ def build_splits(
     joined on the bare sentence id, so a LASLA sentence whose id a UD
     sentence holds is a ValueError.
     """
+    lasla_works = set(_works(lasla_corpus)) if lasla_corpus is not None else set()
     if lasla_corpus is not None:
         ud_ids = {sentence.sent_id for sentence in ud_corpus}
         for sentence in lasla_corpus:
@@ -209,10 +210,15 @@ def build_splits(
         works = period_works.get(period, [])
         if not works:
             continue
-        mandatory = shared & set(works) if period == PERIOD_CLASSICAL else set()
-        train, test = _assign_period_works(
-            period, works, pool, mandatory, published, min_test
-        )
+        # The works that test-ud-only, and in Classical lasla-shared-in-train, keep out of test.
+        held = {
+            work: CONSTRAINT_TEST_UD_ONLY
+            for work in works
+            if work in lasla_works or metadata[work].treebank == "LASLA"
+        }
+        if period == PERIOD_CLASSICAL:
+            held.update(dict.fromkeys(shared.intersection(works), CONSTRAINT_SHARED_IN_TRAIN))
+        train, test = _assign_period_works(period, works, pool, held, published, min_test)
         dev: list[str] = []
         for work in train:
             eligible = [s for s in pool[work] if s not in dup_sents]
@@ -228,7 +234,7 @@ def build_splits(
             )
         )
         if period == PERIOD_CLASSICAL and lasla_corpus is not None:
-            lasla_train = sorted(set(train) | set(_works(lasla_corpus)))
+            lasla_train = sorted(set(train) | lasla_works)
             manifests.append(
                 manifests[-1]._replace(period=PERIOD_CLASSICAL_BOTH, train_works=tuple(lasla_train))
             )

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import random
 import re
@@ -652,7 +653,27 @@ def test_both_draws_match_one_generator_per_iteration_on_any_sentences(seed, sta
 @example(seed=2**128)
 @example(seed=2**300 - 1)
 def test_seed_pool_is_numpys(seed):
-    assert _seed_pool(seed)[0] == np.random.SeedSequence(entropy=seed).pool.tolist()
+    assert np.concatenate(_seed_pool(seed)).tolist() == np.random.SeedSequence(entropy=seed).pool.tolist()
+
+
+def test_seedsequence_entropy_mixing_is_written_once():
+    # the hash and mix constants of SeedSequence's entropy mixing are read in
+    # one function, which mixes the seed's words and the spawn word alike
+    constants = {"_INIT_A", "_MULT_A", "_MIX_MULT_L", "_MIX_MULT_R"}
+    readers: dict[str, set[str]] = {}
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load) and child.id in constants:
+                readers.setdefault(child.id, set()).add(scope or "<module>")
+            visit(child, scope)
+
+    with open(permutation.__file__, encoding="utf-8") as source:
+        visit(ast.parse(source.read()), "")
+    assert readers == dict.fromkeys(constants, {"_seed_pool"})
 
 
 @settings(max_examples=100, deadline=None)

@@ -29,6 +29,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import latintb
+from latintb import splits
 from latintb.cli import _fail, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -463,6 +464,22 @@ def test_commands_only_compute():
     assert prints == {("cli.py", "main"), ("cli.py", "_fail")}
     reads = callers(package / "cli.py", {"corpus_reader", "read_corpus_files", "load_corpus"})
     assert reads == {("Output.read", "corpus_reader"), ("Output.read", "read_corpus_files")}
+
+
+def test_a_failed_split_audit_names_itself_on_its_one_stderr_line(base, tmp_path, monkeypatch):
+    audit = splits.audit_splits
+
+    def one_check_fails(manifest, *args, **kwargs):
+        return [result._replace(passed=False, details=("planted",))
+                if (manifest.period, result.constraint) == ("Bible", "test-ud-only") else result
+                for result in audit(manifest, *args, **kwargs)]
+
+    monkeypatch.setattr(splits, "audit_splits", one_check_fails)
+    [split] = [argv for argv in commands(base, tmp_path) if argv[0] == "split"]
+    assert run(split) == (1, "split audit failed: Bible test-ud-only\n")
+    # every output is still written, the failing row among them
+    assert "Bible\ttest-ud-only\tFAIL\tplanted\n" in (tmp_path / "splits" / "split_audit.tsv").read_text()
+    assert (tmp_path / "splits" / "Bible" / "test.conllu").is_file()
 
 
 @pytest.mark.parametrize("command", ["eval", "perm-test"])

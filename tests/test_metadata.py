@@ -1,4 +1,6 @@
 import re
+import shutil
+from collections import Counter
 
 import pytest
 
@@ -10,6 +12,7 @@ from latintb.metadata import (
     MetadataError,
     PeriodError,
     TextMetadata,
+    Violation,
     assign_time_period,
     load_metadata,
     read_metadata,
@@ -92,6 +95,31 @@ def test_count_crosscheck(ud_corpus):
     bad = [meta(work_id="cl_alpha", train_sents=counts["cl_alpha"] + 1)]
     codes = [v.code for v in validate_metadata(bad, corpus_counts=counts)]
     assert "count-mismatch" in codes
+
+
+def test_every_corpus_work_needs_a_row_when_rows_are_required(fixtures_dir, ud_corpus):
+    rows = read_metadata(fixtures_dir / "metadata.tsv")
+    counts = Counter(sentence.work_id for sentence in ud_corpus)
+    assert validate_metadata(rows, corpus_counts=counts, require_rows=True) == []
+    kept = [row for row in rows if row.work_id not in ("cl_beta", "bible_mark")]
+    assert validate_metadata(kept, corpus_counts=counts) == []
+    # the missing rows follow the row checks, in sorted order
+    assert validate_metadata([*kept, meta(century=0)], corpus_counts=counts, require_rows=True) == [
+        Violation("w", "century-out-of-range", "century 0 outside 3rd BCE..14th CE"),
+        Violation("bible_mark", "missing-row", "corpus has 70 sentences, table has no row"),
+        Violation("cl_beta", "missing-row", "corpus has 60 sentences, table has no row"),
+    ]
+
+
+def test_metadata_validate_flags_a_corpus_work_without_a_row(fixtures_dir, tmp_path, capsys):
+    corpus = tmp_path / "ud"
+    shutil.copytree(fixtures_dir / "ud", corpus)
+    alpha = (corpus / "cl_alpha.conllu").read_text(encoding="utf-8")
+    (corpus / "cl_zeta.conllu").write_text(alpha.replace("cl_alpha", "cl_zeta"), encoding="utf-8")
+    argv = ["metadata-validate", "--file", str(fixtures_dir / "metadata.tsv"), "--corpus", str(corpus)]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("cl_zeta\tmissing-row\tcorpus has 60 sentences, table has no row\n",
+                                   "1 violation\n")
 
 
 HEADER = "treebank\twork_id\tauthor\tcentury\tis_bible\tgenres\ttrain_sents\tdev_sents\ttest_sents"

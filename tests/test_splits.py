@@ -252,6 +252,40 @@ def test_split_is_infeasible_exactly_when_no_assignment_exists(data):
     assert all(r.passed for r in results), results
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_split_tests_no_work_that_the_audit_calls_non_ud(data):
+    sizes = data.draw(st.lists(st.integers(1, 12), min_size=1, max_size=8))
+    names = [f"w{k}" for k in range(len(sizes))]
+    classical = data.draw(st.booleans())
+    shared = data.draw(st.sets(st.sampled_from(names)))
+    listed = data.draw(st.sets(st.sampled_from(names)))  # metadata treebank LASLA
+    in_lasla = data.draw(st.sets(st.sampled_from(names)))  # work ids the LASLA corpus holds
+    published = data.draw(st.dictionaries(
+        st.sampled_from(names), st.sampled_from(["train", "test"]).map(lambda s: ("x", s))))
+    min_test = data.draw(st.integers(0, sum(sizes) + 2))
+    corpus, metadata = _period(sizes, -1 if classical else 5)
+    for work in listed:
+        metadata[work] = metadata[work]._replace(treebank="LASLA")
+    lasla = [Sentence(f"lasla-{w}-{i}", (), work_id=w) for w in sorted(in_lasla) for i in range(2)]
+    lasla.append(Sentence("lasla-solo-0", (), work_id="lasla_solo"))
+    duplicates = [(f"{w}-0", f"lasla-{w}", "prefix", 1) for w in sorted(shared)]
+    held = listed | in_lasla | (shared if classical else set())
+    feasible = _brute_force_feasible(sizes, held, published, min_test)
+    try:
+        manifests = build_splits(corpus, lasla, metadata, duplicates, seed=7,
+                                 min_test=min_test, published=published)
+    except InfeasibleSplitError:
+        assert not feasible
+        return
+    assert feasible
+    assert [m.test_works for m in manifests] == [manifests[0].test_works] * (2 if classical else 1)
+    assert not set(manifests[0].test_works) & held
+    for manifest in manifests:
+        results = audit_splits(manifest, corpus, lasla, metadata, duplicates, min_test=min_test)
+        assert all(r.passed for r in results), (manifest, results)
+
+
 def test_materialize_partitions_sentences(manifests, converted_ud, lasla_corpus):
     manifest = by_period(manifests)[PERIOD_CLASSICAL_UD]
     parts = materialize(manifest, converted_ud.sentences, lasla_corpus)
@@ -310,6 +344,17 @@ def test_published_shared_conflict_is_infeasible(
         build_splits(converted_ud.sentences, lasla_corpus, metadata_table,
                      duplicate_pairs, seed=7, min_test=MIN_TEST, published=published)
     assert err.value.constraint == CONSTRAINT_SHARED_IN_TRAIN
+
+
+def test_published_non_ud_conflict_is_infeasible(
+    converted_ud, lasla_corpus, metadata_table, duplicate_pairs
+):
+    metadata = dict(metadata_table, cl_epsilon=metadata_table["cl_epsilon"]._replace(treebank="LASLA"))
+    published = {"cl_epsilon": ("Classical", "test")}
+    with pytest.raises(InfeasibleSplitError) as err:
+        build_splits(converted_ud.sentences, lasla_corpus, metadata,
+                     duplicate_pairs, seed=7, min_test=MIN_TEST, published=published)
+    assert err.value.constraint == CONSTRAINT_TEST_UD_ONLY
 
 
 def test_shipped_assignment_table_loads():
