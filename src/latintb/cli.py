@@ -313,7 +313,7 @@ def _aligned_records(output: Output, gold_path: Path, *pred_paths: Path):
 
     # One reader and one record memo serve gold and predictions, so a
     # FEATS string the files share is parsed once and each distinct
-    # (UPOS, bundle) pair becomes one record. Sentence ids stay checked
+    # (UPOS, FEATS string) pair becomes one record. Sentence ids stay checked
     # per path: gold and predictions share them.
     gold, *preds = corpora = output.read("ud", gold_path, *pred_paths)
     for path, pred in zip(pred_paths, preds):
@@ -403,14 +403,29 @@ def _fail(prefix: str, exc: Exception, code: int) -> int:
     return code
 
 
-def _commit(files: list[tuple[Path, str]]) -> None:
+# the options that name an output; every other path option names an input
+_OUTPUT_OPTIONS = ("out", "report")
+
+
+def _inputs(args: argparse.Namespace) -> list[Path]:
+    """The files a run reads: each input option's file, or each .conllu file of its directory."""
+    paths = [path for name, path in vars(args).items()
+             if isinstance(path, Path) and name not in _OUTPUT_OPTIONS]
+    return [file for path in paths for file in (path.glob("*.conllu") if path.is_dir() else [path])]
+
+
+def _commit(files: list[tuple[Path, str]], inputs: list[Path]) -> None:
     """Every file written, or none: each text goes to a new sibling file, in a directory
     made if missing, and all are renamed into place; a failure removes what was made.
-    Two outputs that name one directory entry, however spelled, are refused first."""
+    An output that names the directory entry of an input, or of another output, however
+    spelled, is refused first."""
+    read = {os.path.split(os.path.realpath(path)): path for path in inputs}
     entries: dict[tuple[str, str], Path] = {}
     for path, _ in files:
         # the parent resolved, the name not: a symlink at an output path is replaced, not followed
         entry = (os.path.realpath(path.parent), path.name)
+        if entry in read:
+            raise ValueError(f"{path}: names the same file as input {read[entry]}")
         if entry in entries:
             raise ValueError(f"{path}: names the same file as output {entries[entry]}")
         entries[entry] = path
@@ -443,7 +458,7 @@ def main(argv: list[str] | None = None) -> int:
     output = Output(config, args.seed, [], [], [], Counter())
     try:
         code = args.run(args, output)
-        _commit(output.files)
+        _commit(output.files, _inputs(args))
     except UsageError as exc:
         return _fail("usage error", exc, 2)
     except InfeasibleSplitError as exc:

@@ -90,10 +90,6 @@ class FeatureBundle:
     def get(self, name: str) -> tuple[str, ...] | None:
         return self._index.get(name)
 
-    def first(self, name: str) -> str | None:
-        values = self._index.get(name)
-        return values[0] if values else None
-
     def names(self) -> tuple[str, ...]:
         return tuple(self._index)
 
@@ -337,15 +333,13 @@ class CorpusReader:
     """Reads the files of one corpus through one ColumnMapping.
 
     Each distinct raw FEATS string gets one bundle for the life of the
-    reader, so the files of a corpus share their bundles. The key is the
-    raw string, never bundle equality: ``Mood=Sub,Ind`` and
-    ``Mood=Ind,Sub`` are equal bundles that standardize to different
-    moods. A string that fails to parse is never stored, so it raises
-    again on every line. Each distinct raw MISC string likewise gets one
-    entry tuple, checked for duplicate keys once, when it is first read;
-    a string with a repeated key is never stored either. With the id
-    checked on each line, every check of ``Token(...)`` is made, so
-    tokens are built with ``tuple.__new__``.
+    reader, so the files of a corpus share their bundles. A string that
+    fails to parse is never stored, so it raises again on every line.
+    Each distinct raw MISC string likewise gets one entry tuple, checked
+    for duplicate keys once, when it is first read; a string with a
+    repeated key is never stored either. With the id checked on each
+    line, every check of ``Token(...)`` is made, so tokens are built
+    with ``tuple.__new__``.
 
     When the mapping has an ``id`` column, each distinct raw token line
     is also memoized, with the values it holds outside the mapping's

@@ -168,7 +168,7 @@ def read_manifest(path: str | Path) -> list[tuple[str, str, str, int]]:
 def _manifest_row(cells: list[str]) -> tuple[str, str, str, int]:
     try:
         sent_a, sent_b, basis, length = cells
-        return sent_a, sent_b, basis, int(length)
+        return sent_a, sent_b, basis, reports.integer(length)
     except ValueError:
         line = "\t".join(cells)
         raise ValueError(

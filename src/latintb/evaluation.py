@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import NamedTuple, Sequence
 
-from .conllu import FeatureBundle, Sentence, Token
+from .conllu import Sentence, Token
 from .standardize import STANDARD_FEATURES as REPORT_FEATURES
 from .standardize import StandardRecord, check_label, record_from_standard_feats
 
@@ -44,25 +44,22 @@ def check_alignment(gold: Sequence[Sentence], pred: Sequence[Sentence]) -> None:
                 )
 
 
-RecordMemo = dict[tuple[str, int], tuple[FeatureBundle, StandardRecord]]
+RecordMemo = dict[tuple[str, str], StandardRecord]
 
 
 def records_of(
     sentences: Sequence[Sentence], memo: RecordMemo | None = None
 ) -> list[list[StandardRecord]]:
-    # Tokens with one UPOS and one FEATS bundle share one record. A
-    # CorpusReader shares a bundle per distinct FEATS string across every
-    # file it reads, so corpora read through one reader and passed one
-    # ``memo`` share their records too. The memo holds each bundle, so no
-    # key outlives the object whose id it holds.
+    # Tokens with one UPOS and one canonical FEATS string share one
+    # record, so corpora passed one ``memo`` share their records too.
     if memo is None:
         memo = {}
 
     def record(token: Token) -> StandardRecord:
-        key = (token.upos, id(token.feats))
+        key = (token.upos, token.feats.to_string())
         if key not in memo:
-            memo[key] = (token.feats, record_from_standard_feats(token))
-        return memo[key][1]
+            memo[key] = record_from_standard_feats(token)
+        return memo[key]
 
     records = []
     for s in sentences:
@@ -84,7 +81,7 @@ class _Codes:
         if any([len(s) for s in c] != self.sentence_lengths for c in corpora[1:]):
             raise AlignmentError("gold and prediction records are not aligned")
         # Tokens share record objects (records_of builds one per distinct
-        # UPOS and FEATS bundle), and hashing an int id is cheaper than
+        # UPOS and FEATS string), and hashing an int id is cheaper than
         # hashing a record, so each object is hashed by value once.
         objects = {id(r): r for c in corpora for s in c for r in s}
         index: dict[StandardRecord, int] = {}

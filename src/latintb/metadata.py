@@ -11,7 +11,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
-from .reports import read_table
+from .reports import integer, read_table
 
 TREEBANKS = ("Perseus", "PROIEL", "LLCT", "ITTB", "UDante", "LASLA")
 
@@ -115,8 +115,8 @@ def _metadata_row(cells: list[str]) -> TextMetadata:
     if is_bible not in ("true", "false"):
         raise ValueError(f"is_bible must be true or false, got {is_bible!r}")
     return TextMetadata(
-        treebank, work_id, author, int(century), is_bible == "true",
-        frozenset(g for g in genres.split(",") if g), int(train), int(dev), int(test),
+        treebank, work_id, author, integer(century), is_bible == "true",
+        frozenset(g for g in genres.split(",") if g), integer(train), integer(dev), integer(test),
     )
 
 

@@ -159,19 +159,18 @@ class Converter:
     """Standardizes then harmonizes the sentences of one flavor under one
     config, collecting rule audit counts and per-token anomaly codes.
 
-    A token's standard record depends only on its UPOS, its FEATS and
-    the values of the MISC keys its flavor's standardizer reads, and the
-    reader shares one bundle per distinct FEATS string, so tokens that
-    share all of them share one record. The memos live as long as the
-    converter, so the files of one corpus share them; each memo holds its
-    bundle, so no id key outlives its object. Harmonization reads the
-    sentence and stays per token.
+    A token's standard record depends only on its UPOS, its canonical
+    FEATS string and the values of the MISC keys its flavor's
+    standardizer reads, so tokens that share all of them share one
+    record. The memos live as long as the converter, so the files of one
+    corpus share them. Harmonization reads the sentence and stays per
+    token.
     """
 
     def __init__(self, flavor: str, config: ToolConfig | None = None):
         _, self._standardize, self._misc_keys = _flavor(flavor)
         self.config = config or ToolConfig()
-        self._standard: dict[tuple, tuple[FeatureBundle, StandardRecord]] = {}
+        self._standard: dict[tuple, StandardRecord] = {}
         self._bundles: dict[StandardRecord, FeatureBundle] = {}
 
     def convert(self, sentences: Sequence[Sentence]) -> ConversionResult:
@@ -184,12 +183,11 @@ class Converter:
 
         def standardized(token: Token) -> StandardRecord:
             values = map(token.misc_get, misc_keys) if token.misc else no_values
-            key = (token.upos, id(token.feats), *values)
-            hit = standard.get(key)
-            if hit is None:
-                record = standardize(token, tense_table=config.tense_table)
-                hit = standard[key] = (token.feats, record)
-            return hit[1]
+            key = (token.upos, token.feats.to_string(), *values)
+            record = standard.get(key)
+            if record is None:
+                record = standard[key] = standardize(token, tense_table=config.tense_table)
+            return record
 
         for sentence in sentences:
             records = harmonize_sentence(

@@ -48,6 +48,15 @@ def tsv_text(
     return "\n".join(lines) + "\n"
 
 
+def integer(cell: str) -> int:
+    """A TSV cell's integer: ASCII digits with an optional leading "-". Any
+    other cell is the ValueError that ``int()`` raises for a bad literal."""
+    digits = cell[1:] if cell.startswith("-") else cell
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {cell!r}")
+    return int(cell)
+
+
 def plain(value: object) -> object:
     """``value`` with every record in it, at any depth, as a dict of its
     fields, and every tuple as a list. A record is anything with an

@@ -28,7 +28,7 @@ from .metadata import (
     TextMetadata,
     assign_time_period,
 )
-from .reports import read_table
+from .reports import integer, read_table
 
 PERIOD_CLASSICAL_UD = "Classical-UD"
 PERIOD_CLASSICAL_BOTH = "Classical-UD+LASLA"
@@ -66,7 +66,7 @@ def load_published_assignment(path: str | Path | None = None) -> dict[str, tuple
         period, work_id, split, sentences = cells
         if split not in ("train", "test"):
             raise ValueError(f"split must be train or test, got {split!r}")
-        int(sentences)  # checked, though splits are built from the corpus counts
+        integer(sentences)  # checked, though splits are built from the corpus counts
         if work_id in assignment:
             raise ValueError(f"work {work_id!r} is listed twice")
         assignment[work_id] = (period, split)

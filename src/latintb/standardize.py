@@ -222,17 +222,22 @@ class _Conversion:
         if code not in self.anomalies:
             self.anomalies.append(code)
 
-    def single(self, feats: FeatureBundle, name: str, inventory: Iterable[str]) -> str | None:
+    def value(self, feats: FeatureBundle, name: str) -> str | None:
+        """The feature's one value; None if it is absent or has several, which is flagged."""
         values = feats.get(name)
         if values is None:
             return None
         if len(values) > 1:
             self.flag(ANOMALY_MULTI_VALUE)
             return None
-        if values[0] not in inventory:
+        return values[0]
+
+    def single(self, feats: FeatureBundle, name: str, inventory: Iterable[str]) -> str | None:
+        value = self.value(feats, name)
+        if value is not None and value not in inventory:
             self.flag(ANOMALY_UNKNOWN_VALUE)
             return None
-        return values[0]
+        return value
 
     def gender(self, feats: FeatureBundle) -> tuple[str, ...]:
         values = feats.get("Gender")
@@ -258,13 +263,13 @@ class _Conversion:
 TRADITIONAL_KEYS = ("TraditionalTense", "TraditionalMood")
 
 
-def _traditional_field(token: Token, name: str) -> str | None:
+def _traditional_field(conv: _Conversion, token: Token, name: str) -> str | None:
     """Traditional* fields live in MISC in the harmonized releases, but
     some exports carry them in FEATS; MISC wins."""
     value = token.misc_get(name)
     if value is not None:
         return value
-    return token.feats.first(name)
+    return conv.value(token.feats, name)
 
 
 def _resolve_mood(
@@ -275,8 +280,8 @@ def _resolve_mood(
             return trad_mood
         conv.flag(ANOMALY_UNKNOWN_VALUE)
         return None
-    mood = feats.first("Mood")
-    verbform = feats.first("VerbForm")
+    mood = conv.value(feats, "Mood")
+    verbform = conv.value(feats, "VerbForm")
     if mood is not None:
         if mood in MOODS:
             if verbform is not None and DEFAULT_VERBFORM_MOODS.get(verbform) not in (None, mood):
@@ -292,10 +297,9 @@ def _resolve_mood(
 
 
 def _tense_from_table(
-    conv: _Conversion, feats: FeatureBundle, table: TenseAspectTable
+    conv: _Conversion, feats: FeatureBundle, aspect: str | None, table: TenseAspectTable
 ) -> str | None:
-    tense = feats.first("Tense")
-    aspect = feats.first("Aspect")
+    tense = conv.value(feats, "Tense")
     if tense in _TRADITIONAL_ONLY_TENSES:
         return tense
     if tense is not None and tense not in UD_TENSES:
@@ -317,7 +321,7 @@ def standardize_ud(
     """
     conv = _Conversion()
     feats = token.feats
-    trad_tense, trad_mood = (_traditional_field(token, key) for key in TRADITIONAL_KEYS)
+    trad_tense, trad_mood = (_traditional_field(conv, token, key) for key in TRADITIONAL_KEYS)
 
     verbal = token.upos in VERBAL_UPOS
     if (trad_tense is not None or trad_mood is not None) and not verbal:
@@ -325,18 +329,19 @@ def standardize_ud(
         tense = mood = voice = None
     else:
         mood = _resolve_mood(conv, feats, trad_mood)
+        aspect = conv.value(feats, "Aspect")
         if trad_tense is not None:
-            if trad_tense == "Fut" and feats.first("Aspect") == "Perf":
+            if trad_tense == "Fut" and aspect == "Perf":
                 tense = "FutP"
             elif trad_tense in TENSES:
                 tense = trad_tense
             else:
                 conv.flag(ANOMALY_UNKNOWN_VALUE)
                 tense = None
-        elif mood == "Inf" and feats.first("Aspect") in INFINITIVE_ASPECT_TENSE:
-            tense = INFINITIVE_ASPECT_TENSE[feats.first("Aspect")]
+        elif mood == "Inf" and aspect in INFINITIVE_ASPECT_TENSE:
+            tense = INFINITIVE_ASPECT_TENSE[aspect]
         else:
-            tense = _tense_from_table(conv, feats, tense_table)
+            tense = _tense_from_table(conv, feats, aspect, tense_table)
         voice = conv.single(feats, "Voice", VOICES)
 
     return StandardRecord(
@@ -368,7 +373,7 @@ def standardize_lasla(
         upos=token.upos,
         person=conv.single(feats, "Person", PERSONS),
         number=conv.single(feats, "Number", NUMBERS),
-        tense=_tense_from_table(conv, feats, tense_table),
+        tense=_tense_from_table(conv, feats, conv.value(feats, "Aspect"), tense_table),
         mood=_resolve_mood(conv, feats, None),
         voice=conv.single(feats, "Voice", VOICES),
         gender=conv.gender(feats),

@@ -65,6 +65,24 @@ def test_convert_outputs_standard_feats(workdir, fixtures_dir):
     assert any(row[1] == "intj-to-part" for row in audit)
 
 
+def test_convert_reads_a_multi_valued_mood_in_either_order_alike(tmp_path):
+    line = "{}\tsit\tsum\tVERB\t_\t{}\t_\t_\t_\t_\n"
+    (tmp_path / "in").mkdir()
+    (tmp_path / "in" / "a.conllu").write_text("# sent_id = s1\n" + "".join(
+        line.format(k, feats) for k, feats in enumerate(
+            ["Mood=Sub,Ind|Number=Sing|Person=3|VerbForm=Fin",
+             "Mood=Ind,Sub|Number=Sing|Person=3|VerbForm=Fin",
+             "Number=Plur|Person=3,1|VerbForm=Fin"], start=1)) + "\n")
+    out = tmp_path / "out"
+    assert main(["convert", "--in", str(tmp_path / "in"), "--flavor", "ud", "--out", str(out)]) == 0
+    lines = (out / "a.conllu").read_text().splitlines()[1:4]
+    first, second, third = (row.split("\t", 1)[1] for row in lines)
+    assert first == second == "sit\tsum\tVERB\t_\tNumber=Sing|Person=3\t_\t_\t_\t_"
+    assert third == "sit\tsum\tVERB\t_\tNumber=Plur\t_\t_\t_\t_"
+    rows = read_table(out / "anomalies.tsv", ("sent_id", "token_id", "code"), list)
+    assert rows == [["s1", str(k), "MULTI_VALUE_FEATURE"] for k in (1, 2, 3)]
+
+
 def test_convert_is_byte_deterministic(workdir, fixtures_dir, tmp_path):
     again = tmp_path / "again"
     assert main(["convert", "--in", str(fixtures_dir / "ud"), "--flavor", "ud",

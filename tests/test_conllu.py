@@ -412,8 +412,8 @@ def test_one_bundle_per_raw_feats_string_across_the_files_of_a_corpus(flavor, tm
         line.format("Mood=Sub,Ind|Tense=Pres") + "\n" + line.format("Mood=Ind,Sub|Tense=Pres"))
     a, b, c = (s.tokens[0].feats for s in load_corpus(tmp_path, flavor)[0])
     assert a is b
-    # equal bundles from different strings stay apart: the value order
-    # decides the standard mood
+    # equal bundles from different strings stay apart: the reader's parse
+    # cache keys on the raw string, though equal bundles standardize alike
     assert b == c and b is not c
 
 

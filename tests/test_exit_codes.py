@@ -332,6 +332,43 @@ def test_two_outputs_that_name_one_file_fail_before_any_output(tmp_path, case):
     assert tree(tmp_path) == before
 
 
+@pytest.mark.parametrize("case", ["dedup-out", "agree-out", "eval-out", "convert-out",
+                                  "dedup-report", "through-a-symlink"])
+def test_an_output_that_names_an_input_fails_before_any_output(base, tmp_path, case):
+    # the input keeps its bytes, and no file, not even a staged .<name>.<pid>.new, is written
+    corpus, manifest = tmp_path / "a.conllu", tmp_path / "d.tsv"
+    shutil.copy(base / "cl_alpha.conllu", corpus)
+    shutil.copy(base / "dups.tsv", manifest)
+    lasla = base / "lasla_alpha.conllu"
+    if case == "dedup-out":
+        argv, output = ["dedup", "--a", corpus, "--b", lasla, "--out", corpus], corpus
+    elif case == "agree-out":
+        argv = ["agree", "--a", corpus, "--b", lasla, "--dups", manifest, "--out", manifest]
+        output = manifest
+    elif case == "eval-out":
+        gold = tmp_path / "g.conllu"
+        shutil.copy(base / "std" / "ud" / "cl_alpha.conllu", gold)
+        argv, output = ["eval", "--gold", gold, "--pred", gold, "--out", gold], gold
+    elif case == "convert-out":  # each .conllu file of a directory input is an input
+        shutil.copytree(FIXTURES / "ud", tmp_path / "ud")
+        argv = ["convert", "--in", tmp_path / "ud", "--flavor", "ud", "--out", tmp_path / "ud"]
+        output = tmp_path / "ud" / "bible_john.conllu"
+    elif case == "dedup-report":
+        table = tmp_path / "m.tsv"
+        shutil.copy(FIXTURES / "metadata.tsv", table)
+        argv = ["dedup", "--a", corpus, "--b", lasla, "--out", tmp_path / "x.tsv",
+                "--report", table, "--metadata", table]
+        output = table
+    else:  # the input read is the link's target
+        link = tmp_path / "link.conllu"
+        link.symlink_to(corpus)
+        argv, output = ["dedup", "--a", link, "--b", lasla, "--out", corpus], corpus
+    named = link if case == "through-a-symlink" else output
+    before = tree(tmp_path)
+    assert run(argv) == (1, f"error: {output}: names the same file as input {named}\n")
+    assert tree(tmp_path) == before
+
+
 def test_a_symlink_at_an_output_path_is_replaced_not_followed(tmp_path):
     target = tmp_path / "x.tsv"
     target.write_bytes(b"earlier\n")
@@ -464,6 +501,20 @@ def test_commands_only_compute():
     assert prints == {("cli.py", "main"), ("cli.py", "_fail")}
     reads = callers(package / "cli.py", {"corpus_reader", "read_corpus_files", "load_corpus"})
     assert reads == {("Output.read", "corpus_reader"), ("Output.read", "read_corpus_files")}
+
+
+def test_a_feature_value_is_read_by_one_rule_and_no_memo_keys_on_identity():
+    # a record depends on the canonical FEATS string, so no memo keys on a
+    # bundle's id; _Codes keys records that it holds for its whole life
+    package = Path(latintb.__file__).parent
+    ids = {(path.name, scope) for path in sorted(package.glob("*.py"))
+           for scope, _ in callers(path, {"id"})}
+    assert ids == {("evaluation.py", "_Codes.__init__")}
+    # a multi-valued feature is read through _Conversion.value, never by its first value
+    module = ast.parse((package / "conllu.py").read_text(encoding="utf-8"))
+    [bundle] = [node for node in ast.walk(module)
+                if isinstance(node, ast.ClassDef) and node.name == "FeatureBundle"]
+    assert "first" not in {node.name for node in bundle.body if isinstance(node, ast.FunctionDef)}
 
 
 def test_a_failed_split_audit_names_itself_on_its_one_stderr_line(base, tmp_path, monkeypatch):

@@ -4,7 +4,10 @@ from importlib import resources
 
 import pytest
 
-from latintb.reports import read_table, tsv_text
+from latintb.dedup import read_manifest
+from latintb.metadata import read_metadata
+from latintb.reports import integer, read_table, tsv_text
+from latintb.splits import load_published_assignment
 
 HEADER = ("name", "count")
 
@@ -73,3 +76,45 @@ def test_reads_a_packaged_table():
     rows = read_table(table, ("period", "work_id", "split", "sentences"), tuple)
     assert rows[0] == ("Classical", "BellumGallicum", "train", "1445")
     assert len(rows) == 74
+
+
+@pytest.mark.parametrize("cell, value", [("0", 0), ("-12", -12), ("007", 7)])
+def test_an_integer_cell_is_ascii_digits_with_an_optional_minus(cell, value):
+    assert integer(cell) == value
+
+
+_NOT_INTEGERS = [" 1_0", "+3", "٣", "", "-", "1 ", "--1", "1e3"]
+
+
+@pytest.mark.parametrize("cell", _NOT_INTEGERS)
+def test_any_other_integer_cell_raises_as_int_does(cell):
+    with pytest.raises(ValueError) as raised:
+        integer(cell)
+    assert str(raised.value) == f"invalid literal for int() with base 10: {cell!r}"
+
+
+# each TSV input with an integer column: its header, a row with "{}" for the
+# integer cell, its reader, and the message it gives for a bad cell
+_INTEGER_TABLES = {
+    "metadata": ("treebank\twork_id\tauthor\tcentury\tis_bible\tgenres\ttrain_sents\tdev_sents\t"
+                 "test_sents", "Perseus\tw\tA\t{}\tfalse\tspeech\t1\t0\t0", read_metadata,
+                 "invalid literal for int() with base 10: {!r}"),
+    "manifest": ("sent_a\tsent_b\tbasis\talign_length", "a-1\tb-1\tchar-prefix\t{}", read_manifest,
+                 "expected sent_a, sent_b, basis and an integer length, tab-separated, got {line!r}"),
+    "published": ("period\twork_id\tsplit\tsentences", "Classical\tw\ttrain\t{}",
+                  load_published_assignment, "invalid literal for int() with base 10: {!r}"),
+}
+
+
+@pytest.mark.parametrize("cell", [" 1_0", "+3", "٣"], ids=["space-underscore", "plus", "arabic-indic"])
+@pytest.mark.parametrize("table", sorted(_INTEGER_TABLES))
+def test_every_tsv_input_reads_integers_by_one_rule(tmp_path, table, cell):
+    header, row, read, message = _INTEGER_TABLES[table]
+    path = tmp_path / "table.tsv"
+    path.write_text(f"{header}\n{row.format('3')}\n", encoding="utf-8")
+    read(path)
+    path.write_text(f"{header}\n{row.format(cell)}\n", encoding="utf-8")
+    with pytest.raises(ValueError) as raised:
+        read(path)
+    expected = message.format(cell, line=row.format(cell))
+    assert str(raised.value) == f"{path} line 2: {expected}"

@@ -6,11 +6,13 @@ from hypothesis import given, strategies as st
 from latintb.conllu import FeatureBundle, Token
 from latintb.standardize import (
     ANOMALY_MOOD_CONFLICT,
+    ANOMALY_MULTI_VALUE,
     ANOMALY_UNKNOWN_VALUE,
     ANOMALY_TRAD_ON_NONVERB,
     CASES,
     DEGREES,
     GENDERS,
+    INFINITIVE_ASPECT_TENSE,
     MOODS,
     NUMBERS,
     PERSONS,
@@ -249,6 +251,51 @@ def test_outputs_stay_in_inventories_under_fuzz(feats, upos):
         assert record.person in (None,) + PERSONS
         assert record.number in (None,) + NUMBERS
         assert all(g in GENDERS for g in record.gender)
+
+
+_READ_FEATURES = ["Tense", "Aspect", "Mood", "VerbForm", "TraditionalTense", "TraditionalMood"]
+_UPOS = ["VERB", "AUX", "NOUN", "ADJ", "PRON", "SCONJ"]
+
+
+def _shuffled(draw, items):
+    return draw(st.permutations(items)) if items else []
+
+
+@given(st.dictionaries(st.sampled_from(
+           _READ_FEATURES + ["Voice", "Gender", "Case", "Number", "Person", "Degree", "PronType"]),
+           st.lists(_any_value | st.sampled_from(["FutP", "Pqp"]), min_size=1, max_size=3, unique=True),
+           max_size=7),
+       st.sampled_from(_UPOS), st.data())
+def test_equal_feats_give_equal_records_in_any_spelling(feats, upos, data):
+    token = make_token(feats, upos=upos)
+    # every order of the features, and of each feature's values
+    names = _shuffled(data.draw, list(feats))
+    respelled = make_token({name: _shuffled(data.draw, feats[name]) for name in names}, upos=upos)
+    assert respelled.feats == token.feats
+    for standardize in (standardize_ud, standardize_lasla):
+        assert standardize(respelled) == standardize(token)
+
+
+@given(st.dictionaries(st.sampled_from(["Tense", "Aspect", "Mood", "VerbForm", "Voice", "Gender",
+                                        "Case", "Number", "Person", "Degree", "PronType"]),
+                       _any_value, max_size=6),
+       st.sampled_from(_READ_FEATURES),
+       st.lists(_any_value | st.sampled_from(["FutP", "Pqp"]), min_size=2, max_size=3, unique=True),
+       st.sampled_from(_UPOS))
+def test_a_multi_valued_feature_is_unset_and_flagged(feats, name, values, upos):
+    # the record is the one without the feature, flagged where the feature is read
+    multi = make_token({**feats, name: values}, upos=upos)
+    absent = make_token({key: value for key, value in feats.items() if key != name}, upos=upos)
+    for standardize in (standardize_ud, standardize_lasla):
+        record, expected = standardize(multi), standardize(absent)
+        assert record._replace(anomalies=()) == expected._replace(anomalies=())
+        assert [code for code in record.anomalies if code != ANOMALY_MULTI_VALUE] == list(expected.anomalies)
+        if standardize is standardize_lasla:  # reads no Traditional* field
+            read = not name.startswith("Traditional")
+        else:  # a tense-less infinitive's tense comes from Aspect, not the table
+            read = name != "Tense" or not (
+                record.mood == "Inf" and feats.get("Aspect") in INFINITIVE_ASPECT_TENSE)
+        assert (ANOMALY_MULTI_VALUE in record.anomalies) == read
 
 
 def test_legality_sconj_with_nominal_feats():
