@@ -2,10 +2,10 @@
 split, eval, perm-test, lint.
 
 Identical inputs, flags, and seed produce byte-identical outputs. Exit
-codes: 0 success, 1 validation failure, 2 usage error. A command only
-reads and computes, through and into its run record; ``main`` alone
-writes its outputs, all or none, and prints its results only after the
-outputs are written, so a failing run prints only its one error line.
+codes: 0 success, 1 validation failure, 2 usage error. A command reads,
+computes and stages each output through its run record as it is made;
+``main`` renames the staged outputs into place, all or none, and prints
+the results only after, so a failing run prints only its one error line.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import os
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import NamedTuple
 
 # Only what every subcommand needs is imported here: each fresh process
 # pays for its imports. agreement, dedup, evaluation, metadata and splits
@@ -40,17 +39,18 @@ class UsageError(ValueError):
     """A flag value out of range (exit 2)."""
 
 
-class Output(NamedTuple):
-    """A run's record: its config and seed, each output file with its text, the lines for
-    stdout and stderr, and the raw LASLA values read outside the inventory. ``main`` prints
-    the lines only after every file is written, so a run that fails prints no result."""
+class Output:
+    """A run's record: its config and seed, the lines for stdout and stderr, and the raw LASLA
+    values read outside the inventory. It stages each output in a sibling file as it is given
+    and keeps only the two paths, which ``main`` commits before it prints the lines."""
 
-    config: ToolConfig
-    seed: int
-    files: list[tuple[Path, str]]
-    stdout: list[str]
-    stderr: list[str]
-    unknown: Counter
+    def __init__(self, config: ToolConfig, seed: int, inputs: list[Path]) -> None:
+        self.config, self.seed = config, seed
+        self.stdout, self.stderr, self.unknown = [], [], Counter()
+        # the file named by each directory entry (realpath(parent), name) of an input or an output
+        self._named = {os.path.split(os.path.realpath(path)): f"input {path}" for path in inputs}
+        self._staged: list[tuple[Path, Path]] = []  # (path, sibling)
+        self._made: list[Path] = []  # the directories the run makes, each after its parent
 
     def read(self, flavor: str, *paths: Path, by_file: bool = False) -> list[list]:
         """Each path's sentences in file order, or ``by_file`` its files with their sentences,
@@ -61,11 +61,41 @@ class Output(NamedTuple):
         self.unknown.update(reader.unknown_values)
         return read if by_file else [[s for _, sentences in files for s in sentences] for files in read]
 
+    def file(self, path: Path, text: str) -> None:
+        """``text`` written to ``.<name>.<pid>.new`` beside ``path``, in a directory made if
+        missing; an output naming the directory entry of an input or an earlier one is refused."""
+        # the parent resolved, the name not: a symlink at an output path is replaced, not followed
+        entry = (os.path.realpath(path.parent), path.name)
+        if entry in self._named:
+            raise ValueError(f"{path}: names the same file as {self._named[entry]}")
+        self._named[entry] = f"output {path}"
+        # recorded before made, so a failed mkdir's parents go too; the rmdir of a sub/.. fails
+        self._made.extend(d for d in reversed(path.parents) if not d.exists())
+        path.parent.mkdir(parents=True, exist_ok=True)
+        new = path.with_name(f".{path.name}.{os.getpid()}.new")
+        with _naming(path):
+            if path.is_dir():  # else its rename would fail after others were done
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            self._staged.append((path, new))
+            new.write_text(text, encoding="utf-8")
+
     def tsv(self, path: Path, header, rows) -> None:
         """A TSV report at ``path``, with the run's seed and config in its footer."""
         with _naming(path):
             text = reports.tsv_text(header, rows, seed=self.seed, config_hash=self.config.config_hash)
-        self.files.append((path, text))
+        self.file(path, text)
+
+    def commit(self) -> None:
+        """Every sibling renamed into place, in the order staged."""
+        for path, new in self._staged:
+            with _naming(path):
+                os.replace(new, path)
+
+    def discard(self) -> None:
+        """Every sibling removed, then every directory the run made, children first."""
+        for leftover in [*(new for _, new in self._staged), *reversed(self._made)]:
+            with contextlib.suppress(OSError):
+                leftover.rmdir() if leftover in self._made else leftover.unlink()
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -156,7 +186,7 @@ def cmd_convert(args, output: Output) -> int:
     converter = Converter(args.flavor, output.config)  # its memos serve every file
     for file, sentences in files:
         result = converter.convert(sentences)
-        output.files.append((args.out / file.name, serialize_conllu(result.sentences)))
+        output.file(args.out / file.name, serialize_conllu(result.sentences))
         for rule in ALL_RULES:
             if result.audit.get(rule):
                 audit_rows.append((file.stem, rule, result.audit[rule]))
@@ -272,12 +302,10 @@ def cmd_split(args, output: Output) -> int:
             atomicity_exceptions=output.config.atomicity_exceptions,
         )
         manifest = manifest._replace(audit=tuple(results))
-        output.files.append((args.out / f"{manifest.period}.manifest.json", reports.json_text(manifest)))
+        output.file(args.out / f"{manifest.period}.manifest.json", reports.json_text(manifest))
         parts = splits.materialize(manifest, ud_corpus, lasla_corpus)
         for split_name, sentences in parts.items():
-            output.files.append(
-                (args.out / manifest.period / f"{split_name}.conllu", serialize_conllu(sentences))
-            )
+            output.file(args.out / manifest.period / f"{split_name}.conllu", serialize_conllu(sentences))
             audit_rows.append((manifest.period, f"{split_name}-sentences", len(sentences), ""))
         for result in results:
             if not result.passed:
@@ -337,7 +365,7 @@ def cmd_eval(args, output: Output) -> int:
     output.stdout.append(report.format_table())
     if args.out is not None:
         provenance = reports.footer(output.seed, output.config.config_hash)
-        output.files.append((args.out, reports.json_text({**report._asdict(), "provenance": provenance})))
+        output.file(args.out, reports.json_text({**report._asdict(), "provenance": provenance}))
     return 0
 
 
@@ -414,51 +442,20 @@ def _inputs(args: argparse.Namespace) -> list[Path]:
     return [file for path in paths for file in (path.glob("*.conllu") if path.is_dir() else [path])]
 
 
-def _commit(files: list[tuple[Path, str]], inputs: list[Path]) -> None:
-    """Every file written, or none: each text goes to a new sibling file, in a directory
-    made if missing, and all are renamed into place; a failure removes what was made.
-    An output that names the directory entry of an input, or of another output, however
-    spelled, is refused first."""
-    read = {os.path.split(os.path.realpath(path)): path for path in inputs}
-    entries: dict[tuple[str, str], Path] = {}
-    for path, _ in files:
-        # the parent resolved, the name not: a symlink at an output path is replaced, not followed
-        entry = (os.path.realpath(path.parent), path.name)
-        if entry in read:
-            raise ValueError(f"{path}: names the same file as input {read[entry]}")
-        if entry in entries:
-            raise ValueError(f"{path}: names the same file as output {entries[entry]}")
-        entries[entry] = path
-    staged = [(path, text, path.with_name(f".{path.name}.{os.getpid()}.new")) for path, text in files]
-    # the directories the commit makes; in reverse order each comes before its parent
-    missing = sorted({d for path, _ in files for d in path.parents if not d.exists()}, reverse=True)
-    try:
-        for path, text, new in staged:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with _naming(path):
-                if path.is_dir():  # else its rename would fail after others were done
-                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-                new.write_text(text, encoding="utf-8")
-        for path, _, new in staged:
-            with _naming(path):
-                os.replace(new, path)
-    except BaseException:
-        for leftover in [*(new for _, _, new in staged), *missing]:
-            with contextlib.suppress(OSError):
-                leftover.rmdir() if leftover in missing else leftover.unlink()
-        raise
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = ToolConfig.load(args.config)
     except (ValueError, OSError) as exc:
         return _fail("config error", exc, 2)
-    output = Output(config, args.seed, [], [], [], Counter())
     try:
-        code = args.run(args, output)
-        _commit(output.files, _inputs(args))
+        output = Output(config, args.seed, _inputs(args))
+        try:
+            code = args.run(args, output)
+            output.commit()
+        except BaseException:
+            output.discard()
+            raise
     except UsageError as exc:
         return _fail("usage error", exc, 2)
     except InfeasibleSplitError as exc:

@@ -168,6 +168,8 @@ def read_manifest(path: str | Path) -> list[tuple[str, str, str, int]]:
 def _manifest_row(cells: list[str]) -> tuple[str, str, str, int]:
     try:
         sent_a, sent_b, basis, length = cells
+        if basis not in (BASIS_CHAR_PREFIX, BASIS_CHAR_SUFFIX, BASIS_TOKEN_PREFIX, BASIS_TOKEN_SUFFIX):
+            raise ValueError(basis)
         return sent_a, sent_b, basis, reports.integer(length)
     except ValueError:
         line = "\t".join(cells)

@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -18,7 +17,7 @@ from latintb.conllu import parse_conllu_file, serialize_conllu
 from latintb.harmonize import RULE_PRON_PERSON
 from latintb.pipeline import convert_corpus, load_corpus, sentence_with_records
 from latintb.evaluation import records_of
-from latintb.reports import read_table
+from latintb.reports import read_table, tsv_text
 from latintb.standardize import StandardRecord
 
 
@@ -234,7 +233,7 @@ def test_gold_and_predictions_share_records_and_sentence_ids(tmp_path, capsys, m
         return records_of(sentences, memo)
 
     monkeypatch.setattr(evaluation, "records_of", recorded_records_of)
-    output = Output(ToolConfig(), 0, [], [], [], Counter())
+    output = Output(ToolConfig(), 0, [])
     (gold_s1, gold_s2), (pred_s1, pred_s2) = _aligned_records(output, gold, pred)
     assert pred_s1[0] is gold_s1[0]
     assert pred_s2[0] is not gold_s2[0]
@@ -244,6 +243,46 @@ def test_gold_and_predictions_share_records_and_sentence_ids(tmp_path, capsys, m
     assert pred_t2 is not gold_t2
     assert main(["eval", "--gold", str(gold), "--pred", str(pred)]) == 0
     assert "tokens scored        2" in capsys.readouterr().out
+
+
+def _sibling(path: Path) -> Path:
+    return path.with_name(f".{path.name}.{os.getpid()}.new")
+
+
+def _tree(root: Path) -> dict[Path, bytes | None]:
+    return {path: None if path.is_dir() else path.read_bytes() for path in root.rglob("*")}
+
+
+def test_an_output_is_staged_as_it_is_made_and_kept_only_as_paths(tmp_path):
+    # each text goes to its sibling at once; the run record keeps no reference to it
+    output = Output(ToolConfig(), 0, [])
+    corpus, report = tmp_path / "new" / "sub" / "a.conllu", tmp_path / "r.tsv"
+    text = "".join(f"# sent_id = s{i}\n" for i in range(100))
+    references = sys.getrefcount(text)
+    output.file(corpus, text)
+    assert sys.getrefcount(text) == references
+    assert _sibling(corpus).read_text(encoding="utf-8") == text and not corpus.exists()
+    output.tsv(report, ("a", "b"), [(1, 2)])
+    table = tsv_text(("a", "b"), [(1, 2)], seed=0, config_hash=ToolConfig().config_hash)
+    assert _sibling(report).read_text(encoding="utf-8") == table and not report.exists()
+    output.commit()
+    assert corpus.read_text(encoding="utf-8") == text and report.read_text(encoding="utf-8") == table
+    assert set(_tree(tmp_path)) == {tmp_path / "new", corpus.parent, corpus, report}
+
+
+def test_a_discard_removes_each_sibling_and_each_directory_the_staging_made(tmp_path):
+    held = tmp_path / "held.tsv"
+    held.write_bytes(b"earlier\n")
+    (tmp_path / "kept").mkdir()
+    before = _tree(tmp_path)
+    output = Output(ToolConfig(), 0, [])
+    for path in (held, tmp_path / "new" / "sub" / "a.conllu", tmp_path / "new" / "b.conllu",
+                 tmp_path / "kept" / "deep" / "c.tsv", tmp_path / "up" / ".." / "d.tsv"):
+        output.file(path, "text\n")
+        assert _sibling(path).is_file()
+    assert (tmp_path / "up").is_dir()
+    output.discard()
+    assert _tree(tmp_path) == before
 
 
 def test_a_raw_lasla_read_warns_once_with_its_unknown_value_count(fixtures_dir, tmp_path, capsys):
@@ -592,7 +631,7 @@ def test_perm_test_results_do_not_depend_on_blas_threads(workdir, fixtures_dir, 
 
 def test_agree_with_unknown_manifest_sentence_fails_in_one_line(fixtures_dir, tmp_path):
     manifest = tmp_path / "dups.tsv"
-    manifest.write_text("sent_a\tsent_b\tbasis\talign_length\nnope\tnada\tprefix\t3\n")
+    manifest.write_text("sent_a\tsent_b\tbasis\talign_length\nnope\tnada\tchar-prefix\t3\n")
     done = _run_cli("agree", "--a", fixtures_dir / "ud", "--b", fixtures_dir / "lasla",
                     "--dups", manifest, "--out", tmp_path / "agreement.tsv")
     assert done.returncode == 1

@@ -215,8 +215,9 @@ def test_manifest_roundtrip(tmp_path, duplicate_pairs):
 
 
 @pytest.mark.parametrize(
-    "row", ["cl_alpha-s1\tlasla_alpha-s1\tchar-prefix", "cl_alpha-s1\tlasla_alpha-s1\tchar-prefix\tmany"],
-    ids=["three-columns", "non-integer-length"],
+    "row", ["cl_alpha-s1\tlasla_alpha-s1\tchar-prefix", "cl_alpha-s1\tlasla_alpha-s1\tchar-prefix\tmany",
+            "cl_alpha-s1\tlasla_alpha-s1\tprefix\t7"],
+    ids=["three-columns", "non-integer-length", "unknown-basis"],
 )
 def test_bad_manifest_row_names_file_and_line(tmp_path, row):
     path = tmp_path / "dups.tsv"

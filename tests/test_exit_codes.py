@@ -533,6 +533,41 @@ def test_a_failed_split_audit_names_itself_on_its_one_stderr_line(base, tmp_path
     assert (tmp_path / "splits" / "Bible" / "test.conllu").is_file()
 
 
+@pytest.mark.parametrize("raised", [ValueError, KeyboardInterrupt])
+@pytest.mark.parametrize("earlier", [False, True], ids=["no-outputs", "earlier-outputs"])
+def test_a_failure_after_outputs_are_staged_leaves_the_tree_as_it_was(
+        base, tmp_path, monkeypatch, raised, earlier):
+    # the second period's audit fails once the first period's outputs are staged,
+    # their directories made; every sibling and each directory made is removed
+    clean = tmp_path / "clean"
+    [split] = [argv for argv in commands(base, clean) if argv[0] == "split"]
+    assert run(split) == (0, "")
+    work = tmp_path / "work"
+    work.mkdir()
+    for path, data in tree(clean).items():
+        if data is not None and earlier:
+            (work / path.relative_to(clean)).parent.mkdir(parents=True, exist_ok=True)
+            (work / path.relative_to(clean)).write_bytes(b"earlier\n")
+    before = tree(work)
+    audit, siblings = splits.audit_splits, []
+
+    def fails_once_a_period_is_staged(manifest, *args, **kwargs):
+        siblings.extend(work.rglob(f".*.{os.getpid()}.new"))
+        if siblings:
+            raise raised("planted")
+        return audit(manifest, *args, **kwargs)
+
+    monkeypatch.setattr(splits, "audit_splits", fails_once_a_period_is_staged)
+    [split] = [argv for argv in commands(base, work) if argv[0] == "split"]
+    if raised is ValueError:
+        assert run(split) == (1, "error: planted\n")
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            run(split)
+    assert len(siblings) > 1, "the first period's manifest and parts were staged"
+    assert tree(work) == before
+
+
 @pytest.mark.parametrize("command", ["eval", "perm-test"])
 def test_a_run_whose_output_cannot_be_written_prints_no_result(base, tmp_path, capsys, command):
     gold = base / "std" / "ud" / "cl_alpha.conllu"
