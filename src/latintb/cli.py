@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
+import gc
 import os
 import sys
 from collections import Counter
@@ -86,10 +87,33 @@ class Output:
         self.file(path, text)
 
     def commit(self) -> None:
-        """Every sibling renamed into place, in the order staged."""
-        for path, new in self._staged:
-            with _naming(path):
-                os.replace(new, path)
+        """Every sibling renamed into place, in the order staged, all or none: an existing output
+        is first hard-linked to ``.<name>.<pid>.old``, so that if a link or a rename fails, each
+        output renamed so far is put back, or removed where there was none."""
+        kept: list[tuple[Path, Path | None]] = []  # (path, the link to its earlier file)
+        try:
+            for path, new in self._staged:
+                with _naming(path):
+                    old = None
+                    if os.path.lexists(path):
+                        old = path.with_name(f".{path.name}.{os.getpid()}.old")
+                        with contextlib.suppress(FileNotFoundError):
+                            old.unlink()  # left by a killed run that had this pid
+                        os.link(path, old, follow_symlinks=False)  # a symlink, not its target
+                    kept.append((path, old))
+                    os.replace(new, path)
+        except BaseException:
+            for path, old in reversed(kept):
+                # a path whose rename failed still holds its earlier file, linked to old:
+                # the replace then does nothing, and the loop below removes the link
+                with contextlib.suppress(OSError):
+                    os.replace(old, path) if old else path.unlink()
+            raise
+        finally:
+            for _, old in kept:
+                if old:
+                    with contextlib.suppress(OSError):
+                        old.unlink()
 
     def discard(self) -> None:
         """Every sibling removed, then every directory the run made, children first."""
@@ -443,34 +467,44 @@ def _inputs(args: argparse.Namespace) -> list[Path]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    # A run's records are tuples, dicts and lists that form no reference
+    # cycle; only argparse and numpy's import leave a few hundred cyclic
+    # objects. So the cyclic collector, whose passes cost milliseconds a
+    # run, is paused for the run and then left as the caller had it.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        config = ToolConfig.load(args.config)
-    except (ValueError, OSError) as exc:
-        return _fail("config error", exc, 2)
-    try:
-        output = Output(config, args.seed, _inputs(args))
+        args = _build_parser().parse_args(argv)
         try:
-            code = args.run(args, output)
-            output.commit()
-        except BaseException:
-            output.discard()
-            raise
-    except UsageError as exc:
-        return _fail("usage error", exc, 2)
-    except InfeasibleSplitError as exc:
-        return _fail("infeasible", exc, 1)
-    except (ValueError, OSError) as exc:  # a bad input, or a path that cannot be read or written
-        return _fail("error", exc, 1)
-    for line in output.stdout:
-        print(line)
-    for line in output.stderr:
-        print(line, file=sys.stderr)
-    unknown = sum(output.unknown.values())
-    if code == 0 and unknown:
-        print(f"warning: {unknown} feature value{'' if unknown == 1 else 's'} outside the LASLA inventory "
-              "kept as read", file=sys.stderr)
-    return code
+            config = ToolConfig.load(args.config)
+        except (ValueError, OSError) as exc:
+            return _fail("config error", exc, 2)
+        try:
+            output = Output(config, args.seed, _inputs(args))
+            try:
+                code = args.run(args, output)
+                output.commit()
+            except BaseException:
+                output.discard()
+                raise
+        except UsageError as exc:
+            return _fail("usage error", exc, 2)
+        except InfeasibleSplitError as exc:
+            return _fail("infeasible", exc, 1)
+        except (ValueError, OSError) as exc:  # a bad input, or a path that cannot be read or written
+            return _fail("error", exc, 1)
+        for line in output.stdout:
+            print(line)
+        for line in output.stderr:
+            print(line, file=sys.stderr)
+        unknown = sum(output.unknown.values())
+        if code == 0 and unknown:
+            print(f"warning: {unknown} feature value{'' if unknown == 1 else 's'} outside the LASLA inventory "
+                  "kept as read", file=sys.stderr)
+        return code
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -11,19 +11,23 @@ spawn_key=(i,))).integers(0, 2, n_sentences)``, computed only for the
 moving sentences. When few of the 64-bit PCG64 outputs hold a moving
 sentence, PCG64 is replayed in uint64 numpy arithmetic, jumping from
 one such output to the next; when enough do that drawing every output
-costs less (_draws_every_word), each iteration's generator draws all of
-them, and only then is numpy.random loaded. Iterations run in blocks
-that fit a fixed byte budget, and each block's hits are counted before
-the next is drawn, so memory does not grow with the iteration count.
-This is the only module of latintb that imports numpy; permutation_test
-imports it on first use, so eval and the other subcommands never load
-numpy. The module leaves numpy's BLAS threads as the host program set
+costs less (_draws_every_word, decided once a run), each iteration's
+generator draws all of them, and only then is numpy.random loaded;
+numpy.ma never is. Both draws write 0/1 into a uint8 mask. Iterations
+run in blocks that fit a fixed byte budget, the float64 product of a
+block in sub-blocks that fit it too, and each block's hits are counted
+before the next is drawn, so memory does not grow with the iteration
+count. This is the only module of latintb that imports numpy;
+permutation_test imports it on first use, so eval and the other
+subcommands never load numpy. The module leaves numpy's BLAS threads as the host program set
 them; ``perm-test`` sets one unless its caller sets OpenBLAS's thread
 count (see cli.cmd_perm_test). Masks are 0/1 and statistics integer
 counts, so every thread count gives the same sums.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -221,6 +225,10 @@ def _pcg64_seeds(seed: int, spawn: np.ndarray) -> tuple[np.ndarray, ...]:
     return hi, lo, inc_hi, inc_lo
 
 
+# A run jumps by at most sqrt(2 n_words) distinct step counts (they sum to
+# at most n_words), so the cache holds every jump of a run of up to a
+# million sentences and each block after the first computes none.
+@functools.lru_cache(maxsize=1024)
 def _jump(steps: int) -> tuple[int, int]:
     """(M^steps, M^(steps-1) + ... + M + 1) mod 2^128 for PCG64's
     multiplier M: ``steps`` steps take a state s with increment inc to
@@ -233,12 +241,12 @@ def _jump(steps: int) -> tuple[int, int]:
 
 def _bit_masks(seeds: tuple[np.ndarray, ...], moving: np.ndarray) -> np.ndarray:
     """The swap bits of the ``moving`` sentences (sorted indices) under
-    the PCG64 ``seeds`` of _pcg64_seeds, as a float64 array with a row
+    the PCG64 ``seeds`` of _pcg64_seeds, as a uint8 array with a row
     per moving sentence and a column per iteration. Only the 64-bit
     outputs that hold a moving sentence are computed: the state jumps
     from one to the next."""
     hi, lo, inc_hi, inc_lo = seeds
-    masks = np.empty((len(moving), len(hi)))
+    masks = np.empty((len(moving), len(hi)), dtype=np.uint8)
     columns: dict[int, list[tuple[int, int]]] = {}
     for column, sentence in enumerate(moving.tolist()):
         columns.setdefault(sentence >> 1, []).append((column, sentence & 1))
@@ -261,7 +269,7 @@ def _bit_masks(seeds: tuple[np.ndarray, ...], moving: np.ndarray) -> np.ndarray:
 
 def _raw_masks(seeds: tuple[np.ndarray, ...], n_sentences: int, moving: np.ndarray) -> np.ndarray:
     """The swap bits of the ``moving`` sentences under the PCG64
-    ``seeds``, as float64 rows, one per iteration: each row's generator
+    ``seeds``, as uint8 rows, one per iteration: each row's generator
     draws every 64-bit output of the row."""
     from numpy.random import PCG64  # loaded for this draw only
 
@@ -281,58 +289,73 @@ def _raw_masks(seeds: tuple[np.ndarray, ...], n_sentences: int, moving: np.ndarr
     # output first, and keeps the top bit: Lemire's method never rejects
     # with a range of 2.
     halves = raw.astype("<u8", copy=False).view("<u4")[:, moving]
-    masks = np.empty(halves.shape)
+    masks = np.empty(halves.shape, dtype=np.uint8)
     np.greater_equal(halves, np.uint32(1 << 31), out=masks, casting="unsafe")
     return masks
 
 
 # What each draw costs per iteration, measured on a 2-core x86-64 VM with
 # numpy 2.4.6 at 813 and 4065 sentences, each at the block length it
-# gets: the per-row draw about 7 us to seed the row's generator plus 3 ns
-# per 64-bit output of the row, the bit-only draw about 60 ns per output
-# that holds a moving sentence (its blocks shorten as more sentences
-# move). They cross near 137 of 407 outputs at 813 sentences and 218 of
-# 2033 at 4065. The per-row draw also loads numpy.random, once: about
-# 10 ms and 6 MB of peak memory.
-_ROW_NS, _RAW_WORD_NS, _BIT_WORD_NS = 7000, 3, 60
+# gets: the per-row draw about 2.7 us to seed the row's generator plus
+# 3.5 ns per 64-bit output of the row and 1.7 ns per moving sentence, the
+# bit-only draw 21-23 ns per output that holds a moving sentence at 813
+# sentences and 26-32 ns at 4065 (its blocks shorten as more sentences
+# move). They cross near 240 of 407 outputs at 813 sentences and 420 of
+# 2033 at 4065; the constants, which leave out the per-row draw's cost
+# per moving sentence, cross there too. The per-row draw also loads
+# numpy.random, once: about 10 ms and 6 MB of peak memory.
+_ROW_NS, _RAW_WORD_NS, _BIT_WORD_NS = 4800, 3, 25
 
 
 def _draws_every_word(n_sentences: int, moving: np.ndarray) -> bool:
     """Whether drawing every 64-bit output of each row costs less than
     computing only the outputs that hold a ``moving`` sentence."""
-    moving_words = len(np.unique(moving >> 1))
+    # moving is sorted, so a word is new where it differs from the one
+    # before (np.unique would load numpy.ma)
+    words = moving >> 1
+    moving_words = int(np.count_nonzero(words[1:] != words[:-1])) + (len(words) > 0)
     return _ROW_NS + _RAW_WORD_NS * ((n_sentences + 1) // 2) < _BIT_WORD_NS * moving_words
 
 
-def _swap_masks(seed: int, start: int, stop: int, n_sentences: int, moving: np.ndarray) -> np.ndarray:
+def _swap_masks(
+    seed: int, start: int, stop: int, n_sentences: int, moving: np.ndarray, every_word: bool | None = None
+) -> np.ndarray:
     """The swap bits of iterations [start, stop) for the ``moving``
-    sentences (sorted indices among ``n_sentences``), as float64 0/1
-    rows over the moving columns."""
+    sentences (sorted indices among ``n_sentences``), as uint8 0/1 rows
+    over the moving columns, drawn as ``every_word`` says, or as
+    _draws_every_word decides if it is None."""
+    if every_word is None:
+        every_word = _draws_every_word(n_sentences, moving)
     seeds = _pcg64_seeds(seed, np.arange(start, stop, dtype=np.uint32))
-    if _draws_every_word(n_sentences, moving):
+    if every_word:
         return _raw_masks(seeds, n_sentences, moving)
     return _bit_masks(seeds, moving).T
 
 
-# A block holds, per iteration, the float64 mask over the moving
-# sentences, the product and the scores computed from it (about four
-# times the width of the statistics), the draw's uint64 working arrays
-# and, for the per-row draw, every 64-bit output of the row and a copy
-# of the 32-bit halves it keeps: BLOCK_BYTES bounds that. Blocks never
-# exceed MAX_BLOCK_ROWS rows. Each numpy call of the bit-only draw has a
-# fixed cost of about a microsecond, so it gains from long blocks.
+# A block holds, per iteration, the uint8 mask over the moving sentences,
+# the product and the scores computed from it (about four times the width
+# of the statistics, in float64), the draw's uint64 working arrays and,
+# for the per-row draw, every 64-bit output of the row and a copy of the
+# 32-bit halves it keeps: BLOCK_BYTES bounds that. The product casts the
+# mask to float64 in sub-blocks, each of which BLOCK_BYTES bounds too.
+# Blocks never exceed MAX_BLOCK_ROWS rows. Each numpy call of the bit-only
+# draw has a fixed cost of about a microsecond, so it gains from long
+# blocks.
 BLOCK_BYTES = 2_500_000
 MAX_BLOCK_ROWS = 8192
 _DRAW_ROW_WORDS = 16
 
 
-def block_rows(n_sentences: int, moving: np.ndarray, width: int) -> int:
+def block_rows(n_sentences: int, moving: np.ndarray, width: int, every_word: bool | None = None) -> int:
     """Iterations per block for the swap bits of the ``moving`` sentences
-    among ``n_sentences`` and statistics ``width`` columns wide."""
-    row_words = len(moving) + 4 * width + _DRAW_ROW_WORDS
-    if _draws_every_word(n_sentences, moving):
-        row_words += (n_sentences + 1) // 2 + (len(moving) + 1) // 2
-    return max(1, min(MAX_BLOCK_ROWS, BLOCK_BYTES // (8 * row_words)))
+    among ``n_sentences`` and statistics ``width`` columns wide, drawn as
+    ``every_word`` says, or as _draws_every_word decides if it is None."""
+    if every_word is None:
+        every_word = _draws_every_word(n_sentences, moving)
+    row_bytes = len(moving) + 8 * (4 * width + _DRAW_ROW_WORDS)
+    if every_word:
+        row_bytes += 8 * ((n_sentences + 1) // 2) + 4 * len(moving)
+    return max(1, min(MAX_BLOCK_ROWS, BLOCK_BYTES // row_bytes))
 
 
 def observed_and_hits(
@@ -345,10 +368,13 @@ def observed_and_hits(
     machine = _build_machine(codes, metric, include_upos)
     n_sentences, moving = len(codes.sentence_lengths), machine.moving
     observed = float(machine.diffs(np.zeros((1, len(moving))))[0])
-    rows, hits = block_rows(n_sentences, moving, machine.delta.shape[1]), 0
+    every_word = _draws_every_word(n_sentences, moving)
+    rows = block_rows(n_sentences, moving, machine.delta.shape[1], every_word)
+    # the product's sub-blocks, each holding its rows of the mask as float64
+    sub_rows, hits = max(1, BLOCK_BYTES // (8 * max(1, len(moving)))), 0
     for start in range(0, iterations, rows):
-        # the block's masks are a temporary, freed before the next is drawn
-        stop = min(start + rows, iterations)
-        diffs = machine.diffs(_swap_masks(seed, start, stop, n_sentences, moving))
-        hits += int((diffs >= observed).sum())
+        masks = _swap_masks(seed, start, min(start + rows, iterations), n_sentences, moving, every_word)
+        for sub in range(0, len(masks), sub_rows):
+            hits += int((machine.diffs(masks[sub : sub + sub_rows]) >= observed).sum())
+        del masks  # freed before the next block is drawn
     return observed, hits

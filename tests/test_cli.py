@@ -1,4 +1,5 @@
 import codecs
+import gc
 import hashlib
 import json
 import os
@@ -566,6 +567,60 @@ def test_a_perm_test_loads_numpy_random_only_when_many_sentences_move(workdir, t
     gold, pred_a, pred_b = _repeated_with_flipped_feats(gold, many, copies)
     every = ["perm-test", "--gold", gold, "--a", pred_a, "--b", pred_b, "--n", "300"]
     assert "numpy.random" in _modules_loaded(tmp_path, _RUN_MAIN, *every)
+
+
+@pytest.mark.parametrize("draw", ["bit-only", "per-row"])
+def test_a_perm_test_loads_no_numpy_ma(workdir, tmp_path, draw):
+    # np.unique would load numpy.ma (about 7 ms) to count the words that hold
+    # a moving sentence; the inputs are those of the numpy.random test above
+    gold = workdir / "splits" / "Classical-UD" / "test.conllu"
+    pred_a, pred_b = tmp_path / "a.conllu", tmp_path / "b.conllu"
+    _write_predictions(gold, pred_a, pred_b)
+    if draw == "per-row":
+        (tmp_path / "many").mkdir()
+        copies = -(-1000 // len(parse_conllu_file(gold)))
+        gold, pred_a, pred_b = _repeated_with_flipped_feats(gold, tmp_path / "many", copies)
+    argv = ["perm-test", "--gold", gold, "--a", pred_a, "--b", pred_b, "--n", "300",
+            "--out", tmp_path / "perm.tsv"]
+    loaded = _modules_loaded(tmp_path, _RUN_MAIN, *argv)
+    assert (tmp_path / "perm.tsv").is_file()
+    assert ("numpy.random" in loaded) == (draw == "per-row")
+    assert "numpy.ma" not in loaded
+
+
+@pytest.mark.parametrize("caller_collects", [True, False])
+def test_main_pauses_the_cyclic_collector_and_restores_the_callers_state(
+        workdir, tmp_path, monkeypatch, caller_collects):
+    from latintb import cli
+
+    gold = workdir / "splits" / "Classical-UD" / "test.conllu"
+    runs = {
+        0: ["eval", "--gold", gold, "--pred", gold],
+        1: ["eval", "--gold", tmp_path / "missing.conllu", "--pred", gold],
+        2: ["perm-test", "--gold", gold, "--a", gold, "--b", gold, "--n", "0"],
+    }
+    seen = []
+
+    def lint_that_sees_the_collector(args, output):
+        seen.append(gc.isenabled())
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_lint", lint_that_sees_the_collector)
+    was = gc.isenabled()
+    (gc.enable if caller_collects else gc.disable)()
+    try:
+        for code, argv in runs.items():
+            assert main([str(arg) for arg in argv]) == code, argv
+            assert gc.isenabled() == caller_collects, argv
+        for argv in (["--version"], ["lint", "--no-such-flag"]):
+            with pytest.raises(SystemExit):
+                main(argv)
+            assert gc.isenabled() == caller_collects, argv
+        assert main(["lint", "--in", str(gold), "--out", str(tmp_path / "lint.tsv")]) == 0
+        assert gc.isenabled() == caller_collects
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False]
 
 
 _HAS_PROC = Path("/proc/self/task").is_dir()

@@ -799,14 +799,14 @@ def test_p_value_across_block_boundaries(monkeypatch, metric, block):
     machine = _build_machine(_Codes(gold, preds_a, preds_b), metric, False)
     moving, width = machine.moving, machine.delta.shape[1]
     # 9 sentences take the bit-only draw, which keeps no 64-bit output
-    row_words = len(moving) + 4 * width + permutation._DRAW_ROW_WORDS
-    monkeypatch.setattr(permutation, "BLOCK_BYTES", block * 8 * row_words)
+    row_bytes = len(moving) + 8 * (4 * width + permutation._DRAW_ROW_WORDS)
+    monkeypatch.setattr(permutation, "BLOCK_BYTES", block * row_bytes)
     assert permutation.block_rows(len(gold), moving, width) == block
     drawn = []
 
-    def recorded_swap_masks(seed, start, stop, n_sentences, moving):
+    def recorded_swap_masks(seed, start, stop, *args):
         drawn.append((start, stop))
-        return _swap_masks(seed, start, stop, n_sentences, moving)
+        return _swap_masks(seed, start, stop, *args)
 
     monkeypatch.setattr(permutation, "_swap_masks", recorded_swap_masks)
     observed = machine.diffs(np.zeros((1, len(moving))))[0]
@@ -820,15 +820,52 @@ def test_p_value_across_block_boundaries(monkeypatch, metric, block):
         assert drawn == [(start, min(start + block, iterations)) for start in starts]
 
 
+def test_p_value_across_product_sub_blocks_shorter_than_a_block(monkeypatch):
+    # morph-acc's statistics are one column wide, so with many moving sentences
+    # the float64 mask of a product row takes more bytes than a drawn row
+    rng = random.Random(17)
+    gold = random_corpus(rng, 90, max_tokens=5)
+    preds_a = corrupt(gold, rng, 0.3)
+    preds_b = corrupt(gold, rng, 0.4)
+    machine = _build_machine(_Codes(gold, preds_a, preds_b), "morph-acc", False)
+    moving = machine.moving
+    row_bytes = len(moving) + 8 * (4 + permutation._DRAW_ROW_WORDS)
+    monkeypatch.setattr(permutation, "BLOCK_BYTES", 12 * row_bytes)
+    # a sub-block holds its rows of the mask as float64
+    block, sub = permutation.block_rows(len(gold), moving, 1), 12 * row_bytes // (8 * len(moving))
+    assert block == 12 and 1 < sub < block - 1
+    diffs, scored = permutation._Machine.diffs, []
+
+    def recorded_diffs(self, masks):
+        scored.append(len(masks))
+        return diffs(self, masks)
+
+    monkeypatch.setattr(permutation._Machine, "diffs", recorded_diffs)
+    observed = machine.diffs(np.zeros((1, len(moving))))[0]
+    for iterations in sorted({1, sub - 1, sub, sub + 1, block - 1, block, block + 1, 2 * block + sub}):
+        scored.clear()
+        masks = reference_swap_masks(13, 0, iterations, len(gold))[:, moving]
+        hits = sum(diffs(machine, mask[None, :])[0] >= observed for mask in masks)
+        result = permutation_test(gold, preds_a, preds_b, "morph-acc", iterations=iterations, seed=13)
+        assert result.p_value == hits / iterations, iterations
+        # after the observed difference, each block's rows in sub-blocks
+        expected = []
+        for start in range(0, iterations, block):
+            rows = min(block, iterations - start)
+            expected += [min(sub, rows - at) for at in range(0, rows, sub)]
+        assert scored == [1, *expected], iterations
+
+
 def test_block_rows_keep_to_the_budget_and_the_row_cap():
-    budget = permutation.BLOCK_BYTES // 8  # in 8-byte words
+    budget = permutation.BLOCK_BYTES
     assert permutation.block_rows(1, np.arange(1), 1) == permutation.MAX_BLOCK_ROWS == 8192
     assert permutation.block_rows(120, np.arange(0, 120, 7), 1) == 8192
-    # bit-only: the mask over the moving sentences, four times the
-    # statistics' width, and the draw's working arrays
-    assert permutation.block_rows(813, np.arange(0, 813, 50), 33) == budget // (17 + 4 * 33 + 16)
-    # per-row: every 64-bit output of the row and the halves kept, too
-    assert permutation.block_rows(813, np.arange(813), 1) == budget // (813 + 4 + 16 + 407 + 407)
+    assert permutation.block_rows(813, np.arange(0, 813, 6), 1) == 8192
+    # bit-only: a byte of mask per moving sentence, and in 8-byte words four
+    # times the statistics' width and the draw's working arrays
+    assert permutation.block_rows(813, np.arange(0, 813, 50), 33) == budget // (17 + 8 * (4 * 33 + 16))
+    # per-row: every 64-bit output of the row and the 32-bit halves kept, too
+    assert permutation.block_rows(813, np.arange(813), 1) == budget // (813 + 8 * (4 + 16) + 8 * 407 + 4 * 813)
     assert permutation.block_rows(1, np.arange(1), 10**12) == 1
 
 

@@ -441,6 +441,52 @@ def test_a_failed_write_leaves_every_output_path_as_it_was(base, tmp_path, monke
             assert tree(work) == before, (earlier, k)
 
 
+@pytest.mark.parametrize("command", range(len(COMMAND_NAMES)), ids=COMMAND_NAMES)
+@pytest.mark.parametrize("failing", ["replace", "link"])
+def test_a_failed_rename_or_link_puts_every_output_back(base, tmp_path, monkeypatch, command, failing):
+    """The k-th os.replace of the commit fails, for every k, with the outputs
+    absent or holding earlier bytes; or the k-th os.link, which keeps an
+    earlier output, fails. The outputs renamed before it are put back, and
+    no .new or .old sibling or directory made is left."""
+    clean = tmp_path / "clean"
+    clean.mkdir()
+    assert run(commands(base, clean)[command]) == (0, "")
+    outputs = [path.relative_to(clean) for path, data in tree(clean).items() if data is not None]
+    real = getattr(os, failing)
+    for earlier in (True,) if failing == "link" else (False, True):
+        for k in range(len(outputs)):
+            work = tmp_path / f"{earlier}-{k}"
+            for output in outputs if earlier else ():
+                (work / output).parent.mkdir(parents=True, exist_ok=True)
+                (work / output).write_bytes(b"earlier\n")
+            work.mkdir(exist_ok=True)
+            before = tree(work)
+            calls = []
+
+            def fails_kth(src, dst, *args, **kwargs):
+                calls.append(src if failing == "link" else dst)  # the output's path
+                if len(calls) == k + 1:
+                    raise OSError(errno.EIO, os.strerror(errno.EIO), str(dst))
+                return real(src, dst, *args, **kwargs)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(os, failing, fails_kth)
+                code, stderr = run(commands(base, work)[command])
+            assert calls[k] in {work / o for o in outputs}, (earlier, k)
+            assert (code, stderr) == (1, f"error: [Errno {errno.EIO}] "
+                                         f"{os.strerror(errno.EIO)}: {str(calls[k])!r}\n")
+            assert tree(work) == before, (earlier, k)
+
+
+def test_a_link_left_by_a_killed_run_of_the_same_pid_is_replaced(tmp_path):
+    # a killed run leaves its .old links; a later run that gets its pid still commits
+    out = tmp_path / "lint.tsv"
+    out.write_bytes(b"earlier\n")
+    out.with_name(f".lint.tsv.{os.getpid()}.old").write_bytes(b"left by a killed run\n")
+    assert run(["lint", "--in", FIXTURES / "ud" / "cl_alpha.conllu", "--out", out]) == (0, "")
+    assert list(tree(tmp_path)) == [out] and out.read_bytes().startswith(b"sent_id\t")
+
+
 # what writes a file or makes a directory: calls by these names, os.replace,
 # and an open() given a mode that writes
 WRITING_CALLS = frozenset({"write_text", "write_bytes", "mkdir", "makedirs", "touch", "rename",
