@@ -6,6 +6,8 @@ codes: 0 success, 1 validation failure, 2 usage error. A command reads,
 computes and stages each output through its run record as it is made;
 ``main`` renames the staged outputs into place, all or none, and prints
 the results only after, so a failing run prints only its one error line.
+A process runs ``main`` through ``entry``, which flushes stdout and
+stderr and then ends the process without the interpreter's teardown.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import os
 import sys
 from collections import Counter
 from pathlib import Path
+from typing import NoReturn
 
 # Only what every subcommand needs is imported here: each fresh process
 # pays for its imports. agreement, dedup, evaluation, metadata and splits
@@ -350,7 +353,7 @@ def cmd_split(args, output: Output) -> int:
 
 
 @contextlib.contextmanager
-def _naming(path: Path):
+def _naming(path: Path | str):
     """A ValueError or OSError raised inside names ``path``, the file at fault."""
     try:
         yield
@@ -493,8 +496,12 @@ def main(argv: list[str] | None = None) -> int:
             return _fail("infeasible", exc, 1)
         except (ValueError, OSError) as exc:  # a bad input, or a path that cannot be read or written
             return _fail("error", exc, 1)
-        for line in output.stdout:
-            print(line)
+        try:
+            with _naming("stdout"):  # full, or a closed pipe: the outputs stay committed
+                for line in output.stdout:
+                    print(line)
+        except OSError as exc:
+            return _fail("error", exc, 1)
         for line in output.stderr:
             print(line, file=sys.stderr)
         unknown = sum(output.unknown.values())
@@ -507,5 +514,27 @@ def main(argv: list[str] | None = None) -> int:
             gc.enable()
 
 
+def entry() -> NoReturn:
+    """``main`` as a process: its code, or argparse's (``--version``, ``--help``, a usage
+    error), is the exit status once stdout and stderr are flushed. Every output is committed
+    and closed by then, so the process ends with ``os._exit``: the interpreter's teardown
+    (clearing every module, a last collection, freeing numpy) would only cost time, and no
+    atexit callback or finalizer runs. Any other exception leaves the normal way."""
+    try:
+        code = main()
+    except SystemExit as exc:
+        code = exc.code
+    try:
+        with _naming("stdout"):  # a block-buffered stdout fails here, not in main
+            if sys.stdout is not None:  # None if the process started with it closed
+                sys.stdout.flush()
+    except OSError as exc:
+        code = _fail("error", exc, code or 1)
+    with contextlib.suppress(OSError):  # nowhere left to report to; the code stands
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -1,8 +1,13 @@
 import codecs
+import contextlib
+import errno
 import gc
 import hashlib
+import io
 import json
 import os
+import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -1380,3 +1385,132 @@ def test_outputs_do_not_depend_on_the_hash_seed(fixtures_dir, tmp_path):
         }
     assert len(trees["0"]) > 30
     assert trees["0"] == trees["12345"]
+
+
+def _script_entry() -> str:
+    """The ``module:function`` that ``[project.scripts]`` installs as ``latintb``."""
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    [target] = re.findall(r'^latintb = "([\w.]+:\w+)"$', pyproject, re.MULTILINE)
+    return target
+
+
+def _launcher(kind: str) -> list[str]:
+    """A fresh interpreter that runs the CLI as ``python -m`` does, or as the installed script."""
+    if kind == "module":
+        return [sys.executable, "-m", "latintb.cli"]
+    module, function = _script_entry().split(":")
+    return [sys.executable, "-c", f"import sys\nfrom {module} import {function}\nsys.exit({function}())"]
+
+
+def _spawn(argv, stdout, unbuffered: bool, launcher: str = "module", **kwargs) -> subprocess.CompletedProcess:
+    """A fresh CLI process with stdout sent to ``stdout``; block-buffered unless ``unbuffered``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [_src_path(), os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([*_launcher(launcher), *map(str, argv)],
+                          stdout=stdout, env=env, timeout=120, check=False, **kwargs)
+
+
+def _in_process(argv) -> tuple[int, bytes, bytes]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([str(arg) for arg in argv])
+        except SystemExit as exc:  # argparse's --version, --help and usage errors
+            code = exc.code
+    return code, out.getvalue().encode("utf-8"), err.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("launcher", ["module", "script"])
+@pytest.mark.parametrize("case", ["eval", "perm-test", "metadata-violations", "lasla-warning",
+                                  "version", "help", "usage-error", "config-error"])
+def test_a_process_prints_every_byte_that_main_prints(workdir, tmp_path, monkeypatch, launcher, case):
+    # stdout and stderr go to files with PYTHONUNBUFFERED unset, so stdout is block-buffered and
+    # whatever the process printed is still in its buffer when main returns
+    monkeypatch.setenv("COLUMNS", "80")  # argparse's --help width, here and in the child
+    gold = workdir / "splits" / "Classical-UD" / "test.conllu"
+    if case == "eval":
+        _write_predictions(gold, tmp_path / "a.conllu", tmp_path / "b.conllu")
+        argv = ["eval", "--gold", gold, "--pred", tmp_path / "a.conllu"]
+    elif case == "perm-test":  # b is wrong everywhere, so the result line has a note
+        for name, value in (("gold", "Nom"), ("a", "Nom"), ("b", "Acc")):
+            (tmp_path / f"{name}.conllu").write_text("".join(
+                f"# sent_id = s{i}\n1\tx\tx\tNOUN\t_\tCase={value}\t_\t_\t_\t_\n\n" for i in range(200)))
+        argv = ["perm-test", "--gold", tmp_path / "gold.conllu", "--a", tmp_path / "a.conllu",
+                "--b", tmp_path / "b.conllu", "--n", "1000", "--out", tmp_path / "perm.tsv"]
+    elif case == "metadata-violations":
+        (tmp_path / "meta.tsv").write_text(
+            "treebank\twork_id\tauthor\tcentury\tis_bible\tgenres\ttrain_sents\tdev_sents\ttest_sents\n"
+            "Other\tw\tA\t-1\tfalse\tspeech\t1\t0\t0\n")
+        argv = ["metadata-validate", "--file", tmp_path / "meta.tsv"]
+    elif case == "lasla-warning":  # Case=Erg lies outside LASLA's inventory
+        (tmp_path / "w.conllu").write_text("# sent_id = w-1\n1\tpuer\tpuer\tNOUN\t_\tCase=Erg\t_\t_\t_\t_\n")
+        argv = ["convert", "--in", tmp_path / "w.conllu", "--flavor", "lasla", "--out", tmp_path / "std"]
+    else:
+        argv = {"version": ["--version"], "help": ["--help"], "usage-error": ["eval", "--gold"],
+                "config-error": ["lint", "--in", gold, "--config", tmp_path / "missing.json",
+                                 "--out", tmp_path / "lint.tsv"]}[case]
+    out, err = tmp_path / "stdout", tmp_path / "stderr"
+    with open(out, "wb") as stdout, open(err, "wb") as stderr:
+        done = _spawn(argv, stdout, unbuffered=False, stderr=stderr, launcher=launcher)
+    code, printed, warned = _in_process(argv)
+    assert (done.returncode, out.read_bytes(), err.read_bytes()) == (code, printed, warned)
+    assert printed or warned
+    assert code == {"metadata-violations": 1, "usage-error": 2, "config-error": 2}.get(case, 0)
+
+
+@pytest.mark.parametrize("sink", ["full", "closed-pipe"])
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_a_failed_write_to_stdout_fails_in_one_line_and_keeps_the_outputs(workdir, tmp_path, sink, unbuffered):
+    # unbuffered, main's print fails; buffered, the table waits in the buffer and the flush fails
+    if sink == "full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    gold = workdir / "splits" / "Classical-UD" / "test.conllu"
+    _write_predictions(gold, tmp_path / "a.conllu", tmp_path / "b.conllu")
+    argv = ["eval", "--gold", gold, "--pred", tmp_path / "a.conllu"]
+    assert main([*map(str, argv), "--out", str(tmp_path / "expected.json")]) == 0
+    if sink == "full":
+        stdout, error = os.open("/dev/full", os.O_WRONLY), errno.ENOSPC
+    else:
+        read, stdout = os.pipe()
+        os.close(read)
+        error = errno.EPIPE
+    try:
+        done = _spawn([*argv, "--out", tmp_path / "eval.json"], stdout, unbuffered, stderr=subprocess.PIPE)
+    finally:
+        os.close(stdout)
+    assert (done.returncode, done.stderr.decode()) == (1, f"error: [Errno {error}] {os.strerror(error)}: 'stdout'\n")
+    assert (tmp_path / "eval.json").read_bytes() == (tmp_path / "expected.json").read_bytes()
+
+
+@pytest.mark.parametrize("closed", [1, 2], ids=["stdout", "stderr"])
+def test_a_process_started_with_stdout_or_stderr_closed_exits_with_mains_code(workdir, tmp_path, closed):
+    # Python then holds None for the stream, and print drops what it is given
+    gold = workdir / "splits" / "Classical-UD" / "test.conllu"
+    argv = ["eval", "--gold", gold, "--pred", gold, "--out", tmp_path / "eval.json"]
+    done = _spawn(argv, subprocess.PIPE, unbuffered=False, stderr=subprocess.PIPE,
+                  preexec_fn=lambda: os.close(closed))
+    assert (done.returncode, (tmp_path / "eval.json").is_file()) == (0, True)
+    assert done.stderr == b""
+    assert done.stdout.startswith(b"tokens scored") if closed == 2 else done.stdout == b""
+
+
+@pytest.mark.parametrize("main_body, code, stdout, in_stderr", [
+    ("return 3", 3, "", ""),  # ended by os._exit: the atexit callback does not run
+    ("raise ZeroDivisionError('boom')", 1, "atexit ran\n", "ZeroDivisionError: boom"),
+    ("raise KeyboardInterrupt", -signal.SIGINT, "atexit ran\n", "KeyboardInterrupt"),
+], ids=["code", "exception", "interrupt"])
+def test_entry_ends_the_process_on_mains_code_and_lets_any_other_exception_exit_normally(
+        main_body, code, stdout, in_stderr):
+    probe = ("import atexit\n"
+             "import latintb.cli as cli\n"
+             "atexit.register(print, 'atexit ran')\n"
+             f"def main():\n    {main_body}\n"
+             "cli.main = main\n"
+             "cli.entry()\n")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=_src_path()))
+    assert (done.returncode, done.stdout) == (code, stdout)
+    assert in_stderr in done.stderr and ("Traceback" in done.stderr) == bool(in_stderr)

@@ -487,10 +487,10 @@ def test_a_link_left_by_a_killed_run_of_the_same_pid_is_replaced(tmp_path):
     assert list(tree(tmp_path)) == [out] and out.read_bytes().startswith(b"sent_id\t")
 
 
-# what writes a file or makes a directory: calls by these names, os.replace,
-# and an open() given a mode that writes
+# what writes a file, makes a directory or links a name to a file: calls by these names,
+# os.replace, and an open() given a mode that writes
 WRITING_CALLS = frozenset({"write_text", "write_bytes", "mkdir", "makedirs", "touch", "rename",
-                           "unlink", "rmdir"})
+                           "unlink", "rmdir", "link", "symlink", "symlink_to", "hardlink_to"})
 
 
 def writing_calls(path: Path) -> list[str]:
@@ -515,6 +515,19 @@ def test_only_cli_writes_files():
              for path in sorted(Path(latintb.__file__).parent.glob("*.py"))}
     assert calls.pop("cli.py"), "the scan sees the writes of cli.main"
     assert [call for found in calls.values() for call in found] == []
+
+
+def test_only_the_cli_entry_ends_the_process_with_os_exit():
+    # the one process exit that skips the interpreter's teardown comes after main has
+    # committed every output and entry has flushed stdout and stderr
+    package = Path(latintb.__file__).parent
+    exits = [(path.name, node.lineno) for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and "_exit" in (getattr(node.func, "attr", None),
+                                                           getattr(node.func, "id", None))]
+    assert len(exits) == 1 and exits[0][0] == "cli.py", exits
+    assert callers(package / "cli.py", {"_exit"}) == {("entry", "_exit")}
+    assert callers(package / "cli.py", {"entry"}) == {("<module>", "entry")}  # __main__
 
 
 def callers(path: Path, names: set[str]) -> set[tuple[str, str]]:
