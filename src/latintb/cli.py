@@ -451,10 +451,16 @@ def cmd_lint(args, output: Output) -> int:
     return 0
 
 
+# A failed write to stderr, or flush of it, is ignored: nowhere is left to
+# report it, and the exit code stands.
+_STDERR_FAILS = contextlib.suppress(OSError)
+
+
 def _fail(prefix: str, exc: Exception, code: int) -> int:
     # each line boundary that str.splitlines knows, escaped, even in a path
     breaks = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
-    print(f"{prefix}: {exc}".translate({ord(c): repr(c)[1:-1] for c in breaks}), file=sys.stderr)
+    with _STDERR_FAILS:
+        print(f"{prefix}: {exc}".translate({ord(c): repr(c)[1:-1] for c in breaks}), file=sys.stderr)
     return code
 
 
@@ -502,12 +508,13 @@ def main(argv: list[str] | None = None) -> int:
                     print(line)
         except OSError as exc:
             return _fail("error", exc, 1)
-        for line in output.stderr:
-            print(line, file=sys.stderr)
         unknown = sum(output.unknown.values())
-        if code == 0 and unknown:
-            print(f"warning: {unknown} feature value{'' if unknown == 1 else 's'} outside the LASLA inventory "
-                  "kept as read", file=sys.stderr)
+        with _STDERR_FAILS:
+            for line in output.stderr:
+                print(line, file=sys.stderr)
+            if code == 0 and unknown:
+                print(f"warning: {unknown} feature value{'' if unknown == 1 else 's'} outside the LASLA "
+                      "inventory kept as read", file=sys.stderr)
         return code
     finally:
         if collecting:
@@ -530,7 +537,7 @@ def entry() -> NoReturn:
                 sys.stdout.flush()
     except OSError as exc:
         code = _fail("error", exc, code or 1)
-    with contextlib.suppress(OSError):  # nowhere left to report to; the code stands
+    with _STDERR_FAILS:
         if sys.stderr is not None:
             sys.stderr.flush()
     os._exit(code)

@@ -45,6 +45,10 @@ class StructureError(ConlluError):
     """Structurally invalid sentence, e.g. non-increasing token ids."""
 
 
+# a character that would split or shift a FEATS item, a cell or a line
+_structural = re.compile(r"[=|,\t\n]").search
+
+
 class FeatureBundle:
     """Multi-valued morphological feature map.
 
@@ -63,11 +67,11 @@ class FeatureBundle:
             values = tuple(values)
             if not name:
                 raise ValueError("empty feature name")
-            if not values or any(not v for v in values):
+            if not values or not all(values):
                 raise ValueError(f"feature {name!r} has an empty value")
-            if any(c in name for c in "=|,\t\n"):
+            if _structural(name):
                 raise ValueError(f"feature name {name!r} contains structural characters")
-            if any(c in v for v in values for c in "=|,\t\n"):
+            if any(map(_structural, values)):
                 raise ValueError(f"feature {name!r} has a value with structural characters")
             if name in index:
                 raise ValueError(f"duplicate feature {name!r}")
@@ -343,14 +347,16 @@ class CorpusReader:
 
     When the mapping has an ``id`` column, each distinct raw token line
     is also memoized, with the values it holds outside the mapping's
-    inventory: a line read again, in any file, gives back the same
-    token without being split or checked. Tokens are immutable, so the
-    sentences of every file share them. Only a line that passed every
-    check is stored, so a bad line raises at each occurrence, with its
-    own line number. Without an id column a token's id is its position,
-    and lines are not memoized. ``unknown_values`` counts every
-    occurrence of a value outside the mapping's inventory, memoized
-    lines included.
+    inventory, and each line is looked up before any other test: a line
+    read again, in any file, gives back the same token without being
+    stripped, split or checked. Tokens are immutable, so the sentences of
+    every file share them. Only a line that passed every check is
+    stored, so a bad line raises at each occurrence, with its own line
+    number. Without an id column a token's id is its position, and lines
+    are not memoized. ``unknown_values`` counts every occurrence of a
+    value outside the mapping's inventory, memoized lines included. Ids
+    are checked for order as tokens are gathered, so sentences are built
+    with ``tuple.__new__`` too.
     """
 
     def __init__(self, mapping: ColumnMapping = CONLLU_MAPPING):
@@ -388,110 +394,107 @@ class CorpusReader:
         separator, n_columns = mapping.separator, mapping.n_columns
         id_column = mapping.columns.get("id")
         fields, bundles, miscs = self._fields, self._bundles, self._miscs
-        # without an id column a line's id is its position, so it is not memoized
-        lines = self._lines if id_column is not None else None
+        unknown_values = self.unknown_values
+        # without an id column a line's id is its position: no line is
+        # memoized, so every lookup misses
+        memo = self._lines if id_column is not None else {}
+        memoized = memo.get
         new = tuple.__new__
         if isinstance(source, str):
             source = io.StringIO(source, newline=None)
         sentences: list[Sentence] = []
         doc_id: str | None = None
         comments, meta, tokens, extras = [], {}, [], []
+        last_id, in_order = 0, True  # the block's last token id, and whether ids increase
 
         # a source never yields "", so a final "" closes the last block
         for line_no, raw in enumerate(chain(source, ("",)), start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                if tokens:
-                    sent_id = meta.get("sent_id")
-                    if sent_id is None:
-                        sent_id = f"{stem or 'sent'}-{len(sentences) + 1}"
-                    # a "# newdoc id" carries over to the blocks that follow it
-                    doc_id = meta.get("newdoc id", doc_id)
-                    sentences.append(
-                        Sentence(
-                            sent_id=sent_id,
-                            tokens=tuple(tokens),
-                            text=meta.get("text"),
-                            doc_id=doc_id,
-                            work_id=meta.get("work_id") or doc_id or stem,
-                            comments=tuple(comments),
-                            extras=tuple(extras),
-                        )
-                    )
-                    comments, meta, tokens, extras = [], {}, [], []
-                elif comments or extras:
-                    # the closing blank line, or the last line of the source
-                    end = line_no if raw else line_no - 1
-                    raise ParseError(f"line {end}: sentence block without token lines")
-                continue
-            if line[0] == "#":
-                comments.append(line)
-                key, value = _comment_field(line)
-                if key is not None:
-                    if key in _ID_KEYS and breaks_a_cell(value):
-                        raise ParseError(f"line {line_no}: {key} {value!r} holds a tab or a line break")
-                    meta[key] = value
-                continue
-            if lines is not None:
-                seen = lines.get(line)
-                if seen is not None:
-                    tokens.append(seen[0])
-                    if seen[1]:
-                        self.unknown_values.update(seen[1])
+            # a memoized token line passed every check, and no blank or
+            # comment line is stored: so they are tested only after a miss
+            seen = memoized(raw)
+            if seen is not None:
+                token = seen[0]
+                if seen[1]:
+                    unknown_values.update(seen[1])
+            else:
+                line = raw.rstrip("\n")
+                if not line:
+                    if tokens:
+                        sent_id = meta.get("sent_id")
+                        if sent_id is None:
+                            sent_id = f"{stem or 'sent'}-{len(sentences) + 1}"
+                        if not in_order:
+                            Sentence(sent_id, tuple(tokens))  # raises its StructureError
+                        # a "# newdoc id" carries over to the blocks that follow it
+                        doc_id = meta.get("newdoc id", doc_id)
+                        work_id = meta.get("work_id") or doc_id or stem
+                        sentences.append(new(Sentence, (
+                            sent_id, tuple(tokens), meta.get("text"), doc_id, work_id,
+                            tuple(comments), tuple(extras),
+                        )))
+                        comments, meta, tokens, extras = [], {}, [], []
+                        last_id = 0  # a block out of order never closes
+                    elif comments or extras:
+                        # the closing blank line, or the last line of the source
+                        end = line_no if raw else line_no - 1
+                        raise ParseError(f"line {end}: sentence block without token lines")
                     continue
-            try:
-                cols = line.split(separator)
-                if len(cols) != n_columns:
-                    raise ValueError(f"expected {n_columns} columns, got {len(cols)}")
-                if id_column is None:
-                    tok_id = len(tokens) + 1
-                else:
-                    raw_id = cols[id_column]
-                    if raw_id.isdecimal():
-                        tok_id = int(raw_id)
-                    elif _EXTRA_ID.match(raw_id):
-                        extras.append((len(tokens), "\t".join(cols)))
-                        continue
+                if line[0] == "#":
+                    comments.append(line)
+                    key, value = _comment_field(line)
+                    if key is not None:
+                        if key in _ID_KEYS and breaks_a_cell(value):
+                            raise ParseError(f"line {line_no}: {key} {value!r} holds a tab or a line break")
+                        meta[key] = value
+                    continue
+                try:
+                    cols = line.split(separator)
+                    if len(cols) != n_columns:
+                        raise ValueError(f"expected {n_columns} columns, got {len(cols)}")
+                    if id_column is None:
+                        tok_id = len(tokens) + 1
                     else:
-                        raise ValueError(f"bad token id {raw_id!r}")
-                cols.append("_")
-                form, lemma, upos, xpos, feats, head, deprel, deps, misc = fields(cols)
-                if upos != "_" and upos not in UPOS_TAGS:
-                    raise ValueError(f"unknown UPOS {upos!r}")
-                hit = bundles.get(feats)
-                if hit is None:
-                    hit = bundles[feats] = _mapped_feats(feats, mapping)
-                if hit[1]:
-                    self.unknown_values.update(hit[1])
-                # Token's checks, in its order and with its messages
-                if tok_id < 1:
-                    raise StructureError(f"token id must be >= 1, got {tok_id}")
-                misc_entries = miscs.get(misc)
-                if misc_entries is None:
-                    misc_entries = miscs[misc] = _parse_misc(misc)
-                tokens.append(
-                    new(
-                        Token,
-                        (
-                            tok_id,
-                            form,
-                            lemma,
-                            upos,
-                            hit[0],
-                            None if xpos == "_" else xpos,
-                            None if head == "_" else head,
-                            None if deprel == "_" else deprel,
-                            None if deps == "_" else deps,
-                            misc_entries,
-                        ),
-                    )
-                )
-                if lines is not None:
-                    lines[line] = (tokens[-1], hit[1])
-            except ValueError as exc:
-                raise ParseError(
-                    f"line {line_no} (sentence {meta.get('sent_id')!r}): {exc}"
-                ) from exc
+                        raw_id = cols[id_column]
+                        if raw_id.isdecimal():
+                            tok_id = int(raw_id)
+                        elif _EXTRA_ID.match(raw_id):
+                            extras.append((len(tokens), "\t".join(cols)))
+                            continue
+                        else:
+                            raise ValueError(f"bad token id {raw_id!r}")
+                    cols.append("_")
+                    form, lemma, upos, xpos, feats, head, deprel, deps, misc = fields(cols)
+                    if upos != "_" and upos not in UPOS_TAGS:
+                        raise ValueError(f"unknown UPOS {upos!r}")
+                    hit = bundles.get(feats)
+                    if hit is None:
+                        hit = bundles[feats] = _mapped_feats(feats, mapping)
+                    if hit[1]:
+                        unknown_values.update(hit[1])
+                    # Token's checks, in its order and with its messages
+                    if tok_id < 1:
+                        raise StructureError(f"token id must be >= 1, got {tok_id}")
+                    misc_entries = miscs.get(misc)
+                    if misc_entries is None:
+                        misc_entries = miscs[misc] = _parse_misc(misc)
+                except ValueError as exc:
+                    raise ParseError(
+                        f"line {line_no} (sentence {meta.get('sent_id')!r}): {exc}"
+                    ) from exc
+                token = new(Token, (
+                    tok_id, form, lemma, upos, hit[0],
+                    None if xpos == "_" else xpos,
+                    None if head == "_" else head,
+                    None if deprel == "_" else deprel,
+                    None if deps == "_" else deps,
+                    misc_entries,
+                ))
+                if id_column is not None:
+                    memo[raw] = (token, hit[1])
+            if token[0] <= last_id:
+                in_order = False
+            last_id = token[0]
+            tokens.append(token)
         return sentences
 
     def read_file(self, path: str | Path) -> list[Sentence]:

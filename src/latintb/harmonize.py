@@ -166,6 +166,35 @@ def repair_pronoun_person(
     return record._replace(person=person)
 
 
+def reads_context(record: StandardRecord, *, pronoun_person_repair: bool = False) -> bool:
+    """Whether harmonizing this standardized record reads more than the
+    record: a supine's voice reads the sentence for an iri, and the
+    pronoun repair reads a pronoun's lemma."""
+    return record.mood == "Sup" or (pronoun_person_repair and record.upos == "PRON")
+
+
+def harmonize_record(
+    sentence: Sentence,
+    index: int,
+    record: StandardRecord,
+    *,
+    audit: Counter | None = None,
+    iri_window: int | str = "sentence",
+    pronoun_person_repair: bool = False,
+) -> StandardRecord:
+    """Apply UPOS collapsing then arbitrary-value enforcement to the
+    record of the token at ``index``, resolving an iri-construction if
+    it is a supine, then the optional pronoun repair."""
+    record = collapse_upos(record, audit)
+    iri = False
+    if record.mood == "Sup":
+        iri = detect_iri_construction(sentence, index, window=iri_window)
+    record = enforce_arbitrary_values(record, iri=iri, audit=audit)
+    if pronoun_person_repair:
+        record = repair_pronoun_person(sentence.tokens[index].lemma, record, audit=audit)
+    return record
+
+
 def harmonize_sentence(
     sentence: Sentence,
     records: Sequence[StandardRecord],
@@ -174,18 +203,11 @@ def harmonize_sentence(
     iri_window: int | str = "sentence",
     pronoun_person_repair: bool = False,
 ) -> list[StandardRecord]:
-    """Apply UPOS collapsing then arbitrary-value enforcement to every
-    record of one sentence, resolving iri-constructions per supine."""
-    out = []
-    for index, record in enumerate(records):
-        record = collapse_upos(record, audit)
-        iri = False
-        if record.mood == "Sup":
-            iri = detect_iri_construction(sentence, index, window=iri_window)
-        record = enforce_arbitrary_values(record, iri=iri, audit=audit)
-        if pronoun_person_repair:
-            record = repair_pronoun_person(
-                sentence.tokens[index].lemma, record, audit=audit
-            )
-        out.append(record)
-    return out
+    """``harmonize_record`` on every record of one sentence."""
+    return [
+        harmonize_record(
+            sentence, index, record, audit=audit, iri_window=iri_window,
+            pronoun_person_repair=pronoun_person_repair,
+        )
+        for index, record in enumerate(records)
+    ]

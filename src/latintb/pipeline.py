@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .config import ToolConfig
 from .conllu import CONLLU_MAPPING, ConlluError, CorpusReader, FeatureBundle, Sentence, Token
-from .harmonize import harmonize_sentence
+from .harmonize import harmonize_record, reads_context
 from .standardize import TRADITIONAL_KEYS, StandardRecord, standardize_lasla, standardize_ud
 
 if TYPE_CHECKING:
@@ -109,50 +109,28 @@ class ConversionResult(NamedTuple):
     anomalies: list[tuple[str, int, str]]
 
 
-def _standard_token(
-    token: Token,
-    record: StandardRecord,
-    bundles: dict[StandardRecord, FeatureBundle],
-    consumed: tuple[str, ...],
-) -> Token:
-    """The token with the record's UPOS and FEATS and without the
-    ``consumed`` MISC keys. A token that has them already is returned as
-    it is; its bundle is equal to the record's, so it serializes alike."""
-    feats = bundles.get(record)
-    if feats is None:
-        feats = bundles[record] = record.to_feature_bundle()
-    misc = token.misc
-    if misc:
-        misc = tuple((key, value) for key, value in misc if key not in consumed)
-    if record.upos == token.upos and feats == token.feats and misc == token.misc:
-        return token
-    # built unchecked: the id is the checked token's, and MISC only lost keys
-    return tuple.__new__(Token, (
-        token.id, token.form, token.lemma, record.upos, feats,
-        token.xpos, token.head, token.deprel, token.deps, misc,
-    ))
-
-
-def _with_records(
+def sentence_with_records(
     sentence: Sentence,
     records: Sequence[StandardRecord],
-    bundles: dict[StandardRecord, FeatureBundle],
-    consumed: tuple[str, ...],
+    consumed: tuple[str, ...] = TRADITIONAL_KEYS,
 ) -> Sentence:
-    tokens = tuple(
-        _standard_token(token, record, bundles, consumed)
-        for token, record in zip(sentence.tokens, records)
-    )
+    """The sentence with the records' UPOS and FEATS, without the
+    ``consumed`` MISC keys (by default those UD's standardizer reads).
+    A token that has them already is kept as it is; its bundle is equal
+    to the record's, so it serializes alike."""
+    tokens = []
+    for token, record in zip(sentence.tokens, records):
+        feats = record.to_feature_bundle()
+        misc = tuple(item for item in token.misc if item[0] not in consumed)
+        if record.upos != token.upos or feats != token.feats or misc != token.misc:
+            # built unchecked: the id is the checked token's, and MISC only lost keys
+            token = tuple.__new__(Token, (
+                token.id, token.form, token.lemma, record.upos, feats,
+                token.xpos, token.head, token.deprel, token.deps, misc,
+            ))
+        tokens.append(token)
     # built unchecked: the tokens keep the checked sentence's ids
-    return tuple.__new__(Sentence, (sentence.sent_id, tokens, *sentence[2:]))
-
-
-def sentence_with_records(
-    sentence: Sentence, records: Sequence[StandardRecord]
-) -> Sentence:
-    """The sentence with the records' UPOS and FEATS, without the MISC
-    keys that UD's standardizer reads."""
-    return _with_records(sentence, records, {}, TRADITIONAL_KEYS)
+    return tuple.__new__(Sentence, (sentence.sent_id, tuple(tokens), *sentence[2:]))
 
 
 class Converter:
@@ -162,46 +140,99 @@ class Converter:
     A token's standard record depends only on its UPOS, its canonical
     FEATS string and the values of the MISC keys its flavor's
     standardizer reads, so tokens that share all of them share one
-    record. The memos live as long as the converter, so the files of one
-    corpus share them. Harmonization reads the sentence and stays per
-    token.
+    standardization and, unless it reads the token's sentence or lemma
+    (``harmonize.reads_context``: a supine, or a pronoun under the
+    pronoun repair), one harmonization, whose rule ids are counted again
+    for each token. A supine or such a pronoun is harmonized per token
+    by the same ``harmonize_record``. The memos live as long as the
+    converter, so the files of one corpus share them.
     """
 
     def __init__(self, flavor: str, config: ToolConfig | None = None):
         _, self._standardize, self._misc_keys = _flavor(flavor)
         self.config = config or ToolConfig()
-        self._standard: dict[tuple, StandardRecord] = {}
+        # each standardize key: what every token with it converts to, as
+        # (harmonized record, the rule ids it applied in order, its bundle,
+        # whether the token's UPOS and FEATS already read so); or, when
+        # harmonization reads the token's sentence or lemma, (standardized
+        # record, None, None, False), harmonized per token
+        self._harmonized: dict[tuple, tuple] = {}
+        # each distinct MISC tuple: the values the standardizer reads, and
+        # the tuple without their keys (the tuple itself if it has none)
+        self._miscs: dict[tuple, tuple[tuple, tuple]] = {}
         self._bundles: dict[StandardRecord, FeatureBundle] = {}
+
+    def _bundle(self, record: StandardRecord) -> FeatureBundle:
+        feats = self._bundles.get(record)
+        if feats is None:
+            feats = self._bundles[record] = record.to_feature_bundle()
+        return feats
+
+    def _harmonize(self, sentence: Sentence, index: int, record: StandardRecord, audit: Counter | None):
+        config = self.config
+        return harmonize_record(
+            sentence, index, record, audit=audit, iri_window=config.iri_window,
+            pronoun_person_repair=config.pronoun_person_repair,
+        )
+
+    def _entry(self, sentence: Sentence, index: int) -> tuple:
+        token = sentence.tokens[index]
+        record = self._standardize(token, tense_table=self.config.tense_table)
+        if reads_context(record, pronoun_person_repair=self.config.pronoun_person_repair):
+            return record, None, None, False
+        applied: Counter = Counter()
+        record = self._harmonize(sentence, index, record, applied)
+        feats = self._bundle(record)
+        return record, tuple(applied), feats, record.upos == token.upos and feats == token.feats
 
     def convert(self, sentences: Sequence[Sentence]) -> ConversionResult:
         """The sentences converted, with the audit counts and anomalies
         of these sentences only."""
-        config, standardize, standard = self.config, self._standardize, self._standard
-        misc_keys = self._misc_keys
+        harmonized, miscs, misc_keys = self._harmonized, self._miscs, self._misc_keys
         no_values = (None,) * len(misc_keys)  # what a token without MISC reads
         result = ConversionResult([], [], Counter(), [])
-
-        def standardized(token: Token) -> StandardRecord:
-            values = map(token.misc_get, misc_keys) if token.misc else no_values
-            key = (token.upos, token.feats.to_string(), *values)
-            record = standard.get(key)
-            if record is None:
-                record = standard[key] = standardize(token, tense_table=config.tense_table)
-            return record
-
+        audit, anomalies = result.audit, result.anomalies
+        new = tuple.__new__
         for sentence in sentences:
-            records = harmonize_sentence(
-                sentence,
-                [standardized(token) for token in sentence.tokens],
-                audit=result.audit,
-                iri_window=config.iri_window,
-                pronoun_person_repair=config.pronoun_person_repair,
-            )
-            for token, record in zip(sentence.tokens, records):
+            records, tokens = [], []
+            for index, token in enumerate(sentence.tokens):
+                misc = token.misc
+                if misc:
+                    read = miscs.get(misc)
+                    if read is None:
+                        kept = tuple(item for item in misc if item[0] not in misc_keys)
+                        read = miscs[misc] = (
+                            tuple(map(token.misc_get, misc_keys)),
+                            misc if len(kept) == len(misc) else kept,
+                        )
+                    values, misc = read
+                else:
+                    values = no_values
+                key = (token.upos, token.feats.to_string(), values)
+                entry = harmonized.get(key)
+                if entry is None:
+                    entry = harmonized[key] = self._entry(sentence, index)
+                record, rules, feats, unchanged = entry
+                if rules is None:
+                    record = self._harmonize(sentence, index, record, audit)
+                    feats = self._bundle(record)
+                    unchanged = record.upos == token.upos and feats == token.feats
+                else:
+                    for rule in rules:
+                        audit[rule] += 1
                 for code in record.anomalies:
-                    result.anomalies.append((sentence.sent_id, token.id, code))
+                    anomalies.append((sentence.sent_id, token.id, code))
+                records.append(record)
+                if not unchanged or misc is not token.misc:
+                    # built unchecked: the id is the checked token's, and MISC only lost keys
+                    token = new(Token, (
+                        token.id, token.form, token.lemma, record.upos, feats,
+                        token.xpos, token.head, token.deprel, token.deps, misc,
+                    ))
+                tokens.append(token)
             result.records.append(records)
-            result.sentences.append(_with_records(sentence, records, self._bundles, misc_keys))
+            # built unchecked: the tokens keep the checked sentence's ids
+            result.sentences.append(new(Sentence, (sentence.sent_id, tuple(tokens), *sentence[2:])))
         return result
 
 

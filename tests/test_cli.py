@@ -1352,8 +1352,32 @@ def test_a_config_that_cannot_be_read_is_a_config_error(fixtures_dir, tmp_path, 
     assert not (tmp_path / "lint.tsv").exists()
 
 
+def _token(i, form, lemma, upos, feats="_", misc="_"):
+    return f"{i}\t{form}\t{lemma}\t{upos}\t_\t{feats}\t_\t_\t_\t{misc}\n"
+
+
+# Sentences whose conversion keys repeat: supines with and without an iri,
+# INTJ, and verbs whose MISC holds the traditional keys and other keys.
+_REPEATING_KEYS = [
+    [("amatum", "amo", "VERB", "VerbForm=Sup"), ("iri", "eo", "AUX", "VerbForm=Inf|Voice=Pass")],
+    [("amatum", "amo", "VERB", "VerbForm=Sup"), ("it", "eo", "VERB", "Mood=Ind|Tense=Pres")],
+    [("o", "o", "INTJ"), ("ego", "ego", "PRON", "Case=Nom|Number=Sing"),
+     ("amabat", "amo", "VERB", "Aspect=Imp|Mood=Ind|Tense=Past",
+      "SpaceAfter=No|TraditionalMood=Ind|TraditionalTense=Imp")],
+    [("amabat", "amo", "VERB", "Aspect=Imp|Mood=Ind|Tense=Past", "TraditionalTense=Perf|Ref=1"),
+     ("amandi", "amo", "VERB", "VerbForm=Ger|Voice=Pass", "TraditionalMood=Ger"), ("o", "o", "INTJ")],
+]
+
+
 def test_outputs_do_not_depend_on_the_hash_seed(fixtures_dir, tmp_path):
     ud, lasla, meta = fixtures_dir / "ud", fixtures_dir / "lasla", fixtures_dir / "metadata.tsv"
+    repeating = tmp_path / "repeating"
+    repeating.mkdir()
+    for name in ("a", "b"):
+        (repeating / f"{name}.conllu").write_text("".join(
+            f"# sent_id = {name}-{n}\n" + "".join(_token(i, *t) for i, t in enumerate(tokens, 1)) + "\n"
+            for n, tokens in enumerate(_REPEATING_KEYS * 3)
+        ))
     # relative output paths, each interpreter run in its own directory
     runs = [
         ["convert", "--in", ud, "--flavor", "ud", "--out", "std/ud"],
@@ -1363,6 +1387,9 @@ def test_outputs_do_not_depend_on_the_hash_seed(fixtures_dir, tmp_path):
         ["agree", "--a", ud, "--b", lasla, "--dups", "dups.tsv", "--out", "agreement.tsv"],
         ["split", "--ud", "std/ud", "--lasla", "std/lasla", "--metadata", meta, "--dups", "dups.tsv",
          "--out", "splits", "--config", fixtures_dir / "config.json", "--no-published", "--seed", "7"],
+        ["convert", "--in", repeating, "--flavor", "ud", "--out", "repeating/ud"],
+        ["convert", "--in", repeating, "--flavor", "lasla", "--out", "repeating/lasla"],
+        ["lint", "--in", repeating, "--flavor", "ud", "--out", "repeating/lint.tsv"],
     ]
     code = (
         "import json, sys\n"
@@ -1372,7 +1399,7 @@ def test_outputs_do_not_depend_on_the_hash_seed(fixtures_dir, tmp_path):
     )
     trees = {}
     for hash_seed in ("0", "12345"):
-        out = tmp_path / hash_seed
+        out = tmp_path / f"seed-{hash_seed}"
         out.mkdir()
         done = subprocess.run(
             [sys.executable, "-c", code, json.dumps([[str(a) for a in argv] for argv in runs])],
@@ -1384,6 +1411,8 @@ def test_outputs_do_not_depend_on_the_hash_seed(fixtures_dir, tmp_path):
             p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()
         }
     assert len(trees["0"]) > 30
+    audit = trees["0"]["repeating/ud/harmonization_audit.tsv"]
+    assert b"\tsup-voice\t" in audit and b"\tintj-to-part\t" in audit
     assert trees["0"] == trees["12345"]
 
 
@@ -1483,6 +1512,40 @@ def test_a_failed_write_to_stdout_fails_in_one_line_and_keeps_the_outputs(workdi
         os.close(stdout)
     assert (done.returncode, done.stderr.decode()) == (1, f"error: [Errno {error}] {os.strerror(error)}: 'stdout'\n")
     assert (tmp_path / "eval.json").read_bytes() == (tmp_path / "expected.json").read_bytes()
+
+
+@pytest.mark.parametrize("case, code", [
+    ("lasla-warning", 0), ("command-line", 1), ("usage-error", 2), ("validation-error", 1),
+])
+def test_a_failed_write_to_stderr_keeps_the_exit_code_and_the_outputs(tmp_path, case, code):
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    erg = "# sent_id = w-1\n1\tpuer\tpuer\tNOUN\t_\tCase=Erg\t_\t_\t_\t_\n"  # outside LASLA's inventory
+    (tmp_path / "w.conllu").write_text(erg)
+    (tmp_path / "bad.conllu").write_text(erg.replace("NOUN", "NOPE"))
+    (tmp_path / "meta.tsv").write_text(
+        "treebank\twork_id\tauthor\tcentury\tis_bible\tgenres\ttrain_sents\tdev_sents\ttest_sents\n"
+        "Other\tw\tA\t-1\tfalse\tspeech\t1\t0\t0\n")
+    w = tmp_path / "w.conllu"
+    argv = {
+        "lasla-warning": ["convert", "--in", w, "--flavor", "lasla", "--out", tmp_path / "std"],
+        "command-line": ["metadata-validate", "--file", tmp_path / "meta.tsv"],
+        "usage-error": ["perm-test", "--gold", w, "--a", w, "--b", w, "--n", "0", "--out", tmp_path / "perm.tsv"],
+        "validation-error": ["convert", "--in", tmp_path / "bad.conllu", "--flavor", "lasla",
+                             "--out", tmp_path / "std"],
+    }[case]
+    stderr = os.open("/dev/full", os.O_WRONLY)
+    try:
+        done = _spawn(argv, subprocess.PIPE, unbuffered=False, stderr=stderr)
+    finally:
+        os.close(stderr)
+    assert done.returncode == code
+    if case == "lasla-warning":
+        assert main([str(arg) for arg in argv[:-1]] + [str(tmp_path / "expected")]) == 0
+        written = {p.name: p.read_bytes() for p in (tmp_path / "std").iterdir()}
+        assert written == {p.name: p.read_bytes() for p in (tmp_path / "expected").iterdir()}
+    else:
+        assert not (tmp_path / "std").exists() and not (tmp_path / "perm.tsv").exists()
 
 
 @pytest.mark.parametrize("closed", [1, 2], ids=["stdout", "stderr"])

@@ -3,13 +3,17 @@ import io
 import os
 import re
 from collections import Counter
+from itertools import chain
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from latintb.cli import main
 from latintb.conllu import (
+    _EXTRA_ID,
+    _ID_KEYS,
     CONLLU_MAPPING,
+    UPOS_TAGS,
     ColumnMapping,
     ConlluError,
     CorpusReader,
@@ -19,6 +23,9 @@ from latintb.conllu import (
     Sentence,
     StructureError,
     Token,
+    _comment_field,
+    _mapped_feats,
+    _parse_misc,
     parse_conllu,
     parse_conllu_file,
     serialize_conllu,
@@ -26,6 +33,7 @@ from latintb.conllu import (
 )
 from latintb.lasla import DEFAULT_LASLA_MAPPING, ingest_lasla_file
 from latintb.pipeline import load_corpus
+from latintb.reports import breaks_a_cell
 
 ARMA = "1\tarma\tarma\tNOUN\t_\tCase=Acc|Number=Plur\t_\t_\t_\t_"
 
@@ -713,3 +721,207 @@ def test_a_file_stem_that_is_not_utf8_is_a_parse_error(tmp_path):
     assert str(info.value) == f"{path}: stem 'a\\udcffb' cannot be encoded as UTF-8"
     with pytest.raises(ParseError, match="cannot be encoded as UTF-8"):
         CorpusReader().read("1\tx\tx\tNOUN\t_\t_\t_\t_\t_\t_\n\n", stem="a\udcffb")
+
+
+# The line-by-line reader as it was before the line memo was looked up
+# first: it strips and classifies every line, and builds each sentence
+# through Sentence's checking constructor. Test-only, as a reference.
+class LineByLineReader(CorpusReader):
+    def read(self, source, *, stem=None):
+        if stem is not None:
+            if breaks_a_cell(stem):
+                raise ParseError(f"stem {stem!r} holds a tab or a line break")
+            try:
+                stem.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ParseError(f"stem {stem!r} cannot be encoded as UTF-8") from None
+        mapping = self.mapping
+        separator, n_columns = mapping.separator, mapping.n_columns
+        id_column = mapping.columns.get("id")
+        fields, bundles, miscs = self._fields, self._bundles, self._miscs
+        # without an id column a line's id is its position, so it is not memoized
+        lines = self._lines if id_column is not None else None
+        new = tuple.__new__
+        if isinstance(source, str):
+            source = io.StringIO(source, newline=None)
+        sentences: list[Sentence] = []
+        doc_id: str | None = None
+        comments, meta, tokens, extras = [], {}, [], []
+
+        # a source never yields "", so a final "" closes the last block
+        for line_no, raw in enumerate(chain(source, ("",)), start=1):
+            line = raw.rstrip("\n")
+            if not line:
+                if tokens:
+                    sent_id = meta.get("sent_id")
+                    if sent_id is None:
+                        sent_id = f"{stem or 'sent'}-{len(sentences) + 1}"
+                    # a "# newdoc id" carries over to the blocks that follow it
+                    doc_id = meta.get("newdoc id", doc_id)
+                    sentences.append(
+                        Sentence(
+                            sent_id=sent_id,
+                            tokens=tuple(tokens),
+                            text=meta.get("text"),
+                            doc_id=doc_id,
+                            work_id=meta.get("work_id") or doc_id or stem,
+                            comments=tuple(comments),
+                            extras=tuple(extras),
+                        )
+                    )
+                    comments, meta, tokens, extras = [], {}, [], []
+                elif comments or extras:
+                    # the closing blank line, or the last line of the source
+                    end = line_no if raw else line_no - 1
+                    raise ParseError(f"line {end}: sentence block without token lines")
+                continue
+            if line[0] == "#":
+                comments.append(line)
+                key, value = _comment_field(line)
+                if key is not None:
+                    if key in _ID_KEYS and breaks_a_cell(value):
+                        raise ParseError(f"line {line_no}: {key} {value!r} holds a tab or a line break")
+                    meta[key] = value
+                continue
+            if lines is not None:
+                seen = lines.get(line)
+                if seen is not None:
+                    tokens.append(seen[0])
+                    if seen[1]:
+                        self.unknown_values.update(seen[1])
+                    continue
+            try:
+                cols = line.split(separator)
+                if len(cols) != n_columns:
+                    raise ValueError(f"expected {n_columns} columns, got {len(cols)}")
+                if id_column is None:
+                    tok_id = len(tokens) + 1
+                else:
+                    raw_id = cols[id_column]
+                    if raw_id.isdecimal():
+                        tok_id = int(raw_id)
+                    elif _EXTRA_ID.match(raw_id):
+                        extras.append((len(tokens), "\t".join(cols)))
+                        continue
+                    else:
+                        raise ValueError(f"bad token id {raw_id!r}")
+                cols.append("_")
+                form, lemma, upos, xpos, feats, head, deprel, deps, misc = fields(cols)
+                if upos != "_" and upos not in UPOS_TAGS:
+                    raise ValueError(f"unknown UPOS {upos!r}")
+                hit = bundles.get(feats)
+                if hit is None:
+                    hit = bundles[feats] = _mapped_feats(feats, mapping)
+                if hit[1]:
+                    self.unknown_values.update(hit[1])
+                # Token's checks, in its order and with its messages
+                if tok_id < 1:
+                    raise StructureError(f"token id must be >= 1, got {tok_id}")
+                misc_entries = miscs.get(misc)
+                if misc_entries is None:
+                    misc_entries = miscs[misc] = _parse_misc(misc)
+                tokens.append(
+                    new(
+                        Token,
+                        (
+                            tok_id,
+                            form,
+                            lemma,
+                            upos,
+                            hit[0],
+                            None if xpos == "_" else xpos,
+                            None if head == "_" else head,
+                            None if deprel == "_" else deprel,
+                            None if deps == "_" else deps,
+                            misc_entries,
+                        ),
+                    )
+                )
+                if lines is not None:
+                    lines[line] = (tokens[-1], hit[1])
+            except ValueError as exc:
+                raise ParseError(
+                    f"line {line_no} (sentence {meta.get('sent_id')!r}): {exc}"
+                ) from exc
+        return sentences
+
+
+# Lines the files below are made of, each without its line ending; "{}"
+# takes a token id.
+_ORACLE_TOKENS = [
+    "{}\tarma\tarma\tNOUN\t_\tCase=Acc|Number=Plur\t_\t_\t_\t_",
+    "{}\tarma\tarma\tNOUN\t_\tNumber=Plur|Case=Acc\t_\t_\t_\tSpaceAfter=No",
+    "{}\tuirum\tuir\tNOUN\t_\tCase=Erg|Number=Plural\t0\troot\t_\t_",
+    "{}\tque\tque\tCCONJ\t_\t_\t_\t_\t_\tRef=1|Gloss",
+    "{}\tcano\tcano\tVERB\tv\tMood=Ind|Person=1\t_\t_\t_\tTraditionalTense=Pres",
+]
+_ORACLE_OTHERS = [
+    "", "", "",
+    "# sent_id = s1", "# sent_id = s2", "# text = arma uirumque", "# newdoc id = d1",
+    "# work_id = w1", "# a comment", "#",
+    "1-2\tarmaque\t_\t_\t_\t_\t_\t_\t_\t_", "1.1\tx\tx\tNOUN\t_\t_\t_\t_\t_\t_",
+]
+# bad lines: column count, UPOS, FEATS, MISC, and two ids
+_ORACLE_BAD = [
+    "2\tbroken\tline", "1\tnil\tnil\tNOPE\t_\t_\t_\t_\t_\t_",
+    "1\tbis\tbis\tNOUN\t_\tCase=Acc|Case=Nom\t_\t_\t_\t_",
+    "1\tbis\tbis\tNOUN\t_\tCase\t_\t_\t_\t_",
+    "1\tx\tx\tNOUN\t_\t_\t_\t_\t_\tRef=a|Ref=b", "x\tx\tx\tNOUN\t_\t_\t_\t_\t_\t_",
+    _ORACLE_TOKENS[0].format(0),
+]
+_TOKEN_LINES = st.builds(str.format, st.sampled_from(_ORACLE_TOKENS), st.integers(1, 4))
+# one line in seven is bad, so that many files are read to their end
+_ORACLE_LINES = st.one_of(
+    _TOKEN_LINES, _TOKEN_LINES, _TOKEN_LINES, _TOKEN_LINES,
+    st.sampled_from(_ORACLE_OTHERS), st.sampled_from(_ORACLE_OTHERS), st.sampled_from(_ORACLE_BAD),
+)
+_ORACLE_FILES = st.lists(
+    st.tuples(
+        st.lists(_ORACLE_LINES, max_size=14),
+        st.sampled_from(["\n", "\r\n", "\r"]),  # the line ending
+        st.booleans(),  # a final line ending
+        st.booleans(),  # a byte-order mark
+    ),
+    min_size=1, max_size=3,
+)
+
+
+def _oracle_bytes(lines, ending, final, bom):
+    text = ending.join(lines) + (ending if final and lines else "")
+    return ("\ufeff" if bom else "").encode("utf-8") + text.encode("utf-8")
+
+
+def _oracle_outcome(reader, data, stem):
+    """What the reader makes of one file's bytes, opened as ``read_file``
+    opens a file, and its unknown-value counts after it."""
+    source = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig")
+    try:
+        outcome = reader.read(source, stem=stem)
+    except ConlluError as exc:
+        outcome = (type(exc), str(exc))
+    return outcome, Counter(reader.unknown_values)
+
+
+_TOKEN_1 = _ORACLE_TOKENS[0].format(1)
+
+
+@FLAVORS
+@settings(max_examples=200, deadline=None)
+@given(files=_ORACLE_FILES)
+# a comment-only block mid-file, then at the end with and without a final newline
+@example(files=[(["# sent_id = s1", _TOKEN_1, "", "# a comment", "", _TOKEN_1], "\n", True, False)])
+@example(files=[([_TOKEN_1, "", "# a comment"], "\r\n", False, True)])
+@example(files=[([_TOKEN_1, "", "# a comment"], "\r", True, False)])
+# a token line repeated in and across files, and a bad line repeated
+@example(files=[([_TOKEN_1, _ORACLE_TOKENS[2].format(2), "", _TOKEN_1], "\n", True, False),
+                (["", "", _TOKEN_1, "2\tbroken\tline"], "\n", False, False),
+                (["# sent_id = s2", _TOKEN_1, "", _TOKEN_1, "2\tbroken\tline"], "\r\n", True, True)])
+# ids that do not increase, with the sent_id after the tokens
+@example(files=[([_ORACLE_TOKENS[1].format(2), _TOKEN_1, "# sent_id = s1"], "\n", True, False)])
+def test_the_memoized_reader_reads_as_the_line_by_line_reader_does(flavor, files):
+    reader, reference = CorpusReader(MAPPINGS[flavor]), LineByLineReader(MAPPINGS[flavor])
+    # a second pass reads every line that passed from the memo
+    for _ in range(2):
+        for index, file in enumerate(files):
+            data = _oracle_bytes(*file)
+            assert _oracle_outcome(reader, data, f"f{index}") == _oracle_outcome(reference, data, f"f{index}")

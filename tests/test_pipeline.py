@@ -1,6 +1,7 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latintb import pipeline
 from latintb.cli import main
@@ -11,6 +12,7 @@ from latintb.pipeline import (
     ConversionResult,
     convert_corpus,
     load_corpus,
+    sentence_with_records,
 )
 from latintb.standardize import standardize_lasla, standardize_ud
 
@@ -49,7 +51,7 @@ def reference_conversion(sentences, flavor, config):
         for token, record in zip(sentence.tokens, records):
             result.anomalies.extend((sentence.sent_id, token.id, a) for a in record.anomalies)
         result.records.append(records)
-        result.sentences.append(pipeline._with_records(sentence, records, {}, consumed))
+        result.sentences.append(sentence_with_records(sentence, records, consumed))
     return result
 
 
@@ -73,6 +75,79 @@ def assert_same_conversion(sentences, flavor, config=None):
 def test_convert_corpus_matches_the_unmemoized_reference(fixtures_dir, flavor, config):
     sentences, _ = load_corpus(fixtures_dir / flavor, flavor, config)
     assert assert_same_conversion(sentences, flavor, config).audit
+
+
+def assert_same_conversions(batches, flavor, config):
+    """One converter over several calls gives, call by call, what the
+    unmemoized reference gives."""
+    converter = pipeline.Converter(flavor, config)
+    for sentences in batches:
+        got = converter.convert(sentences)
+        want = reference_conversion(sentences, flavor, config)
+        assert got.records == want.records
+        assert got.anomalies == want.anomalies
+        assert list(got.audit.items()) == list(want.audit.items())
+        assert got.sentences == want.sentences
+        assert [[type(t) for t in s.tokens] for s in got.sentences] == [
+            [type(t) for t in s.tokens] for s in want.sentences]
+        assert serialize_conllu(got.sentences) == serialize_conllu(want.sentences)
+
+
+# (form, lemma, UPOS, FEATS, MISC) of tokens whose conversion keys repeat:
+# each harmonization rule, supines and the iri they read, pronouns with
+# and without a Person, traditional MISC keys beside others
+_KEYED_TOKENS = [
+    ("o", "o", "INTJ", "_", "_"),
+    ("est", "sum", "AUX", "Mood=Ind|Number=Sing|Person=3|Tense=Pres|Voice=Pass", "_"),
+    ("amandi", "amo", "VERB", "Case=Gen|Number=Sing|VerbForm=Ger|Voice=Pass", "_"),
+    ("amandus", "amo", "VERB", "Gender=Masc|Number=Sing|Tense=Pres|VerbForm=Gdv|Voice=Act", "_"),
+    ("amandus", "amo", "VERB", "Gender=Masc|Number=Sing|VerbForm=Part", "TraditionalMood=Gdv"),
+    ("amatum", "amo", "VERB", "Number=Sing|VerbForm=Sup", "_"),
+    ("amatum", "amo", "VERB", "Case=Acc|VerbForm=Part|Voice=Act", "TraditionalMood=Sup|SpaceAfter=No"),
+    ("iri", "eo", "AUX", "VerbForm=Inf|Voice=Pass", "_"),
+    ("Iri", "eo", "VERB", "Tense=Pres|VerbForm=Inf", "_"),
+    ("amare", "amo", "VERB", "Aspect=Imp|Number=Sing|VerbForm=Inf", "_"),
+    ("ego", "ego", "PRON", "Case=Nom|Number=Sing", "_"),
+    ("vos", "uos", "PRON", "Case=Acc|Number=Plur", "_"),
+    ("is", "is", "PRON", "Case=Nom|Number=Sing", "_"),
+    ("me", "ego", "PRON", "Case=Acc|Number=Sing|Person=1", "_"),
+    ("amabat", "amo", "VERB", "Aspect=Imp|Mood=Ind|Tense=Past", "TraditionalTense=Perf|Ref=2"),
+    ("amabat", "amo", "VERB", "Aspect=Imp|Mood=Ind|Tense=Past", "Ref=2"),
+    ("amabat", "amo", "VERB", "Aspect=Imp|Mood=Ind|Tense=Past", "TraditionalTense"),
+    ("amabat", "amo", "VERB", "Mood=Ind|Tense=Imp", "TraditionalTense=Imp|Ref=3"),  # FEATS kept
+    ("puer", "puer", "NOUN", "Case=Erg|Gender=Masc,Fem|Number=Sing", "_"),
+    ("puer", "puer", "NOUN", "Case=Nom|Gender=Masc|Number=Sing", "Gloss=boy"),
+]
+_KEYED_SENTENCES = st.lists(st.integers(0, len(_KEYED_TOKENS) - 1), min_size=1, max_size=8)
+
+
+def _keyed_text(sentences, first):
+    return "".join(
+        f"# sent_id = s{n}\n" + "".join(
+            "\t".join((str(i), *_KEYED_TOKENS[t][:3], "_", _KEYED_TOKENS[t][3], "_", "_", "_",
+                       _KEYED_TOKENS[t][4])) + "\n"
+            for i, t in enumerate(tokens, 1)
+        ) + "\n"
+        for n, tokens in enumerate(sentences, first)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    flavor=st.sampled_from(["ud", "lasla"]),
+    batches=st.lists(st.lists(_KEYED_SENTENCES, min_size=1, max_size=4), min_size=1, max_size=3),
+    iri_window=st.sampled_from(["sentence", 1, 2]),
+    pronoun_person_repair=st.booleans(),
+)
+def test_a_converter_over_several_calls_matches_the_unmemoized_reference(
+        flavor, batches, iri_window, pronoun_person_repair):
+    config = ToolConfig(iri_window=iri_window, pronoun_person_repair=pronoun_person_repair)
+    reader = pipeline.corpus_reader(flavor, config)
+    first, read = 0, []
+    for sentences in batches:
+        read.append(reader.read(_keyed_text(sentences, first), stem="k"))
+        first += len(sentences)
+    assert_same_conversions(read, flavor, config)
 
 
 def _token_line(i, form, upos, feats, misc="_"):
