@@ -20,23 +20,24 @@ import os
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import NoReturn
+from typing import TYPE_CHECKING, NoReturn
 
-# Only what every subcommand needs is imported here: each fresh process
-# pays for its imports. agreement, dedup, evaluation, metadata and splits
-# are imported by the subcommands that use them, so convert and lint load
-# none; numpy is loaded by perm-test alone, through
-# evaluation.permutation_test, on one BLAS thread unless the caller sets
-# OpenBLAS's thread count; json and hashlib only when a config is read
-# or a JSON report written. Records are NamedTuples, so no run loads
-# dataclasses and the inspect module it imports. A test in
-# tests/test_cli.py checks this in fresh interpreters.
-from . import __version__, reports
-from .config import InfeasibleSplitError, ToolConfig
-from .conllu import serialize_conllu
-from .harmonize import ALL_RULES
-from .pipeline import FLAVORS, Converter, aligned_pairs, convert_corpus, corpus_reader, read_corpus_files
-from .standardize import lint_token
+# Each fresh process pays for its imports, so the module level imports
+# only the version and the flavor names: --version, --help and a usage
+# error load no other latintb module. main loads config once the
+# arguments parse; each command imports what it runs, so eval and
+# perm-test load no conversion code (harmonize, normalize, unicodedata),
+# convert and lint no dedup or evaluation code, and only perm-test loads
+# numpy, through evaluation.permutation_test_codes, on one BLAS thread
+# unless the caller sets OpenBLAS's thread count; json and hashlib load
+# only when a config is read or a JSON report written. Records are
+# NamedTuples, so no run loads dataclasses and the inspect module it
+# imports. Tests in tests/test_cli.py check this in fresh interpreters.
+from . import FLAVORS, __version__
+
+if TYPE_CHECKING:
+    from .config import ToolConfig
+    from .evaluation import _Codes
 
 
 class UsageError(ValueError):
@@ -60,6 +61,8 @@ class Output:
         """Each path's sentences in file order, or ``by_file`` its files with their sentences,
         read through one new reader of the flavor. The reader's unknown-value counts go to the
         run; the reader, with its memos, is dropped when the read returns."""
+        from .pipeline import corpus_reader, read_corpus_files
+
         reader = corpus_reader(flavor, self.config)
         read = [read_corpus_files(path, reader) for path in paths]
         self.unknown.update(reader.unknown_values)
@@ -85,6 +88,8 @@ class Output:
 
     def tsv(self, path: Path, header, rows) -> None:
         """A TSV report at ``path``, with the run's seed and config in its footer."""
+        from . import reports
+
         with _naming(path):
             text = reports.tsv_text(header, rows, seed=self.seed, config_hash=self.config.config_hash)
         self.file(path, text)
@@ -125,8 +130,20 @@ class Output:
                 leftover.rmdir() if leftover in self._made else leftover.unlink()
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but a failed write to stdout (``--version``, ``--help``) raises an
+    OSError that names ``stdout``, where argparse ignores it; a failed write to stderr is still
+    ignored, as everywhere (``_STDERR_FAILS``). Subparsers take this class too."""
+
+    def _print_message(self, message, file=None):
+        file = file or sys.stderr  # argparse's choice, as is doing nothing when that is None
+        if message and file is not None:
+            with _STDERR_FAILS if file is sys.stderr else _naming("stdout"):
+                file.write(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="latintb",
         description="Latin treebank harmonization, deduplication, splits, and scoring.",
     )
@@ -207,6 +224,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_convert(args, output: Output) -> int:
+    from .conllu import serialize_conllu
+    from .harmonize import ALL_RULES
+    from .pipeline import Converter
+
     [files] = output.read(args.flavor, args.input, by_file=True)
     audit_rows = []
     anomaly_rows = []
@@ -244,6 +265,7 @@ def cmd_dedup(args, output: Output) -> int:
 def cmd_agree(args, output: Output) -> int:
     from . import dedup
     from .agreement import STAGE_CONVERTED, STAGE_RAW, agreement_table
+    from .pipeline import aligned_pairs, convert_corpus
 
     [corpus_a] = output.read(args.a_flavor, args.corpus_a)
     [corpus_b] = output.read(args.b_flavor, args.corpus_b)
@@ -294,7 +316,8 @@ def cmd_metadata_validate(args, output: Output) -> int:
 
 
 def cmd_split(args, output: Output) -> int:
-    from . import dedup, splits
+    from . import dedup, reports, splits
+    from .conllu import serialize_conllu
     from .metadata import load_metadata
 
     [ud_corpus] = output.read("ud", args.ud)
@@ -363,32 +386,34 @@ def _naming(path: Path | str):
         raise OSError(exc.errno, exc.strerror, str(path)) from None
 
 
-def _aligned_records(output: Output, gold_path: Path, *pred_paths: Path):
+def _aligned_records(output: Output, gold_path: Path, *pred_paths: Path) -> _Codes:
+    """Gold and the prediction files as one ``evaluation._Codes``. One reader
+    serves them all, so a line the files share is one token, coded once."""
     from . import evaluation
 
-    # One reader and one record memo serve gold and predictions, so a
-    # FEATS string the files share is parsed once and each distinct
-    # (UPOS, FEATS string) pair becomes one record. Sentence ids stay checked
-    # per path: gold and predictions share them.
-    gold, *preds = corpora = output.read("ud", gold_path, *pred_paths)
-    for path, pred in zip(pred_paths, preds):
-        with _naming(path):
-            evaluation.check_alignment(gold, pred)
-    memo: evaluation.RecordMemo = {}
-    records = []
-    for path, corpus in zip((gold_path, *pred_paths), corpora):
-        with _naming(path):
-            records.append(evaluation.records_of(corpus, memo))
-    return records
+    paths = (gold_path, *pred_paths)
+    corpora = output.read("ud", *paths)
+    try:
+        return evaluation._Codes(*([s.tokens for s in corpus] for corpus in corpora))
+    except ValueError:
+        # named as the files show it: the first prediction file out of line
+        # with gold, else the first sentence, in file order, that holds a
+        # label outside the standard scheme
+        gold, *preds = corpora
+        for path, pred in zip(pred_paths, preds):
+            with _naming(path):
+                evaluation.check_alignment(gold, pred)
+        for path, corpus in zip(paths, corpora):
+            with _naming(path):
+                evaluation.records_of(corpus)
+        raise
 
 
 def cmd_eval(args, output: Output) -> int:
-    from . import evaluation
+    from . import evaluation, reports
 
-    gold_records, pred_records = _aligned_records(output, args.gold, args.pred)
-    report = evaluation.evaluate(
-        gold_records, pred_records, include_upos=output.config.include_upos_in_string
-    )
+    codes = _aligned_records(output, args.gold, args.pred)
+    report = evaluation.evaluate_codes(codes, include_upos=output.config.include_upos_in_string)
     output.stdout.append(report.format_table())
     if args.out is not None:
         provenance = reports.footer(output.seed, output.config.config_hash)
@@ -419,8 +444,8 @@ def cmd_perm_test(args, output: Output) -> int:
     ):
         if bad:
             raise UsageError(message)
-    result = evaluation.permutation_test(
-        *_aligned_records(output, args.gold, args.pred_a, args.pred_b),
+    result = evaluation.permutation_test_codes(
+        _aligned_records(output, args.gold, args.pred_a, args.pred_b),
         args.metric,
         iterations=args.iterations,
         seed=args.seed,
@@ -440,6 +465,9 @@ def cmd_perm_test(args, output: Output) -> int:
 
 
 def cmd_lint(args, output: Output) -> int:
+    from .pipeline import convert_corpus
+    from .standardize import lint_token
+
     [sentences] = output.read(args.flavor, args.input)
     converted = convert_corpus(sentences, args.flavor, output.config)
     rows = []
@@ -483,7 +511,12 @@ def main(argv: list[str] | None = None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        args = _build_parser().parse_args(argv)
+        try:
+            args = _build_parser().parse_args(argv)
+        except OSError as exc:  # --version or --help on a stdout that fails
+            return _fail("error", exc, 1)
+        from .config import InfeasibleSplitError, ToolConfig
+
         try:
             config = ToolConfig.load(args.config)
         except (ValueError, OSError) as exc:

@@ -12,6 +12,8 @@ permutation.py on first use.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain, compress
+from operator import is_not
 from typing import NamedTuple, Sequence
 
 from .conllu import Sentence, Token
@@ -37,7 +39,7 @@ def check_alignment(gold: Sequence[Sentence], pred: Sequence[Sentence]) -> None:
                 f"({len(g.tokens)} vs {len(p.tokens)})"
             )
         for tg, tp in zip(g.tokens, p.tokens):
-            if tg.form != tp.form:
+            if tg is not tp and tg.form != tp.form:
                 raise AlignmentError(
                     f"sentence {g.sent_id!r} token {tg.id}: form mismatch "
                     f"({tg.form!r} vs {tp.form!r})"
@@ -71,22 +73,47 @@ def records_of(
 
 
 class _Codes:
-    """Aligned corpora of records as integer codes, one per distinct
-    record, so labels and strings are built once per distinct record
-    instead of once per token. Every corpus must have the first one's
-    sentence lengths."""
+    """Aligned corpora as integer codes, one per distinct record, so labels
+    and strings are built once per distinct record instead of once per
+    token. A corpus is a sequence of sentences, and a sentence a sequence
+    of records or of tokens. Every corpus must have the first one's
+    sentence lengths, and a token that is not the first corpus's token at
+    its place must have its form.
 
-    def __init__(self, *corpora: Records):
-        self.sentence_lengths = [len(s) for s in corpora[0]]
-        if any([len(s) for s in c] != self.sentence_lengths for c in corpora[1:]):
-            raise AlignmentError("gold and prediction records are not aligned")
-        # Tokens share record objects (records_of builds one per distinct
-        # UPOS and FEATS string), and hashing an int id is cheaper than
-        # hashing a record, so each object is hashed by value once.
-        objects = {id(r): r for c in corpora for s in c for r in s}
+    Each distinct object is coded once: a token, which a reader returns
+    once per distinct line, by its UPOS and canonical FEATS string, each
+    distinct pair read as a record once, as ``records_of`` reads it (a
+    label outside the standard scheme raises ValueError); a record, which
+    ``records_of`` returns once per such pair, by its value. The codes
+    number the distinct records in the order first seen."""
+
+    def __init__(self, *corpora: Sequence[Sequence[StandardRecord | Token]]):
+        self.sentence_lengths = list(map(len, corpora[0]))
+        items = [list(chain.from_iterable(c)) for c in corpora]
+        first = items[0]
+        for corpus, other in zip(corpora[1:], items[1:]):
+            if list(map(len, corpus)) != self.sentence_lengths or any(
+                isinstance(a, Token) and a.form != getattr(b, "form", None)
+                for a, b in compress(zip(first, other), map(is_not, first, other))
+            ):
+                raise AlignmentError("gold and prediction records are not aligned")
+        # each distinct object by its id, in the order first seen, then its code
+        ids = [list(map(id, corpus)) for corpus in items]
+        code: dict[int, StandardRecord | Token | int] = {}
+        for corpus, keys in zip(items, ids):
+            code.update(zip(keys, corpus))
         index: dict[StandardRecord, int] = {}
-        code = {key: index.setdefault(r, len(index)) for key, r in objects.items()}
-        self.tokens = [[code[id(r)] for s in c for r in s] for c in corpora]
+        keyed: dict[tuple[str, str], int] = {}
+        for item in code.values():
+            if isinstance(item, Token):
+                key = (item.upos, item.feats.to_string())
+                number = keyed.get(key)
+                if number is None:
+                    number = keyed[key] = index.setdefault(record_from_standard_feats(item), len(index))
+            else:
+                number = index.setdefault(item, len(index))
+            code[id(item)] = number
+        self.tokens = [list(map(code.__getitem__, keys)) for keys in ids]
         self.records = list(index)
 
     def _recode(self, keys: list[str]) -> tuple[list[str], list[int]]:
@@ -216,7 +243,11 @@ class EvalReport(NamedTuple):
 
 
 def evaluate(gold: Records, pred: Records, *, include_upos: bool = False) -> EvalReport:
-    codes = _Codes(gold, pred)
+    return evaluate_codes(_Codes(gold, pred), include_upos=include_upos)
+
+
+def evaluate_codes(codes: _Codes, *, include_upos: bool = False) -> EvalReport:
+    """The report of the second corpus of ``codes`` scored against the first."""
     pairs = codes.pairs()
     macro: dict[str, float] = {}
     per_value: dict[str, dict[str, ValueScore]] = {}
@@ -277,6 +308,13 @@ class PermutationResult(NamedTuple):
 MAX_ITERATIONS = 1 << 32
 
 
+def _check_draws(iterations: int, seed: int) -> None:
+    if not 1 <= iterations <= MAX_ITERATIONS:
+        raise ValueError(f"iterations must be in 1..{MAX_ITERATIONS}, got {iterations}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def permutation_test(
     gold: Records,
     preds_a: Records,
@@ -305,11 +343,24 @@ def permutation_test(
     its caller sets ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or
     ``OMP_NUM_THREADS``.
     """
-    if not 1 <= iterations <= MAX_ITERATIONS:
-        raise ValueError(f"iterations must be in 1..{MAX_ITERATIONS}, got {iterations}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    codes = _Codes(gold, preds_a, preds_b)
+    _check_draws(iterations, seed)
+    return permutation_test_codes(
+        _Codes(gold, preds_a, preds_b), metric, iterations=iterations, seed=seed,
+        include_upos=include_upos,
+    )
+
+
+def permutation_test_codes(
+    codes: _Codes,
+    metric: str = "morph-acc",
+    *,
+    iterations: int = 10_000,
+    seed: int = 0,
+    include_upos: bool = False,
+) -> PermutationResult:
+    """``permutation_test`` of the second and third corpora of ``codes``
+    scored against the first."""
+    _check_draws(iterations, seed)
     if len(codes.tokens[0]) == 0:
         raise AlignmentError("no tokens to score")
     from . import permutation  # numpy is needed here only

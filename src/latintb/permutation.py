@@ -239,6 +239,24 @@ def _jump(steps: int) -> tuple[int, int]:
     return power & _MASK128, (power - 1) // (_PCG64_MULT - 1)
 
 
+def _jump_steps(moving: np.ndarray) -> np.ndarray:
+    """The steps of each jump of _bit_masks over the ``moving`` sentences
+    (sorted indices): to the first 64-bit output that holds one, then from
+    each such output to the next. moving is sorted, so a word is new
+    where it differs from the one before (np.unique would load numpy.ma)."""
+    words = moving >> 1
+    new = np.ones(len(words), dtype=bool)
+    np.not_equal(words[1:], words[:-1], out=new[1:])
+    return np.diff(words[new], prepend=-1)
+
+
+def _recurring_steps(moving: np.ndarray) -> np.ndarray:
+    """The step counts above 1 that more than one jump of _bit_masks takes:
+    it keeps each one's increment product for the block, two uint64 words
+    a row. A jump of one step adds the increment itself."""
+    return np.flatnonzero(np.bincount(_jump_steps(moving))[2:] > 1) + 2
+
+
 def _bit_masks(seeds: tuple[np.ndarray, ...], moving: np.ndarray) -> np.ndarray:
     """The swap bits of the ``moving`` sentences (sorted indices) under
     the PCG64 ``seeds`` of _pcg64_seeds, as a uint8 array with a row
@@ -250,12 +268,18 @@ def _bit_masks(seeds: tuple[np.ndarray, ...], moving: np.ndarray) -> np.ndarray:
     columns: dict[int, list[tuple[int, int]]] = {}
     for column, sentence in enumerate(moving.tolist()):
         columns.setdefault(sentence >> 1, []).append((column, sentence & 1))
+    recurring = set(_recurring_steps(moving).tolist())
+    terms = {1: (inc_hi, inc_lo)}  # each step count's increment term, kept if it recurs
     steps = 0  # output word k is read from the state after k + 1 steps
     for word, in_word in columns.items():
-        mult, plus = _jump(word + 1 - steps)
-        steps = word + 1
-        hi, lo = _times(hi, lo, mult)
-        hi, lo = _add(hi, lo, *((inc_hi, inc_lo) if plus == 1 else _times(inc_hi, inc_lo, plus)))
+        step, steps = word + 1 - steps, word + 1
+        mult, plus = _jump(step)
+        term = terms.get(step)
+        if term is None:
+            term = _times(inc_hi, inc_lo, plus)
+            if step in recurring:
+                terms[step] = term
+        hi, lo = _add(*_times(hi, lo, mult), *term)
         # XSL-RR outputs hi ^ lo rotated right by hi's top six bits, and
         # integers(0, 2) keeps bit 31 of it for sentence 2 word, bit 63
         # for sentence 2 word + 1 (see _raw_masks).
@@ -310,10 +334,7 @@ _ROW_NS, _RAW_WORD_NS, _BIT_WORD_NS = 4800, 3, 25
 def _draws_every_word(n_sentences: int, moving: np.ndarray) -> bool:
     """Whether drawing every 64-bit output of each row costs less than
     computing only the outputs that hold a ``moving`` sentence."""
-    # moving is sorted, so a word is new where it differs from the one
-    # before (np.unique would load numpy.ma)
-    words = moving >> 1
-    moving_words = int(np.count_nonzero(words[1:] != words[:-1])) + (len(words) > 0)
+    moving_words = len(_jump_steps(moving))
     return _ROW_NS + _RAW_WORD_NS * ((n_sentences + 1) // 2) < _BIT_WORD_NS * moving_words
 
 
@@ -334,7 +355,8 @@ def _swap_masks(
 
 # A block holds, per iteration, the uint8 mask over the moving sentences,
 # the product and the scores computed from it (about four times the width
-# of the statistics, in float64), the draw's uint64 working arrays and,
+# of the statistics, in float64), the draw's uint64 working arrays, for
+# the bit-only draw the increment product of each recurring step count and,
 # for the per-row draw, every 64-bit output of the row and a copy of the
 # 32-bit halves it keeps: BLOCK_BYTES bounds that. The product casts the
 # mask to float64 in sub-blocks, each of which BLOCK_BYTES bounds too.
@@ -355,6 +377,8 @@ def block_rows(n_sentences: int, moving: np.ndarray, width: int, every_word: boo
     row_bytes = len(moving) + 8 * (4 * width + _DRAW_ROW_WORDS)
     if every_word:
         row_bytes += 8 * ((n_sentences + 1) // 2) + 4 * len(moving)
+    else:
+        row_bytes += 16 * len(_recurring_steps(moving))
     return max(1, min(MAX_BLOCK_ROWS, BLOCK_BYTES // row_bytes))
 
 

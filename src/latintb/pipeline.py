@@ -13,9 +13,9 @@ from collections import Counter
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
+from . import FLAVORS
 from .config import ToolConfig
 from .conllu import CONLLU_MAPPING, ConlluError, CorpusReader, FeatureBundle, Sentence, Token
-from .harmonize import harmonize_record, reads_context
 from .standardize import TRADITIONAL_KEYS, StandardRecord, standardize_lasla, standardize_ud
 
 if TYPE_CHECKING:
@@ -40,11 +40,10 @@ def corpus_files(path: str | Path) -> list[Path]:
 
 # The one place a corpus flavor is dispatched: its column mapping (given
 # the config), its token standardizer and the MISC keys that reads.
-_FLAVORS = {
-    "ud": (lambda config: CONLLU_MAPPING, standardize_ud, TRADITIONAL_KEYS),
-    "lasla": (lambda config: config.lasla_mapping, standardize_lasla, ()),
-}
-FLAVORS = tuple(_FLAVORS)
+_FLAVORS = dict(zip(FLAVORS, (
+    (lambda config: CONLLU_MAPPING, standardize_ud, TRADITIONAL_KEYS),
+    (lambda config: config.lasla_mapping, standardize_lasla, ()),
+)))
 
 
 def _flavor(flavor: str):
@@ -149,6 +148,11 @@ class Converter:
     """
 
     def __init__(self, flavor: str, config: ToolConfig | None = None):
+        # imported here, so that a command that converts nothing loads no
+        # harmonization code (nor normalize and unicodedata, which it needs)
+        from .harmonize import harmonize_record, reads_context
+
+        self._harmonize_record, self._reads_context = harmonize_record, reads_context
         _, self._standardize, self._misc_keys = _flavor(flavor)
         self.config = config or ToolConfig()
         # each standardize key: what every token with it converts to, as
@@ -170,7 +174,7 @@ class Converter:
 
     def _harmonize(self, sentence: Sentence, index: int, record: StandardRecord, audit: Counter | None):
         config = self.config
-        return harmonize_record(
+        return self._harmonize_record(
             sentence, index, record, audit=audit, iri_window=config.iri_window,
             pronoun_person_repair=config.pronoun_person_repair,
         )
@@ -178,7 +182,7 @@ class Converter:
     def _entry(self, sentence: Sentence, index: int) -> tuple:
         token = sentence.tokens[index]
         record = self._standardize(token, tense_table=self.config.tense_table)
-        if reads_context(record, pronoun_person_repair=self.config.pronoun_person_repair):
+        if self._reads_context(record, pronoun_person_repair=self.config.pronoun_person_repair):
             return record, None, None, False
         applied: Counter = Counter()
         record = self._harmonize(sentence, index, record, applied)

@@ -24,7 +24,7 @@ from latintb.harmonize import RULE_PRON_PERSON
 from latintb.pipeline import convert_corpus, load_corpus, sentence_with_records
 from latintb.evaluation import records_of
 from latintb.reports import read_table, tsv_text
-from latintb.standardize import StandardRecord
+from latintb.standardize import StandardRecord, record_from_standard_feats
 
 
 AUDIT_HEADER = ("corpus", "rule_id", "tokens_affected")
@@ -232,21 +232,31 @@ def test_gold_and_predictions_share_records_and_sentence_ids(tmp_path, capsys, m
     gold, pred = tmp_path / "gold.conllu", tmp_path / "pred.conllu"
     gold.write_text(SENTENCE.format("s1", "Case=Nom") + SENTENCE.format("s2", "Case=Acc"))
     pred.write_text(SENTENCE.format("s1", "Case=Nom") + SENTENCE.format("s2", "Case=Gen"))
-    corpora = []
+    corpora, read = [], []
 
-    def recorded_records_of(sentences, memo=None):
-        corpora.append(sentences)
-        return records_of(sentences, memo)
+    class RecordedCodes(evaluation._Codes):
+        def __init__(self, *given):
+            corpora.extend(given)
+            super().__init__(*given)
 
-    monkeypatch.setattr(evaluation, "records_of", recorded_records_of)
+    def recorded_read(token):
+        read.append(token.feats.to_string())
+        return record_from_standard_feats(token)
+
+    monkeypatch.setattr(evaluation, "_Codes", RecordedCodes)
+    monkeypatch.setattr(evaluation, "record_from_standard_feats", recorded_read)
     output = Output(ToolConfig(), 0, [])
-    (gold_s1, gold_s2), (pred_s1, pred_s2) = _aligned_records(output, gold, pred)
-    assert pred_s1[0] is gold_s1[0]
-    assert pred_s2[0] is not gold_s2[0]
-    # an identical token line is one token in both files
-    [(gold_t1,), (gold_t2,)], [(pred_t1,), (pred_t2,)] = ([s.tokens for s in c] for c in corpora)
+    codes = _aligned_records(output, gold, pred)
+    (gold_s1, gold_s2), (pred_s1, pred_s2) = codes.tokens
+    assert codes.sentence_lengths == [1, 1]
+    assert pred_s1 == gold_s1
+    assert pred_s2 != gold_s2
+    # an identical token line is one token in both files, read as a record once
+    [(gold_t1,), (gold_t2,)], [(pred_t1,), (pred_t2,)] = corpora
     assert pred_t1 is gold_t1
     assert pred_t2 is not gold_t2
+    assert read == ["Case=Nom", "Case=Acc", "Case=Gen"]
+    assert [r.case for r in codes.records] == ["Nom", "Acc", "Gen"]
     assert main(["eval", "--gold", str(gold), "--pred", str(pred)]) == 0
     assert "tokens scored        2" in capsys.readouterr().out
 
@@ -521,6 +531,24 @@ def test_a_run_without_config_imports_no_module_it_does_not_use(
     loaded = _modules_loaded(tmp_path, _RUN_MAIN, *argv)
     assert "latintb" in loaded
     assert {name.partition(".")[0] for name in loaded - bare} & _NOT_AT_START == set()
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], ["eval", "--gold"]],
+                         ids=["version", "help", "usage-error"])
+def test_the_version_the_help_and_a_usage_error_load_no_other_latintb_module(tmp_path, argv):
+    loaded = _modules_loaded(tmp_path, _RUN_MAIN, *argv)
+    assert {name for name in loaded if name.partition(".")[0] == "latintb"} == {"latintb", "latintb.cli"}
+
+
+@pytest.mark.parametrize("command", ["eval", "perm-test"])
+def test_scoring_loads_no_conversion_code(workdir, tmp_path, command):
+    gold = workdir / "splits" / "Classical-UD" / "test.conllu"
+    argv = {"eval": ["eval", "--gold", gold, "--pred", gold],
+            "perm-test": ["perm-test", "--gold", gold, "--a", gold, "--b", gold, "--n", "10"]}[command]
+    bare = _modules_loaded(tmp_path, _BARE)
+    loaded = _modules_loaded(tmp_path, _RUN_MAIN, *argv)
+    assert "latintb.evaluation" in loaded  # the probe sees the scoring
+    assert {"latintb.harmonize", "latintb.normalize", "unicodedata"} & (loaded - bare) == set()
 
 
 def test_dedup_loads_metadata_only_for_a_report_with_metadata(fixtures_dir, tmp_path):
@@ -1512,6 +1540,26 @@ def test_a_failed_write_to_stdout_fails_in_one_line_and_keeps_the_outputs(workdi
         os.close(stdout)
     assert (done.returncode, done.stderr.decode()) == (1, f"error: [Errno {error}] {os.strerror(error)}: 'stdout'\n")
     assert (tmp_path / "eval.json").read_bytes() == (tmp_path / "expected.json").read_bytes()
+
+
+@pytest.mark.parametrize("sink", ["full", "closed-pipe"])
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("flag", ["--version", "--help"])
+def test_a_failed_write_of_the_version_or_the_help_fails_in_one_line(sink, unbuffered, flag):
+    # argparse ignores a failed write; unbuffered, nothing is left for the flush to fail on
+    if sink == "full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    if sink == "full":
+        stdout, error = os.open("/dev/full", os.O_WRONLY), errno.ENOSPC
+    else:
+        read, stdout = os.pipe()
+        os.close(read)
+        error = errno.EPIPE
+    try:
+        done = _spawn([flag], stdout, unbuffered, stderr=subprocess.PIPE)
+    finally:
+        os.close(stdout)
+    assert (done.returncode, done.stderr.decode()) == (1, f"error: [Errno {error}] {os.strerror(error)}: 'stdout'\n")
 
 
 @pytest.mark.parametrize("case, code", [

@@ -829,7 +829,10 @@ def test_p_value_across_product_sub_blocks_shorter_than_a_block(monkeypatch):
     preds_b = corrupt(gold, rng, 0.4)
     machine = _build_machine(_Codes(gold, preds_a, preds_b), "morph-acc", False)
     moving = machine.moving
-    row_bytes = len(moving) + 8 * (4 + permutation._DRAW_ROW_WORDS)
+    # the bit-only draw also keeps two uint64 words a row per recurring step count
+    kept = permutation._recurring_steps(moving)
+    assert len(kept) > 0
+    row_bytes = len(moving) + 8 * (4 + permutation._DRAW_ROW_WORDS) + 16 * len(kept)
     monkeypatch.setattr(permutation, "BLOCK_BYTES", 12 * row_bytes)
     # a sub-block holds its rows of the mask as float64
     block, sub = permutation.block_rows(len(gold), moving, 1), 12 * row_bytes // (8 * len(moving))
@@ -860,10 +863,17 @@ def test_block_rows_keep_to_the_budget_and_the_row_cap():
     budget = permutation.BLOCK_BYTES
     assert permutation.block_rows(1, np.arange(1), 1) == permutation.MAX_BLOCK_ROWS == 8192
     assert permutation.block_rows(120, np.arange(0, 120, 7), 1) == 8192
-    assert permutation.block_rows(813, np.arange(0, 813, 6), 1) == 8192
+    assert permutation.block_rows(813, np.arange(0, 813, 9), 1) == 8192
+    # 136 moving sentences fall below the cap only through their kept step count, 3
+    assert permutation.block_rows(813, np.arange(0, 813, 6), 1) == budget // (136 + 8 * (4 + 16) + 16) < 8192
     # bit-only: a byte of mask per moving sentence, and in 8-byte words four
-    # times the statistics' width and the draw's working arrays
-    assert permutation.block_rows(813, np.arange(0, 813, 50), 33) == budget // (17 + 8 * (4 * 33 + 16))
+    # times the statistics' width, the draw's working arrays and two words for
+    # each step count above 1 that recurs: here every jump after the first
+    # takes 25 steps
+    assert permutation.block_rows(813, np.arange(0, 813, 50), 33) == budget // (17 + 8 * (4 * 33 + 16) + 16)
+    moving = np.array([1, 4, 7, 12, 13, 22, 31, 40, 70])  # words 0, 2, 3, 6, 11, 15, 20, 35
+    assert permutation._jump_steps(moving).tolist() == [1, 2, 1, 3, 5, 4, 5, 15]
+    assert permutation.block_rows(813, moving, 33) == budget // (9 + 8 * (4 * 33 + 16) + 16)
     # per-row: every 64-bit output of the row and the 32-bit halves kept, too
     assert permutation.block_rows(813, np.arange(813), 1) == budget // (813 + 8 * (4 + 16) + 8 * 407 + 4 * 813)
     assert permutation.block_rows(1, np.arange(1), 10**12) == 1
