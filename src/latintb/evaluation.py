@@ -3,10 +3,13 @@
 Three metrics: whole-string morphological accuracy (UPOS scored
 separately), per-feature macro F1 with None as a first-class value, and
 one-vs-rest F1 for single feature values. Each is integer counts over
-the distinct (gold, prediction) record pairs, in plain Python. Two
-prediction sets are compared by randomized permutation testing with
-sentence-level swaps; only that test needs numpy, and it imports
-permutation.py on first use.
+the distinct (gold, prediction) record pairs, in plain Python. Corpora
+are coded once (_Codes), from records or straight from tokens, with an
+integer per distinct record; the CLI codes the tokens of gold and its
+prediction files in one pass, and the *_codes functions score the
+codes. Two prediction sets are compared by randomized permutation
+testing with sentence-level swaps; only that test needs numpy, and it
+imports permutation.py on first use.
 """
 
 from __future__ import annotations
@@ -93,7 +96,7 @@ class _Codes:
         first = items[0]
         for corpus, other in zip(corpora[1:], items[1:]):
             if list(map(len, corpus)) != self.sentence_lengths or any(
-                isinstance(a, Token) and a.form != getattr(b, "form", None)
+                isinstance(a, Token) and a.form != b.form
                 for a, b in compress(zip(first, other), map(is_not, first, other))
             ):
                 raise AlignmentError("gold and prediction records are not aligned")

@@ -1,4 +1,4 @@
-"""The numpy machinery of evaluation.permutation_test.
+"""The numpy machinery of evaluation.permutation_test_codes.
 
 Each metric is reduced once to per-sentence counts: correct tokens for
 morph-acc, and for the F1 metrics the per-class (tp, fp, fn) table that
@@ -10,7 +10,8 @@ bits are those of ``default_rng(SeedSequence(entropy=seed,
 spawn_key=(i,))).integers(0, 2, n_sentences)``, computed only for the
 moving sentences. When few of the 64-bit PCG64 outputs hold a moving
 sentence, PCG64 is replayed in uint64 numpy arithmetic, jumping from
-one such output to the next; when enough do that drawing every output
+one such output to the next, with the increment term of each jump
+length that recurs computed once a block; when enough do that drawing every output
 costs less (_draws_every_word, decided once a run), each iteration's
 generator draws all of them, and only then is numpy.random loaded;
 numpy.ma never is. Both draws write 0/1 into a uint8 mask. Iterations
@@ -18,7 +19,7 @@ run in blocks that fit a fixed byte budget, the float64 product of a
 block in sub-blocks that fit it too, and each block's hits are counted
 before the next is drawn, so memory does not grow with the iteration
 count. This is the only module of latintb that imports numpy;
-permutation_test imports it on first use, so eval and the other
+permutation_test_codes imports it on first use, so eval and the other
 subcommands never load numpy. The module leaves numpy's BLAS threads as the host program set
 them; ``perm-test`` sets one unless its caller sets OpenBLAS's thread
 count (see cli.cmd_perm_test). Masks are 0/1 and statistics integer

@@ -25,7 +25,7 @@ from latintb.evaluation import (
 )
 
 
-def parent_check_alignment(gold, pred) -> None:
+def reference_check_alignment(gold, pred) -> None:
     if len(gold) != len(pred):
         raise AlignmentError(
             f"sentence count mismatch: gold {len(gold)}, predictions {len(pred)}"
@@ -44,7 +44,7 @@ def parent_check_alignment(gold, pred) -> None:
                 )
 
 
-class ParentCodes:
+class ReferenceCodes:
     """``_Codes`` as it was: aligned corpora of records only."""
 
     def __init__(self, *corpora):
@@ -58,11 +58,11 @@ class ParentCodes:
         self.records = list(index)
 
 
-def parent_aligned_records(output, gold_path, *pred_paths):
+def reference_aligned_records(output, gold_path, *pred_paths):
     gold, *preds = corpora = output.read("ud", gold_path, *pred_paths)
     for path, pred in zip(pred_paths, preds):
         with _naming(path):
-            parent_check_alignment(gold, pred)
+            reference_check_alignment(gold, pred)
     memo = {}
     records = []
     for path, corpus in zip((gold_path, *pred_paths), corpora):
@@ -150,7 +150,7 @@ def test_one_pass_codes_equal_the_codes_of_each_files_records(data, gold):
     except ValueError as exc:
         expected = exc
     else:
-        expected = fields(ParentCodes(*records))
+        expected = fields(ReferenceCodes(*records))
         # records, shared or not, code alike
         assert fields(_Codes(*records)) == expected
         assert fields(_Codes(*[records_of(corpus) for corpus in read])) == expected
@@ -170,10 +170,10 @@ def outcome(argv) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def parent_outcome(command, paths) -> tuple[int, str, str]:
-    """main's outcome at the parent: its exit code, stdout and stderr."""
+def reference_outcome(command, paths) -> tuple[int, str, str]:
+    """main's outcome through the reference path: its exit code, stdout and stderr."""
     try:
-        records = parent_aligned_records(Output(ToolConfig(), 0, []), *paths)
+        records = reference_aligned_records(Output(ToolConfig(), 0, []), *paths)
     except ValueError as exc:
         return 1, "", f"error: {exc}\n"
     if command == "eval":
@@ -191,10 +191,10 @@ def check_both_commands(gold, a, b) -> None:
             path.write_text(conllu(corpus), encoding="utf-8")
         gold_path, a_path, b_path = paths
         eval_argv = ["eval", "--gold", gold_path, "--pred", a_path]
-        assert outcome(eval_argv) == parent_outcome("eval", paths[:2])
+        assert outcome(eval_argv) == reference_outcome("eval", paths[:2])
         perm_argv = ["perm-test", "--gold", gold_path, "--a", a_path, "--b", b_path,
                      "--n", "20", "--seed", "3"]
-        assert outcome(perm_argv) == parent_outcome("perm-test", paths)
+        assert outcome(perm_argv) == reference_outcome("perm-test", paths)
 
 
 @settings(max_examples=150, deadline=None)

@@ -22,7 +22,6 @@ from latintb.config import ToolConfig
 from latintb.conllu import parse_conllu_file, serialize_conllu
 from latintb.harmonize import RULE_PRON_PERSON
 from latintb.pipeline import convert_corpus, load_corpus, sentence_with_records
-from latintb.evaluation import records_of
 from latintb.reports import read_table, tsv_text
 from latintb.standardize import StandardRecord, record_from_standard_feats
 
