@@ -16,8 +16,9 @@ For each workload and each end-to-end metric it prints every pair
 (ref/change), the medians and quartiles of both sides, the change of the
 median, the ref's interquartile range, the median of the per-pair gaps
 and in how many pairs the change was better. Raw results go to
-``results.json`` in the work directory. Only the standard library is
-used.
+``results.json`` in the work directory, rewritten after every pair, so
+the pairs finished before a failed run are kept. Only the standard
+library is used.
 """
 
 from __future__ import annotations
@@ -141,9 +142,10 @@ def main(argv: list[str] | None = None) -> int:
             pair = {"seed": seed, "first": order[0],
                     **{side: {m: runs[side]["metrics"][m]["value"] for m in metrics} for side in runs}}
             results[workload].append(pair)
+            # written after every pair, so a later run that fails loses none
+            (work / "results.json").write_text(json.dumps(results, indent=1) + "\n", encoding="utf-8")
             print(f"{workload} seed {seed} ({order[0]} first): " + ", ".join(
                 f"{m} {pair['ref'][m]:.4f}/{pair['new'][m]:.4f}" for m in metrics), flush=True)
-    (work / "results.json").write_text(json.dumps(results, indent=1) + "\n", encoding="utf-8")
 
     print(f"\n{args.ref} against the working tree, seeds {args.seeds}, {args.seconds:g} s per run")
     for workload, pairs in results.items():

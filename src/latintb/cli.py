@@ -388,7 +388,9 @@ def _naming(path: Path | str):
 
 def _aligned_records(output: Output, gold_path: Path, *pred_paths: Path) -> _Codes:
     """Gold and the prediction files as one ``evaluation._Codes``. One reader
-    serves them all, so a line the files share is one token, coded once."""
+    serves them all, so a line the files share is one token, coded once.
+    Only the codes are returned: the tokens are freed before perm-test
+    loads numpy, so they never add to the process's peak memory."""
     from . import evaluation
 
     paths = (gold_path, *pred_paths)

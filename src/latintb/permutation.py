@@ -11,24 +11,25 @@ spawn_key=(i,))).integers(0, 2, n_sentences)``, computed only for the
 moving sentences. When few of the 64-bit PCG64 outputs hold a moving
 sentence, PCG64 is replayed in uint64 numpy arithmetic, jumping from
 one such output to the next, with the increment term of each jump
-length that recurs computed once a block; when enough do that drawing every output
-costs less (_draws_every_word, decided once a run), each iteration's
-generator draws all of them, and only then is numpy.random loaded;
-numpy.ma never is. Both draws write 0/1 into a uint8 mask. Iterations
-run in blocks that fit a fixed byte budget, the float64 product of a
-block in sub-blocks that fit it too, and each block's hits are counted
-before the next is drawn, so memory does not grow with the iteration
-count. This is the only module of latintb that imports numpy;
-permutation_test_codes imports it on first use, so eval and the other
-subcommands never load numpy. The module leaves numpy's BLAS threads as the host program set
-them; ``perm-test`` sets one unless its caller sets OpenBLAS's thread
-count (see cli.cmd_perm_test). Masks are 0/1 and statistics integer
+length that recurs computed once a block; when enough do that drawing
+every output costs less, each iteration's generator draws all of them,
+and only then is numpy.random loaded; numpy.ma never is. Both draws
+write 0/1 into a uint8 mask. Iterations run in blocks that fit a fixed
+byte budget, the float64 product of a block in sub-blocks that fit it
+too; _Draw plans the draw and both lengths once a run. Each block's
+hits are counted before the next is drawn, so memory does not grow
+with the iteration count. This is the only module of latintb that
+imports numpy; permutation_test_codes imports it on first use, so eval
+and the other subcommands never load numpy. The module leaves numpy's
+BLAS threads as the host program set them; ``perm-test`` sets one
+unless its caller sets OpenBLAS's thread count (see
+cli.cmd_perm_test). Masks are 0/1 and statistics integer
 counts, so every thread count gives the same sums.
 """
 
 from __future__ import annotations
 
-import functools
+from collections import Counter
 
 import numpy as np
 
@@ -226,10 +227,6 @@ def _pcg64_seeds(seed: int, spawn: np.ndarray) -> tuple[np.ndarray, ...]:
     return hi, lo, inc_hi, inc_lo
 
 
-# A run jumps by at most sqrt(2 n_words) distinct step counts (they sum to
-# at most n_words), so the cache holds every jump of a run of up to a
-# million sentences and each block after the first computes none.
-@functools.lru_cache(maxsize=1024)
 def _jump(steps: int) -> tuple[int, int]:
     """(M^steps, M^(steps-1) + ... + M + 1) mod 2^128 for PCG64's
     multiplier M: ``steps`` steps take a state s with increment inc to
@@ -240,45 +237,24 @@ def _jump(steps: int) -> tuple[int, int]:
     return power & _MASK128, (power - 1) // (_PCG64_MULT - 1)
 
 
-def _jump_steps(moving: np.ndarray) -> np.ndarray:
-    """The steps of each jump of _bit_masks over the ``moving`` sentences
-    (sorted indices): to the first 64-bit output that holds one, then from
-    each such output to the next. moving is sorted, so a word is new
-    where it differs from the one before (np.unique would load numpy.ma)."""
-    words = moving >> 1
-    new = np.ones(len(words), dtype=bool)
-    np.not_equal(words[1:], words[:-1], out=new[1:])
-    return np.diff(words[new], prepend=-1)
-
-
-def _recurring_steps(moving: np.ndarray) -> np.ndarray:
-    """The step counts above 1 that more than one jump of _bit_masks takes:
-    it keeps each one's increment product for the block, two uint64 words
-    a row. A jump of one step adds the increment itself."""
-    return np.flatnonzero(np.bincount(_jump_steps(moving))[2:] > 1) + 2
-
-
-def _bit_masks(seeds: tuple[np.ndarray, ...], moving: np.ndarray) -> np.ndarray:
-    """The swap bits of the ``moving`` sentences (sorted indices) under
-    the PCG64 ``seeds`` of _pcg64_seeds, as a uint8 array with a row
-    per moving sentence and a column per iteration. Only the 64-bit
-    outputs that hold a moving sentence are computed: the state jumps
-    from one to the next."""
+def _bit_masks(seeds: tuple[np.ndarray, ...], draw: _Draw) -> np.ndarray:
+    """The swap bits of ``draw``'s moving sentences under the PCG64
+    ``seeds`` of _pcg64_seeds, as a uint8 array with a row per moving
+    sentence and a column per iteration. Only the 64-bit outputs that
+    hold a moving sentence are computed: the state jumps from one to the
+    next."""
     hi, lo, inc_hi, inc_lo = seeds
-    masks = np.empty((len(moving), len(hi)), dtype=np.uint8)
-    columns: dict[int, list[tuple[int, int]]] = {}
-    for column, sentence in enumerate(moving.tolist()):
-        columns.setdefault(sentence >> 1, []).append((column, sentence & 1))
-    recurring = set(_recurring_steps(moving).tolist())
-    terms = {1: (inc_hi, inc_lo)}  # each step count's increment term, kept if it recurs
-    steps = 0  # output word k is read from the state after k + 1 steps
-    for word, in_word in columns.items():
-        step, steps = word + 1 - steps, word + 1
-        mult, plus = _jump(step)
+    masks = np.empty((len(draw.moving), len(hi)), dtype=np.uint8)
+    # each step count's increment term: a one-step jump adds the
+    # increment itself, and the product of a count that recurs is kept
+    # from its first jump on (all made before the loop, they raised a
+    # morph-acc perm-test's peak RSS by 0.4 MB, by the heap layout alone)
+    terms = {1: (inc_hi, inc_lo)}
+    for step, mult, plus, in_word in draw.jumps:
         term = terms.get(step)
         if term is None:
             term = _times(inc_hi, inc_lo, plus)
-            if step in recurring:
+            if step in draw.kept:
                 terms[step] = term
         hi, lo = _add(*_times(hi, lo, mult), *term)
         # XSL-RR outputs hi ^ lo rotated right by hi's top six bits, and
@@ -320,38 +296,19 @@ def _raw_masks(seeds: tuple[np.ndarray, ...], n_sentences: int, moving: np.ndarr
 
 
 # What each draw costs per iteration, measured on a 2-core x86-64 VM with
-# numpy 2.4.6 at 813 and 4065 sentences, each at the block length it
-# gets: the per-row draw about 2.7 us to seed the row's generator plus
-# 3.5 ns per 64-bit output of the row and 1.7 ns per moving sentence, the
-# bit-only draw 21-23 ns per output that holds a moving sentence at 813
-# sentences and 26-32 ns at 4065 (its blocks shorten as more sentences
-# move). They cross near 240 of 407 outputs at 813 sentences and 420 of
-# 2033 at 4065; the constants, which leave out the per-row draw's cost
-# per moving sentence, cross there too. The per-row draw also loads
-# numpy.random, once: about 10 ms and 6 MB of peak memory.
-_ROW_NS, _RAW_WORD_NS, _BIT_WORD_NS = 4800, 3, 25
-
-
-def _draws_every_word(n_sentences: int, moving: np.ndarray) -> bool:
-    """Whether drawing every 64-bit output of each row costs less than
-    computing only the outputs that hold a ``moving`` sentence."""
-    moving_words = len(_jump_steps(moving))
-    return _ROW_NS + _RAW_WORD_NS * ((n_sentences + 1) // 2) < _BIT_WORD_NS * moving_words
-
-
-def _swap_masks(
-    seed: int, start: int, stop: int, n_sentences: int, moving: np.ndarray, every_word: bool | None = None
-) -> np.ndarray:
-    """The swap bits of iterations [start, stop) for the ``moving``
-    sentences (sorted indices among ``n_sentences``), as uint8 0/1 rows
-    over the moving columns, drawn as ``every_word`` says, or as
-    _draws_every_word decides if it is None."""
-    if every_word is None:
-        every_word = _draws_every_word(n_sentences, moving)
-    seeds = _pcg64_seeds(seed, np.arange(start, stop, dtype=np.uint32))
-    if every_word:
-        return _raw_masks(seeds, n_sentences, moving)
-    return _bit_masks(seeds, moving).T
+# numpy 2.4.6 at 813 and 4065 sentences, on random moving sentences, each
+# draw at the block length it gets: the per-row draw about 2.7 us to seed
+# the row's generator plus 3.5 ns per 64-bit output of the row and 1.7 ns
+# per moving sentence, the bit-only draw, which keeps the increment
+# product of each recurring jump, 15-22 ns per output that holds a moving
+# sentence at 813 sentences and 19-30 ns at 4065 (more where an output
+# holds two moving sentences, and its blocks shorten as more sentences
+# move). They cross near 340-380 of 407 outputs at 813 sentences and
+# 520-700 of 2033 at 4065, the lower figure where most outputs hold two
+# moving sentences; the constants, which leave out the per-row draw's
+# cost per moving sentence, cross at 334 and 605. The per-row draw also
+# loads numpy.random, once: about 10 ms and 6 MB of peak memory.
+_ROW_NS, _RAW_WORD_NS, _BIT_WORD_NS = 4800, 3, 18
 
 
 # A block holds, per iteration, the uint8 mask over the moving sentences,
@@ -369,18 +326,41 @@ MAX_BLOCK_ROWS = 8192
 _DRAW_ROW_WORDS = 16
 
 
-def block_rows(n_sentences: int, moving: np.ndarray, width: int, every_word: bool | None = None) -> int:
-    """Iterations per block for the swap bits of the ``moving`` sentences
-    among ``n_sentences`` and statistics ``width`` columns wide, drawn as
-    ``every_word`` says, or as _draws_every_word decides if it is None."""
-    if every_word is None:
-        every_word = _draws_every_word(n_sentences, moving)
-    row_bytes = len(moving) + 8 * (4 * width + _DRAW_ROW_WORDS)
-    if every_word:
-        row_bytes += 8 * ((n_sentences + 1) // 2) + 4 * len(moving)
-    else:
-        row_bytes += 16 * len(_recurring_steps(moving))
-    return max(1, min(MAX_BLOCK_ROWS, BLOCK_BYTES // row_bytes))
+class _Draw:
+    """The swap-bit draw of a run, planned once from the ``moving``
+    sentences (sorted indices among ``n_sentences``) and the statistics'
+    ``width``: per 64-bit output that holds a moving sentence, in order,
+    the jump's step count, its (mult, plus) and the (column, odd) pairs
+    it fills (``jumps``); the step counts above 1 that more than one
+    jump takes, whose increment products a block keeps (``kept``); the
+    draw (``every_word``), the block length (``rows``) and the product's
+    sub-block length (``sub_rows``)."""
+
+    def __init__(self, n_sentences: int, moving: np.ndarray, width: int):
+        self.n_sentences, self.moving = n_sentences, moving
+        columns: dict[int, list[tuple[int, int]]] = {}
+        for column, sentence in enumerate(moving.tolist()):
+            columns.setdefault(sentence >> 1, []).append((column, sentence & 1))
+        # output word k is read from the state after k + 1 steps
+        steps = [word - before for word, before in zip(columns, [-1, *columns])]
+        jump = {step: _jump(step) for step in steps}
+        self.jumps = [(step, *jump[step], in_word) for step, in_word in zip(steps, columns.values())]
+        self.kept = {step for step, n in Counter(steps).items() if step > 1 and n > 1}
+        n_words = (n_sentences + 1) // 2
+        self.every_word = _ROW_NS + _RAW_WORD_NS * n_words < _BIT_WORD_NS * len(columns)
+        row_bytes = len(moving) + 8 * (4 * width + _DRAW_ROW_WORDS)
+        row_bytes += 8 * n_words + 4 * len(moving) if self.every_word else 16 * len(self.kept)
+        self.rows = max(1, min(MAX_BLOCK_ROWS, BLOCK_BYTES // row_bytes))
+        # the product's sub-blocks, each holding its rows of the mask as float64
+        self.sub_rows = max(1, BLOCK_BYTES // (8 * max(1, len(moving))))
+
+    def masks(self, seed: int, start: int, stop: int) -> np.ndarray:
+        """The swap bits of iterations [start, stop), as uint8 0/1 rows
+        over the moving columns."""
+        seeds = _pcg64_seeds(seed, np.arange(start, stop, dtype=np.uint32))
+        if self.every_word:
+            return _raw_masks(seeds, self.n_sentences, self.moving)
+        return _bit_masks(seeds, self).T
 
 
 def observed_and_hits(
@@ -391,15 +371,12 @@ def observed_and_hits(
     swap masks of iterations [0, iterations) give a difference at least
     as large."""
     machine = _build_machine(codes, metric, include_upos)
-    n_sentences, moving = len(codes.sentence_lengths), machine.moving
+    moving = machine.moving
     observed = float(machine.diffs(np.zeros((1, len(moving))))[0])
-    every_word = _draws_every_word(n_sentences, moving)
-    rows = block_rows(n_sentences, moving, machine.delta.shape[1], every_word)
-    # the product's sub-blocks, each holding its rows of the mask as float64
-    sub_rows, hits = max(1, BLOCK_BYTES // (8 * max(1, len(moving)))), 0
-    for start in range(0, iterations, rows):
-        masks = _swap_masks(seed, start, min(start + rows, iterations), n_sentences, moving, every_word)
-        for sub in range(0, len(masks), sub_rows):
-            hits += int((machine.diffs(masks[sub : sub + sub_rows]) >= observed).sum())
+    draw, hits = _Draw(len(codes.sentence_lengths), moving, machine.delta.shape[1]), 0
+    for start in range(0, iterations, draw.rows):
+        masks = draw.masks(seed, start, min(start + draw.rows, iterations))
+        for sub in range(0, len(masks), draw.sub_rows):
+            hits += int((machine.diffs(masks[sub : sub + draw.sub_rows]) >= observed).sum())
         del masks  # freed before the next block is drawn
     return observed, hits

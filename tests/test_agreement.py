@@ -65,6 +65,11 @@ def test_unknown_mode_rejected():
         feature_agreement([], "Case", "fuzzy")
 
 
+def test_unknown_stage_rejected():
+    with pytest.raises(ValueError, match="^unknown stage 'bogus'$"):
+        agreement_table([], stage="bogus")
+
+
 def test_identical_corpora_agree_everywhere(converted_ud):
     pairs = []
     for sentence, records in zip(converted_ud.sentences, converted_ud.records):

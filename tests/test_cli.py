@@ -19,7 +19,7 @@ from latintb.baseline import predict_corpus
 from latintb import evaluation
 from latintb.cli import Output, _aligned_records, main
 from latintb.config import ToolConfig
-from latintb.conllu import parse_conllu_file, serialize_conllu
+from latintb.conllu import Token, parse_conllu_file, serialize_conllu
 from latintb.harmonize import RULE_PRON_PERSON
 from latintb.pipeline import convert_corpus, load_corpus, sentence_with_records
 from latintb.reports import read_table, tsv_text
@@ -408,6 +408,14 @@ def test_unknown_metric_is_usage_error(workdir, tmp_path):
                  "--b", str(gold), "--metric", "nonsense"]) == 2
 
 
+def test_an_unknown_feature_in_a_value_metric_is_a_usage_error(tmp_path, capsys):
+    # rejected before any file is read: the inputs do not exist
+    missing = str(tmp_path / "missing.conllu")
+    assert main(["perm-test", "--gold", missing, "--a", missing, "--b", missing,
+                 "--metric", "value-f1:Bogus=X"]) == 2
+    assert capsys.readouterr().err == "usage error: unknown feature in metric 'value-f1:Bogus=X'\n"
+
+
 def test_perm_test_needs_positive_iterations(tmp_path, capsys):
     # rejected before any file is read: the inputs do not exist
     missing = str(tmp_path / "missing.conllu")
@@ -454,6 +462,39 @@ def test_perm_test_notes_when_no_simulated_difference_reaches_the_observed_one(t
         "metric=morph-acc observed_diff=1.000000 p=0.0000 iterations=1000 seed=0\n"
         "note: no simulated difference reached the observed one; p < 0.003 (rule of three)\n"
     )
+
+
+def test_perm_test_holds_no_input_token_when_numpy_loads(tmp_path, monkeypatch, capsys):
+    # Only the codes reach the draw: a token list kept alive through it
+    # would stay in the process's peak memory beside numpy's.
+    from latintb import permutation
+
+    form = "quisquiliarum"  # a form no other test reads
+    paths = {}
+    for name, case in (("gold", "Nom"), ("a", "Nom"), ("b", "Acc")):
+        paths[name] = tmp_path / f"{name}.conllu"
+        paths[name].write_text("".join(
+            f"# sent_id = s{i}\n1\t{form}\tx\tNOUN\t_\tCase={case if i % 2 else 'Nom'}\t_\t_\t_\t_\n"
+            f"2\t{form}\tx\tVERB\t_\t_\t_\t_\t_\t_\n\n" for i in range(40)), encoding="utf-8")
+
+    def live_tokens():
+        return sum(isinstance(o, Token) and o.form == form for o in gc.get_objects())
+
+    held = parse_conllu_file(paths["gold"])
+    # the count sees tokens that are held: one per distinct line
+    assert live_tokens() == 2
+    del held
+    counts, observed_and_hits = [], permutation.observed_and_hits
+
+    def counted(*args):
+        counts.append(live_tokens())
+        return observed_and_hits(*args)
+
+    monkeypatch.setattr(permutation, "observed_and_hits", counted)
+    assert main(["perm-test", "--gold", str(paths["gold"]), "--a", str(paths["a"]),
+                 "--b", str(paths["b"]), "--n", "100"]) == 0
+    assert capsys.readouterr().out.startswith("metric=morph-acc observed_diff=")
+    assert counts == [0]
 
 
 def _src_path() -> str:
@@ -1145,6 +1186,7 @@ def test_config_value_of_the_wrong_type_fails_in_one_line(fixtures_dir, tmp_path
     for document, message in (
         ('{"pronoun_person_repair": "false"}', 'pronoun_person_repair must be true or false, got "false"'),
         ('{"dev_fraction": 2}', "dev_fraction must be a JSON number in [0, 1], got 2"),
+        ('{"tense_table": {"Pres,Imp": "Xyz"}}', "tense/aspect table maps ('Pres', 'Imp') to unknown 'Xyz'"),
     ):
         config.write_text(document)
         done = _run_cli("convert", "--in", fixtures_dir / "lasla", "--flavor", "lasla",
@@ -1240,6 +1282,16 @@ def test_a_malformed_line_is_named_with_its_file(tmp_path, capsys, command):
     assert main(list(map(str, argv))) == 1
     assert capsys.readouterr().err == (
         f"error: {bad}: line 5 (sentence 'b2'): expected 10 columns, got 2\n"
+    )
+
+
+def test_a_feature_name_holding_a_comma_fails_in_one_line(tmp_path, capsys):
+    gold, pred = tmp_path / "gold.conllu", tmp_path / "pred.conllu"
+    gold.write_text(SENTENCE.format("s1", "Case=Nom"))
+    pred.write_text(SENTENCE.format("s1", "Ca,se=Nom"))
+    assert main(["eval", "--gold", str(gold), "--pred", str(pred)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {pred}: line 2 (sentence 's1'): feature name 'Ca,se' contains structural characters\n"
     )
 
 

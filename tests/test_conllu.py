@@ -148,7 +148,8 @@ def test_empty_feature_value_rejected():
 @pytest.mark.parametrize("raw, message", [
     ("=Nom", "empty feature name"),
     ("Case=Nom=Acc", "feature 'Case' has a value with structural characters"),
-], ids=["empty-name", "value-holding-equals"])
+    ("Ca,se=Nom", "feature name 'Ca,se' contains structural characters"),
+], ids=["empty-name", "value-holding-equals", "name-holding-comma"])
 def test_a_malformed_feats_item_names_its_line(raw, message):
     text = f"# sent_id = s\n{ARMA}\n2\tx\tx\tNOUN\t_\t{raw}\t_\t_\t_\t_\n"
     with pytest.raises(ParseError, match=f"^line 3 \\(sentence 's'\\): {re.escape(message)}$"):

@@ -30,11 +30,11 @@ from latintb import permutation
 from latintb.permutation import (
     _bit_masks,
     _build_machine,
+    _Draw,
     _jump,
     _pcg64_seeds,
     _raw_masks,
     _seed_pool,
-    _swap_masks,
 )
 from latintb.standardize import StandardRecord
 
@@ -208,6 +208,12 @@ def test_identity_scores_one():
     gold = random_corpus(rng, 20)
     assert whole_string_accuracy(gold, gold) == 1.0
     assert macro_f1(gold, gold, "Case") == 1.0
+
+
+def test_an_unknown_feature_is_rejected():
+    gold = [[StandardRecord(upos="NOUN", case="Nom")]]
+    with pytest.raises(ValueError, match="^unknown feature 'Bogus'$"):
+        macro_f1(gold, gold, "Bogus")
 
 
 def test_one_wrong_case_in_ten_tokens():
@@ -610,7 +616,7 @@ def spawn_words(start, stop):
 def test_swap_masks_match_one_generator_per_iteration(seed, start, rows, n_sentences):
     stop = start + rows
     assert np.array_equal(
-        _swap_masks(seed, start, stop, n_sentences, np.arange(n_sentences)),
+        _Draw(n_sentences, np.arange(n_sentences), 1).masks(seed, start, stop),
         reference_swap_masks(seed, start, stop, n_sentences),
     )
 
@@ -640,7 +646,7 @@ def test_both_draws_match_one_generator_per_iteration_on_any_sentences(seed, sta
     stop = start + rows
     expected = reference_swap_masks(seed, start, stop, n_sentences)[:, moving]
     seeds = _pcg64_seeds(seed, spawn_words(start, stop))
-    assert np.array_equal(_bit_masks(seeds, moving).T, expected)
+    assert np.array_equal(_bit_masks(seeds, _Draw(n_sentences, moving, 1)).T, expected)
     assert np.array_equal(_raw_masks(seeds, n_sentences, moving), expected)
 
 
@@ -725,7 +731,7 @@ def test_the_draw_computes_in_unsigned_integers_only():
     seeds = _pcg64_seeds(seed, spawn_words(start, stop).view(Unsigned))
     assert [(type(a), a.dtype) for a in seeds] == [(Unsigned, np.dtype(np.uint64))] * 4
     moving = np.array([0, 1, 2, 5, 9, 40])
-    masks = _bit_masks(seeds, moving)
+    masks = _bit_masks(seeds, _Draw(41, moving, 1))
     assert {"multiply", "add", "right_shift", "bitwise_and", "less"} <= set(calls)
     assert np.array_equal(masks.T, reference_swap_masks(seed, start, stop, 41)[:, moving])
 
@@ -801,14 +807,14 @@ def test_p_value_across_block_boundaries(monkeypatch, metric, block):
     # 9 sentences take the bit-only draw, which keeps no 64-bit output
     row_bytes = len(moving) + 8 * (4 * width + permutation._DRAW_ROW_WORDS)
     monkeypatch.setattr(permutation, "BLOCK_BYTES", block * row_bytes)
-    assert permutation.block_rows(len(gold), moving, width) == block
-    drawn = []
+    assert _Draw(len(gold), moving, width).rows == block
+    drawn, masks_of = [], _Draw.masks
 
-    def recorded_swap_masks(seed, start, stop, *args):
+    def recorded_masks(draw, seed, start, stop):
         drawn.append((start, stop))
-        return _swap_masks(seed, start, stop, *args)
+        return masks_of(draw, seed, start, stop)
 
-    monkeypatch.setattr(permutation, "_swap_masks", recorded_swap_masks)
+    monkeypatch.setattr(_Draw, "masks", recorded_masks)
     observed = machine.diffs(np.zeros((1, len(moving))))[0]
     for iterations in sorted({1, max(1, block - 1), block + 1, 2 * block + 1}):
         drawn.clear()
@@ -830,13 +836,14 @@ def test_p_value_across_product_sub_blocks_shorter_than_a_block(monkeypatch):
     machine = _build_machine(_Codes(gold, preds_a, preds_b), "morph-acc", False)
     moving = machine.moving
     # the bit-only draw also keeps two uint64 words a row per recurring step count
-    kept = permutation._recurring_steps(moving)
+    kept = _Draw(len(gold), moving, 1).kept
     assert len(kept) > 0
     row_bytes = len(moving) + 8 * (4 + permutation._DRAW_ROW_WORDS) + 16 * len(kept)
     monkeypatch.setattr(permutation, "BLOCK_BYTES", 12 * row_bytes)
     # a sub-block holds its rows of the mask as float64
-    block, sub = permutation.block_rows(len(gold), moving, 1), 12 * row_bytes // (8 * len(moving))
-    assert block == 12 and 1 < sub < block - 1
+    draw = _Draw(len(gold), moving, 1)
+    block, sub = draw.rows, 12 * row_bytes // (8 * len(moving))
+    assert block == 12 and 1 < sub < block - 1 and draw.sub_rows == sub
     diffs, scored = permutation._Machine.diffs, []
 
     def recorded_diffs(self, masks):
@@ -861,22 +868,28 @@ def test_p_value_across_product_sub_blocks_shorter_than_a_block(monkeypatch):
 
 def test_block_rows_keep_to_the_budget_and_the_row_cap():
     budget = permutation.BLOCK_BYTES
-    assert permutation.block_rows(1, np.arange(1), 1) == permutation.MAX_BLOCK_ROWS == 8192
-    assert permutation.block_rows(120, np.arange(0, 120, 7), 1) == 8192
-    assert permutation.block_rows(813, np.arange(0, 813, 9), 1) == 8192
+
+    def block_rows(n_sentences, moving, width):
+        return _Draw(n_sentences, moving, width).rows
+
+    assert block_rows(1, np.arange(1), 1) == permutation.MAX_BLOCK_ROWS == 8192
+    assert block_rows(120, np.arange(0, 120, 7), 1) == 8192
+    assert block_rows(813, np.arange(0, 813, 9), 1) == 8192
     # 136 moving sentences fall below the cap only through their kept step count, 3
-    assert permutation.block_rows(813, np.arange(0, 813, 6), 1) == budget // (136 + 8 * (4 + 16) + 16) < 8192
+    assert block_rows(813, np.arange(0, 813, 6), 1) == budget // (136 + 8 * (4 + 16) + 16) < 8192
     # bit-only: a byte of mask per moving sentence, and in 8-byte words four
     # times the statistics' width, the draw's working arrays and two words for
     # each step count above 1 that recurs: here every jump after the first
     # takes 25 steps
-    assert permutation.block_rows(813, np.arange(0, 813, 50), 33) == budget // (17 + 8 * (4 * 33 + 16) + 16)
+    assert block_rows(813, np.arange(0, 813, 50), 33) == budget // (17 + 8 * (4 * 33 + 16) + 16)
     moving = np.array([1, 4, 7, 12, 13, 22, 31, 40, 70])  # words 0, 2, 3, 6, 11, 15, 20, 35
-    assert permutation._jump_steps(moving).tolist() == [1, 2, 1, 3, 5, 4, 5, 15]
-    assert permutation.block_rows(813, moving, 33) == budget // (9 + 8 * (4 * 33 + 16) + 16)
+    draw = _Draw(813, moving, 33)
+    assert [step for step, *_ in draw.jumps] == [1, 2, 1, 3, 5, 4, 5, 15]
+    assert list(draw.kept) == [5]  # the one step count above 1 that recurs
+    assert block_rows(813, moving, 33) == budget // (9 + 8 * (4 * 33 + 16) + 16)
     # per-row: every 64-bit output of the row and the 32-bit halves kept, too
-    assert permutation.block_rows(813, np.arange(813), 1) == budget // (813 + 8 * (4 + 16) + 8 * 407 + 4 * 813)
-    assert permutation.block_rows(1, np.arange(1), 10**12) == 1
+    assert block_rows(813, np.arange(813), 1) == budget // (813 + 8 * (4 + 16) + 8 * 407 + 4 * 813)
+    assert block_rows(1, np.arange(1), 10**12) == 1
 
 
 def one_block_and_many(codes, metric, many):
@@ -884,7 +897,7 @@ def one_block_and_many(codes, metric, many):
     iterations and over ``many`` iterations, after an untraced run has
     imported what the draw needs."""
     machine = _build_machine(codes, metric, False)
-    block = permutation.block_rows(len(codes.sentence_lengths), machine.moving, machine.delta.shape[1])
+    block = _Draw(len(codes.sentence_lengths), machine.moving, machine.delta.shape[1]).rows
     permutation.observed_and_hits(codes, metric, False, 1, 1)
     peaks = []
     for iterations in (block, many):

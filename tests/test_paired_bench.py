@@ -1,6 +1,7 @@
-"""The summary arithmetic of scripts/paired_bench.py; the benchmark itself is not run."""
+"""The summary arithmetic and the results file of scripts/paired_bench.py; the benchmark itself is not run."""
 
 import importlib.util
+import json
 import statistics
 from pathlib import Path
 
@@ -49,3 +50,29 @@ def test_the_summary_line_shows_every_figure():
     assert paired_bench.summary_line("score wall_s", s) == (
         "score wall_s: median 2.1000 [2.0500-2.1500] -> 1.9000 [1.8500-1.9500] (-9.5%), "
         "better in 2 of 2, median gap 0.2000 against a ref IQR of 0.1000")
+
+
+def test_the_pairs_before_a_failed_run_are_kept(tmp_path, monkeypatch):
+    # the copies are left empty, and the second pair's first run fails as
+    # run_once fails: by sys.exit, before the summary is printed
+    monkeypatch.setattr(paired_bench, "copy_ref", lambda ref, dest: None)
+    monkeypatch.setattr(paired_bench, "copy_tree", lambda dest: None)
+    calls = []
+
+    def run_once(checkout, command, workload, seed, seconds):
+        calls.append((checkout.name, seed))
+        if len(calls) == 3:
+            raise SystemExit(f"error: {checkout.name} {workload} seed {seed} did not run clean")
+        value = 1.0 if checkout.name == "ref" else 0.9
+        return {"correct": True, "failed": 0,
+                "metrics": {m: {"value": value} for m in ("wall_s", "setup_s", "peak_rss_mb")}}
+
+    monkeypatch.setattr(paired_bench, "run_once", run_once)
+    work = tmp_path / "work"
+    with pytest.raises(SystemExit, match="seed 8 did not run clean"):
+        paired_bench.main(["--seeds", "7-9", "--workloads", "score", "--work", str(work)])
+    assert calls == [("ref", 7), ("new", 7), ("new", 8)]
+    kept = json.loads((work / "results.json").read_text(encoding="utf-8"))
+    metrics = {"wall_s": 1.0, "setup_s": 1.0, "peak_rss_mb": 1.0}
+    assert kept == {"score": [{"seed": 7, "first": "ref", "ref": metrics,
+                               "new": {m: 0.9 for m in metrics}}]}
